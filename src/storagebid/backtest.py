@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .builder import dispatch_variant
+from .builder import MWH_PER_KWH, dispatch_variant
 from .data import DataError, Dataset, DayData
 from .ir import ModelOptions
+from .soc import soc_rate
 from .solve import SolveResult, solve
 from .types import (
     AlignmentError,
@@ -28,8 +29,6 @@ from .types import (
     default_initial_soc,
     is_multiple_of,
 )
-
-MWH_PER_KWH = 1e-3
 
 
 class SolverError(RuntimeError):
@@ -203,7 +202,7 @@ def _simulate(power: np.ndarray, params: StorageParams, dt: float,
               y0: float) -> np.ndarray:
     """SOC at each sample boundary (length n+1) for per-sample constant
     power; positive power discharges."""
-    rate = np.minimum(-params.eta_c * power, -power / params.eta_d)
+    rate = soc_rate(power, params)
     return y0 + np.concatenate(([0.0], np.cumsum(rate) * dt))
 
 

@@ -11,6 +11,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -129,10 +130,11 @@ def load_config(path: str, overrides: dict | None = None
 
 
 def _zero_prices(config: bt.ExperimentConfig) -> PriceSeries:
-    n_da = int(round(config.grid.T / 1.0))
-    n_fcr = max(1, int(round(config.grid.T / 4.0)))
-    return PriceSeries(day_ahead=np.zeros(n_da),
-                       fcr_availability=np.zeros(n_fcr))
+    """Zero prices in the default block lengths, covering the horizon."""
+    T = config.grid.T
+    return PriceSeries(
+        day_ahead=np.zeros(math.ceil(T / PriceSeries.da_block_hours)),
+        fcr_availability=np.zeros(math.ceil(T / PriceSeries.fcr_block_hours)))
 
 
 def cmd_build(args) -> int:

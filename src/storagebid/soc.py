@@ -3,8 +3,12 @@
 The worst-case state of charge under a budgeted regulation signal is
 computed by dualizing the budget constraint: the dual objective is convex
 piecewise linear in the single multiplier, so the exact optimum is found
-by enumerating its breakpoints. Brute-force enumeration oracles are
-provided for independent cross-validation on small instances.
+by enumerating its breakpoints. The same breakpoints fix the worst time
+inside an interval in closed form. Witness signals come from the primal
+side: at fixed time weights the inner problem is a fractional knapsack
+over concave piecewise-linear SOC gains, solved by a greedy fill.
+Brute-force enumeration oracles are provided for independent
+cross-validation on small instances.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+# unused here: kept so bench/tracing.py can patch and count soc.linprog
+from scipy.optimize import linprog  # noqa: F401
 
 from .types import (
     ABS_TOL,
@@ -21,7 +26,6 @@ from .types import (
     RegulationSignal,
     StorageParams,
     TimeGrid,
-    sigma,
     sigma_vector,
 )
 
@@ -188,7 +192,13 @@ class WorstCaseResult:
     def to_signal(self, grid: TimeGrid,
                   sample_period_hours: float = 10.0 / 3600.0) -> RegulationSignal:
         """Materialize the witness as a sampled signal: constant per
-        interval up to t_star, zero afterwards."""
+        interval up to t_star, zero afterwards.
+
+        When t_star falls inside a sample, that sample carries the
+        fraction of its deviation that elapses before t_star, spread over
+        the whole sample. A replay evaluated at sample boundaries can then
+        fall short of ``value`` by up to one sample of SOC drift, but
+        never exceed it."""
         per = round(grid.dt_hours / sample_period_hours)
         values = np.repeat(self.signed_xi(), per)
         # scale the boundary sample so the witness integral is exact and
@@ -231,77 +241,77 @@ def _dual_minimize(x0, x_dn, params: StorageParams, gamma: float, dt: float,
         gamma*lam + dt * sum_{l<k} phi_l(lam) + tail_k(lam)
 
     where tail_k is sigma_k * phi_k (fixed-time mode) or dt * [phi_k]+
-    (interval-max mode). Returns (objective value, smallest minimizer)."""
+    (interval-max mode), over its breakpoints. Each candidate c gives the
+    line a_c + s * b_c in the weight s of interval k, with
+    a_c = gamma*c + dt * sum_{l<k} phi_l(c) and b_c = phi_k(c). Returns
+    (objective value, smallest minimizer, a, b)."""
     x0 = np.asarray(x0, dtype=float)[:k]
     x_dn = np.asarray(x_dn, dtype=float)[:k]
 
-    def obj(lam: float) -> float:
-        vals = phi_fn(x0, x_dn, lam, params)
-        head = dt * float(np.sum(vals[:-1]))
-        tail = vals[-1]
-        if hinge:
-            tail_term = dt * max(tail, 0.0)
-        else:
-            tail_term = sigma_k * tail
-        return gamma * lam + head + tail_term
+    def lines(cands):
+        a, b = np.empty(len(cands)), np.empty(len(cands))
+        for i, lam in enumerate(cands):
+            vals = phi_fn(x0, x_dn, lam, params)
+            a[i] = gamma * lam + dt * float(np.sum(vals[:-1]))
+            b[i] = vals[-1]
+        return a, b
 
     cands = _lam_candidates(x0, x_dn, params, lam_max, phi_fn)
+    a, b = lines(cands)
     if hinge:
         # the hinge adds a kink where phi_k crosses zero
-        phik = np.array([float(phi_fn(x0[-1:], x_dn[-1:], c, params)[0])
-                         for c in cands])
-        roots = []
-        for i in range(len(cands) - 1):
-            fa, fb = phik[i], phik[i + 1]
-            if fa > 0 > fb or fa < 0 < fb:
-                roots.append(cands[i] + (cands[i + 1] - cands[i]) * fa / (fa - fb))
-        if roots:
-            cands = np.unique(np.concatenate([cands, roots]))
-    vals = np.array([obj(c) for c in cands])
+        fa, fb = b[:-1], b[1:]
+        cross = ((fa > 0) & (fb < 0)) | ((fa < 0) & (fb > 0))
+        lo, hi = cands[:-1][cross], cands[1:][cross]
+        roots = lo + (hi - lo) * fa[cross] / (fa[cross] - fb[cross])
+        ra, rb = lines(roots)
+        cands = np.concatenate([cands, roots])
+        a, b = np.concatenate([a, ra]), np.concatenate([b, rb])
+    vals = a + (dt * np.maximum(b, 0.0) if hinge else sigma_k * b)
     best = vals.min()
     lam_star = float(cands[vals <= best + 1e-10].min())
-    return float(best), lam_star
+    return float(best), lam_star, a, b
 
 
-def _witness_lp(x0, x_dn, params: StorageParams, gamma: float,
-                sig: np.ndarray):
-    """Exact worst-case downregulation magnitudes at fixed time weights:
-    hypograph LP of the concave per-interval SOC growth."""
-    k = len(sig)
-    x0 = np.asarray(x0, dtype=float)[:k]
-    x_dn = np.asarray(x_dn, dtype=float)[:k]
-    ec, ed = params.eta_c, params.eta_d
-    # variables: xi_1..xi_k, z_1..z_k ; maximize sum sig_l * z_l
-    c = np.concatenate([np.zeros(k), -sig])
-    a_rows = []
-    b_rows = []
-    for l in range(k):
-        row = np.zeros(2 * k)
-        row[l] = -ec * x_dn[l]
-        row[k + l] = 1.0
-        a_rows.append(row)
-        b_rows.append(-ec * x0[l])
-        row = np.zeros(2 * k)
-        row[l] = -x_dn[l] / ed
-        row[k + l] = 1.0
-        a_rows.append(row)
-        b_rows.append(-x0[l] / ed)
-    budget = np.concatenate([sig, np.zeros(k)])
-    a_rows.append(budget)
-    b_rows.append(gamma)
-    bounds = [(0.0, 1.0)] * k + [(None, None)] * k
-    res = linprog(c, A_ub=np.array(a_rows), b_ub=np.array(b_rows),
-                  bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"witness LP failed: {res.message}")
-    return res.x[:k], -res.fun
+def _greedy_fill(rates: np.ndarray, lengths, weights,
+                 gamma: float) -> np.ndarray:
+    """Fractional knapsack over concave piecewise-linear gains.
+
+    Column l of ``rates``/``lengths`` lists the pieces of interval l's
+    gain in its magnitude xi_l (rows in order, rates non-increasing); a
+    unit of xi_l costs ``weights[l]`` of the budget ``gamma``. Lengths and
+    weights broadcast against ``rates``. Pieces are filled by falling
+    rate (stable order) until the budget is spent; pieces with zero rate
+    or zero weight get nothing. Returns xi."""
+    n = rates.shape[1]
+    r = rates.ravel()
+    ln = np.broadcast_to(lengths, rates.shape).ravel()
+    w = np.broadcast_to(weights, rates.shape).ravel()
+    owner = np.tile(np.arange(n), rates.shape[0])
+    order = np.argsort(-r, kind="stable")
+    order = order[(r[order] > _TOL) & (w[order] > 0) & (ln[order] > 0)]
+    cost = ln[order] * w[order]
+    spent = np.concatenate([[0.0], np.cumsum(cost)[:-1]])
+    take = np.clip((gamma - spent) / w[order], 0.0, ln[order])
+    return np.bincount(owner[order], weights=take, minlength=n)
 
 
-def _max_soc_at_weights(bids, params, gamma, dt, k, sig_k, lam_max, y0,
-                        phi_fn=phi_values):
-    val, lam_star = _dual_minimize(bids.x0, bids.x_dn, params, gamma, dt, k,
-                                   lam_max, phi_fn, sigma_k=sig_k, hinge=False)
-    return y0 + val, lam_star
+def _max_witness(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
+                 gamma: float, t: float) -> np.ndarray:
+    """Worst-case downregulation magnitudes for the SOC at time t: the
+    SOC gain of interval l rises at x_dn/eta_d while it still discharges
+    (xi_l up to x0/x_dn), then at eta_c*x_dn."""
+    xi = np.zeros(grid.K)
+    if t <= 0:
+        return xi
+    k = grid.interval_of(t)
+    x0, x_dn = bids.x0[:k], bids.x_dn[:k]
+    safe_dn = np.where(x_dn > 0, x_dn, 1.0)
+    first = np.clip(x0 / safe_dn, 0.0, 1.0)
+    rates = np.stack([x_dn / params.eta_d, params.eta_c * x_dn])
+    lengths = np.stack([first, 1.0 - first])
+    xi[:k] = _greedy_fill(rates, lengths, sigma_vector(grid, t)[:k], gamma)
+    return xi
 
 
 def max_soc_at_time(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
@@ -317,15 +327,14 @@ def max_soc_at_time(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
         return WorstCaseResult(value=y0, lambda_star=0.0,
                                witness_xi=np.zeros(grid.K), t_star=0.0, sign=-1)
     k = grid.interval_of(t)
-    sig_k = sigma(grid, t, k)
-    value, lam_star = _max_soc_at_weights(bids, params, gamma, grid.dt_hours,
-                                          k, sig_k, lam_max, y0)
-    sig = sigma_vector(grid, t)[:k]
-    xi_k, _ = _witness_lp(bids.x0, bids.x_dn, params, gamma, sig)
-    xi = np.zeros(grid.K)
-    xi[:k] = xi_k
-    return WorstCaseResult(value=value, lambda_star=lam_star, witness_xi=xi,
-                           t_star=t, sign=-1)
+    sig_k = t - (k - 1) * grid.dt_hours  # elapsed part of interval k
+    val, lam_star, _, _ = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
+                                         grid.dt_hours, k, lam_max,
+                                         phi_values, sigma_k=sig_k,
+                                         hinge=False)
+    xi = _max_witness(bids, params, grid, gamma, t)
+    return WorstCaseResult(value=y0 + val, lambda_star=lam_star,
+                           witness_xi=xi, t_star=t, sign=-1)
 
 
 def max_soc_over_interval(bids: BidSchedule, params: StorageParams,
@@ -339,54 +348,17 @@ def max_soc_over_interval(bids: BidSchedule, params: StorageParams,
         _check_power_bounds(bids, params)
         lam_max = (params.x_max - params.x_min) / params.eta_d
     dt = grid.dt_hours
-    val, lam_star = _dual_minimize(bids.x0, bids.x_dn, params, gamma, dt, k,
-                                   lam_max, phi_values, sigma_k=None, hinge=True)
-    value = y0 + val
-    # locate the worst time: end of interval if the k-th growth rate is
-    # positive at the dual optimum, start if negative, interior otherwise
-    hv = float(phi_values(bids.x0[k - 1:k], bids.x_dn[k - 1:k], lam_star, params)[0])
-    t_lo, t_hi = (k - 1) * dt, k * dt
-    if hv > 1e-9:
-        t_star = t_hi
-    elif hv < -1e-9:
-        t_star = t_lo
-    else:
-        t_star = _golden_max(
-            lambda t: _max_soc_at_weights(bids, params, gamma, dt, k,
-                                          t - t_lo, lam_max, y0)[0],
-            t_lo, t_hi)
-    t_star = min(max(t_star, t_lo), t_hi)
-    if t_star <= 0:
-        xi = np.zeros(grid.K)
-    else:
-        kk = grid.interval_of(t_star)
-        sig = sigma_vector(grid, t_star)[:kk]
-        xi_t, _ = _witness_lp(bids.x0, bids.x_dn, params, gamma, sig)
-        xi = np.zeros(grid.K)
-        xi[:kk] = xi_t
-    return WorstCaseResult(value=value, lambda_star=lam_star, witness_xi=xi,
-                           t_star=t_star, sign=-1)
-
-
-def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section maximization of a concave function on [lo, hi]."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-        if b - a < 1e-12:
-            break
-    return 0.5 * (a + b)
+    val, lam_star, a, b = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
+                                         dt, k, lam_max, phi_values,
+                                         sigma_k=None, hinge=True)
+    # the fixed-time maximum at offset s is min_c (a_c + s*b_c); its
+    # earliest maximizer is where the last rising line reaches val
+    rising = b > 0
+    s = np.max((val - a[rising]) / b[rising], initial=0.0)
+    t_star = (k - 1) * dt + min(float(s), dt)
+    xi = _max_witness(bids, params, grid, gamma, t_star)
+    return WorstCaseResult(value=y0 + val, lambda_star=lam_star,
+                           witness_xi=xi, t_star=t_star, sign=-1)
 
 
 _PHI_FNS = {"exact": phi_values, "lower": phi_lower_values,
@@ -405,9 +377,9 @@ def max_soc_estimate(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
         raise DomainError(f"interval k={k} outside 1..{grid.K}")
     _check_power_bounds(bids, params)
     lam_max = (params.x_max - params.x_min) / params.eta_d
-    val, _ = _dual_minimize(bids.x0, bids.x_dn, params, gamma, grid.dt_hours,
-                            k, lam_max, _PHI_FNS[kind], sigma_k=None,
-                            hinge=True)
+    val, _, _, _ = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
+                                  grid.dt_hours, k, lam_max, _PHI_FNS[kind],
+                                  sigma_k=None, hinge=True)
     return y0 + val
 
 
@@ -452,14 +424,7 @@ def min_soc_at_boundaries(bids: BidSchedule, params: StorageParams,
     # greedy primal: spend the budget on intervals with the largest
     # discharge surplus
     xi = np.zeros(grid.K)
-    budget_units = gamma / dt
-    order = np.argsort(-diffs, kind="stable")
-    for idx in order:
-        if budget_units <= _TOL or diffs[idx] <= _TOL:
-            break
-        take = min(1.0, budget_units)
-        xi[idx] = take
-        budget_units -= take
+    xi[:k] = _greedy_fill(diffs[None, :], 1.0, dt, gamma)
     return WorstCaseResult(value=float(best), lambda_star=lam_star,
                            witness_xi=xi, t_star=k * dt, sign=+1)
 
@@ -570,8 +535,7 @@ def brute_force_max_soc(bids: BidSchedule, params: StorageParams,
         if not np.any(feas):
             continue
         x = x0 - xi[feas] * x_dn  # downregulation: signal -xi
-        rates = np.minimum(-params.eta_c * x, -x / params.eta_d)
-        vals = y0 + rates @ sig
+        vals = y0 + soc_rate(x, params) @ sig
         best = max(best, float(vals.max()))
     return best
 
@@ -587,6 +551,5 @@ def brute_force_min_soc(bids: BidSchedule, params: StorageParams,
     spent = xi.sum(axis=1) * dt
     xi = xi[spent <= gamma + 1e-12]
     x = bids.x0[:k] + xi * bids.x_up[:k]
-    rates = np.minimum(-params.eta_c * x, -x / params.eta_d)
-    vals = y0 + rates.sum(axis=1) * dt
+    vals = y0 + soc_rate(x, params).sum(axis=1) * dt
     return float(vals.min())

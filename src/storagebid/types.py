@@ -105,7 +105,12 @@ def sigma(grid: TimeGrid, t: float, l: int) -> float:
 
 def sigma_vector(grid: TimeGrid, t: float) -> np.ndarray:
     """All K sigma weights at time t as an array."""
-    return np.array([sigma(grid, t, l) for l in range(1, grid.K + 1)])
+    k = grid.interval_of(t)  # validates t
+    if t <= 0:
+        return np.zeros(grid.K)
+    l = np.arange(1, grid.K + 1)
+    return np.where(l < k, grid.dt_hours,
+                    np.where(l == k, t - (k - 1) * grid.dt_hours, 0.0))
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,18 @@ class TestBuildCommand:
         assert manifest["n_bilinear_rows"] == 6  # K(K-1)/2
         assert manifest["format"] == "lp"
 
+    def test_build_without_data_on_partial_blocks(self, tmp_path):
+        # 5 hours end inside the second 4-hour FCR block; the zero prices
+        # must still cover the horizon
+        p = tmp_path / "exp.cfg"
+        p.write_text(HOURLY_CFG.replace("K = 24", "K = 5")
+                     .replace("fcr_block_len = 4\n", ""))
+        out = str(tmp_path / "model.mps")
+        assert main(["build", "--config", str(p), "--out", out]) == EXIT_OK
+        manifest = json.load(open(out + ".manifest.json"))
+        assert manifest["K"] == 5
+        assert manifest["n_binaries"] == 12  # 3(K-1)
+
     def test_invalid_config_exit_code(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense = 1\n")

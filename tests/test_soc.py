@@ -8,6 +8,7 @@ from storagebid.types import (
     RegulationSignal,
     StorageParams,
     TimeGrid,
+    sigma_vector,
 )
 from storagebid.soc import (
     brute_force_max_soc,
@@ -22,6 +23,7 @@ from storagebid.soc import (
     phi_values,
     power_output,
     simulate_soc,
+    soc_rate,
 )
 
 ETA = 0.85
@@ -259,6 +261,34 @@ class TestMaxSocRandom:
                                          + np.max(bids.x_dn)) / p.eta_d
         assert achieved <= r.value + 1e-9
         assert achieved >= r.value - eps
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(deadline=None, max_examples=60)
+    def test_greedy_witness_and_peak_identities(self, seed):
+        # the greedy witness attains the dual value at any time within
+        # budget, and the interval maximum is attained at t_star
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 6))
+        grid = TimeGrid(dt_hours=float(rng.choice([0.25, 0.5, 1.0])), K=K)
+        eta = rng.uniform(0.7, 1.0, 2)
+        p = StorageParams(x_min=-2.0, x_max=2.0, y_min=0.0, y_max=6.0,
+                          eta_c=eta[0], eta_d=eta[1])
+        bids = BidSchedule(x0=rng.uniform(-1.0, 1.0, K), x_up=np.zeros(K),
+                           x_dn=rng.uniform(0.0, 1.0, K))
+        gamma = grid.dt_hours * int(rng.integers(1, K + 1))
+        y0 = 3.0
+        t = float(rng.uniform(0.0, grid.T))
+        r = max_soc_at_time(bids, p, grid, gamma, y0, t)
+        sig = sigma_vector(grid, t)
+        assert sig @ r.witness_xi <= gamma + 1e-12
+        assert np.all((r.witness_xi >= 0.0) & (r.witness_xi <= 1.0))
+        gain = sig @ soc_rate(bids.x0 - bids.x_dn * r.witness_xi, p)
+        assert gain == pytest.approx(r.value - y0, abs=1e-9)
+        k = int(rng.integers(1, K + 1))
+        over = max_soc_over_interval(bids, p, grid, gamma, y0, k)
+        assert (k - 1) * grid.dt_hours <= over.t_star <= k * grid.dt_hours
+        at_peak = max_soc_at_time(bids, p, grid, gamma, y0, over.t_star)
+        assert at_peak.value == pytest.approx(over.value, abs=1e-9)
 
     def test_monotone_in_time(self):
         # fixed-time maxima over successive boundaries never decrease by
