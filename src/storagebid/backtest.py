@@ -16,12 +16,11 @@ import numpy as np
 from .builder import MWH_PER_KWH, dispatch_variant
 from .data import DataError, Dataset, DayData
 from .ir import ModelOptions
-from .soc import soc_rate
-from .solve import SolveResult, solve
+from .soc import realized_power, soc_path
+from .solve import solve
 from .types import (
     AlignmentError,
     DomainError,
-    PriceSeries,
     RegulationSignal,
     StorageParams,
     TimeGrid,
@@ -43,9 +42,20 @@ def budget_usage(signal: RegulationSignal, gamma: float) -> float:
     return signal.abs_integral() / gamma
 
 
-def _window_start(k: int, window_len: int) -> int:
-    """First interval (1-based) of the trailing window ending at k."""
-    return max(1, k - window_len + 1)
+def _trailing_sums(v: np.ndarray, window_len: int) -> np.ndarray:
+    """Sum of v over the trailing window of window_len entries ending at
+    each index, added left to right."""
+    return np.array([sum(v[max(0, j - window_len + 1):j + 1])
+                     for j in range(len(v))], dtype=float)
+
+
+def _abs_interval_integrals(signal: RegulationSignal,
+                            grid: TimeGrid) -> np.ndarray:
+    """Integral of |xi| over each trading interval, in hours; samples
+    past the horizon are ignored, as in ``interval_integrals``."""
+    per = signal.check_alignment(grid)
+    return np.abs(signal.values[:per * grid.K]).reshape(grid.K, per) \
+        .sum(axis=1) * signal.sample_period_hours
 
 
 def intraday_adjustments(xr: np.ndarray, signal: RegulationSignal,
@@ -65,12 +75,9 @@ def intraday_adjustments(xr: np.ndarray, signal: RegulationSignal,
         raise DomainError("Gamma_prime must exceed dt")
     ints = signal.interval_integrals(grid)
     wlen = int(round(Gamma_prime / grid.dt_hours))
-    xa = np.zeros(grid.K)
-    for k in range(1, grid.K):  # adjustment for interval k+1 (1-based)
-        i0 = _window_start(k + 1, wlen)
-        drift = sum(xr[i - 1] * ints[i - 1] for i in range(i0, k + 1))
-        xa[k] = -drift / (Gamma_prime - grid.dt_hours)
-    return xa
+    # x^a_{k+1} sums the wlen - 1 intervals ending at k
+    drift = _trailing_sums(xr * ints, wlen - 1)[:-1]
+    return np.concatenate(([0.0], -drift / (Gamma_prime - grid.dt_hours)))
 
 
 def drift_envelope(xr: np.ndarray, signal: RegulationSignal, grid: TimeGrid,
@@ -78,29 +85,17 @@ def drift_envelope(xr: np.ndarray, signal: RegulationSignal, grid: TimeGrid,
     """Upper bound on |realized SOC - planned SOC| at each interval
     boundary when intraday adjustments are active (lossless guarantee):
     the trailing-window sum of xr_i * int |xi_i|."""
-    ints = np.abs(signal.values).reshape(grid.K, -1).sum(axis=1) \
-        * signal.sample_period_hours
     wlen = int(round(Gamma_prime / grid.dt_hours))
-    env = np.empty(grid.K)
-    for k in range(1, grid.K + 1):
-        i0 = _window_start(k, wlen)
-        env[k - 1] = sum(xr[i - 1] * ints[i - 1] for i in range(i0, k + 1)
-                         if i <= grid.K)
-    return env
+    return _trailing_sums(xr * _abs_interval_integrals(signal, grid), wlen)
 
 
 def window_budget_usage(signal: RegulationSignal, grid: TimeGrid,
                         gamma_prime: float, Gamma_prime: float) -> float:
     """Worst usage of the rolling deviation budget: max over trailing
     windows of (sum of per-interval |xi| integrals) / gamma'."""
-    ints = np.abs(signal.values).reshape(grid.K, -1).sum(axis=1) \
-        * signal.sample_period_hours
     wlen = int(round(Gamma_prime / grid.dt_hours))
-    worst = 0.0
-    for k in range(1, grid.K + 1):
-        i0 = _window_start(k, wlen)
-        worst = max(worst, float(np.sum(ints[i0 - 1:k])))
-    return worst / gamma_prime
+    sums = _trailing_sums(_abs_interval_integrals(signal, grid), wlen)
+    return max(0.0, float(sums.max())) / gamma_prime
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,6 @@ class ExperimentConfig:
     time_limit: float | None = 60.0
     gap_target: float | None = None
     initial_soc: float | None = None
-    country: str = ""
     start_date: str | None = None
     end_date: str | None = None
     exclude_dst: bool = True
@@ -198,14 +192,6 @@ def _extract_bids(point: dict[str, float], K: int, options: ModelOptions):
     return x0, np.zeros(K), np.zeros(K)
 
 
-def _simulate(power: np.ndarray, params: StorageParams, dt: float,
-              y0: float) -> np.ndarray:
-    """SOC at each sample boundary (length n+1) for per-sample constant
-    power; positive power discharges."""
-    rate = soc_rate(power, params)
-    return y0 + np.concatenate(([0.0], np.cumsum(rate) * dt))
-
-
 def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
                       y0_high: float | None = None):
     """Like run_day but also returns the accepted bid arrays
@@ -241,9 +227,8 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
     xi = signal.values[:per * K]
     sample_dt = signal.sample_period_hours
     base = np.repeat(x0 + xa, per)
-    power = base + np.maximum(xi, 0.0) * np.repeat(x_up, per) \
-        - np.maximum(-xi, 0.0) * np.repeat(x_dn, per)
-    soc = _simulate(power, params, sample_dt, y0c)
+    power = realized_power(base, np.repeat(x_up, per), np.repeat(x_dn, per), xi)
+    soc = soc_path(power, params, sample_dt, y0c)
 
     profit_da = float(np.sum(da * x0) * dt * MWH_PER_KWH)
     profit_fcr = float(np.sum(fcr * x_up) * MWH_PER_KWH)
@@ -264,7 +249,7 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
     if soc.max() > hi + tol:
         violations.append(f"soc_above_max:{soc.max():.6f}")
     if config.options.intraday:
-        plan = _simulate(np.repeat(x0, per), params, sample_dt, y0c)
+        plan = soc_path(np.repeat(x0, per), params, sample_dt, y0c)
         boundary = np.arange(1, K + 1) * per
         dy = np.abs(soc[boundary] - plan[boundary])
         env = drift_envelope(x_up, signal, grid, budget.Gamma_prime)
@@ -363,8 +348,8 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
                  dates: list[str] | None = None) -> BacktestReport:
     """Sequential daily loop. With day coupling, each day starts from the
     previous day's realized midnight SOC; otherwise every day starts from
-    the configured initial SOC. Missing or malformed data skips the day
-    with a reason."""
+    the configured initial SOC. Missing or malformed data and solver
+    failures skip the day with a reason."""
     if dates is None:
         dates = dataset.dates()
     if config.start_date is not None:
@@ -385,11 +370,18 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
         except (DataError, AlignmentError, DomainError) as e:
             report.skipped.append((date, str(e)))
             continue
-        y0_high = None
+        # y0 stays as is until the day succeeds, so a skipped day leaves
+        # the next day's start unchanged
+        y0_day, y0_high = y0, None
         if config.bidding_time == "8am":
-            lo8, hi8 = _eight_am_interval(config, prev_record, prev_xr, y0)
-            y0, y0_high = lo8, hi8
-        rec, _, x_up, _ = run_day_with_bids(config, day, y0, y0_high=y0_high)
+            y0_day, y0_high = _eight_am_interval(config, prev_record, prev_xr,
+                                                 y0)
+        try:
+            rec, _, x_up, _ = run_day_with_bids(config, day, y0_day,
+                                                y0_high=y0_high)
+        except SolverError as e:
+            report.skipped.append((date, str(e)))
+            continue
         report.records.append(rec)
         prev_record = rec
         prev_xr = x_up

@@ -9,8 +9,6 @@ SOC condition and the objective, then applies variant-specific surgery
 
 from __future__ import annotations
 
-import numpy as np
-
 from .ir import BINARY, CONTINUOUS, ModelError, ModelIR, ModelOptions
 from .types import (
     DomainError,

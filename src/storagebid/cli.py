@@ -23,7 +23,6 @@ from .builder import dispatch_variant
 from .ir import ModelError, ModelOptions
 from .mpsio import EmissionError, emit_model
 from .soc import check_feasibility, max_soc_at_time, max_soc_over_interval
-from .solve import solve
 from .types import (
     AlignmentError,
     BidSchedule,
@@ -59,7 +58,7 @@ _GRID_KEYS = {"dt_hours": float, "K": int}
 _BUDGET_KEYS = {"budget_kind": str, "gamma": float, "gamma_prime": float,
                 "Gamma_prime": float}
 _RUN_KEYS = {"bidding_time": str, "day_coupling": bool, "time_limit": float,
-             "gap_target": float, "initial_soc": float, "country": str,
+             "gap_target": float, "initial_soc": float,
              "start_date": str, "end_date": str, "exclude_dst": bool,
              "backend": str}
 
@@ -363,21 +362,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelError) as e:
+    except (ConfigError, ModelError, DomainError, EmissionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (dat.DataError, AlignmentError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    except DomainError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except bt.SolverError as e:
         print(f"solver error: {e}", file=sys.stderr)
         return EXIT_SOLVER
-    except EmissionError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import (
-    AlignmentError,
-    DomainError,
-    PriceSeries,
-    RegulationSignal,
-    TimeGrid,
-)
+from .types import PriceSeries, RegulationSignal
 
 FREQ_SAMPLE_S = 10
 SAMPLES_PER_DAY = 24 * 3600 // FREQ_SAMPLE_S  # 8640
@@ -70,6 +64,8 @@ def _read_csv(path: str, columns: int) -> list[list[float]]:
                 rows.append([float(x) for x in line[:columns]])
             except ValueError as e:
                 raise DataError(f"{path}: {e}") from None
+    if not np.all(np.isfinite(rows)):
+        raise DataError(f"{path}: non-finite value")
     return rows
 
 
@@ -93,10 +89,7 @@ def load_frequency(path: str) -> np.ndarray:
     expected = np.arange(SAMPLES_PER_DAY) * FREQ_SAMPLE_S
     if len(rows) != SAMPLES_PER_DAY or not np.array_equal(offsets, expected):
         raise DataError(f"{path}: gap in 10 s frequency samples")
-    hz = np.array([r[1] for r in rows])
-    if not np.all(np.isfinite(hz)):
-        raise DataError(f"{path}: non-finite frequency")
-    return hz
+    return np.array([r[1] for r in rows])
 
 
 @dataclass(frozen=True)

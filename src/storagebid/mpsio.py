@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ir import BINARY, BilinearRow, LinearRow, ModelError, ModelIR
+from .ir import BINARY, ModelError, ModelIR
 
 
 class EmissionError(ValueError):

@@ -39,7 +39,12 @@ def power_output(x0: float, x_up: float, x_dn: float, xi: float) -> float:
         raise DomainError("regulation bids must be nonnegative")
     if abs(xi) > 1 + 1e-12:
         raise DomainError(f"signal value {xi} outside [-1, 1]")
-    return x0 + max(xi, 0.0) * x_up - max(-xi, 0.0) * x_dn
+    return float(realized_power(x0, x_up, x_dn, xi))
+
+
+def realized_power(x0, x_up, x_dn, xi):
+    """x0 + [xi]+ x_up - [xi]- x_dn, elementwise. Vectorized."""
+    return x0 + np.maximum(xi, 0.0) * x_up - np.maximum(-xi, 0.0) * x_dn
 
 
 def soc_rate(x, params: StorageParams):
@@ -47,6 +52,12 @@ def soc_rate(x, params: StorageParams):
     min{-eta_c * x, -x / eta_d}. Vectorized."""
     x = np.asarray(x, dtype=float)
     return np.minimum(-params.eta_c * x, -x / params.eta_d)
+
+
+def soc_path(power, params: StorageParams, dt: float, y0: float) -> np.ndarray:
+    """SOC at each sample boundary (length n+1) for n samples of constant
+    power, each lasting dt hours; positive power discharges."""
+    return y0 + np.concatenate(([0.0], np.cumsum(soc_rate(power, params)) * dt))
 
 
 @dataclass(frozen=True)
@@ -83,18 +94,11 @@ def simulate_soc(bids: BidSchedule, signal: RegulationSignal,
         raise DomainError("y0 must be finite")
     per = signal.check_alignment(grid)
     n = per * grid.K
-    xi = signal.values[:n]
-    x0 = np.repeat(bids.x0, per)
-    x_up = np.repeat(bids.x_up, per)
-    x_dn = np.repeat(bids.x_dn, per)
-    x = x0 + np.maximum(xi, 0.0) * x_up - np.maximum(-xi, 0.0) * x_dn
-    rates = soc_rate(x, params)
-    times = np.arange(n + 1) * signal.sample_period_hours
-    values = np.empty(n + 1)
-    values[0] = y0
-    np.cumsum(rates * signal.sample_period_hours, out=values[1:])
-    values[1:] += y0
-    return SocTrajectory(times=times, values=values)
+    power = realized_power(np.repeat(bids.x0, per), np.repeat(bids.x_up, per),
+                           np.repeat(bids.x_dn, per), signal.values[:n])
+    dt = signal.sample_period_hours
+    return SocTrajectory(times=np.arange(n + 1) * dt,
+                         values=soc_path(power, params, dt, y0))
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +253,8 @@ def _dual_minimize(x0, x_dn, params: StorageParams, gamma: float, dt: float,
     x_dn = np.asarray(x_dn, dtype=float)[:k]
 
     def lines(cands):
-        a, b = np.empty(len(cands)), np.empty(len(cands))
-        for i, lam in enumerate(cands):
-            vals = phi_fn(x0, x_dn, lam, params)
-            a[i] = gamma * lam + dt * float(np.sum(vals[:-1]))
-            b[i] = vals[-1]
-        return a, b
+        vals = phi_fn(x0, x_dn, cands[:, None], params)
+        return gamma * cands + dt * vals[:, :-1].sum(axis=1), vals[:, -1]
 
     cands = _lam_candidates(x0, x_dn, params, lam_max, phi_fn)
     a, b = lines(cands)
@@ -415,10 +415,8 @@ def min_soc_at_boundaries(bids: BidSchedule, params: StorageParams,
     alpha, beta = alpha[:k], beta[:k]
     diffs = beta - alpha
     cands = np.unique(np.concatenate([[0.0], diffs[diffs > 0]]))
-    vals = np.array([
-        y0 - gamma * lam - dt * float(np.sum(alpha + np.maximum(diffs - lam, 0.0)))
-        for lam in cands
-    ])
+    vals = y0 - gamma * cands - dt * np.sum(
+        alpha + np.maximum(diffs - cands[:, None], 0.0), axis=1)
     best = vals.max()
     lam_star = float(cands[vals >= best - 1e-10].min())
     # greedy primal: spend the budget on intervals with the largest
@@ -521,8 +519,7 @@ def brute_force_max_soc(bids: BidSchedule, params: StorageParams,
     _guard_enumeration(k, m, k + 1)
     dt = grid.dt_hours
     xi = _xi_grid(k, m)
-    x0 = bids.x0[:k]
-    x_dn = bids.x_dn[:k]
+    x0, x_up, x_dn = bids.x0[:k], bids.x_up[:k], bids.x_dn[:k]
     # t = 0 (k = 1 only) contributes the initial SOC
     best = y0 if k == 1 else -np.inf
     for j in range(m + 1):
@@ -534,7 +531,7 @@ def brute_force_max_soc(bids: BidSchedule, params: StorageParams,
         feas = spent <= gamma + 1e-12
         if not np.any(feas):
             continue
-        x = x0 - xi[feas] * x_dn  # downregulation: signal -xi
+        x = realized_power(x0, x_up, x_dn, -xi[feas])  # downregulation
         vals = y0 + soc_rate(x, params) @ sig
         best = max(best, float(vals.max()))
     return best
@@ -550,6 +547,6 @@ def brute_force_min_soc(bids: BidSchedule, params: StorageParams,
     xi = _xi_grid(k, m)
     spent = xi.sum(axis=1) * dt
     xi = xi[spent <= gamma + 1e-12]
-    x = bids.x0[:k] + xi * bids.x_up[:k]
+    x = realized_power(bids.x0[:k], bids.x_up[:k], bids.x_dn[:k], xi)
     vals = y0 + soc_rate(x, params).sum(axis=1) * dt
     return float(vals.min())

@@ -14,13 +14,13 @@ import os
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .ir import BINARY, ModelError, ModelIR, eval_bilinear, residual
+from .ir import BINARY, ModelError, ModelIR, residual
 from .mpsio import emit_model, parse_solution
 from .types import DomainError
 
@@ -167,11 +167,7 @@ def solve(ir: ModelIR, time_limit: float | None = None,
         result = _solve_scipy(ir, time_limit, gap_target)
     if result.ok:
         viol = count_bilinear_violations(ir, result.point)
-        result = SolveResult(status=result.status, objective=result.objective,
-                             bound=result.bound, point=result.point,
-                             solve_time=result.solve_time,
-                             bilinear_violations=viol,
-                             message=result.message)
+        result = replace(result, bilinear_violations=viol)
     return result
 
 

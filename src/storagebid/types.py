@@ -8,7 +8,7 @@ converted with a factor of 1e-3 at the accounting boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -2,10 +2,12 @@
 realized-feasibility, and the multi-day driver."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from storagebid import backtest
 from storagebid.backtest import (
     BacktestRecord,
     ExperimentConfig,
@@ -15,12 +17,16 @@ from storagebid.backtest import (
     is_dst_transition,
     run_backtest,
     run_day,
+    run_day_with_bids,
     window_budget_usage,
     write_report,
 )
 from storagebid.data import Dataset, generate_synthetic_dataset
 from storagebid.ir import ModelOptions
+from storagebid.soc import simulate_soc
+from storagebid.solve import SolveResult
 from storagebid.types import (
+    BidSchedule,
     PriceSeries,
     RegulationSignal,
     StorageParams,
@@ -116,6 +122,20 @@ class TestIntradayAdjustments:
                       * ints[i - 1] for i in range(i0, k + 1))
             assert abs(dy) <= env[k - 1] + 1e-12
 
+    def test_samples_past_the_horizon_are_ignored(self):
+        # a recorded day may run past the trading horizon; the window
+        # sums use the horizon's samples only, like interval_integrals
+        rng = np.random.default_rng(5)
+        vals = np.clip(rng.normal(0, 0.4, 97 * 90), -1, 1)
+        day = RegulationSignal(values=vals[:96 * 90])
+        longer = RegulationSignal(values=vals)
+        xr = rng.uniform(0, 10, 96)
+        np.testing.assert_array_equal(
+            drift_envelope(xr, longer, QUARTER, 2.25),
+            drift_envelope(xr, day, QUARTER, 2.25))
+        assert window_budget_usage(longer, QUARTER, 0.25, 2.25) == \
+            window_budget_usage(day, QUARTER, 0.25, 2.25)
+
 
 class TestRunDay:
     def test_zero_prices_zero_record(self, synth):
@@ -173,6 +193,17 @@ class TestRunDay:
         cfg = hourly_config()
         assert cfg.y0_default == pytest.approx(53.328, abs=1e-3)
 
+    def test_replay_soc_equals_simulate_soc(self, synth):
+        # the report's SOC figures come from the same integrator as
+        # simulate_soc, so they agree exactly, not just to rounding
+        day = synth.load_day("2021-01-01")
+        rec, x0, x_up, x_dn = run_day_with_bids(hourly_config(), day, 53.328)
+        traj = simulate_soc(BidSchedule(x0=x0, x_up=x_up, x_dn=x_dn),
+                            day.signal, REFERENCE_BATTERY, HOURLY, 53.328)
+        assert rec.soc_min == traj.min()
+        assert rec.soc_max == traj.max()
+        assert rec.soc_midnight == traj.terminal
+
 
 class TestRunBacktest:
     def test_uncoupled_identical_days_identical_records(self, tmp_path):
@@ -217,6 +248,54 @@ class TestRunBacktest:
         assert len(rep.records) == 1
         assert len(rep.skipped) == 1
         assert rep.skipped[0][0] == "2021-01-02"
+
+    def test_solver_failure_skips_day(self, tmp_path):
+        root = tmp_path / "nosolver"
+        generate_synthetic_dataset(str(root), seed=2, days=2, gamma=2.0)
+        missing = str(tmp_path / "no-such-solver")
+        rep = run_backtest(hourly_config(backend=missing), Dataset(str(root)))
+        assert rep.records == []
+        assert [d for d, _ in rep.skipped] == ["2021-01-01", "2021-01-02"]
+        assert all("solver returned error" in r for _, r in rep.skipped)
+        paths = write_report(rep, str(tmp_path / "out"))
+        assert sorted(paths) == ["records", "series", "summary"]
+        assert all(os.path.exists(p) for p in paths.values())
+        assert len(open(paths["records"]).read().splitlines()) == 2
+
+    def test_solver_skip_keeps_state_like_data_skip(self, synth,
+                                                    monkeypatch):
+        # a failed second day must leave y0 and the 8am interval of the
+        # third day as if the second day had never been there
+        cfg = hourly_config(day_coupling=True, bidding_time="8am")
+        d1, d2, d3 = synth.dates()
+        expected = run_backtest(cfg, synth, dates=[d1, d3])
+        real_solve, calls = backtest.solve, []
+
+        def flaky(ir, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                return SolveResult(status="error", message="injected")
+            return real_solve(ir, **kw)
+
+        monkeypatch.setattr(backtest, "solve", flaky)
+        rep = run_backtest(cfg, synth, dates=[d1, d2, d3])
+        assert rep.skipped == [(d2, f"{d2}: solver returned error: injected")]
+        assert [r.to_dict() for r in rep.records] == \
+            [r.to_dict() for r in expected.records]
+
+    def test_non_finite_price_skips_day(self, tmp_path):
+        root = tmp_path / "nanday"
+        generate_synthetic_dataset(str(root), seed=2, days=2, gamma=2.0)
+        p = root / "dayahead" / "2021-01-02.csv"
+        lines = p.read_text().splitlines()
+        lines[6] = "5,nan"  # the row of hour 5, after the header
+        p.write_text("\n".join(lines) + "\n")
+        rep = run_backtest(hourly_config(), Dataset(str(root)))
+        assert [r.date for r in rep.records] == ["2021-01-01"]
+        assert len(rep.skipped) == 1
+        date, reason = rep.skipped[0]
+        assert date == "2021-01-02"
+        assert "non-finite" in reason and str(p) in reason
 
     def test_dst_exclusion(self, tmp_path):
         root = tmp_path / "dst"

@@ -69,6 +69,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown"):
             config_from_mapping({"K": "4", "dt_hours": "1", "zap": "1"})
 
+    def test_country_key_rejected(self):
+        raw = parse_config_text(HOURLY_CFG + "country = DE\n")
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            config_from_mapping(raw)
+
     def test_bad_bool_rejected(self):
         raw = parse_config_text(HOURLY_CFG + "day_coupling = maybe\n")
         with pytest.raises(ConfigError, match="bad value"):

@@ -89,6 +89,20 @@ class TestCsvReaders:
         with pytest.raises(DataError):
             load_dayahead(str(p))
 
+    @pytest.mark.parametrize("sub, value", [("dayahead", "nan"),
+                                            ("fcr", "nan"),
+                                            ("frequency", "inf")])
+    def test_non_finite_value_rejected(self, tmp_path, sub, value):
+        dates = generate_synthetic_dataset(str(tmp_path), seed=3, days=1,
+                                           gamma=2.75)
+        p = tmp_path / sub / f"{dates[0]}.csv"
+        lines = p.read_text().splitlines()
+        lines[1] = lines[1].split(",")[0] + "," + value
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="non-finite") as e:
+            Dataset(str(tmp_path)).load_day(dates[0])
+        assert str(p) in str(e.value)
+
     def test_dataset_lists_days_and_loads(self, tmp_path):
         dates = generate_synthetic_dataset(str(tmp_path), seed=1, days=3,
                                            gamma=2.0)

@@ -11,6 +11,8 @@ from storagebid.types import (
     sigma_vector,
 )
 from storagebid.soc import (
+    _lam_candidates,
+    alpha_beta,
     brute_force_max_soc,
     brute_force_min_soc,
     check_feasibility,
@@ -289,6 +291,44 @@ class TestMaxSocRandom:
         assert (k - 1) * grid.dt_hours <= over.t_star <= k * grid.dt_hours
         at_peak = max_soc_at_time(bids, p, grid, gamma, y0, over.t_star)
         assert at_peak.value == pytest.approx(over.value, abs=1e-9)
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(deadline=None, max_examples=60)
+    def test_dual_equals_per_candidate_loop(self, seed):
+        # the oracles evaluate every candidate multiplier in one broadcast;
+        # a loop over the candidates is the reference, and the sums must
+        # come out in the same order, hence bit-identical
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 25))
+        dt = float(rng.choice([0.25, 0.5, 1.0]))
+        grid = TimeGrid(dt_hours=dt, K=K)
+        eta = (1.0, 1.0) if rng.random() < 0.3 else rng.uniform(0.7, 1.0, 2)
+        p = StorageParams(x_min=-2.0, x_max=2.0, y_min=0.0, y_max=6.0,
+                          eta_c=eta[0], eta_d=eta[1])
+        x0 = rng.uniform(-1.0, 1.0, K)
+        bids = BidSchedule(x0=x0, x_up=rng.uniform(0.0, 1.0, K),
+                           x_dn=rng.uniform(0.0, 1.0, K))
+        gamma, y0 = float(rng.uniform(0.0, grid.T)), 3.0
+        t = float(rng.uniform(1e-9, grid.T))
+        k = grid.interval_of(t)
+        sig_k = t - (k - 1) * dt
+        lam_max = (p.x_max - p.x_min) / p.eta_d
+        vals = []
+        for lam in _lam_candidates(x0[:k], bids.x_dn[:k], p, lam_max,
+                                   phi_values):
+            v = phi_values(x0[:k], bids.x_dn[:k], lam, p)
+            vals.append(gamma * lam + dt * float(np.sum(v[:-1]))
+                        + sig_k * v[-1])
+        r = max_soc_at_time(bids, p, grid, gamma, y0, t)
+        assert r.value == y0 + min(vals)
+        alpha, beta = (a[:k] for a in alpha_beta(bids, p))
+        diffs = beta - alpha
+        vals = [y0 - gamma * lam
+                - dt * float(np.sum(alpha + np.maximum(diffs - lam, 0.0)))
+                for lam in np.unique(np.concatenate([[0.0],
+                                                     diffs[diffs > 0]]))]
+        lo = min_soc_at_boundaries(bids, p, grid, gamma, y0, k)
+        assert lo.value == max(vals)
 
     def test_monotone_in_time(self):
         # fixed-time maxima over successive boundaries never decrease by
