@@ -150,6 +150,7 @@ class BacktestRecord:
     solve_time: float = 0.0
     gap: float = np.nan
     violations: tuple[str, ...] = ()
+    solve_path: str = "milp"
 
     def to_dict(self, include_timing: bool = False) -> dict:
         d = {
@@ -174,6 +175,7 @@ class BacktestRecord:
         if include_timing:
             d["solve_time"] = self.solve_time
             d["gap"] = None if not np.isfinite(self.gap) else self.gap
+            d["solve_path"] = self.solve_path
         return d
 
 
@@ -267,7 +269,7 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
         soc_max=float(soc.max()), soc_midnight=float(soc[-1]),
         power_min=float(power.min()), power_max=float(power.max()),
         budget_usage=float(usage), y0=y0c, solve_time=res.solve_time,
-        gap=res.gap, violations=tuple(violations))
+        gap=res.gap, violations=tuple(violations), solve_path=res.path)
     return record, x0, x_up, x_dn
 
 

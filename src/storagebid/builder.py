@@ -204,6 +204,10 @@ def build_restriction_rows(ir: ModelIR, params: StorageParams,
         ir.add_row(f"u3_hi[{k}]",
                    [(xdnk, 1.0), (x0k, -(1.0 - rt)), (lamk, -ed), (u3, -m_hi)],
                    "<=", 0.0)
+        # sign rules of the case binaries, for a relax-and-fix start
+        ir.add_indicator(ir.var(f"u1[{k}]"), [(x0k, 1.0), (xdnk, -1.0)])
+        ir.add_indicator(ir.var(f"u2[{k}]"), [(x0k, -1.0)])
+        ir.add_indicator(u3, [(xdnk, 1.0), (x0k, -(1.0 - rt)), (lamk, -ed)])
     for k in range(2, K + 1):
         lamk = ir.var(f"lamu[{k}]")
         for l in range(1, k):

@@ -230,14 +230,21 @@ def read_bids_csv(path: str, K: int) -> BidSchedule:
         for row in reader:
             if len(row) < 4:
                 raise dat.DataError(f"{path}: short row {row!r}")
-            k = int(row[0])
+            try:
+                k = int(row[0])
+                values = [float(v) for v in row[1:4]]
+            except ValueError as e:
+                raise dat.DataError(f"{path}: {e}") from None
             if not (1 <= k <= K) or k in seen:
                 raise dat.DataError(f"{path}: bad interval index {k}")
             seen.add(k)
-            x0[k - 1], x_up[k - 1], x_dn[k - 1] = map(float, row[1:4])
+            x0[k - 1], x_up[k - 1], x_dn[k - 1] = values
     if len(seen) != K:
         raise dat.DataError(f"{path}: expected {K} intervals, got {len(seen)}")
-    return BidSchedule(x0=x0, x_up=x_up, x_dn=x_dn)
+    try:
+        return BidSchedule(x0=x0, x_up=x_up, x_dn=x_dn)
+    except DomainError as e:
+        raise dat.DataError(f"{path}: {e}") from None
 
 
 def cmd_verify(args) -> int:

@@ -60,12 +60,19 @@ class ModelError(ValueError):
 
 @dataclass
 class ModelIR:
+    """``indicators`` maps a binary's index to the linear form whose sign
+    sets it in a good solution: the binary is 1 where the form is >= 0.
+    Solvers may use the rules to build a start point; the model rows
+    alone define feasibility, and model files do not carry the rules."""
+
     variables: list[Variable] = field(default_factory=list)
     rows: list[LinearRow] = field(default_factory=list)
     bilinear_rows: list[BilinearRow] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
     objective_constant: float = 0.0
     registry: dict[str, int] = field(default_factory=dict)
+    indicators: dict[int, list[tuple[int, float]]] = field(
+        default_factory=dict)
 
     # -- construction -------------------------------------------------
     def add_variable(self, name: str, kind: str = CONTINUOUS,
@@ -104,6 +111,13 @@ class ModelIR:
             name=name, quad=list(quad), linear=list(linear), sense=sense,
             rhs=float(rhs), active=active))
         return len(self.bilinear_rows) - 1
+
+    def add_indicator(self, idx: int, coeffs) -> None:
+        """Record that binary ``idx`` is 1 where sum(coeff * var) >= 0."""
+        if not (0 <= idx < self.n_vars) or self.variables[idx].kind != BINARY:
+            raise ModelError(f"indicator for non-binary variable {idx}")
+        self._check_refs(f"indicator {idx}", (i for i, _ in coeffs), ">=")
+        self.indicators[idx] = list(coeffs)
 
     def add_objective_term(self, idx: int, coeff: float) -> None:
         if not (0 <= idx < len(self.variables)):

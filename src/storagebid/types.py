@@ -237,6 +237,8 @@ class BidSchedule:
         object.__setattr__(self, "x_dn", x_dn)
         if not (x0.shape == x_up.shape == x_dn.shape) or x0.ndim != 1:
             raise DomainError("bid vectors must be 1-d and of equal length")
+        if not all(np.all(np.isfinite(v)) for v in (x0, x_up, x_dn)):
+            raise DomainError("bids must be finite")
         if np.any(x_up < -ABS_TOL) or np.any(x_dn < -ABS_TOL):
             raise DomainError("regulation bids must be nonnegative")
         if self.symmetric and not np.allclose(x_up, x_dn, atol=ABS_TOL):

@@ -341,6 +341,18 @@ class TestReportFiles:
         assert "solve_time" not in rec  # timing excluded for reproducibility
         assert rec["date"] == rep.records[0].date
 
+    @pytest.mark.parametrize("options,path", [
+        (ModelOptions(variant="restriction", fcr_block_len=4,
+                      da_block_len=1), "start+milp"),
+        (ModelOptions(variant="arbitrage_only", fcr_enabled=False,
+                      da_block_len=1), "milp")])
+    def test_timed_record_names_the_solve_path(self, synth, options, path):
+        rec = run_day(hourly_config(options=options),
+                      synth.load_day("2021-01-01"), 53.328)
+        assert rec.solve_path == path
+        assert rec.to_dict(include_timing=True)["solve_path"] == path
+        assert "solve_path" not in rec.to_dict()
+
     def test_series_csv_shape(self, synth, tmp_path):
         rep = run_backtest(hourly_config(), synth)
         paths = write_report(rep, str(tmp_path / "c"))

@@ -222,6 +222,15 @@ initial_soc = 0.5
         cfg, bids = self._write(tmp_path, ["1,0,0,0"])  # missing interval 2
         assert main(["verify", "--config", cfg, "--bids", bids]) == EXIT_DATA
 
+    @pytest.mark.parametrize("row", ["1,nan,0,0", "1,0,inf,0",
+                                     "1,0,0,x"])
+    def test_unreadable_bid_value_is_a_data_error(self, tmp_path, capsys,
+                                                  row):
+        cfg, bids = self._write(tmp_path, [row, "2,0,0,0"])
+        assert main(["verify", "--config", cfg, "--bids", bids]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and bids in err
+
     def test_read_bids_round_trip(self, tmp_path):
         cfg, bids = self._write(tmp_path, ["2,0.5,0.1,3.5", "1,1.0,0.2,2.5"])
         sched = read_bids_csv(bids, 2)

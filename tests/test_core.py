@@ -145,6 +145,15 @@ class TestBidSchedule:
             BidSchedule(x0=np.zeros(2), x_up=np.array([-1.0, 0.0]),
                         x_dn=np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            BidSchedule(x0=np.array([1.0, bad]), x_up=np.zeros(2),
+                        x_dn=np.zeros(2))
+        with pytest.raises(DomainError, match="finite"):
+            BidSchedule(x0=np.zeros(2), x_up=np.zeros(2),
+                        x_dn=np.array([bad, 0.0]))
+
     def test_zero(self):
         z = BidSchedule.zero(5)
         assert z.K == 5

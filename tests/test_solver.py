@@ -11,10 +11,13 @@ from storagebid.types import (
     TimeGrid,
     UncertaintyBudget,
 )
-from storagebid.ir import ModelError, ModelIR, ModelOptions
+from storagebid.ir import BINARY, ModelError, ModelIR, ModelOptions
 from storagebid.builder import dispatch_variant
+from storagebid.data import Dataset, generate_synthetic_dataset
 from storagebid.mpsio import EmissionError, emit_model, parse_mps, parse_solution
-from storagebid.solve import solve, verify_point
+from storagebid.soc import check_feasibility
+from storagebid.solve import solve, solve_exact_bilinear, verify_point
+from storagebid.types import BidSchedule
 
 
 def tiny_lp():
@@ -242,3 +245,151 @@ with open(sys.argv[2], "w") as f:
         res = solve(tiny_lp(), backend=str(script))
         assert res.status == "error"
         assert "3" in res.message
+
+
+def _binaries(ir):
+    return {i for i, v in enumerate(ir.variables) if v.kind == BINARY}
+
+
+LOSSY = StorageParams(x_min=-3, x_max=3, y_min=0, y_max=8, eta_c=0.9,
+                      eta_d=0.9)
+K4 = TimeGrid(dt_hours=1.0, K=4)
+K4_PRICES = PriceSeries(day_ahead=np.array([5.0, 90.0, 10.0, 80.0]),
+                        fcr_availability=np.array([20.0]))
+
+
+class TestIndicators:
+    def _build(self, variant, fcr=True):
+        opts = ModelOptions(variant=variant, fcr_enabled=fcr,
+                            fcr_block_len=4 if fcr else None,
+                            da_block_len=1)
+        budget = UncertaintyBudget(kind="total_budget", gamma=1.0)
+        return dispatch_variant(LOSSY, K4, budget, 4.0, K4_PRICES, opts)
+
+    def test_restriction_rule_for_every_binary(self):
+        ir = self._build("restriction")
+        assert set(ir.indicators) == _binaries(ir)
+        assert len(ir.indicators) == 3 * (K4.K - 1)
+
+    @pytest.mark.parametrize("variant,fcr", [("relaxation", True),
+                                             ("no_sell_lp", True),
+                                             ("arbitrage_only", False),
+                                             ("exact", True)])
+    def test_other_variants_carry_none(self, variant, fcr):
+        assert self._build(variant, fcr).indicators == {}
+
+    def test_rule_on_non_binary_rejected(self):
+        ir = tiny_lp()
+        with pytest.raises(ModelError):
+            ir.add_indicator(0, [(0, 1.0)])
+
+    def test_k96_model_files_ignore_rules(self):
+        params = StorageParams(x_min=-50, x_max=50, y_min=10, y_max=90,
+                               eta_c=0.92, eta_d=0.92)
+        grid = TimeGrid(dt_hours=0.25, K=96)
+        budget = UncertaintyBudget.from_eu_rules(0.25)
+        prices = PriceSeries(day_ahead=np.full(24, 40.0),
+                             fcr_availability=np.full(6, 15.0))
+        opts = ModelOptions(variant="restriction", fcr_block_len=16,
+                            da_block_len=4)
+        ir = dispatch_variant(params, grid, budget, 53.3, prices, opts)
+        assert len(ir.indicators) == 3 * 95
+        mps, lp = emit_model(ir, "MPS"), emit_model(ir, "LP")
+        ir.indicators = {}
+        assert emit_model(ir, "MPS") == mps
+        assert emit_model(ir, "LP") == lp
+
+
+@pytest.fixture(scope="module")
+def acceptance_day(tmp_path_factory):
+    """Day 2 of the acceptance backtest's dataset (seed 21)."""
+    root = tmp_path_factory.mktemp("acceptance_day")
+    generate_synthetic_dataset(str(root), seed=21, days=2, gamma=2.0)
+    return Dataset(str(root)).load_day("2021-01-02")
+
+
+class TestWarmStart:
+    def test_joint_day_starts_from_certified_point(self, acceptance_day):
+        params = StorageParams(x_min=-50.0, x_max=50.0, y_min=10.0,
+                               y_max=90.0, eta_c=0.92, eta_d=0.92)
+        grid = TimeGrid(dt_hours=1.0, K=24)
+        budget = UncertaintyBudget(kind="total_budget", gamma=2.0)
+        opts = ModelOptions(variant="restriction", fcr_block_len=4,
+                            da_block_len=1)
+        ir = dispatch_variant(params, grid, budget, 50.0,
+                              acceptance_day.prices, opts)
+        res = solve(ir, time_limit=120.0, gap_target=0.1)
+        assert res.status == "optimal"
+        assert res.path == "start+milp"
+        assert res.gap <= 0.1
+        assert res.objective <= res.start_objective + 1e-9
+        x0 = np.array([res.point[f"x0[{k}]"] for k in range(1, 25)])
+        xr = np.array([res.point[f"xr[{k}]"] for k in range(1, 25)])
+        bids = BidSchedule(x0=x0, x_up=xr, x_dn=xr.copy(), symmetric=True)
+        rep = check_feasibility(bids, params, grid, 2.0, 50.0)
+        assert rep.feasible
+
+    def _forced_binary(self):
+        # max x with x <= u and x >= 0.5: the rule sets u = [-x >= 0] = 0
+        # at the LP point, which leaves the fixed LP infeasible
+        ir = ModelIR()
+        x = ir.add_variable("x", lower=0.0, upper=1.0)
+        u = ir.add_variable("u", kind=BINARY, lower=0.0, upper=1.0)
+        ir.add_row("link", [(x, 1.0), (u, -1.0)], "<=", 0.0)
+        ir.add_row("floor", [(x, 1.0)], ">=", 0.5)
+        ir.add_objective_term(x, -1.0)
+        ir.add_indicator(u, [(x, -1.0)])
+        return ir
+
+    def test_infeasible_start_falls_back_to_cold_milp(self):
+        ir = self._forced_binary()
+        res = solve(ir)
+        cold = self._forced_binary()
+        cold.indicators = {}
+        ref = solve(cold)
+        assert res.path == "milp" and np.isnan(res.start_objective)
+        assert res.status == ref.status == "optimal"
+        assert res.objective == ref.objective == pytest.approx(-1.0)
+        assert res.point == ref.point
+
+    def test_models_without_rules_take_the_plain_path(self):
+        assert solve(tiny_lp()).path == "milp"
+
+
+class TestExactBilinearBound:
+    def _toy(self):
+        # min -x - y on the unit box with x*y <= 1/4; the node relaxation
+        # drops the product row, so the root sits at (1, 1)
+        ir = ModelIR()
+        x = ir.add_variable("x", lower=0.0, upper=1.0)
+        y = ir.add_variable("y", lower=0.0, upper=1.0)
+        ir.add_objective_term(x, -1.0)
+        ir.add_objective_term(y, -1.0)
+        ir.add_bilinear("prod", quad=[(x, y, -1.0)], linear=[],
+                        sense=">=", rhs=-0.25)
+        return ir
+
+    @staticmethod
+    def _off_corner(point):
+        return point["y"] <= 1.0 - 5e-10
+
+    def test_node_limited_bound_between_root_and_incumbent(self):
+        # the root's right child, which holds (1, 1), is still open
+        res = solve_exact_bilinear(self._toy(), ["x", "y"], self._off_corner,
+                                   max_nodes=2, tol=1e-12)
+        assert res.status == "feasible_limit"
+        assert -2.0 <= res.bound <= res.objective
+        assert res.objective == pytest.approx(-2.0 + 1e-9, abs=1e-12)
+
+    def test_exhausted_search_closes_the_gap(self):
+        res = solve_exact_bilinear(self._toy(), ["x", "y"], self._off_corner)
+        assert res.status == "optimal"
+        assert res.bound == res.objective
+
+    def test_dropped_node_keeps_its_objective_in_the_bound(self):
+        # without pruning slack the node holding (1, 1) is too narrow to
+        # branch and is dropped without a verdict
+        res = solve_exact_bilinear(self._toy(), ["x", "y"], self._off_corner,
+                                   tol=1e-12)
+        assert res.status == "feasible_limit"
+        assert res.bound == -2.0 < res.objective
