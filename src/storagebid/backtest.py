@@ -242,7 +242,7 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
                        * np.sum(np.maximum(-power, 0.0)) * sample_dt)
 
     gamma_day = budget.total_gamma(grid.T)
-    usage = budget_usage(signal, gamma_day) if gamma_day > 0 else 0.0
+    usage = budget_usage(signal, gamma_day)
 
     violations: list[str] = []
     tol = 1e-7

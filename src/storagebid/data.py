@@ -93,20 +93,6 @@ def load_frequency(path: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class FrequencyArchive:
-    """Per-day frequency samples at a uniform 10 s cadence."""
-
-    days: dict[str, np.ndarray]
-    sample_period_hours: float = FREQ_SAMPLE_S / 3600.0
-
-    def signal_for(self, date: str) -> RegulationSignal:
-        if date not in self.days:
-            raise DataError(f"no frequency data for {date}")
-        return RegulationSignal(values=frequency_to_signal(self.days[date]),
-                                sample_period_hours=self.sample_period_hours)
-
-
-@dataclass(frozen=True)
 class Dataset:
     root: str
 

@@ -1,5 +1,6 @@
 """Solve contract: in-process MILP backend, optional external backend,
-solution verification, and exact bilinear ground truth for small models.
+solution verification, and the exact bilinear optimum when the model's
+relaxation attains it.
 
 The default backend is the HiGHS solver bundled with scipy. An external
 solver can be plugged in through the ``STORAGEBID_SOLVER`` environment
@@ -9,12 +10,10 @@ and must write 'name value' lines (see mpsio.parse_solution).
 
 from __future__ import annotations
 
-import copy
 import os
 import subprocess
 import tempfile
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +26,6 @@ from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from .ir import BINARY, ModelError, ModelIR, residual
 from .mpsio import emit_model, parse_solution
-from .types import DomainError
 
 BACKEND_ENV = "STORAGEBID_SOLVER"
 
@@ -326,106 +324,33 @@ def verify_point(ir: ModelIR, point: dict[str, float],
 
 
 # ---------------------------------------------------------------------------
-# Exact ground truth for the bilinear model at desk scale.
+# Exact optimum of the bilinear model, when its relaxation proves it.
 # ---------------------------------------------------------------------------
 
-def solve_exact_bilinear(ir: ModelIR, x0_names: list[str],
-                         is_feasible, time_limit: float | None = None,
-                         tol: float = 1e-7, max_nodes: int = 400) -> SolveResult:
-    """Spatial branch and bound for models whose only nonconvexity is the
-    bilinear SOC rows.
+def solve_exact_bilinear(ir: ModelIR, is_feasible,
+                         time_limit: float | None = None) -> SolveResult:
+    """Optimum of a model whose only nonconvexity is its bilinear rows,
+    found as the optimum of the relaxation that drops them.
 
-    Node lower bounds come from the model with bilinear rows deactivated
-    (a valid relaxation) under tightened x0 boxes; incumbents are node
-    solutions certified truly feasible by ``is_feasible(point)`` — an
-    oracle-level check supplied by the caller. Branches split the x0
-    variable appearing in the most violated bilinear row. Intended for
-    K <= 8; refuses larger instances.
+    The relaxation bounds the exact model from below, so a relaxation
+    optimum that the caller's oracle ``is_feasible(point)`` certifies is
+    the exact optimum: status ``optimal``, bound equal to the objective.
+    An infeasible relaxation means an infeasible exact model. A point
+    the oracle rejects leaves the exact model undecided: status
+    ``error``, with the relaxation's bound. Other failures of the
+    relaxation solve come back as they are. ``ir`` is not changed.
     """
-    if len(x0_names) > 8:
-        raise DomainError("exact bilinear solve limited to K <= 8")
-    base = copy.deepcopy(ir)
-    for row in base.bilinear_rows:
-        row.active = False
-    idx = [base.var(n) for n in x0_names]
-    root_lo = [base.variables[i].lower for i in idx]
-    root_hi = [base.variables[i].upper for i in idx]
-
-    t_start = time.perf_counter()
-    best_obj = np.inf
-    best_point: dict[str, float] | None = None
-    # open nodes, first in first out: (x0 box, parent's objective)
-    nodes = deque([(np.array(root_lo), np.array(root_hi), -np.inf)])
-    # best objective among nodes dropped without a verdict
-    unresolved = np.inf
-    n_explored = 0
-
-    while nodes and n_explored < max_nodes:
-        if time_limit is not None and time.perf_counter() - t_start > time_limit:
-            break
-        lo_box, hi_box, parent = nodes.popleft()
-        n_explored += 1
-        for i, lo_v, hi_v in zip(idx, lo_box, hi_box):
-            base.variables[i].lower = lo_v
-            base.variables[i].upper = hi_v
-        res = _solve_scipy(base, None, 1e-9)
-        if res.status == INFEASIBLE:
-            continue
-        if not res.ok:
-            unresolved = min(unresolved, parent)
-            continue
-        if res.objective >= best_obj - tol:
-            continue  # pruned by bound
-        x = base.point_from_map(res.point)
-        # violation of each (inactive) bilinear row at the node solution
-        worst_row = None
-        worst_viol = tol
-        for row in base.bilinear_rows:
-            v = -residual(row, x)
-            if v > worst_viol:
-                worst_viol = v
-                worst_row = row
-        if is_feasible(res.point):
-            if res.objective < best_obj:
-                best_obj = res.objective
-                best_point = res.point
-            continue
-        if worst_row is None:
-            # relaxation point violates no bilinear row yet fails the
-            # oracle; cannot happen for valid models, so the node is
-            # dropped unresolved
-            unresolved = min(unresolved, res.objective)
-            continue
-        # branch on the x0 variable in the most violated row
-        branch_var = None
-        for i, _, _ in worst_row.quad:
-            if i in idx:
-                branch_var = idx.index(i)
-        for _, j, _ in worst_row.quad:
-            if j in idx:
-                branch_var = idx.index(j)
-        if (branch_var is None
-                or hi_box[branch_var] - lo_box[branch_var] < 1e-9):
-            unresolved = min(unresolved, res.objective)
-            continue
-        mid = float(np.clip(x[idx[branch_var]],
-                            lo_box[branch_var] + 1e-9,
-                            hi_box[branch_var] - 1e-9))
-        left_hi = hi_box.copy()
-        left_hi[branch_var] = mid
-        right_lo = lo_box.copy()
-        right_lo[branch_var] = mid
-        nodes.append((lo_box.copy(), left_hi, res.objective))
-        nodes.append((right_lo, hi_box.copy(), res.objective))
-
-    elapsed = time.perf_counter() - t_start
-    if best_point is None:
-        return SolveResult(status=INFEASIBLE, solve_time=elapsed,
-                           message=f"no certified incumbent in "
-                                   f"{n_explored} nodes")
-    # an open node's relaxation is no better than its parent's
-    bound = min([best_obj, unresolved] + [p for _, _, p in nodes])
-    status = OPTIMAL if bound >= best_obj - tol else FEASIBLE_LIMIT
-    return SolveResult(status=status, objective=best_obj, bound=bound,
-                       point=best_point, solve_time=elapsed,
-                       message=f"nodes explored: {n_explored}")
+    relaxed = replace(ir, bilinear_rows=[replace(row, active=False)
+                                         for row in ir.bilinear_rows])
+    res = solve(relaxed, time_limit=time_limit, gap_target=1e-9)
+    if not res.ok:
+        return res
+    if not is_feasible(res.point):
+        return SolveResult(status=ERROR, bound=res.bound,
+                           solve_time=res.solve_time,
+                           message="relaxation point failed the feasibility "
+                                   "oracle; the exact model is undecided")
+    if res.status == OPTIMAL:
+        res = replace(res, bound=res.objective)
+    return replace(res, message="relaxation point certified by the "
+                                "feasibility oracle")

@@ -260,13 +260,6 @@ class BidSchedule:
         return len(self.x0)
 
     @classmethod
-    def symmetric_bids(cls, x0, xr, fcr_block_len=None, da_block_len=None) -> "BidSchedule":
-        xr = np.asarray(xr, dtype=float)
-        return cls(x0=np.asarray(x0, dtype=float), x_up=xr, x_dn=xr.copy(),
-                   symmetric=True, fcr_block_len=fcr_block_len,
-                   da_block_len=da_block_len)
-
-    @classmethod
     def zero(cls, K: int) -> "BidSchedule":
         z = np.zeros(K)
         return cls(x0=z, x_up=z.copy(), x_dn=z.copy(), symmetric=True)

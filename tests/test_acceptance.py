@@ -167,7 +167,7 @@ def point_bids(point, K):
 @pytest.fixture(scope="module")
 def ordering_instances():
     """100 random instances solved as relaxation, restriction, and exact
-    (spatial branch-and-bound certified by the analytic oracle)."""
+    (the relaxation optimum, certified by the analytic oracle)."""
     rng = np.random.default_rng(7)
     out = []
     for _ in range(100):
@@ -185,9 +185,7 @@ def ordering_instances():
         opts = ModelOptions(variant="exact", fcr_block_len=grid.K,
                             da_block_len=1)
         exact_ir = dispatch_variant(params, grid, budget, y0, prices, opts)
-        ex = solve_exact_bilinear(
-            exact_ir, [f"x0[{k}]" for k in range(1, grid.K + 1)],
-            feasible, time_limit=120.0)
+        ex = solve_exact_bilinear(exact_ir, feasible, time_limit=120.0)
         out.append((inst, rel, ex, res))
     return out
 

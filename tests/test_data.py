@@ -10,7 +10,6 @@ import pytest
 from storagebid.data import (
     DataError,
     Dataset,
-    FrequencyArchive,
     SAMPLES_PER_DAY,
     frequency_to_signal,
     generate_synthetic_dataset,
@@ -112,15 +111,6 @@ class TestCsvReaders:
         assert day.date == dates[1]
         assert day.prices.day_ahead.shape == (24,)
         assert day.signal.values.shape == (SAMPLES_PER_DAY,)
-
-    def test_frequency_archive(self, tmp_path):
-        generate_synthetic_dataset(str(tmp_path), seed=1, days=1, gamma=2.0)
-        hz = load_frequency(str(tmp_path / "frequency" / "2021-01-01.csv"))
-        arch = FrequencyArchive(days={"2021-01-01": hz})
-        sig = arch.signal_for("2021-01-01")
-        assert sig.values.shape == (SAMPLES_PER_DAY,)
-        with pytest.raises(DataError):
-            arch.signal_for("1999-01-01")
 
 
 class TestSyntheticGenerator:

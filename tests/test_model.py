@@ -360,8 +360,7 @@ class TestOrderingAndSoundness:
         res = self._solve_variant(inst, "restriction")
         opts = ModelOptions(variant="exact", fcr_block_len=4, da_block_len=1)
         exact_ir = dispatch_variant(params, grid, budget, y0, prices, opts)
-        ex = solve_exact_bilinear(exact_ir, [f"x0[{k}]" for k in range(1, 5)],
-                                  self._oracle(inst), time_limit=60)
+        ex = solve_exact_bilinear(exact_ir, self._oracle(inst), time_limit=60)
         assert rel.ok and res.ok and ex.ok
         assert rel.objective <= ex.objective + 1e-6
         assert ex.objective <= res.objective + 1e-6

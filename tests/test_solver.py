@@ -356,10 +356,10 @@ class TestWarmStart:
         assert solve(tiny_lp()).path == "milp"
 
 
-class TestExactBilinearBound:
+class TestExactBilinearContract:
     def _toy(self):
-        # min -x - y on the unit box with x*y <= 1/4; the node relaxation
-        # drops the product row, so the root sits at (1, 1)
+        # min -x - y on the unit box with x*y <= 1/4; the relaxation
+        # drops the product row, so its optimum sits at (1, 1)
         ir = ModelIR()
         x = ir.add_variable("x", lower=0.0, upper=1.0)
         y = ir.add_variable("y", lower=0.0, upper=1.0)
@@ -373,23 +373,50 @@ class TestExactBilinearBound:
     def _off_corner(point):
         return point["y"] <= 1.0 - 5e-10
 
-    def test_node_limited_bound_between_root_and_incumbent(self):
-        # the root's right child, which holds (1, 1), is still open
-        res = solve_exact_bilinear(self._toy(), ["x", "y"], self._off_corner,
-                                   max_nodes=2, tol=1e-12)
-        assert res.status == "feasible_limit"
-        assert -2.0 <= res.bound <= res.objective
-        assert res.objective == pytest.approx(-2.0 + 1e-9, abs=1e-12)
-
-    def test_exhausted_search_closes_the_gap(self):
-        res = solve_exact_bilinear(self._toy(), ["x", "y"], self._off_corner)
+    def test_certified_point_is_the_relaxation_optimum(self):
+        res = solve_exact_bilinear(self._toy(), lambda point: True)
+        relaxed = self._toy()
+        relaxed.bilinear_rows[0].active = False
+        ref = solve(relaxed)
         assert res.status == "optimal"
-        assert res.bound == res.objective
+        assert res.bound == res.objective == ref.objective
+        assert res.point == ref.point
 
-    def test_dropped_node_keeps_its_objective_in_the_bound(self):
-        # without pruning slack the node holding (1, 1) is too narrow to
-        # branch and is dropped without a verdict
-        res = solve_exact_bilinear(self._toy(), ["x", "y"], self._off_corner,
-                                   tol=1e-12)
-        assert res.status == "feasible_limit"
-        assert res.bound == -2.0 < res.objective
+    def test_rejected_point_leaves_the_model_undecided(self):
+        res = solve_exact_bilinear(self._toy(), self._off_corner)
+        assert not res.ok and res.status != "infeasible"
+        assert res.bound == -2.0
+        assert "oracle" in res.message
+
+    def test_infeasible_relaxation_is_infeasible(self):
+        ir = self._toy()
+        ir.add_row("beyond_box", [(0, 1.0), (1, 1.0)], ">=", 3.0)
+        res = solve_exact_bilinear(ir, lambda point: True)
+        assert res.status == "infeasible"
+
+    def test_callers_bilinear_rows_stay_active(self):
+        ir = self._toy()
+        solve_exact_bilinear(ir, self._off_corner)
+        assert ir.n_bilinear_active == 1
+
+    def test_uncertified_toy_is_rejected_at_once(self):
+        # min -x - y, x*y <= 0.3, x + y <= 1.5: the relaxation optimum
+        # lies on x + y = 1.5, where x*y >= 0.5
+        ir = ModelIR()
+        x = ir.add_variable("x", lower=0.0, upper=1.0)
+        y = ir.add_variable("y", lower=0.0, upper=1.0)
+        ir.add_objective_term(x, -1.0)
+        ir.add_objective_term(y, -1.0)
+        ir.add_row("sum", [(x, 1.0), (y, 1.0)], "<=", 1.5)
+        ir.add_bilinear("prod", quad=[(x, y, 1.0)], linear=[],
+                        sense="<=", rhs=0.3)
+        calls = []
+
+        def product_ok(point):
+            calls.append(point)
+            return point["x"] * point["y"] <= 0.3 + 1e-9
+
+        res = solve_exact_bilinear(ir, product_ok)
+        assert len(calls) == 1
+        assert not res.ok and res.status != "infeasible"
+        assert res.bound == pytest.approx(-1.5)
