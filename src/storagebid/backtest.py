@@ -115,7 +115,6 @@ class ExperimentConfig:
     start_date: str | None = None
     end_date: str | None = None
     exclude_dst: bool = True
-    backend: str | None = None
 
     def __post_init__(self):
         if self.bidding_time not in ("midnight", "8am"):
@@ -209,7 +208,7 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
     ir = dispatch_variant(params, grid, budget, y0c, prices, config.options,
                           y0_high=y0h)
     res = solve(ir, time_limit=config.time_limit,
-                gap_target=config.gap_target, backend=config.backend)
+                gap_target=config.gap_target)
     if res.status not in ("optimal", "feasible_limit"):
         raise SolverError(f"{day.date}: solver returned {res.status}: "
                           f"{res.message}")

@@ -417,35 +417,26 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
 
     variant = options.variant
     has_cases = ir.has_var("u1[1]")
-    if variant == "relaxation":
-        _deactivate_bilinear(ir)
-    elif variant == "restriction":
-        _deactivate_bilinear(ir)
-        if has_cases:
-            build_restriction_rows(ir, params, grid)
-        # lossless batteries need no extra rows: the relaxation is exact
-    elif variant == "no_sell_lp":
+    if variant != "exact":
+        for row in ir.bilinear_rows:
+            row.active = False
+    # lossless builds have no case binaries: their relaxation is exact
+    if variant == "restriction" and has_cases:
+        build_restriction_rows(ir, params, grid)
+    elif variant == "no_sell_lp" and has_cases:
         # with x0 <= 0 the worst case is always the pure-charge piece
         for k in range(1, grid.K):
-            if has_cases:
-                ir.fix_variable(f"u1[{k}]", 0.0)
-                ir.fix_variable(f"u2[{k}]", 1.0)
-        _deactivate_bilinear(ir)
-    elif variant == "lossless_lp":
-        # the lossless build contains no case binaries or bilinear rows
-        _deactivate_bilinear(ir)
-    elif variant == "arbitrage_only":
+            ir.fix_variable(f"u1[{k}]", 0.0)
+            ir.fix_variable(f"u2[{k}]", 1.0)
+    elif variant == "arbitrage_only" and has_cases:
         # with x_dn = 0 the case regions merge: u1 = 1 - u2 suffices,
         # leaving K-1 effective charge/discharge binaries
         for k in range(1, grid.K):
-            if not has_cases:
-                break
             u1 = ir.variables[ir.var(f"u1[{k}]")]
             u1.kind = CONTINUOUS
             ir.add_row(f"u_complement[{k}]",
                        [(ir.var(f"u1[{k}]"), 1.0), (ir.var(f"u2[{k}]"), 1.0)],
                        "==", 1.0)
-        _deactivate_bilinear(ir)
 
     if options.terminal_soc_floor is not None:
         add_terminal_condition(ir, grid, y0, options.terminal_soc_floor)
@@ -456,7 +447,3 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
     ir.validate()
     return ir
 
-
-def _deactivate_bilinear(ir: ModelIR) -> None:
-    for row in ir.bilinear_rows:
-        row.active = False

@@ -59,8 +59,7 @@ _BUDGET_KEYS = {"budget_kind": str, "gamma": float, "gamma_prime": float,
                 "Gamma_prime": float}
 _RUN_KEYS = {"bidding_time": str, "day_coupling": bool, "time_limit": float,
              "gap_target": float, "initial_soc": float,
-             "start_date": str, "end_date": str, "exclude_dst": bool,
-             "backend": str}
+             "start_date": str, "end_date": str, "exclude_dst": bool}
 
 
 def parse_config_text(text: str) -> dict:
@@ -311,32 +310,33 @@ def build_parser() -> argparse.ArgumentParser:
                     "bidding for battery storage")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True, data=False):
-        if config:
-            sp.add_argument("--config", required=True)
+    def common(sp, solves=False):
+        """``--config``, and the flags of the commands that bid days."""
+        sp.add_argument("--config", required=True)
+        if solves:
             sp.add_argument("--variant", default=None)
             sp.add_argument("--time-limit", type=float, default=None,
                             dest="time_limit")
             sp.add_argument("--gap", type=float, default=None)
-        if data:
             sp.add_argument("--data-dir", required=True, dest="data_dir")
 
     sp = sub.add_parser("build", help="emit a model file + manifest")
     common(sp)
+    sp.add_argument("--variant", default=None)
     sp.add_argument("--out", required=True)
     sp.add_argument("--data-dir", default=None, dest="data_dir")
     sp.add_argument("--date", default=None)
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("solve-day", help="bid and replay a single day")
-    common(sp, data=True)
+    common(sp, solves=True)
     sp.add_argument("--date", required=True)
     sp.add_argument("--y0", type=float, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_solve_day)
 
     sp = sub.add_parser("backtest", help="run the daily loop over a dataset")
-    common(sp, data=True)
+    common(sp, solves=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_backtest)
 

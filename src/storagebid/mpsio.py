@@ -1,8 +1,10 @@
-"""Model-exchange file emission and parsing.
+"""Model-exchange files: the way to hand a model to another solver.
 
 MPS (free format) and LP-text writers; bilinear rows are emitted as
 quadratic-constraint sections (QCMATRIX in MPS, bracketed products in
 LP-text). Emission is deterministic: fixed ordering, fixed float format.
+``parse_mps`` reads the emitted MPS back into a model; LP-text is
+written only.
 """
 
 from __future__ import annotations
@@ -252,7 +254,7 @@ def parse_mps(text: str) -> ModelIR:
             for a, b, c in qc[rname]:
                 i, j = ir.var(a), ir.var(b)
                 key = (min(i, j), max(i, j))
-                pairs[key] = pairs.get(key, 0.0) + (c if i == j else c)
+                pairs[key] = pairs.get(key, 0.0) + c
             quad = [(i, j, c) for (i, j), c in sorted(pairs.items())]
             ir.add_bilinear(rname, quad=quad, linear=row_coeffs[rname],
                             sense=row_sense[rname], rhs=rhs.get(rname, 0.0))
@@ -261,22 +263,3 @@ def parse_mps(text: str) -> ModelIR:
                        rhs.get(rname, 0.0))
     return ir
 
-
-def parse_solution(text: str) -> tuple[str | None, float | None, dict[str, float]]:
-    """Parse a solution file of 'name value' lines. Lines starting with
-    '#' are comments; optional '=status=' and '=objective=' headers."""
-    status = None
-    objective = None
-    values: dict[str, float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        toks = line.split()
-        if toks[0] == "=status=":
-            status = toks[1]
-        elif toks[0] == "=objective=":
-            objective = float(toks[1])
-        elif len(toks) == 2:
-            values[toks[0]] = float(toks[1])
-    return status, objective, values

@@ -1,18 +1,10 @@
-"""Solve contract: in-process MILP backend, optional external backend,
-solution verification, and the exact bilinear optimum when the model's
-relaxation attains it.
-
-The default backend is the HiGHS solver bundled with scipy. An external
-solver can be plugged in through the ``STORAGEBID_SOLVER`` environment
-variable: the executable is invoked as ``solver model.mps solution.txt``
-and must write 'name value' lines (see mpsio.parse_solution).
+"""Solve contract: LP and MILP solves with the HiGHS solver bundled with
+scipy, solution verification, and the exact bilinear optimum when the
+model's relaxation attains it.
 """
 
 from __future__ import annotations
 
-import os
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 
@@ -25,9 +17,6 @@ from scipy.optimize._highspy import _core as _highs
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from .ir import BINARY, ModelError, ModelIR, residual
-from .mpsio import emit_model, parse_solution
-
-BACKEND_ENV = "STORAGEBID_SOLVER"
 
 OPTIMAL = "optimal"
 FEASIBLE_LIMIT = "feasible_limit"
@@ -209,54 +198,14 @@ def _solve_scipy(ir: ModelIR, time_limit, gap_target) -> SolveResult:
                        start_objective=start_objective)
 
 
-def _solve_external(ir: ModelIR, exe: str, time_limit, gap_target) -> SolveResult:
-    with tempfile.TemporaryDirectory(prefix="storagebid_") as scratch:
-        model_path = os.path.join(scratch, "model.mps")
-        sol_path = os.path.join(scratch, "solution.txt")
-        with open(model_path, "wb") as f:
-            f.write(emit_model(ir, "MPS"))
-        cmd = [exe, model_path, sol_path]
-        t0 = time.perf_counter()
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=(time_limit or 3600) + 60)
-        except (OSError, subprocess.TimeoutExpired) as e:
-            return SolveResult(status=ERROR, message=f"backend failed: {e}")
-        elapsed = time.perf_counter() - t0
-        if proc.returncode != 0 or not os.path.exists(sol_path):
-            return SolveResult(status=ERROR,
-                               message=f"backend exit {proc.returncode}: "
-                                       f"{proc.stderr[-500:]}")
-        with open(sol_path) as f:
-            status, objective, values = parse_solution(f.read())
-    if status in (INFEASIBLE, UNBOUNDED):
-        return SolveResult(status=status, solve_time=elapsed)
-    try:
-        point_vec = ir.point_from_map(values)
-    except ModelError as e:
-        return SolveResult(status=ERROR, message=str(e))
-    obj = float(ir.objective_vector() @ point_vec) + ir.objective_constant
-    if objective is None:
-        objective = obj
-    return SolveResult(status=status or OPTIMAL, objective=obj, bound=obj,
-                       point=dict(zip((v.name for v in ir.variables),
-                                      map(float, point_vec))),
-                       solve_time=elapsed)
-
-
 def solve(ir: ModelIR, time_limit: float | None = None,
-          gap_target: float | None = None,
-          backend: str | None = None) -> SolveResult:
+          gap_target: float | None = None) -> SolveResult:
     """Solve a model with no active bilinear rows (LP or MILP)."""
     ir.validate()
     if ir.n_bilinear_active > 0:
         raise ModelError(
             "model has active bilinear rows; use solve_exact_bilinear")
-    exe = backend if backend is not None else os.environ.get(BACKEND_ENV)
-    if exe:
-        result = _solve_external(ir, exe, time_limit, gap_target)
-    else:
-        result = _solve_scipy(ir, time_limit, gap_target)
+    result = _solve_scipy(ir, time_limit, gap_target)
     if result.ok:
         viol = count_bilinear_violations(ir, result.point)
         result = replace(result, bilinear_violations=viol)

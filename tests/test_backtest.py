@@ -249,11 +249,13 @@ class TestRunBacktest:
         assert len(rep.skipped) == 1
         assert rep.skipped[0][0] == "2021-01-02"
 
-    def test_solver_failure_skips_day(self, tmp_path):
+    def test_solver_failure_skips_day(self, tmp_path, monkeypatch):
         root = tmp_path / "nosolver"
         generate_synthetic_dataset(str(root), seed=2, days=2, gamma=2.0)
-        missing = str(tmp_path / "no-such-solver")
-        rep = run_backtest(hourly_config(backend=missing), Dataset(str(root)))
+        monkeypatch.setattr(
+            backtest, "solve",
+            lambda ir, **kw: SolveResult(status="error", message="injected"))
+        rep = run_backtest(hourly_config(), Dataset(str(root)))
         assert rep.records == []
         assert [d for d, _ in rep.skipped] == ["2021-01-01", "2021-01-02"]
         assert all("solver returned error" in r for _, r in rep.skipped)

@@ -69,8 +69,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown"):
             config_from_mapping({"K": "4", "dt_hours": "1", "zap": "1"})
 
-    def test_country_key_rejected(self):
-        raw = parse_config_text(HOURLY_CFG + "country = DE\n")
+    @pytest.mark.parametrize(
+        "line", ["country = DE", "backend = /usr/bin/true"],
+        ids=["country", "backend"])
+    def test_country_key_rejected(self, line):
+        raw = parse_config_text(HOURLY_CFG + line + "\n")
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_mapping(raw)
 
@@ -134,6 +137,14 @@ class TestBuildCommand:
         manifest = json.load(open(out + ".manifest.json"))
         assert manifest["K"] == 5
         assert manifest["n_binaries"] == 12  # 3(K-1)
+
+    @pytest.mark.parametrize("flag", [["--gap", "0.1"], ["--time-limit", "5"]],
+                             ids=["gap", "time-limit"])
+    def test_flags_build_ignores_are_rejected(self, cfg_file, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["build", "--config", cfg_file,
+                  "--out", str(tmp_path / "m.mps")] + flag)
+        assert exc.value.code == 2
 
     def test_invalid_config_exit_code(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -217,6 +228,15 @@ initial_soc = 0.5
         cfg, bids = self._write(tmp_path, ["1,0,0,0", "2,0,0,0"])
         assert main(["verify", "--config", cfg, "--bids", bids]) == EXIT_OK
         assert "verdict: feasible" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", [["--gap", "0.1"], ["--time-limit", "5"],
+                                      ["--variant", "relaxation"]],
+                             ids=["gap", "time-limit", "variant"])
+    def test_flags_verify_ignores_are_rejected(self, tmp_path, flag):
+        cfg, bids = self._write(tmp_path, ["1,0,0,0", "2,0,0,0"])
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--config", cfg, "--bids", bids] + flag)
+        assert exc.value.code == 2
 
     def test_bad_bids_file(self, tmp_path):
         cfg, bids = self._write(tmp_path, ["1,0,0,0"])  # missing interval 2
