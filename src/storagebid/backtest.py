@@ -9,7 +9,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -152,44 +152,21 @@ class BacktestRecord:
     solve_path: str = "milp"
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
-            "date": self.date,
-            "status": self.status,
-            "objective": self.objective,
-            "profit_total": self.profit_total,
-            "profit_fcr": self.profit_fcr,
-            "profit_dayahead": self.profit_dayahead,
-            "profit_intraday": self.profit_intraday,
-            "regulation_energy_cash": self.regulation_energy_cash,
-            "throughput": self.throughput,
-            "soc_min": self.soc_min,
-            "soc_max": self.soc_max,
-            "soc_midnight": self.soc_midnight,
-            "power_min": self.power_min,
-            "power_max": self.power_max,
-            "budget_usage": self.budget_usage,
-            "y0": self.y0,
-            "violations": list(self.violations),
-        }
+        d = asdict(self)
+        d["violations"] = list(self.violations)
         if include_timing:
-            d["solve_time"] = self.solve_time
             d["gap"] = None if not np.isfinite(self.gap) else self.gap
-            d["solve_path"] = self.solve_path
+        else:
+            for key in ("solve_time", "gap", "solve_path"):
+                del d[key]
         return d
 
 
 def _extract_bids(point: dict[str, float], K: int, options: ModelOptions):
     x0 = np.array([point.get(f"x0[{k}]", 0.0) for k in range(1, K + 1)])
-    if options.fcr_enabled and options.variant != "arbitrage_only":
-        if "xr[1]" in point:
-            xr = np.array([point.get(f"xr[{k}]", 0.0)
-                           for k in range(1, K + 1)])
-            return x0, xr, xr
-        x_up = np.array([point.get(f"x_up[{k}]", 0.0)
-                         for k in range(1, K + 1)])
-        x_dn = np.array([point.get(f"x_dn[{k}]", 0.0)
-                         for k in range(1, K + 1)])
-        return x0, x_up, x_dn
+    if options.fcr_enabled:
+        xr = np.array([point.get(f"xr[{k}]", 0.0) for k in range(1, K + 1)])
+        return x0, xr, xr
     return x0, np.zeros(K), np.zeros(K)
 
 
@@ -327,12 +304,12 @@ class BacktestReport:
         return out
 
 
-def _eight_am_interval(config: ExperimentConfig, prev: BacktestRecord | None,
+def _eight_am_interval(config: ExperimentConfig,
                        prev_bids: np.ndarray | None, y0_plan: float):
     """Interval-valued midnight SOC for bids placed at 8am the previous
     day: the plan value +/- the worst regulation drift the previous day's
     already-committed reserve bids can cause between 8am and midnight."""
-    if prev is None or prev_bids is None:
+    if prev_bids is None:
         return y0_plan, y0_plan
     grid, budget, params = config.grid, config.budget, config.params
     k8 = int(round(8.0 / grid.dt_hours))
@@ -360,7 +337,6 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
 
     report = BacktestReport(config=config)
     y0 = config.y0_default
-    prev_record: BacktestRecord | None = None
     prev_xr: np.ndarray | None = None
     for date in dates:
         if config.exclude_dst and is_dst_transition(date):
@@ -375,8 +351,7 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
         # the next day's start unchanged
         y0_day, y0_high = y0, None
         if config.bidding_time == "8am":
-            y0_day, y0_high = _eight_am_interval(config, prev_record, prev_xr,
-                                                 y0)
+            y0_day, y0_high = _eight_am_interval(config, prev_xr, y0)
         try:
             rec, _, x_up, _ = run_day_with_bids(config, day, y0_day,
                                                 y0_high=y0_high)
@@ -384,7 +359,6 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
             report.skipped.append((date, str(e)))
             continue
         report.records.append(rec)
-        prev_record = rec
         prev_xr = x_up
         if config.day_coupling:
             y0 = rec.soc_midnight

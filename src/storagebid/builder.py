@@ -399,8 +399,7 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
     fcr_block = options.fcr_block_len or grid.K
     da_block = options.da_block_len or 1
     if options.fcr_enabled:
-        add_market_coupling(ir, params, grid, fcr_block, da_block,
-                            symmetric=options.symmetric)
+        add_market_coupling(ir, params, grid, fcr_block, da_block)
     elif options.da_block_len:
         add_market_coupling(ir, params, grid, grid.K, da_block,
                             symmetric=False)
@@ -440,8 +439,7 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
 
     if options.terminal_soc_floor is not None:
         add_terminal_condition(ir, grid, y0, options.terminal_soc_floor)
-    build_objective(ir, prices, grid,
-                    options.fcr_enabled and variant != "arbitrage_only")
+    build_objective(ir, prices, grid, options.fcr_enabled)
     if options.limited_arbitrage:
         limited_arbitrage_rows(ir, params, grid, budget, options, fcr_block)
     ir.validate()

@@ -47,7 +47,7 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
          "yes": True, "no": False}
 
 _OPTION_KEYS = {
-    "variant": str, "fcr_enabled": bool, "symmetric": bool,
+    "variant": str, "fcr_enabled": bool,
     "intraday": bool, "terminal_soc_floor": float,
     "limited_arbitrage": bool, "limited_arbitrage_mode": str,
     "fcr_block_len": int, "da_block_len": int,
@@ -137,9 +137,10 @@ def _zero_prices(config: bt.ExperimentConfig) -> PriceSeries:
 
 def cmd_build(args) -> int:
     config = load_config(args.config, {"variant": args.variant})
-    if args.data_dir and args.date:
-        day = dat.Dataset(args.data_dir).load_day(args.date)
-        prices = day.prices
+    if (args.data_dir is None) != (args.date is None):
+        raise ConfigError("--data-dir and --date must be given together")
+    if args.data_dir is not None:
+        prices = dat.Dataset(args.data_dir).load_day(args.date).prices
     else:
         prices = _zero_prices(config)
     ir = dispatch_variant(config.params, config.grid, config.budget,
@@ -254,9 +255,10 @@ def cmd_verify(args) -> int:
     rep = check_feasibility(bids, config.params, config.grid, gamma, y0)
     print(f"{'check':24s} {'slack':>14s}")
     for c in rep.checks:
-        flag = "" if c.slack >= -1e-9 else "  VIOLATED"
+        violated = c.slack < -rep.tol
+        flag = "  VIOLATED" if violated else ""
         print(f"{c.name:24s} {c.slack:14.6f}{flag}")
-        if c.slack < -1e-9 and c.witness is not None:
+        if violated and c.witness is not None:
             w = np.array2string(np.asarray(c.witness.witness_xi),
                                 precision=4, separator=", ")
             print(f"  worst-case signal: {w}")

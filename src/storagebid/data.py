@@ -172,15 +172,14 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def generate_synthetic_dataset(out_dir: str, seed: int, days: int,
                                gamma: float, base: float = 45.0,
                                spread: float = 30.0, fcr_level: float = 60.0,
-                               budget_target: float = 0.7,
-                               start_day: int = 1) -> list[str]:
+                               budget_target: float = 0.7) -> list[str]:
     """Write a deterministic synthetic dataset; returns the date list.
     Dates are synthetic labels 2021-01-01 onward."""
     if days < 1:
         raise DataError("days must be >= 1")
     rng = np.random.default_rng(seed)
     import datetime
-    d0 = datetime.date(2021, 1, start_day)
+    d0 = datetime.date(2021, 1, 1)
     dates = []
     for d in range(days):
         date = (d0 + datetime.timedelta(days=d)).isoformat()

@@ -69,7 +69,6 @@ class ModelIR:
     rows: list[LinearRow] = field(default_factory=list)
     bilinear_rows: list[BilinearRow] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
-    objective_constant: float = 0.0
     registry: dict[str, int] = field(default_factory=dict)
     indicators: dict[int, list[tuple[int, float]]] = field(
         default_factory=dict)
@@ -218,7 +217,6 @@ class ModelOptions:
 
     variant: str = "restriction"
     fcr_enabled: bool = True
-    symmetric: bool = True
     intraday: bool = False
     terminal_soc_floor: float | None = None
     limited_arbitrage: bool = False

@@ -27,8 +27,8 @@ def _num(x: float) -> str:
 _SENSE_MPS = {"<=": "L", ">=": "G", "==": "E"}
 
 
-def write_mps(ir: ModelIR, name: str = "STORAGEBID") -> str:
-    out = [f"NAME {name}", "ROWS", " N OBJ"]
+def write_mps(ir: ModelIR) -> str:
+    out = ["NAME STORAGEBID", "ROWS", " N OBJ"]
     for row in ir.rows:
         out.append(f" {_SENSE_MPS[row.sense]} {row.name}")
     for row in ir.bilinear_rows:
@@ -117,8 +117,8 @@ def _lp_linear(terms, ir) -> str:
     return " ".join(parts) if parts else "0"
 
 
-def write_lp(ir: ModelIR, name: str = "STORAGEBID") -> str:
-    out = [f"\\ {name}", "Minimize", " obj: " +
+def write_lp(ir: ModelIR) -> str:
+    out = ["\\ STORAGEBID", "Minimize", " obj: " +
            _lp_linear(sorted(ir.objective.items()), ir)]
     out.append("Subject To")
     for row in ir.rows:

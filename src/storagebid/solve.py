@@ -14,7 +14,6 @@ from scipy import sparse
 from scipy.optimize import milp  # noqa: F401
 # milp's own HiGHS binding; it exposes setSolution, which milp does not.
 from scipy.optimize._highspy import _core as _highs
-from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from .ir import BINARY, ModelError, ModelIR, residual
 
@@ -32,7 +31,6 @@ class SolveResult:
     bound: float = np.nan
     point: dict[str, float] = field(default_factory=dict)
     solve_time: float = 0.0
-    bilinear_violations: int = 0
     message: str = ""
     # objective of the start point offered to the MIP search; nan if none
     start_objective: float = np.nan
@@ -132,7 +130,12 @@ def _relax_and_fix(ir: ModelIR, lp, binaries: np.ndarray,
     return _optimal_point(highs)
 
 
-_SCIPY_STATUS = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}
+_STATUS = {_highs.HighsModelStatus.kOptimal: OPTIMAL,
+           _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+           _highs.HighsModelStatus.kModelError: INFEASIBLE,
+           _highs.HighsModelStatus.kUnbounded: UNBOUNDED}
+_LIMITS = (_highs.HighsModelStatus.kTimeLimit,
+           _highs.HighsModelStatus.kIterationLimit)
 
 
 def _solve_scipy(ir: ModelIR, time_limit, gap_target) -> SolveResult:
@@ -162,37 +165,25 @@ def _solve_scipy(ir: ModelIR, time_limit, gap_target) -> SolveResult:
 
     model_status = highs.getModelStatus()
     info = highs.getInfo()
-    limits = (_highs.HighsModelStatus.kTimeLimit,
-              _highs.HighsModelStatus.kIterationLimit,
-              _highs.HighsModelStatus.kSolutionLimit)
-    if is_mip:
-        has_point = (model_status == _highs.HighsModelStatus.kOptimal
-                     or (model_status in limits
-                         and info.objective_function_value != _highs.kHighsInf))
-    else:
-        has_point = model_status == _highs.HighsModelStatus.kOptimal
-    detail = highs.modelStatusToString(model_status)
-    if not has_point:
-        detail = (f"model_status is {detail}; primal_status is "
-                  f"{highs.solutionStatusToString(info.primal_solution_status)}")
-    code, message = _highs_to_scipy_status_message(model_status, detail)
-    if code == 1 and has_point:
+    status = _STATUS.get(model_status, ERROR)
+    if (is_mip and model_status in _LIMITS
+            and info.objective_function_value != _highs.kHighsInf):
         status = FEASIBLE_LIMIT
-    else:
-        status = _SCIPY_STATUS.get(code, ERROR)
+    message = highs.modelStatusToString(model_status)
     point = {}
     objective = np.nan
     bound = np.nan
-    if has_point:
+    if status in (OPTIMAL, FEASIBLE_LIMIT):
         x = highs.getSolution().col_value
         point = {v.name: float(xi) for v, xi in zip(ir.variables, x)}
-        objective = float(info.objective_function_value) + ir.objective_constant
-        bound = (float(info.mip_dual_bound) + ir.objective_constant
-                 if is_mip else objective)
+        objective = float(info.objective_function_value)
+        bound = float(info.mip_dual_bound) if is_mip else objective
+    else:
+        message = (f"model_status is {message}; primal_status is "
+                   f"{highs.solutionStatusToString(info.primal_solution_status)}")
     start_objective = np.nan
     if start is not None:
-        start_objective = (float(ir.objective_vector() @ start)
-                           + ir.objective_constant)
+        start_objective = float(ir.objective_vector() @ start)
     return SolveResult(status=status, objective=objective, bound=bound,
                        point=point, solve_time=elapsed, message=message,
                        start_objective=start_objective)
@@ -205,20 +196,7 @@ def solve(ir: ModelIR, time_limit: float | None = None,
     if ir.n_bilinear_active > 0:
         raise ModelError(
             "model has active bilinear rows; use solve_exact_bilinear")
-    result = _solve_scipy(ir, time_limit, gap_target)
-    if result.ok:
-        viol = count_bilinear_violations(ir, result.point)
-        result = replace(result, bilinear_violations=viol)
-    return result
-
-
-def count_bilinear_violations(ir: ModelIR, point: dict[str, float],
-                              tol: float = 1e-6) -> int:
-    """Number of bilinear rows (active or not) violated at a point."""
-    if not ir.bilinear_rows:
-        return 0
-    x = ir.point_from_map(point)
-    return sum(1 for row in ir.bilinear_rows if residual(row, x) < -tol)
+    return _solve_scipy(ir, time_limit, gap_target)
 
 
 @dataclass(frozen=True)
@@ -251,8 +229,7 @@ class VerificationReport:
         return not self.active_violations
 
 
-def verify_point(ir: ModelIR, point: dict[str, float],
-                 tol_abs: float = 1e-6) -> VerificationReport:
+def verify_point(ir: ModelIR, point: dict[str, float]) -> VerificationReport:
     """Residuals of every row (including inactive bilinear rows) and
     variable bounds at a candidate point."""
     x = ir.point_from_map(point)
@@ -269,7 +246,7 @@ def verify_point(ir: ModelIR, point: dict[str, float],
     for row in ir.bilinear_rows:
         out.append(RowResidual(name=row.name, residual=residual(row, x),
                                bilinear=True, active=row.active))
-    return VerificationReport(residuals=out, tol=tol_abs)
+    return VerificationReport(residuals=out, tol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -91,16 +91,7 @@ def sigma(grid: TimeGrid, t: float, l: int) -> float:
     """
     if not (1 <= l <= grid.K):
         raise DomainError(f"interval index l={l} outside 1..{grid.K}")
-    if t < -ABS_TOL or t > grid.T + ABS_TOL:
-        raise DomainError(f"t={t} outside horizon [0, {grid.T}]")
-    if t <= 0:
-        return 0.0
-    k = grid.interval_of(t)
-    if l < k:
-        return grid.dt_hours
-    if l == k:
-        return t - (k - 1) * grid.dt_hours
-    return 0.0
+    return float(sigma_vector(grid, t)[l - 1])
 
 
 def sigma_vector(grid: TimeGrid, t: float) -> np.ndarray:
@@ -218,15 +209,12 @@ class BidSchedule:
 
     ``x0``: arbitrage power (signed, + = sell/discharge). ``x_up`` and
     ``x_dn``: up-/down-regulation capacity offers, elementwise >= 0.
-    Block metadata records market coupling granularity (in intervals).
     """
 
     x0: np.ndarray
     x_up: np.ndarray
     x_dn: np.ndarray
     symmetric: bool = False
-    fcr_block_len: int | None = None
-    da_block_len: int | None = None
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
@@ -243,17 +231,6 @@ class BidSchedule:
             raise DomainError("regulation bids must be nonnegative")
         if self.symmetric and not np.allclose(x_up, x_dn, atol=ABS_TOL):
             raise DomainError("symmetric schedule requires x_up == x_dn")
-        for name, block in (("fcr", self.fcr_block_len), ("da", self.da_block_len)):
-            if block is None:
-                continue
-            series = x0 if name == "da" else x_up
-            other = x0 if name == "da" else x_dn
-            if len(series) % block != 0:
-                raise DomainError(f"{name}_block_len does not divide K")
-            for s in (series, other):
-                blocks = s.reshape(-1, block)
-                if not np.allclose(blocks, blocks[:, :1], atol=ABS_TOL):
-                    raise DomainError(f"bids not constant on {name} blocks")
 
     @property
     def K(self) -> int:

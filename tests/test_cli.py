@@ -70,8 +70,8 @@ class TestConfigParsing:
             config_from_mapping({"K": "4", "dt_hours": "1", "zap": "1"})
 
     @pytest.mark.parametrize(
-        "line", ["country = DE", "backend = /usr/bin/true"],
-        ids=["country", "backend"])
+        "line", ["country = DE", "backend = /usr/bin/true", "symmetric = true"],
+        ids=["country", "backend", "symmetric"])
     def test_country_key_rejected(self, line):
         raw = parse_config_text(HOURLY_CFG + line + "\n")
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -145,6 +145,16 @@ class TestBuildCommand:
             main(["build", "--config", cfg_file,
                   "--out", str(tmp_path / "m.mps")] + flag)
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", [["--data-dir", "DATA"],
+                                      ["--date", "2021-01-01"]],
+                             ids=["data-dir", "date"])
+    def test_data_flag_alone_is_a_config_error(self, cfg_file, tmp_path,
+                                               flag):
+        out = tmp_path / "m.mps"
+        code = main(["build", "--config", cfg_file, "--out", str(out)] + flag)
+        assert code == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
 
     def test_invalid_config_exit_code(self, tmp_path):
         p = tmp_path / "bad.cfg"

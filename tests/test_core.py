@@ -126,15 +126,6 @@ class TestStorageParams:
 
 
 class TestBidSchedule:
-    def test_block_constancy(self):
-        x0 = np.arange(4, dtype=float)
-        ok = BidSchedule(x0=x0, x_up=np.full(4, 2.0), x_dn=np.full(4, 2.0),
-                         fcr_block_len=4)
-        assert ok.K == 4
-        with pytest.raises(DomainError):
-            BidSchedule(x0=x0, x_up=np.array([1.0, 1.0, 2.0, 2.0]),
-                        x_dn=np.full(4, 2.0), fcr_block_len=4)
-
     def test_symmetric(self):
         with pytest.raises(DomainError):
             BidSchedule(x0=np.zeros(2), x_up=np.array([1.0, 1.0]),

@@ -25,7 +25,7 @@ from storagebid.builder import (
     dispatch_variant,
     limited_arbitrage_rows,
 )
-from storagebid.solve import solve, solve_exact_bilinear
+from storagebid.solve import solve, solve_exact_bilinear, verify_point
 from storagebid.soc import (
     check_feasibility,
     max_soc_estimate,
@@ -389,9 +389,10 @@ class TestOrderingAndSoundness:
                              fcr_availability=np.array([104.6]))
         opts = ModelOptions(variant="relaxation", fcr_block_len=4,
                             da_block_len=1)
-        res = solve(dispatch_variant(params, grid, budget, 1.916, prices, opts))
+        ir = dispatch_variant(params, grid, budget, 1.916, prices, opts)
+        res = solve(ir)
         assert res.ok
-        assert res.bilinear_violations >= 1
+        assert verify_point(ir, res.point).bilinear_violations >= 1
 
 
 class TestGapBound:

@@ -22,7 +22,55 @@ def tiny_lp():
     return ir
 
 
+def _unbounded_lp():
+    ir = ModelIR()
+    ir.add_objective_term(ir.add_variable("x", lower=0.0), -1.0)
+    return ir
+
+
+def _unbounded_mip():
+    ir = _unbounded_lp()
+    y = ir.add_variable("y", kind=BINARY, lower=0.0, upper=1.0)
+    ir.add_row("floor", [(0, 1.0), (y, 1.0)], ">=", 0.5)
+    return ir
+
+
+def _infeasible_lp():
+    ir = ModelIR()
+    ir.add_variable("x")
+    ir.add_row("le1", [(0, 1.0)], "<=", 1.0)
+    ir.add_row("ge2", [(0, 1.0)], ">=", 2.0)
+    return ir
+
+
+def _k24_day(variant):
+    params = StorageParams(x_min=-50.0, x_max=50.0, y_min=10.0, y_max=90.0,
+                           eta_c=0.92, eta_d=0.92)
+    grid = TimeGrid(dt_hours=1.0, K=24)
+    budget = UncertaintyBudget(kind="total_budget", gamma=2.0)
+    prices = PriceSeries(day_ahead=np.linspace(10.0, 90.0, 24),
+                         fcr_availability=np.full(6, 20.0))
+    fcr = variant != "arbitrage_only"
+    opts = ModelOptions(variant=variant, fcr_enabled=fcr,
+                        fcr_block_len=4 if fcr else None, da_block_len=1)
+    return dispatch_variant(params, grid, budget, 50.0, prices, opts)
+
+
 class TestSolve:
+    @pytest.mark.parametrize("build, time_limit, status", [
+        (_unbounded_lp, None, "unbounded"),
+        (_unbounded_mip, None, "error"),
+        (_infeasible_lp, None, "infeasible"),
+        (lambda: _k24_day("restriction"), 0.0, "error"),
+        (lambda: _k24_day("arbitrage_only"), 0.0, "error"),
+    ], ids=["unbounded-lp", "unbounded-mip", "infeasible-lp",
+            "restriction-no-time", "arbitrage-no-time"])
+    def test_status_mapping(self, build, time_limit, status):
+        res = solve(build(), time_limit=time_limit)
+        assert res.status == status
+        assert res.point == {} and np.isnan(res.objective)
+        assert "model_status is" in res.message
+
     def test_trivial_lp(self):
         res = solve(tiny_lp())
         assert res.status == "optimal"
