@@ -171,7 +171,7 @@ def _extract_bids(point: dict[str, float], K: int, options: ModelOptions):
 
 
 def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
-                      y0_high: float | None = None):
+                      drift: float = 0.0):
     """Like run_day but also returns the accepted bid arrays
     (x0, x_up, x_dn) for downstream use."""
     params, grid, budget = config.params, config.grid, config.budget
@@ -180,10 +180,9 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
     prices.check_alignment(grid)
 
     lo, hi = params.y_min, params.y_max
-    y0c = float(min(max(y0, lo), hi))
-    y0h = None if y0_high is None else float(min(max(y0_high, lo), hi))
-    ir = dispatch_variant(params, grid, budget, y0c, prices, config.options,
-                          y0_high=y0h)
+    y0c, y0_lo, y0_hi = np.clip([y0, y0 - drift, y0 + drift], lo, hi).tolist()
+    ir = dispatch_variant(params, grid, budget, y0_lo, prices, config.options,
+                          y0_high=y0_hi)
     res = solve(ir, time_limit=config.time_limit,
                 gap_target=config.gap_target)
     if res.status not in ("optimal", "feasible_limit"):
@@ -250,15 +249,18 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
 
 
 def run_day(config: ExperimentConfig, day: DayData, y0: float,
-            y0_high: float | None = None) -> BacktestRecord:
+            drift: float = 0.0) -> BacktestRecord:
     """Bid for one day, then replay it under the recorded signal.
+
+    The model plans for every start SOC in ``y0 +/- drift``, clamped to
+    the SOC range; the replay starts at ``y0``.
 
     Cash flows: FCR availability revenue at the block prices, day-ahead
     revenue for x0, intraday trades valued at the concurrent day-ahead
     price. Realized regulation energy is also valued at the day-ahead
     price but reported separately (zero in expectation).
     """
-    return run_day_with_bids(config, day, y0, y0_high=y0_high)[0]
+    return run_day_with_bids(config, day, y0, drift=drift)[0]
 
 
 def is_dst_transition(date: str) -> bool:
@@ -304,22 +306,21 @@ class BacktestReport:
         return out
 
 
-def _eight_am_interval(config: ExperimentConfig,
-                       prev_bids: np.ndarray | None, y0_plan: float):
-    """Interval-valued midnight SOC for bids placed at 8am the previous
-    day: the plan value +/- the worst regulation drift the previous day's
-    already-committed reserve bids can cause between 8am and midnight."""
+def _eight_am_drift(config: ExperimentConfig,
+                    prev_bids: np.ndarray | None) -> float:
+    """Uncertainty of the midnight SOC for bids placed at 8am the previous
+    day: the worst regulation drift the previous day's already-committed
+    reserve bids can cause between 8am and midnight."""
     if prev_bids is None:
-        return y0_plan, y0_plan
+        return 0.0
     grid, budget, params = config.grid, config.budget, config.params
     k8 = int(round(8.0 / grid.dt_hours))
     tail = prev_bids[k8:]
     if tail.size == 0 or np.max(tail) <= 0:
-        return y0_plan, y0_plan
+        return 0.0
     gamma_tail = budget.total_gamma(grid.T - 8.0)
-    drift = gamma_tail * float(np.max(tail)) \
+    return gamma_tail * float(np.max(tail)) \
         * max(params.eta_c, 1.0 / params.eta_d)
-    return y0_plan - drift, y0_plan + drift
 
 
 def run_backtest(config: ExperimentConfig, dataset: Dataset,
@@ -349,12 +350,11 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
             continue
         # y0 stays as is until the day succeeds, so a skipped day leaves
         # the next day's start unchanged
-        y0_day, y0_high = y0, None
+        drift = 0.0
         if config.bidding_time == "8am":
-            y0_day, y0_high = _eight_am_interval(config, prev_xr, y0)
+            drift = _eight_am_drift(config, prev_xr)
         try:
-            rec, _, x_up, _ = run_day_with_bids(config, day, y0_day,
-                                                y0_high=y0_high)
+            rec, _, x_up, _ = run_day_with_bids(config, day, y0, drift=drift)
         except SolverError as e:
             report.skipped.append((date, str(e)))
             continue

@@ -1,17 +1,15 @@
 """Model-exchange files: the way to hand a model to another solver.
 
-MPS (free format) and LP-text writers; bilinear rows are emitted as
+MPS (free format) and LP writers; bilinear rows are emitted as
 quadratic-constraint sections (QCMATRIX in MPS, bracketed products in
-LP-text). Emission is deterministic: fixed ordering, fixed float format.
-``parse_mps`` reads the emitted MPS back into a model; LP-text is
-written only.
+LP). Emission is deterministic: fixed ordering, fixed float format.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .ir import BINARY, ModelError, ModelIR
+from .ir import BINARY, ModelIR
 
 
 class EmissionError(ValueError):
@@ -107,39 +105,46 @@ def write_mps(ir: ModelIR) -> str:
 
 
 _SENSE_LP = {"<=": "<=", ">=": ">=", "==": "="}
+# LP files reserve square brackets for quadratic terms, so names use
+# parentheses there: x0[3] is written x0(3).
+_LP_NAME = str.maketrans("[]", "()")
 
 
-def _lp_linear(terms, ir) -> str:
+def _lp_linear(terms, names) -> str:
     parts = []
     for i, c in terms:
         sign = "+" if c >= 0 else "-"
-        parts.append(f"{sign} {_num(abs(c))} {ir.variables[i].name}")
+        parts.append(f"{sign} {_num(abs(c))} {names[i]}")
     return " ".join(parts) if parts else "0"
 
 
 def write_lp(ir: ModelIR) -> str:
+    names = [v.name.translate(_LP_NAME) for v in ir.variables]
     out = ["\\ STORAGEBID", "Minimize", " obj: " +
-           _lp_linear(sorted(ir.objective.items()), ir)]
+           _lp_linear(sorted(ir.objective.items()), names)]
     out.append("Subject To")
     for row in ir.rows:
-        out.append(f" {row.name}: {_lp_linear(row.coeffs, ir)} "
+        out.append(f" {row.name.translate(_LP_NAME)}: "
+                   f"{_lp_linear(row.coeffs, names)} "
                    f"{_SENSE_LP[row.sense]} {_num(row.rhs)}")
     for row in ir.bilinear_rows:
         if not row.active:
             continue
         quad = " ".join(
             f"{'+' if c >= 0 else '-'} {_num(abs(c))} "
-            f"{ir.variables[i].name} * {ir.variables[j].name}"
+            f"{names[i]} * {names[j]}"
             for i, j, c in row.quad)
-        lin = _lp_linear(row.linear, ir) if row.linear else ""
+        lin = _lp_linear(row.linear, names) if row.linear else ""
         body = f"[ {quad} ]" + (f" {lin}" if row.linear else "")
-        out.append(f" {row.name}: {body} {_SENSE_LP[row.sense]} {_num(row.rhs)}")
+        out.append(f" {row.name.translate(_LP_NAME)}: {body} "
+                   f"{_SENSE_LP[row.sense]} {_num(row.rhs)}")
     out.append("Bounds")
-    for v in ir.variables:
+    for v, name in zip(ir.variables, names):
         lo = "-inf" if np.isinf(v.lower) else _num(v.lower)
         hi = "+inf" if np.isinf(v.upper) else _num(v.upper)
-        out.append(f" {lo} <= {v.name} <= {hi}")
-    bins = [v.name for v in ir.variables if v.kind == BINARY]
+        out.append(f" {lo} <= {name} <= {hi}")
+    bins = [name for v, name in zip(ir.variables, names)
+            if v.kind == BINARY]
     if bins:
         out.append("Binaries")
         out.append(" " + " ".join(bins))
@@ -152,114 +157,6 @@ def emit_model(ir: ModelIR, fmt: str = "MPS") -> bytes:
     ir.validate()
     if fmt.upper() == "MPS":
         return write_mps(ir).encode()
-    if fmt.upper() in ("LP", "LP-TEXT"):
+    if fmt.upper() == "LP":
         return write_lp(ir).encode()
     raise EmissionError(f"unsupported format {fmt!r}")
-
-
-def parse_mps(text: str) -> ModelIR:
-    """Parse (free-format) MPS back into a ModelIR. Supports the subset
-    this package emits, including QCMATRIX sections."""
-    ir = ModelIR()
-    section = None
-    row_sense: dict[str, str] = {}
-    row_order: list[str] = []
-    obj_name = None
-    col_data: dict[str, list[tuple[str, float]]] = {}
-    col_order: list[str] = []
-    int_cols: set[str] = set()
-    rhs: dict[str, float] = {}
-    bounds: dict[str, list[float]] = {}
-    qc: dict[str, list[tuple[str, str, float]]] = {}
-    qc_current = None
-    in_int = False
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("*"):
-            continue
-        upper = line.upper()
-        head = upper.split()[0]
-        if head in ("NAME", "ROWS", "COLUMNS", "RHS", "BOUNDS", "RANGES",
-                    "ENDATA") and raw[:1] not in (" ", "\t"):
-            section = head
-            continue
-        if head == "QCMATRIX" and raw[:1] not in (" ", "\t"):
-            section = "QCMATRIX"
-            qc_current = line.split()[1]
-            qc[qc_current] = []
-            continue
-        toks = line.split()
-        if section == "ROWS":
-            sense, rname = toks[0], toks[1]
-            if sense == "N":
-                obj_name = rname
-            else:
-                inv = {"L": "<=", "G": ">=", "E": "=="}
-                row_sense[rname] = inv[sense]
-                row_order.append(rname)
-        elif section == "COLUMNS":
-            if len(toks) >= 3 and toks[1] == "'MARKER'":
-                in_int = toks[2] == "'INTORG'"
-                continue
-            cname = toks[0]
-            if cname not in col_data:
-                col_data[cname] = []
-                col_order.append(cname)
-                if in_int:
-                    int_cols.add(cname)
-            for p in range(1, len(toks) - 1, 2):
-                col_data[cname].append((toks[p], float(toks[p + 1])))
-        elif section == "RHS":
-            for p in range(1, len(toks) - 1, 2):
-                rhs[toks[p]] = float(toks[p + 1])
-        elif section == "BOUNDS":
-            btype, _, cname = toks[0], toks[1], toks[2]
-            val = float(toks[3]) if len(toks) > 3 else None
-            b = bounds.setdefault(cname, [0.0, np.inf])
-            if btype == "LO":
-                b[0] = val
-            elif btype == "UP":
-                b[1] = val
-            elif btype == "FX":
-                b[0] = b[1] = val
-            elif btype == "FR":
-                b[0], b[1] = -np.inf, np.inf
-            elif btype == "MI":
-                b[0] = -np.inf
-            elif btype == "BV":
-                b[0], b[1] = 0.0, 1.0
-                int_cols.add(cname)
-            else:
-                raise ModelError(f"unsupported bound type {btype}")
-        elif section == "QCMATRIX":
-            qc[qc_current].append((toks[0], toks[1], float(toks[2])))
-
-    for cname in col_order:
-        lo, hi = bounds.get(cname, [0.0, np.inf])
-        kind = BINARY if cname in int_cols else "continuous"
-        ir.add_variable(cname, kind=kind, lower=lo, upper=hi)
-    row_coeffs: dict[str, list[tuple[int, float]]] = {r: [] for r in row_order}
-    for cname in col_order:
-        ci = ir.var(cname)
-        for rname, c in col_data[cname]:
-            if rname == obj_name:
-                if c != 0.0:
-                    ir.add_objective_term(ci, c)
-            else:
-                row_coeffs[rname].append((ci, c))
-    for rname in row_order:
-        if rname in qc:
-            pairs: dict[tuple[int, int], float] = {}
-            for a, b, c in qc[rname]:
-                i, j = ir.var(a), ir.var(b)
-                key = (min(i, j), max(i, j))
-                pairs[key] = pairs.get(key, 0.0) + c
-            quad = [(i, j, c) for (i, j), c in sorted(pairs.items())]
-            ir.add_bilinear(rname, quad=quad, linear=row_coeffs[rname],
-                            sense=row_sense[rname], rhs=rhs.get(rname, 0.0))
-        else:
-            ir.add_row(rname, row_coeffs[rname], row_sense[rname],
-                       rhs.get(rname, 0.0))
-    return ir
-

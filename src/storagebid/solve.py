@@ -138,10 +138,16 @@ _LIMITS = (_highs.HighsModelStatus.kTimeLimit,
            _highs.HighsModelStatus.kIterationLimit)
 
 
-def _solve_scipy(ir: ModelIR, time_limit, gap_target) -> SolveResult:
-    """Solve with scipy's bundled HiGHS. A model whose every binary has
-    an indicator rule gets a relax-and-fix start point as its first MIP
-    incumbent; HiGHS then improves on it up to ``gap_target``."""
+def solve(ir: ModelIR, time_limit: float | None = None,
+          gap_target: float | None = None) -> SolveResult:
+    """Solve a model with no active bilinear rows (LP or MILP) with
+    scipy's bundled HiGHS. A model whose every binary has an indicator
+    rule gets a relax-and-fix start point as its first MIP incumbent;
+    HiGHS then improves on it up to ``gap_target``."""
+    ir.validate()
+    if ir.n_bilinear_active > 0:
+        raise ModelError(
+            "model has active bilinear rows; use solve_exact_bilinear")
     integrality = np.array(
         [1 if v.kind == BINARY else 0 for v in ir.variables], dtype=np.uint8)
     binaries = np.flatnonzero(integrality).astype(np.int32)
@@ -187,16 +193,6 @@ def _solve_scipy(ir: ModelIR, time_limit, gap_target) -> SolveResult:
     return SolveResult(status=status, objective=objective, bound=bound,
                        point=point, solve_time=elapsed, message=message,
                        start_objective=start_objective)
-
-
-def solve(ir: ModelIR, time_limit: float | None = None,
-          gap_target: float | None = None) -> SolveResult:
-    """Solve a model with no active bilinear rows (LP or MILP)."""
-    ir.validate()
-    if ir.n_bilinear_active > 0:
-        raise ModelError(
-            "model has active bilinear rows; use solve_exact_bilinear")
-    return _solve_scipy(ir, time_limit, gap_target)
 
 
 @dataclass(frozen=True)

@@ -320,6 +320,10 @@ class TestRunBacktest:
         # day 1 has no committed bids yet, so the records coincide
         assert am.records[0].profit_total == pytest.approx(
             mid.records[0].profit_total, abs=1e-9)
+        # the replay starts from the previous day's realized midnight SOC,
+        # not from the low end of the interval the bids are certified for
+        for prev, rec in zip(am.records, am.records[1:]):
+            assert rec.y0 == prev.soc_midnight
 
 
 class TestDstDetection:

@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -184,6 +187,15 @@ class TestTwoIntervalExample:
         assert r.value == pytest.approx(1.275, abs=1e-9)
         bf = brute_force_max_soc(BIDS2, PARAMS2, GRID2, 1.0, 0.0, 1, m=50)
         assert bf == pytest.approx(1.275, abs=1e-9)
+
+    def test_demo_script_runs(self, capsys):
+        # demos/worst_case_curve.py traces this instance
+        demo = Path(__file__).resolve().parents[1] / "demos" / \
+            "worst_case_curve.py"
+        runpy.run_path(str(demo), run_name="__main__")
+        out = capsys.readouterr().out
+        assert "peak over interval 2: 1.530000 kWh at t = 1.600 h" in out
+        assert "grid-enumeration check (m = 50): 1.530000 kWh" in out
 
 
 class TestMinSoc:

@@ -1,3 +1,6 @@
+import hashlib
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -10,9 +13,15 @@ from storagebid.types import (
 from storagebid.ir import BINARY, ModelError, ModelIR, ModelOptions
 from storagebid.builder import dispatch_variant
 from storagebid.data import Dataset, generate_synthetic_dataset
-from storagebid.mpsio import EmissionError, emit_model, parse_mps
+from storagebid.mpsio import EmissionError, emit_model
 from storagebid.soc import check_feasibility
-from storagebid.solve import solve, solve_exact_bilinear, verify_point
+from storagebid.solve import (
+    _STATUS,
+    _highs,
+    solve,
+    solve_exact_bilinear,
+    verify_point,
+)
 from storagebid.types import BidSchedule
 
 
@@ -54,6 +63,50 @@ def _k24_day(variant):
     opts = ModelOptions(variant=variant, fcr_enabled=fcr,
                         fcr_block_len=4 if fcr else None, da_block_len=1)
     return dispatch_variant(params, grid, budget, 50.0, prices, opts)
+
+
+LOSSY = StorageParams(x_min=-3, x_max=3, y_min=0, y_max=8, eta_c=0.9,
+                      eta_d=0.9)
+LOSSLESS = StorageParams(x_min=-3, x_max=3, y_min=0, y_max=8, eta_c=1.0,
+                         eta_d=1.0)
+K4 = TimeGrid(dt_hours=1.0, K=4)
+K4_PRICES = PriceSeries(day_ahead=np.array([5.0, 90.0, 10.0, 80.0]),
+                        fcr_availability=np.array([20.0]))
+
+
+def _k4_model(variant, params=LOSSY):
+    fcr = variant != "arbitrage_only"
+    opts = ModelOptions(variant=variant, fcr_enabled=fcr,
+                        fcr_block_len=4 if fcr else None, da_block_len=1)
+    budget = UncertaintyBudget(kind="total_budget", gamma=1.0)
+    return dispatch_variant(params, K4, budget, 4.0, K4_PRICES, opts)
+
+
+class HighsRead(NamedTuple):
+    status: str
+    objective: float
+    n_cols: int
+    n_rows: int
+    n_integer: int
+    cost: np.ndarray
+
+
+def _highs_read(tmp_path, blob, fmt):
+    """Read a model file with HiGHS's own reader and solve it."""
+    path = tmp_path / f"model.{fmt.lower()}"
+    path.write_bytes(blob)
+    highs = _highs._Highs()
+    highs.setOptionValue("log_to_console", False)
+    assert highs.readModel(str(path)) == _highs.HighsStatus.kOk
+    highs.run()
+    lp = highs.getLp()
+    return HighsRead(
+        status=_STATUS.get(highs.getModelStatus(), "error"),
+        objective=highs.getInfo().objective_function_value,
+        n_cols=lp.num_col_, n_rows=lp.num_row_,
+        n_integer=sum(t == _highs.HighsVarType.kInteger
+                      for t in lp.integrality_),
+        cost=np.array(lp.col_cost_))
 
 
 class TestSolve:
@@ -149,25 +202,29 @@ class TestEmission:
         assert emit_model(build(), "MPS") == emit_model(build(), "MPS")
         assert emit_model(build(), "LP") == emit_model(build(), "LP")
 
-    def test_roundtrip_counts(self):
-        params = StorageParams(x_min=-3, x_max=3, y_min=0, y_max=8,
-                               eta_c=0.9, eta_d=0.9)
-        grid = TimeGrid(dt_hours=1.0, K=4)
-        budget = UncertaintyBudget(kind="total_budget", gamma=1.0)
-        prices = PriceSeries(day_ahead=np.array([5.0, 90.0, 10.0, 80.0]),
-                             fcr_availability=np.array([20.0]))
-        opts = ModelOptions(variant="exact", fcr_block_len=4, da_block_len=1)
-        ir = dispatch_variant(params, grid, budget, 4.0, prices, opts)
-        back = parse_mps(emit_model(ir, "MPS").decode())
-        assert back.n_vars == ir.n_vars
-        assert len(back.rows) == len(ir.rows)
-        assert len(back.bilinear_rows) == ir.n_bilinear_active
-        assert back.n_binaries == ir.n_binaries
-        # objective survives
-        np.testing.assert_allclose(back.objective_vector(),
-                                   ir.objective_vector(), atol=1e-12)
+    def test_exact_mps_has_one_qcmatrix_per_bilinear_row(self):
+        ir = _k4_model("exact")
+        text = emit_model(ir, "MPS").decode()
+        assert ir.n_bilinear_active == K4.K * (K4.K - 1) // 2 == 6
+        assert sum(1 for line in text.splitlines()
+                   if line.startswith("QCMATRIX ")) == ir.n_bilinear_active
 
-    def test_roundtrip_k1_lp(self):
+    def test_roundtrip_counts(self, tmp_path):
+        # HiGHS has no quadratic rows, so it reads the relaxation: the
+        # exact model's columns and linear rows without the bilinear rows
+        exact, ir = _k4_model("exact"), _k4_model("relaxation")
+        assert (ir.n_vars, len(ir.rows), ir.n_binaries) == \
+            (exact.n_vars, len(exact.rows), exact.n_binaries)
+        np.testing.assert_array_equal(ir.objective_vector(),
+                                      exact.objective_vector())
+        read = _highs_read(tmp_path, emit_model(ir, "MPS"), "MPS")
+        assert read.n_cols == ir.n_vars
+        assert read.n_rows == len(ir.rows)
+        assert read.n_integer == ir.n_binaries
+        np.testing.assert_allclose(read.cost, ir.objective_vector(),
+                                   atol=1e-12)
+
+    def test_roundtrip_k1_lp(self, tmp_path):
         params = StorageParams(x_min=-3, x_max=3, y_min=0, y_max=8,
                                eta_c=0.9, eta_d=0.9)
         grid = TimeGrid(dt_hours=1.0, K=1)
@@ -176,12 +233,11 @@ class TestEmission:
                              fcr_availability=np.array([20.0]))
         opts = ModelOptions(variant="exact", fcr_block_len=1, da_block_len=1)
         ir = dispatch_variant(params, grid, budget, 4.0, prices, opts)
-        back = parse_mps(emit_model(ir, "MPS").decode())
-        assert back.n_vars == ir.n_vars
-        assert len(back.rows) == len(ir.rows)
-        r1 = solve(ir)
-        r2 = solve(back)
-        assert r1.objective == pytest.approx(r2.objective, abs=1e-9)
+        assert ir.n_bilinear_active == 0
+        read = _highs_read(tmp_path, emit_model(ir, "MPS"), "MPS")
+        assert read.n_cols == ir.n_vars
+        assert read.n_rows == len(ir.rows)
+        assert read.objective == pytest.approx(solve(ir).objective, abs=1e-9)
 
     def test_restriction_k96_declares_binaries(self):
         params = StorageParams(x_min=-50, x_max=50, y_min=10, y_max=90,
@@ -197,17 +253,53 @@ class TestEmission:
         assert sum(1 for line in text.splitlines()
                    if line.strip().startswith("BV ")) == 3 * 95
 
-    @pytest.mark.parametrize("variant",
-                             ["restriction", "relaxation", "no_sell_lp"])
-    def test_parsed_mps_solves_like_the_model(self, variant):
-        # points are not compared: the restriction has tied optima
-        budget = UncertaintyBudget(kind="total_budget", gamma=1.0)
-        opts = ModelOptions(variant=variant, fcr_block_len=4, da_block_len=1)
-        ir = dispatch_variant(LOSSY, K4, budget, 4.0, K4_PRICES, opts)
+    @pytest.mark.parametrize("variant", [
+        "restriction", "relaxation", "no_sell_lp", "exact", "arbitrage_only",
+        "lossless_lp"])
+    def test_mps_bytes_are_pinned(self, variant):
+        params = LOSSLESS if variant == "lossless_lp" else LOSSY
+        blob = emit_model(_k4_model(variant, params), "MPS")
+        assert hashlib.sha256(blob).hexdigest() == MPS_SHA256[variant]
+
+    @pytest.mark.parametrize("variant, params", [
+        pytest.param("restriction", LOSSY, id="restriction"),
+        pytest.param("relaxation", LOSSY, id="relaxation"),
+        pytest.param("no_sell_lp", LOSSY, id="no_sell_lp"),
+        pytest.param("arbitrage_only", LOSSY, id="arbitrage_only"),
+        pytest.param("restriction", LOSSLESS, id="restriction-lossless"),
+    ])
+    def test_parsed_mps_solves_like_the_model(self, tmp_path, variant,
+                                              params):
+        # HiGHS reads both files of the model and finds its optimum; points
+        # are not compared: the restriction has tied optima
+        ir = _k4_model(variant, params)
         direct = solve(ir)
-        parsed = solve(parse_mps(emit_model(ir, "MPS").decode()))
-        assert parsed.status == direct.status == "optimal"
-        assert parsed.objective == pytest.approx(direct.objective, abs=1e-9)
+        assert direct.status == "optimal"
+        for fmt in ("MPS", "LP"):
+            read = _highs_read(tmp_path, emit_model(ir, fmt), fmt)
+            assert read.status == "optimal", fmt
+            assert read.objective == pytest.approx(direct.objective,
+                                                   abs=1e-9), fmt
+            assert (read.n_cols, read.n_rows, read.n_integer) == \
+                (ir.n_vars, len(ir.rows), ir.n_binaries), fmt
+
+
+# SHA-256 of emit_model(_k4_model(variant), "MPS"); MPS bytes change only
+# on purpose
+MPS_SHA256 = {
+    "restriction":
+        "75d42ca0c7d11e29a57cc96dc14437d40fc87501dcfc998b694837ffc9043e2c",
+    "relaxation":
+        "6598b644583a235a658a1bd985d9bd13c12f02c37bd4e9fdccf84329d7473c65",
+    "no_sell_lp":
+        "c07387b47ec1d437b950b468c08e5de789282186e58c73c54365a53121bcd899",
+    "arbitrage_only":
+        "20991f2f55d68b3f6fd6ee75b5f6a95c003ae907ca5a511cd9b0b3b01a816576",
+    "exact":
+        "e3ffd4e7728a2e26af8b0ca4bfb234625eb97e18646ecc607fea903a87f1d24d",
+    "lossless_lp":
+        "750227e4a2b3ebb8322f97d9d3099120b517fca8997848dc7913db0ddb5227ce",
+}
 
 
 class TestVerifyPoint:
@@ -261,13 +353,6 @@ class TestVerifyPoint:
 
 def _binaries(ir):
     return {i for i, v in enumerate(ir.variables) if v.kind == BINARY}
-
-
-LOSSY = StorageParams(x_min=-3, x_max=3, y_min=0, y_max=8, eta_c=0.9,
-                      eta_d=0.9)
-K4 = TimeGrid(dt_hours=1.0, K=4)
-K4_PRICES = PriceSeries(day_ahead=np.array([5.0, 90.0, 10.0, 80.0]),
-                        fcr_availability=np.array([20.0]))
 
 
 class TestIndicators:
