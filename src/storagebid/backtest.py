@@ -9,15 +9,16 @@ from __future__ import annotations
 import datetime
 import json
 import os
-from dataclasses import asdict, dataclass, field
+import time
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .builder import MWH_PER_KWH, dispatch_variant
+from .builder import MWH_PER_KWH, dispatch_variant, split_arbitrage_lp
 from .data import DataError, Dataset, DayData
 from .ir import ModelOptions
 from .soc import realized_power, soc_path
-from .solve import solve
+from .solve import OPTIMAL, SolveResult, solve
 from .types import (
     AlignmentError,
     DomainError,
@@ -170,6 +171,47 @@ def _extract_bids(point: dict[str, float], K: int, options: ModelOptions):
     return x0, np.zeros(K), np.zeros(K)
 
 
+# HiGHS's default mip_rel_gap: the gap at which the MILP stops when the
+# config sets no gap target
+DEFAULT_GAP = 1e-4
+
+
+def _solve_arbitrage(config: ExperimentConfig, ir, split,
+                     rebuild) -> SolveResult:
+    """Solve an arbitrage-only model ``ir`` that has charge/discharge
+    binaries, without branch and bound where two LPs prove the optimum.
+
+    The split LP ``split`` bounds ``ir`` from below. Its bid x0 = d - c
+    fixes each binary ``u2[k]`` (1 where x0 <= 0; ``u1`` follows), which
+    leaves ``ir`` an LP. When that LP's optimum is within the MILP's
+    stopping gap of the bound, it is returned as ``optimal`` with the
+    split LP's objective as its bound and path ``split-lp``. Otherwise,
+    as when the split LP charges and discharges in one interval (which
+    only negative prices pay for), the MILP runs on ``rebuild()``. All
+    solves share ``config.time_limit``."""
+    t0 = time.perf_counter()
+
+    def time_left():
+        if config.time_limit is None:
+            return None
+        return max(0.0, config.time_limit - (time.perf_counter() - t0))
+
+    lower = solve(split, time_limit=time_left())
+    if lower.status == OPTIMAL:
+        for k in range(1, config.grid.K):
+            x0 = lower.point[f"d[{k}]"] - lower.point[f"c[{k}]"]
+            ir.fix_variable(f"u2[{k}]", float(x0 <= 0))
+        res = replace(solve(ir, time_limit=time_left()),
+                      bound=lower.objective)
+        gap_target = (DEFAULT_GAP if config.gap_target is None
+                      else config.gap_target)
+        if res.status == OPTIMAL and res.gap <= gap_target:
+            return replace(res, path="split-lp",
+                           solve_time=lower.solve_time + res.solve_time)
+    return solve(rebuild(), time_limit=time_left(),
+                 gap_target=config.gap_target)
+
+
 def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
                       drift: float = 0.0):
     """Like run_day but also returns the accepted bid arrays
@@ -181,10 +223,19 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
 
     lo, hi = params.y_min, params.y_max
     y0c, y0_lo, y0_hi = np.clip([y0, y0 - drift, y0 + drift], lo, hi).tolist()
-    ir = dispatch_variant(params, grid, budget, y0_lo, prices, config.options,
-                          y0_high=y0_hi)
-    res = solve(ir, time_limit=config.time_limit,
-                gap_target=config.gap_target)
+
+    def build():
+        return dispatch_variant(params, grid, budget, y0_lo, prices,
+                                config.options, y0_high=y0_hi)
+
+    ir = build()
+    if config.options.variant == "arbitrage_only" and ir.n_binaries > 0:
+        split = split_arbitrage_lp(params, grid, y0_lo, prices,
+                                   config.options, y0_high=y0_hi)
+        res = _solve_arbitrage(config, ir, split, build)
+    else:
+        res = solve(ir, time_limit=config.time_limit,
+                    gap_target=config.gap_target)
     if res.status not in ("optimal", "feasible_limit"):
         raise SolverError(f"{day.date}: solver returned {res.status}: "
                           f"{res.message}")

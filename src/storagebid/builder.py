@@ -365,6 +365,62 @@ def limited_arbitrage_rows(ir: ModelIR, params: StorageParams, grid: TimeGrid,
                        "<=", 0.0)
 
 
+def split_arbitrage_lp(params: StorageParams, grid: TimeGrid, y0: float,
+                       prices: PriceSeries, options: ModelOptions,
+                       y0_high: float | None = None) -> ModelIR:
+    """The arbitrage-only model with the bid split into charge
+    ``c[k]`` and discharge ``d[k]`` (x0 = d - c) and the SOC change from
+    ``y0`` carried by a state ``z[k]``: an LP with O(K) rows.
+
+    Every point of the ``arbitrage_only`` variant maps to a
+    complementary (c, d) with the same SOC path, so this LP's optimum
+    bounds that model from below at any prices. Dropping the
+    complementarity lets it charge and discharge at once, which pays
+    only at negative prices (Li, Guo, Sun and Wang, IEEE Trans. Power
+    Syst. 31(2), 2016). ``y0_high`` plays its role in
+    ``dispatch_variant``: the start of the upper SOC bound.
+    """
+    ec, ed = params.eta_c, params.eta_d
+    dt = grid.dt_hours
+    K = grid.K
+    y0_up = y0 if y0_high is None else y0_high
+    da_block = options.da_block_len or 1
+    if K % da_block != 0:
+        raise ModelError("block lengths must divide the number of intervals")
+
+    ir = ModelIR()
+    for k in range(1, K + 1):
+        ir.add_variable(f"c[{k}]", lower=0.0, upper=-params.x_min)
+    for k in range(1, K + 1):
+        ir.add_variable(f"d[{k}]", lower=0.0, upper=params.x_max)
+    for k in range(1, K + 1):
+        ir.add_variable(f"z[{k}]", lower=params.y_min - y0,
+                        upper=params.y_max - y0_up)
+    for k in range(1, K + 1):
+        coeffs = [(ir.var(f"z[{k}]"), 1.0), (ir.var(f"c[{k}]"), -dt * ec),
+                  (ir.var(f"d[{k}]"), dt / ed)]
+        if k > 1:
+            coeffs.append((ir.var(f"z[{k - 1}]"), -1.0))
+        ir.add_row(f"soc[{k}]", coeffs, "==", 0.0)
+    for k in range(1, K + 1):
+        first = ((k - 1) // da_block) * da_block + 1
+        if k != first:
+            ir.add_row(f"blk_x0[{k}]",
+                       [(ir.var(f"d[{k}]"), 1.0), (ir.var(f"c[{k}]"), -1.0),
+                        (ir.var(f"d[{first}]"), -1.0),
+                        (ir.var(f"c[{first}]"), 1.0)],
+                       "==", 0.0)
+    if options.terminal_soc_floor is not None:
+        ir.add_row("terminal_soc", [(ir.var(f"z[{K}]"), 1.0)], ">=",
+                   options.terminal_soc_floor - y0)
+    da = prices.da_per_interval(grid)
+    for k in range(1, K + 1):
+        coeff = -da[k - 1] * MWH_PER_KWH * dt
+        ir.add_objective_term(ir.var(f"d[{k}]"), coeff)
+        ir.add_objective_term(ir.var(f"c[{k}]"), -coeff)
+    return ir
+
+
 def dispatch_variant(params: StorageParams, grid: TimeGrid,
                      budget: UncertaintyBudget, y0: float,
                      prices: PriceSeries, options: ModelOptions,

@@ -184,6 +184,8 @@ def cmd_solve_day(args) -> int:
     rep = check_feasibility(bids, config.params, config.grid, gamma, y0)
     print(f"date             {record.date}")
     print(f"status           {record.status}")
+    print(f"solve path       {record.solve_path}")
+    print(f"gap              {record.gap:.3e}")
     print(f"profit_total     {record.profit_total:.6f} EUR")
     print(f"  fcr            {record.profit_fcr:.6f}")
     print(f"  dayahead       {record.profit_dayahead:.6f}")

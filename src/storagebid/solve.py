@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 from scipy import sparse
@@ -34,12 +35,10 @@ class SolveResult:
     message: str = ""
     # objective of the start point offered to the MIP search; nan if none
     start_objective: float = np.nan
-
-    @property
-    def path(self) -> str:
-        """How the point was found: ``milp``, or ``start+milp`` when the
-        search began from a relax-and-fix start point."""
-        return "start+milp" if np.isfinite(self.start_objective) else "milp"
+    # how the point was found: ``milp``, ``start+milp`` when the search
+    # began from a relax-and-fix start point, or ``split-lp`` for an
+    # arbitrage-only optimum proved without branch and bound
+    path: str = "milp"
 
     @property
     def gap(self) -> float:
@@ -53,25 +52,26 @@ class SolveResult:
 
 
 def _constraint_matrix(ir: ModelIR):
-    """Rows as a CSC matrix with row bounds, built as ``milp`` builds it."""
+    """Rows as a CSC matrix with row bounds, built as ``milp`` builds it:
+    duplicate entries of a row are summed."""
     rows = ir.rows
-    data, ri, ci = [], [], []
-    lo = np.empty(len(rows))
-    hi = np.empty(len(rows))
-    for r, row in enumerate(rows):
-        for i, c in row.coeffs:
-            ri.append(r)
-            ci.append(i)
-            data.append(c)
-        if row.sense == "<=":
-            lo[r], hi[r] = -np.inf, row.rhs
-        elif row.sense == ">=":
-            lo[r], hi[r] = row.rhs, np.inf
-        else:
-            lo[r] = hi[r] = row.rhs
-    a = sparse.csc_array(
-        sparse.csr_matrix((data, (ri, ci)), shape=(len(rows), ir.n_vars)))
-    return a, lo, hi
+    # HiGHS indexes with 32-bit integers
+    counts = np.fromiter((len(row.coeffs) for row in rows), dtype=np.int32,
+                         count=len(rows))
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    # (column, coefficient) pairs of every row, flattened in row order
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(row.coeffs for row in rows)),
+        dtype=float, count=2 * int(indptr[-1]))
+    a = sparse.csr_array((flat[1::2], flat[0::2].astype(np.int32), indptr),
+                         shape=(len(rows), ir.n_vars))
+    a.sum_duplicates()
+    lo = np.fromiter((-np.inf if row.sense == "<=" else row.rhs
+                      for row in rows), dtype=float, count=len(rows))
+    hi = np.fromiter((np.inf if row.sense == ">=" else row.rhs
+                      for row in rows), dtype=float, count=len(rows))
+    return a.tocsc(), lo, hi
 
 
 def _highs_lp(ir: ModelIR):
@@ -187,12 +187,13 @@ def solve(ir: ModelIR, time_limit: float | None = None,
     else:
         message = (f"model_status is {message}; primal_status is "
                    f"{highs.solutionStatusToString(info.primal_solution_status)}")
-    start_objective = np.nan
+    start_objective, path = np.nan, "milp"
     if start is not None:
         start_objective = float(ir.objective_vector() @ start)
+        path = "start+milp"
     return SolveResult(status=status, objective=objective, bound=bound,
                        point=point, solve_time=elapsed, message=message,
-                       start_objective=start_objective)
+                       start_objective=start_objective, path=path)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,11 @@ from storagebid.backtest import (
     window_budget_usage,
     write_report,
 )
-from storagebid.data import Dataset, generate_synthetic_dataset
+from storagebid.builder import dispatch_variant, split_arbitrage_lp
+from storagebid.data import Dataset, DayData, generate_synthetic_dataset
 from storagebid.ir import ModelOptions
-from storagebid.soc import simulate_soc
-from storagebid.solve import SolveResult
+from storagebid.soc import check_feasibility, simulate_soc
+from storagebid.solve import SolveResult, solve, verify_point
 from storagebid.types import (
     BidSchedule,
     PriceSeries,
@@ -351,7 +352,7 @@ class TestReportFiles:
         (ModelOptions(variant="restriction", fcr_block_len=4,
                       da_block_len=1), "start+milp"),
         (ModelOptions(variant="arbitrage_only", fcr_enabled=False,
-                      da_block_len=1), "milp")])
+                      da_block_len=1), "split-lp")])
     def test_timed_record_names_the_solve_path(self, synth, options, path):
         rec = run_day(hourly_config(options=options),
                       synth.load_day("2021-01-01"), 53.328)
@@ -365,6 +366,146 @@ class TestReportFiles:
         lines = open(paths["series"]).read().splitlines()
         assert lines[0] == "date,cumulative_profit_eur,cumulative_throughput_kwh"
         assert len(lines) == 1 + len(rep.records)
+
+
+ARBITRAGE = ModelOptions(variant="arbitrage_only", fcr_enabled=False,
+                         da_block_len=1)
+
+
+def arbitrage_day(da, dt_hours=1.0):
+    """A day of day-ahead prices ``da`` (one per interval) with a zero
+    regulation signal."""
+    K = len(da)
+    return DayData(date="2021-01-01",
+                   prices=PriceSeries(day_ahead=da, fcr_availability=[],
+                                      da_block_hours=dt_hours),
+                   signal=RegulationSignal(np.zeros(K), dt_hours))
+
+
+class TestArbitrageSplitPath:
+    """Arbitrage-only days with charge/discharge binaries are bid from the
+    split LP's bound and a fixed-sign completion, or by the MILP when the
+    two do not meet."""
+
+    def _capture(self, monkeypatch):
+        results = []
+        real = backtest._solve_arbitrage
+
+        def capture(*args):
+            results.append(real(*args))
+            return results[-1]
+
+        monkeypatch.setattr(backtest, "_solve_arbitrage", capture)
+        return results
+
+    def _instance(self, rng, K):
+        params = StorageParams(
+            x_min=-float(rng.uniform(1, 5)), x_max=float(rng.uniform(1, 5)),
+            y_min=0.0, y_max=float(rng.uniform(3, 10)),
+            eta_c=float(rng.uniform(0.6, 1.0)),
+            eta_d=float(rng.uniform(0.6, 1.0)))
+        da = rng.uniform(0.0, 100.0, K)
+        if rng.uniform() < 0.4:
+            da -= rng.uniform(20.0, 80.0)
+        da_block = int(rng.choice([b for b in (1, 2, 4) if K % b == 0]))
+        y0 = float(rng.uniform(params.y_min, params.y_max))
+        drift = float(rng.uniform(0.0, 1.0)) if rng.uniform() < 0.5 else 0.0
+        floor = (float(rng.uniform(params.y_min, y0))
+                 if rng.uniform() < 0.5 else None)
+        options = ModelOptions(variant="arbitrage_only", fcr_enabled=False,
+                               da_block_len=da_block,
+                               terminal_soc_floor=floor)
+        # both paths and the reference MILP stop at a 1e-9 gap, so their
+        # optima agree to 1e-7
+        config = ExperimentConfig(
+            params=params, grid=TimeGrid(dt_hours=1.0, K=K),
+            budget=UncertaintyBudget(kind="total_budget", gamma=1.0),
+            options=options, time_limit=60.0, gap_target=1e-9)
+        return config, arbitrage_day(da), y0, drift
+
+    def test_parity_with_the_milp(self, monkeypatch):
+        results = self._capture(monkeypatch)
+        rng = np.random.default_rng(2016)
+        paths = []
+        for i in range(200):
+            # a K = 24 reference MILP takes seconds, so one instance in
+            # 100 is a full day
+            K = 24 if i % 100 == 0 else int(rng.choice([3, 4, 6, 8, 12]))
+            config, day, y0, drift = self._instance(rng, K)
+            params, grid = config.params, config.grid
+            y0_lo, y0_hi = np.clip([y0 - drift, y0 + drift],
+                                   params.y_min, params.y_max).tolist()
+            args = (params, grid, config.budget, y0_lo, day.prices,
+                    config.options)
+            milp = solve(dispatch_variant(*args, y0_high=y0_hi),
+                         gap_target=config.gap_target)
+            bound = solve(split_arbitrage_lp(
+                params, grid, y0_lo, day.prices, config.options,
+                y0_high=y0_hi))
+            if milp.ok:
+                assert bound.ok
+                assert bound.objective <= milp.objective + 1e-7
+            try:
+                rec, x0, _, _ = run_day_with_bids(config, day, y0, drift)
+            except backtest.SolverError:
+                assert not milp.ok
+                continue
+            res = results[-1]
+            paths.append(res.path)
+            assert res.objective == pytest.approx(milp.objective, abs=1e-7)
+            assert rec.objective == res.objective
+            if res.path != "split-lp":
+                continue
+            assert res.bound == bound.objective
+            report = verify_point(dispatch_variant(*args, y0_high=y0_hi),
+                                  res.point)
+            assert report.feasible, report.active_violations[:3]
+            bids = BidSchedule(x0=x0, x_up=np.zeros(grid.K),
+                               x_dn=np.zeros(grid.K))
+            for start in (y0_lo, y0_hi):
+                assert check_feasibility(bids, params, grid, 1.0,
+                                         start).feasible
+        # both paths are exercised
+        assert paths.count("split-lp") >= 100
+        assert paths.count("milp") >= 10
+
+    def test_simultaneous_charge_and_discharge_falls_back(self,
+                                                          monkeypatch):
+        # full at a negative price, the split LP earns by buying and
+        # selling in one interval, which no bid can do
+        params = StorageParams(x_min=-4.0, x_max=4.0, y_min=0.0, y_max=8.0,
+                               eta_c=0.8, eta_d=0.8)
+        config = ExperimentConfig(
+            params=params, grid=TimeGrid(dt_hours=1.0, K=4),
+            budget=UncertaintyBudget(kind="total_budget", gamma=1.0),
+            options=ARBITRAGE)
+        day = arbitrage_day([-60.0, 10.0, 80.0, 30.0])
+        split = solve(split_arbitrage_lp(params, config.grid, 8.0,
+                                         day.prices, ARBITRAGE))
+        assert split.point["c[1]"] > 1e-6 and split.point["d[1]"] > 1e-6
+        results = self._capture(monkeypatch)
+        rec = run_day(config, day, 8.0)
+        milp = solve(dispatch_variant(params, config.grid, config.budget,
+                                      8.0, day.prices, ARBITRAGE))
+        assert results[-1].path != "split-lp"
+        assert rec.solve_path == results[-1].path
+        assert rec.objective == milp.objective
+        assert milp.objective > split.objective + 1e-3
+
+    def test_lossless_arbitrage_keeps_the_lp_path(self, monkeypatch):
+        lossless = StorageParams(x_min=-50, x_max=50, y_min=10, y_max=90,
+                                 eta_c=1.0, eta_d=1.0)
+        calls = []
+        real = backtest.solve
+        monkeypatch.setattr(backtest, "solve",
+                            lambda ir, **kw: calls.append(ir) or real(ir, **kw))
+        da = 40 + 30 * np.sin(np.arange(24) / 24 * 4 * np.pi)
+        rec = run_day(hourly_config(params=lossless, options=ARBITRAGE,
+                                    gap_target=None),
+                      arbitrage_day(da), 50.0)
+        assert [ir.n_binaries for ir in calls] == [0]
+        assert calls[0].has_var("x0[1]")
+        assert rec.solve_path == "milp"
 
 
 class TestIntradayMode:

@@ -179,6 +179,20 @@ class TestSolveDayCommand:
                    + rec["profit_dayahead"]
                    + rec["profit_intraday"])) < 1e-9
 
+    def test_arbitrage_day_names_the_split_path(self, tmp_path, data_dir,
+                                                capsys):
+        cfg = tmp_path / "arb.cfg"
+        cfg.write_text(HOURLY_CFG.replace("variant = restriction",
+                                          "variant = arbitrage_only\n"
+                                          "fcr_enabled = false")
+                       .replace("fcr_block_len = 4\n", ""))
+        code = main(["solve-day", "--config", str(cfg), "--data-dir",
+                     data_dir, "--date", "2021-01-01"])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "solve path       split-lp" in lines
+        assert any(line.startswith("gap              ") for line in lines)
+
     def test_missing_date_exit_code(self, cfg_file, data_dir):
         code = main(["solve-day", "--config", cfg_file, "--data-dir",
                      data_dir, "--date", "1999-01-01"])

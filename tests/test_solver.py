@@ -17,6 +17,7 @@ from storagebid.mpsio import EmissionError, emit_model
 from storagebid.soc import check_feasibility
 from storagebid.solve import (
     _STATUS,
+    _constraint_matrix,
     _highs,
     solve,
     solve_exact_bilinear,
@@ -177,6 +178,27 @@ class TestSolve:
             ir = dispatch_variant(params, grid, budget, 4.0, prices, opts)
             objs.add(round(solve(ir).objective, 12))
         assert len(objs) == 1
+
+
+class TestConstraintMatrix:
+    @pytest.mark.parametrize("variant", ["restriction", "arbitrage_only"])
+    def test_matches_a_row_by_row_reference(self, variant):
+        ir = _k4_model(variant)
+        # a repeated column within a row is summed, as scipy's milp does
+        ir.add_row("repeated", [(0, 1.5), (2, -1.0), (0, 0.25)], "<=", 3.0)
+        a, lo, hi = _constraint_matrix(ir)
+        dense = np.zeros((len(ir.rows), ir.n_vars))
+        ref_lo, ref_hi = [], []
+        for r, row in enumerate(ir.rows):
+            for i, c in row.coeffs:
+                dense[r, i] += c
+            ref_lo.append(-np.inf if row.sense == "<=" else row.rhs)
+            ref_hi.append(np.inf if row.sense == ">=" else row.rhs)
+        assert a.format == "csc" and a.indices.dtype == np.int32
+        assert a.has_canonical_format
+        np.testing.assert_array_equal(a.toarray(), dense)
+        np.testing.assert_array_equal(lo, ref_lo)
+        np.testing.assert_array_equal(hi, ref_hi)
 
 
 class TestEmission:
