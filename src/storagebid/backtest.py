@@ -171,45 +171,43 @@ def _extract_bids(point: dict[str, float], K: int, options: ModelOptions):
     return x0, np.zeros(K), np.zeros(K)
 
 
-# HiGHS's default mip_rel_gap: the gap at which the MILP stops when the
-# config sets no gap target
-DEFAULT_GAP = 1e-4
+# a split LP point counts as complementary when no interval charges and
+# discharges at once by more than this many kW
+COMPLEMENTARY_TOL = 1e-9
 
 
-def _solve_arbitrage(config: ExperimentConfig, ir, split,
-                     rebuild) -> SolveResult:
-    """Solve an arbitrage-only model ``ir`` that has charge/discharge
-    binaries, without branch and bound where two LPs prove the optimum.
+def _solve_arbitrage(config: ExperimentConfig, split,
+                     build) -> SolveResult:
+    """Solve an arbitrage-only day whose model ``build()`` has
+    charge/discharge binaries, building that model only where the split
+    LP ``split`` does not settle the day.
 
-    The split LP ``split`` bounds ``ir`` from below. Its bid x0 = d - c
-    fixes each binary ``u2[k]`` (1 where x0 <= 0; ``u1`` follows), which
-    leaves ``ir`` an LP. When that LP's optimum is within the MILP's
-    stopping gap of the bound, it is returned as ``optimal`` with the
-    split LP's objective as its bound and path ``split-lp``. Otherwise,
-    as when the split LP charges and discharges in one interval (which
-    only negative prices pay for), the MILP runs on ``rebuild()``. All
+    The split LP bounds the model from below. With x_up = x_dn = 0 the
+    worst-case SOC path is the nominal path of x0. At a complementary
+    point of the split LP (no interval with both c[k] and d[k] above
+    ``COMPLEMENTARY_TOL``) its state z is that nominal path for
+    x0 = d - c, and z's bounds and rows are the model's SOC limits: the
+    lower limit from ``y0_lo``, the upper from ``y0_hi`` and the terminal
+    floor. So x0 is a feasible bid at the bound, hence optimal: it is
+    returned as ``optimal`` with gap 0, path ``split-lp`` and a point
+    holding x0 only.
+
+    Otherwise the split LP charges and discharges in one interval, which
+    only negative prices pay for, and the MILP runs on ``build()``. Both
     solves share ``config.time_limit``."""
     t0 = time.perf_counter()
-
-    def time_left():
-        if config.time_limit is None:
-            return None
-        return max(0.0, config.time_limit - (time.perf_counter() - t0))
-
-    lower = solve(split, time_limit=time_left())
+    lower = solve(split, time_limit=config.time_limit)
     if lower.status == OPTIMAL:
-        for k in range(1, config.grid.K):
-            x0 = lower.point[f"d[{k}]"] - lower.point[f"c[{k}]"]
-            ir.fix_variable(f"u2[{k}]", float(x0 <= 0))
-        res = replace(solve(ir, time_limit=time_left()),
-                      bound=lower.objective)
-        gap_target = (DEFAULT_GAP if config.gap_target is None
-                      else config.gap_target)
-        if res.status == OPTIMAL and res.gap <= gap_target:
-            return replace(res, path="split-lp",
-                           solve_time=lower.solve_time + res.solve_time)
-    return solve(rebuild(), time_limit=time_left(),
-                 gap_target=config.gap_target)
+        K = config.grid.K
+        c = np.array([lower.point[f"c[{k}]"] for k in range(1, K + 1)])
+        d = np.array([lower.point[f"d[{k}]"] for k in range(1, K + 1)])
+        if np.all(np.minimum(c, d) <= COMPLEMENTARY_TOL):
+            return replace(lower, path="split-lp", point={
+                f"x0[{k}]": float(v) for k, v in enumerate(d - c, 1)})
+    time_left = None
+    if config.time_limit is not None:
+        time_left = max(0.0, config.time_limit - (time.perf_counter() - t0))
+    return solve(build(), time_limit=time_left, gap_target=config.gap_target)
 
 
 def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
@@ -228,13 +226,13 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
         return dispatch_variant(params, grid, budget, y0_lo, prices,
                                 config.options, y0_high=y0_hi)
 
-    ir = build()
-    if config.options.variant == "arbitrage_only" and ir.n_binaries > 0:
+    # a lossy battery's arbitrage model has charge/discharge binaries
+    if config.options.variant == "arbitrage_only" and not params.is_lossless:
         split = split_arbitrage_lp(params, grid, y0_lo, prices,
                                    config.options, y0_high=y0_hi)
-        res = _solve_arbitrage(config, ir, split, build)
+        res = _solve_arbitrage(config, split, build)
     else:
-        res = solve(ir, time_limit=config.time_limit,
+        res = solve(build(), time_limit=config.time_limit,
                     gap_target=config.gap_target)
     if res.status not in ("optimal", "feasible_limit"):
         raise SolverError(f"{day.date}: solver returned {res.status}: "

@@ -10,6 +10,7 @@ Directory layout (one file per day, UTF-8 CSV with a header row):
 from __future__ import annotations
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 
@@ -48,22 +49,49 @@ class DayData:
     signal: RegulationSignal
 
 
-def _read_csv(path: str, columns: int) -> list[list[float]]:
+def _row_error(path: str, lines: list[str], columns: int) -> DataError:
+    """The error for the first row that is short or not numeric, worded
+    as the ``csv`` module and ``float`` report it."""
+    for line in lines:
+        fields = line.split(",") if line else []
+        if len(fields) < columns:
+            return DataError(f"{path}: short row {fields!r}")
+        try:
+            for x in fields[:columns]:
+                float(x)
+        except ValueError as e:
+            return DataError(f"{path}: {e}")
+    return DataError(f"{path}: unreadable numeric value")
+
+
+def _read_csv(path: str, columns: int) -> np.ndarray:
+    """The rows after the header line, as an (n, columns) array of the
+    first ``columns`` fields of each row, parsed in one pass."""
     if not os.path.exists(path):
         raise DataError(f"missing data file {path}")
-    rows = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        for line in reader:
-            if len(line) < columns:
-                raise DataError(f"{path}: short row {line!r}")
-            try:
-                rows.append([float(x) for x in line[:columns]])
-            except ValueError as e:
-                raise DataError(f"{path}: {e}") from None
+    try:
+        with open(path) as f:
+            text = f.read()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: {e}") from None
+    if not text:
+        raise DataError(f"{path}: empty file")
+    body = text.partition("\n")[2]
+    if not body:
+        return np.empty((0, columns))
+    n_rows = body.count("\n") + (not body.endswith("\n"))
+    rows = None
+    # loadtxt skips blank lines (and warns when there is nothing else),
+    # but they are short rows
+    if body.strip("\n"):
+        try:
+            rows = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
+                              usecols=range(columns), comments=None,
+                              quotechar='"')
+        except ValueError:
+            pass
+    if rows is None or len(rows) != n_rows:
+        raise _row_error(path, body.split("\n")[:n_rows], columns)
     if not np.all(np.isfinite(rows)):
         raise DataError(f"{path}: non-finite value")
     return rows
@@ -71,25 +99,27 @@ def _read_csv(path: str, columns: int) -> list[list[float]]:
 
 def load_dayahead(path: str) -> np.ndarray:
     rows = _read_csv(path, 2)
-    if len(rows) != 24 or [int(r[0]) for r in rows] != list(range(24)):
+    if len(rows) != 24 or not np.array_equal(np.trunc(rows[:, 0]),
+                                             np.arange(24)):
         raise DataError(f"{path}: expected 24 hourly rows")
-    return np.array([r[1] for r in rows])
+    return rows[:, 1]
 
 
 def load_fcr(path: str) -> np.ndarray:
     rows = _read_csv(path, 2)
-    if len(rows) != 6 or [int(r[0]) for r in rows] != [0, 4, 8, 12, 16, 20]:
+    if len(rows) != 6 or not np.array_equal(np.trunc(rows[:, 0]),
+                                            np.arange(0, 24, 4)):
         raise DataError(f"{path}: expected 6 four-hour blocks")
-    return np.array([r[1] for r in rows])
+    return rows[:, 1]
 
 
 def load_frequency(path: str) -> np.ndarray:
     rows = _read_csv(path, 2)
-    offsets = np.array([r[0] for r in rows])
     expected = np.arange(SAMPLES_PER_DAY) * FREQ_SAMPLE_S
-    if len(rows) != SAMPLES_PER_DAY or not np.array_equal(offsets, expected):
+    if len(rows) != SAMPLES_PER_DAY or not np.array_equal(rows[:, 0],
+                                                          expected):
         raise DataError(f"{path}: gap in 10 s frequency samples")
-    return np.array([r[1] for r in rows])
+    return rows[:, 1]
 
 
 @dataclass(frozen=True)

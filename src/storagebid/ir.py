@@ -235,5 +235,7 @@ class ModelOptions:
                 f"unknown limited_arbitrage_mode {self.limited_arbitrage_mode!r}")
         if self.limited_arbitrage and not self.fcr_enabled:
             raise DomainError("limited_arbitrage requires fcr_enabled")
+        if self.intraday and not self.fcr_enabled:
+            raise DomainError("intraday requires fcr_enabled")
         if self.variant == "arbitrage_only" and self.fcr_enabled:
             raise DomainError("arbitrage_only excludes FCR participation")

@@ -25,7 +25,7 @@ from storagebid.builder import dispatch_variant, split_arbitrage_lp
 from storagebid.data import Dataset, DayData, generate_synthetic_dataset
 from storagebid.ir import ModelOptions
 from storagebid.soc import check_feasibility, simulate_soc
-from storagebid.solve import SolveResult, solve, verify_point
+from storagebid.solve import SolveResult, solve
 from storagebid.types import (
     BidSchedule,
     PriceSeries,
@@ -384,8 +384,7 @@ def arbitrage_day(da, dt_hours=1.0):
 
 class TestArbitrageSplitPath:
     """Arbitrage-only days with charge/discharge binaries are bid from the
-    split LP's bound and a fixed-sign completion, or by the MILP when the
-    two do not meet."""
+    split LP alone when its point is complementary, else by the MILP."""
 
     def _capture(self, monkeypatch):
         results = []
@@ -457,9 +456,16 @@ class TestArbitrageSplitPath:
             if res.path != "split-lp":
                 continue
             assert res.bound == bound.objective
-            report = verify_point(dispatch_variant(*args, y0_high=y0_hi),
-                                  res.point)
-            assert report.feasible, report.active_violations[:3]
+            # the bid completes to an optimum of the robust model
+            ir = dispatch_variant(*args, y0_high=y0_hi)
+            for k in range(1, grid.K + 1):
+                ir.fix_variable(f"x0[{k}]", float(x0[k - 1]))
+                if k < grid.K:
+                    ir.fix_variable(f"u2[{k}]", float(x0[k - 1] <= 0))
+            completed = solve(ir)
+            assert completed.status == "optimal"
+            assert completed.objective == pytest.approx(res.objective,
+                                                        abs=1e-9)
             bids = BidSchedule(x0=x0, x_up=np.zeros(grid.K),
                                x_dn=np.zeros(grid.K))
             for start in (y0_lo, y0_hi):
@@ -469,17 +475,22 @@ class TestArbitrageSplitPath:
         assert paths.count("split-lp") >= 100
         assert paths.count("milp") >= 10
 
-    def test_simultaneous_charge_and_discharge_falls_back(self,
-                                                          monkeypatch):
-        # full at a negative price, the split LP earns by buying and
-        # selling in one interval, which no bid can do
+    def _full_at_negative_price(self):
+        """A day that a full battery starts at a negative price: the split
+        LP earns by buying and selling in one interval, which no bid can
+        do."""
         params = StorageParams(x_min=-4.0, x_max=4.0, y_min=0.0, y_max=8.0,
                                eta_c=0.8, eta_d=0.8)
         config = ExperimentConfig(
             params=params, grid=TimeGrid(dt_hours=1.0, K=4),
             budget=UncertaintyBudget(kind="total_budget", gamma=1.0),
             options=ARBITRAGE)
-        day = arbitrage_day([-60.0, 10.0, 80.0, 30.0])
+        return config, arbitrage_day([-60.0, 10.0, 80.0, 30.0])
+
+    def test_simultaneous_charge_and_discharge_falls_back(self,
+                                                          monkeypatch):
+        config, day = self._full_at_negative_price()
+        params = config.params
         split = solve(split_arbitrage_lp(params, config.grid, 8.0,
                                          day.prices, ARBITRAGE))
         assert split.point["c[1]"] > 1e-6 and split.point["d[1]"] > 1e-6
@@ -491,6 +502,39 @@ class TestArbitrageSplitPath:
         assert rec.solve_path == results[-1].path
         assert rec.objective == milp.objective
         assert milp.objective > split.objective + 1e-3
+
+    def _count_calls(self, monkeypatch):
+        calls = {"dispatch_variant": 0, "solve": 0}
+        for name in calls:
+            real = getattr(backtest, name)
+
+            def counted(*args, _name=name, _real=real, **kw):
+                calls[_name] += 1
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(backtest, name, counted)
+        return calls
+
+    def test_complementary_day_builds_no_robust_model(self, monkeypatch):
+        results = self._capture(monkeypatch)
+        calls = self._count_calls(monkeypatch)
+        da = 40 + 30 * np.sin(np.arange(24) / 24 * 4 * np.pi)
+        rec, x0, _, _ = run_day_with_bids(
+            hourly_config(options=ARBITRAGE, gap_target=None),
+            arbitrage_day(da), 50.0)
+        assert calls == {"dispatch_variant": 0, "solve": 1}
+        res = results[-1]
+        assert res.path == rec.solve_path == "split-lp"
+        assert res.status == "optimal" and res.gap == 0.0
+        assert rec.solve_time == res.solve_time > 0.0
+        assert set(res.point) == {f"x0[{k}]" for k in range(1, 25)}
+        assert np.any(x0 > 0) and np.any(x0 < 0)
+
+    def test_negative_price_day_builds_the_robust_model(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        # the split LP, then the MILP on one build of the robust model
+        run_day(*self._full_at_negative_price(), 8.0)
+        assert calls == {"dispatch_variant": 1, "solve": 2}
 
     def test_lossless_arbitrage_keeps_the_lp_path(self, monkeypatch):
         lossless = StorageParams(x_min=-50, x_max=50, y_min=10, y_max=90,

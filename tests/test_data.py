@@ -1,16 +1,20 @@
 """Tests for CSV ingestion, the frequency-to-signal mapping, and the
 synthetic data generator."""
 
+import csv
 import hashlib
 import os
+import string
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from storagebid.data import (
     DataError,
     Dataset,
     SAMPLES_PER_DAY,
+    _read_csv,
     frequency_to_signal,
     generate_synthetic_dataset,
     load_dayahead,
@@ -111,6 +115,158 @@ class TestCsvReaders:
         assert day.date == dates[1]
         assert day.prices.day_ahead.shape == (24,)
         assert day.signal.values.shape == (SAMPLES_PER_DAY,)
+
+
+def reference_read_csv(path: str, columns: int) -> list[list[float]]:
+    """The row-by-row ``csv``-module reader that ``_read_csv`` replaced,
+    kept as the reference for its values and its errors."""
+    if not os.path.exists(path):
+        raise DataError(f"missing data file {path}")
+    rows = []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        for line in reader:
+            if len(line) < columns:
+                raise DataError(f"{path}: short row {line!r}")
+            try:
+                rows.append([float(x) for x in line[:columns]])
+            except ValueError as e:
+                raise DataError(f"{path}: {e}") from None
+    if not np.all(np.isfinite(rows)):
+        raise DataError(f"{path}: non-finite value")
+    return rows
+
+
+FORMATS = (repr, str, lambda x: format(x, ".6f"), lambda x: format(x, "e"),
+           lambda x: format(x, ".17g"), lambda x: f" {x!r} ")
+finite = st.floats(allow_nan=False, allow_infinity=False)
+extra_field = st.text(alphabet=string.ascii_letters + string.digits + " .",
+                      max_size=5)
+
+
+@st.composite
+def day_file(draw):
+    """A well-formed two-column day file: header, rows of finite values in
+    one of several number formats, optional extra columns, either line
+    ending, with or without a final newline."""
+    fmt = draw(st.sampled_from(FORMATS))
+    values = draw(st.lists(st.tuples(finite, finite), max_size=30))
+    rows = []
+    for a, b in values:
+        extra = draw(st.lists(extra_field, max_size=2))
+        rows.append(",".join([fmt(a), fmt(b)] + extra))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(["offset,value"] + rows)
+    if draw(st.booleans()):
+        text += eol
+    return text, values
+
+
+BAD_TOKENS = ("", "abc", "1e", "--1", "0x10", "1 2", "1.2.3", "nan", "inf",
+              "-inf", "NaN", "Infinity")
+
+
+@st.composite
+def malformed_file(draw):
+    """A day file broken in one way: a short or blank row, a non-numeric
+    or non-finite value, or no content at all."""
+    text, values = draw(day_file())
+    lines = text.splitlines()
+    kind = draw(st.sampled_from(["short", "blank", "token", "empty"]))
+    if kind == "empty":
+        return ""
+    at = draw(st.integers(1, len(lines)))
+    if kind == "short":
+        lines.insert(at, draw(st.sampled_from(["5", "  ", "abc"])))
+    elif kind == "blank":
+        lines.insert(at, "")
+    else:
+        lines.insert(at, "1," + draw(st.sampled_from(BAD_TOKENS)))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("error::UserWarning")
+class TestReaderMatchesCsvModule:
+    """``_read_csv`` parses a file in one vectorized pass; the row-by-row
+    ``csv`` reader is its reference."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=day_file())
+    def test_well_formed_files_parse_bit_identically(self, tmp_path, case):
+        text, values = case
+        p = tmp_path / "day.csv"
+        p.write_bytes(text.encode())
+        got = _read_csv(str(p), 2)
+        want = np.array(reference_read_csv(str(p), 2),
+                        dtype=float).reshape(-1, 2)
+        assert got.shape == want.shape == (len(values), 2)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=malformed_file())
+    def test_malformed_files_raise_the_reference_error(self, tmp_path,
+                                                       text):
+        p = tmp_path / "day.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(DataError) as want:
+            reference_read_csv(str(p), 2)
+        with pytest.raises(DataError) as got:
+            _read_csv(str(p), 2)
+        assert str(got.value) == str(want.value)
+        assert str(p) in str(got.value)
+
+    def test_header_only_file_gives_no_rows(self, tmp_path):
+        p = tmp_path / "day.csv"
+        p.write_text("hour,price\n")
+        assert _read_csv(str(p), 2).shape == (0, 2)
+        with pytest.raises(DataError, match="24 hourly"):
+            load_dayahead(str(p))
+
+    def test_blank_line_is_a_short_row(self, tmp_path):
+        p = tmp_path / "day.csv"
+        p.write_text("hour,price\n" + "".join(
+            f"{h},10.0\n" + ("\n" if h == 5 else "") for h in range(24)))
+        with pytest.raises(DataError, match=r"short row \[\]"):
+            load_dayahead(str(p))
+
+    def test_undecodable_file_is_a_data_error(self, tmp_path):
+        p = tmp_path / "day.csv"
+        p.write_bytes(b"hour,price\n0,\xff\xfe\n")
+        with pytest.raises(DataError) as e:
+            load_dayahead(str(p))
+        assert str(p) in str(e.value)
+
+    @pytest.mark.parametrize("loader, sub, edit", [
+        (load_dayahead, "dayahead", "drop"),
+        (load_dayahead, "dayahead", "gap"),
+        (load_fcr, "fcr", "drop"),
+        (load_fcr, "fcr", "gap"),
+        (load_frequency, "frequency", "drop"),
+        (load_frequency, "frequency", "gap")])
+    def test_missing_or_gapped_rows_rejected(self, tmp_path, loader, sub,
+                                             edit):
+        dates = generate_synthetic_dataset(str(tmp_path), seed=3, days=1,
+                                           gamma=2.75)
+        p = tmp_path / sub / f"{dates[0]}.csv"
+        lines = p.read_text().splitlines()
+        assert np.array_equal(
+            loader(str(p)),
+            np.array(reference_read_csv(str(p), 2))[:, 1])
+        if edit == "drop":
+            del lines[3]
+        else:
+            first, rest = lines[3].split(",")
+            lines[3] = f"{float(first) + 1.5},{rest}"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError,
+                           match="expected|gap in 10 s") as e:
+            loader(str(p))
+        assert str(p) in str(e.value)
 
 
 class TestSyntheticGenerator:

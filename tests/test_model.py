@@ -291,6 +291,12 @@ class TestVariants:
         with pytest.raises(DomainError):
             ModelOptions(variant="arbitrage_only", fcr_enabled=True)
 
+    def test_intraday_requires_fcr(self):
+        # the intraday power bounds act on the symmetric reserve bid
+        with pytest.raises(DomainError, match="intraday"):
+            ModelOptions(variant="arbitrage_only", fcr_enabled=False,
+                         intraday=True)
+
     def test_arbitrage_only_matches_split_lp(self):
         # independent oracle: charge/discharge split LP; at nonnegative
         # prices its complementarity relaxation is exact
