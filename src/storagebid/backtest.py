@@ -53,10 +53,10 @@ def _trailing_sums(v: np.ndarray, window_len: int) -> np.ndarray:
 def _abs_interval_integrals(signal: RegulationSignal,
                             grid: TimeGrid) -> np.ndarray:
     """Integral of |xi| over each trading interval, in hours; samples
-    past the horizon are ignored, as in ``interval_integrals``."""
-    per = signal.check_alignment(grid)
-    return np.abs(signal.values[:per * grid.K]).reshape(grid.K, per) \
-        .sum(axis=1) * signal.sample_period_hours
+    past the horizon are ignored."""
+    magnitude = RegulationSignal(np.abs(signal.values),
+                                 signal.sample_period_hours)
+    return magnitude.interval_integrals(grid)
 
 
 def intraday_adjustments(xr: np.ndarray, signal: RegulationSignal,
@@ -115,7 +115,6 @@ class ExperimentConfig:
     initial_soc: float | None = None
     start_date: str | None = None
     end_date: str | None = None
-    exclude_dst: bool = True
 
     def __post_init__(self):
         if self.bidding_time not in ("midnight", "8am"):
@@ -376,8 +375,8 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
                  dates: list[str] | None = None) -> BacktestReport:
     """Sequential daily loop. With day coupling, each day starts from the
     previous day's realized midnight SOC; otherwise every day starts from
-    the configured initial SOC. Missing or malformed data and solver
-    failures skip the day with a reason."""
+    the configured initial SOC. DST transition days, missing or malformed
+    data and solver failures skip the day with a reason."""
     if dates is None:
         dates = dataset.dates()
     if config.start_date is not None:
@@ -389,7 +388,7 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
     y0 = config.y0_default
     prev_xr: np.ndarray | None = None
     for date in dates:
-        if config.exclude_dst and is_dst_transition(date):
+        if is_dst_transition(date):
             report.skipped.append((date, "dst_transition"))
             continue
         try:

@@ -330,12 +330,11 @@ def build_intraday_power_bounds(ir: ModelIR, params: StorageParams,
 
 
 def limited_arbitrage_rows(ir: ModelIR, params: StorageParams, grid: TimeGrid,
-                           budget: UncertaintyBudget, options: ModelOptions,
+                           budget: UncertaintyBudget,
                            fcr_block: int) -> None:
     """Cap day-ahead trading by the worst-case regulation energy the FCR
-    bid can induce. Per-block mode: |x0| energy within each FCR block is
-    at most the block's deviation budget times its reserve bid; the
-    per-interval mode prorates the cap to single intervals."""
+    bid can induce: |x0| energy within each FCR block is at most the
+    block's deviation budget times its reserve bid."""
     if not ir.has_var("xr[1]"):
         raise ModelError("limited arbitrage requires symmetric reserve bids")
     dt = grid.dt_hours
@@ -347,22 +346,13 @@ def limited_arbitrage_rows(ir: ModelIR, params: StorageParams, grid: TimeGrid,
                    ">=", 0.0)
         ir.add_row(f"abs_neg[{k}]", [(s, 1.0), (ir.var(f"x0[{k}]"), 1.0)],
                    ">=", 0.0)
-    block_hours = fcr_block * dt
-    gamma_block = budget.total_gamma(block_hours)
-    if options.limited_arbitrage_mode == "per_block":
-        for b in range(K // fcr_block):
-            first = b * fcr_block + 1
-            coeffs = [(ir.var(f"s[{k}]"), dt)
-                      for k in range(first, first + fcr_block)]
-            coeffs.append((ir.var(f"xr[{first}]"), -gamma_block))
-            ir.add_row(f"lim_arb_blk[{b + 1}]", coeffs, "<=", 0.0)
-    else:
-        frac = gamma_block / block_hours
-        for k in range(1, K + 1):
-            ir.add_row(f"lim_arb[{k}]",
-                       [(ir.var(f"s[{k}]"), 1.0),
-                        (ir.var(f"xr[{k}]"), -frac)],
-                       "<=", 0.0)
+    gamma_block = budget.total_gamma(fcr_block * dt)
+    for b in range(K // fcr_block):
+        first = b * fcr_block + 1
+        coeffs = [(ir.var(f"s[{k}]"), dt)
+                  for k in range(first, first + fcr_block)]
+        coeffs.append((ir.var(f"xr[{first}]"), -gamma_block))
+        ir.add_row(f"lim_arb_blk[{b + 1}]", coeffs, "<=", 0.0)
 
 
 def split_arbitrage_lp(params: StorageParams, grid: TimeGrid, y0: float,
@@ -497,7 +487,7 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
         add_terminal_condition(ir, grid, y0, options.terminal_soc_floor)
     build_objective(ir, prices, grid, options.fcr_enabled)
     if options.limited_arbitrage:
-        limited_arbitrage_rows(ir, params, grid, budget, options, fcr_block)
+        limited_arbitrage_rows(ir, params, grid, budget, fcr_block)
     ir.validate()
     return ir
 

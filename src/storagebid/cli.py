@@ -8,7 +8,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -49,8 +48,7 @@ _BOOL = {"true": True, "false": False, "1": True, "0": False,
 _OPTION_KEYS = {
     "variant": str, "fcr_enabled": bool,
     "intraday": bool, "terminal_soc_floor": float,
-    "limited_arbitrage": bool, "limited_arbitrage_mode": str,
-    "fcr_block_len": int, "da_block_len": int,
+    "limited_arbitrage": bool, "fcr_block_len": int, "da_block_len": int,
 }
 _PARAM_KEYS = {"x_min": float, "x_max": float, "y_min": float,
                "y_max": float, "eta_c": float, "eta_d": float}
@@ -59,7 +57,7 @@ _BUDGET_KEYS = {"budget_kind": str, "gamma": float, "gamma_prime": float,
                 "Gamma_prime": float}
 _RUN_KEYS = {"bidding_time": str, "day_coupling": bool, "time_limit": float,
              "gap_target": float, "initial_soc": float,
-             "start_date": str, "end_date": str, "exclude_dst": bool}
+             "start_date": str, "end_date": str}
 
 
 def parse_config_text(text: str) -> dict:
@@ -219,32 +217,14 @@ def cmd_backtest(args) -> int:
 
 
 def read_bids_csv(path: str, K: int) -> BidSchedule:
-    """Columns: interval (1-based), x0_kw, x_up_kw, x_dn_kw."""
-    if not os.path.exists(path):
-        raise dat.DataError(f"missing bids file {path}")
-    x0 = np.zeros(K)
-    x_up = np.zeros(K)
-    x_dn = np.zeros(K)
-    seen = set()
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        next(reader, None)
-        for row in reader:
-            if len(row) < 4:
-                raise dat.DataError(f"{path}: short row {row!r}")
-            try:
-                k = int(row[0])
-                values = [float(v) for v in row[1:4]]
-            except ValueError as e:
-                raise dat.DataError(f"{path}: {e}") from None
-            if not (1 <= k <= K) or k in seen:
-                raise dat.DataError(f"{path}: bad interval index {k}")
-            seen.add(k)
-            x0[k - 1], x_up[k - 1], x_dn[k - 1] = values
-    if len(seen) != K:
-        raise dat.DataError(f"{path}: expected {K} intervals, got {len(seen)}")
+    """Columns: interval (1-based), x0_kw, x_up_kw, x_dn_kw, one row for
+    each interval 1..K in any order; further columns are ignored."""
+    rows = dat._read_csv(path, 4)
+    rows = rows[np.argsort(rows[:, 0])]
+    if not np.array_equal(rows[:, 0], np.arange(1, K + 1)):
+        raise dat.DataError(f"{path}: expected intervals 1..{K}, each once")
     try:
-        return BidSchedule(x0=x0, x_up=x_up, x_dn=x_dn)
+        return BidSchedule(x0=rows[:, 1], x_up=rows[:, 2], x_dn=rows[:, 3])
     except DomainError as e:
         raise dat.DataError(f"{path}: {e}") from None
 

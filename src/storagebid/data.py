@@ -163,11 +163,10 @@ def synthetic_prices(rng: np.random.Generator, base: float = 45.0,
 
 def synthetic_signal(rng: np.random.Generator, gamma: float,
                      budget_target: float = 0.7,
-                     n: int = SAMPLES_PER_DAY,
-                     sample_period_hours: float = FREQ_SAMPLE_S / 3600.0
-                     ) -> RegulationSignal:
+                     n: int = SAMPLES_PER_DAY) -> RegulationSignal:
     """Mean-reverting frequency-deviation noise scaled so the daily
     deviation-time usage approximates ``budget_target`` of gamma."""
+    sample_period_hours = FREQ_SAMPLE_S / 3600.0
     x = np.empty(n)
     x[0] = 0.0
     theta, sig = 0.02, 0.12

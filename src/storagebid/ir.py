@@ -220,7 +220,6 @@ class ModelOptions:
     intraday: bool = False
     terminal_soc_floor: float | None = None
     limited_arbitrage: bool = False
-    limited_arbitrage_mode: str = "per_block"  # or "per_interval"
     fcr_block_len: int | None = None
     da_block_len: int | None = None
 
@@ -230,9 +229,6 @@ class ModelOptions:
     def __post_init__(self):
         if self.variant not in self.VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}")
-        if self.limited_arbitrage_mode not in ("per_block", "per_interval"):
-            raise DomainError(
-                f"unknown limited_arbitrage_mode {self.limited_arbitrage_mode!r}")
         if self.limited_arbitrage and not self.fcr_enabled:
             raise DomainError("limited_arbitrage requires fcr_enabled")
         if self.intraday and not self.fcr_enabled:

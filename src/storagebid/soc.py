@@ -14,6 +14,7 @@ cross-validation on small instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 # unused here: kept so bench/tracing.py can patch and count soc.linprog
@@ -315,14 +316,12 @@ def _max_witness(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
 
 
 def max_soc_at_time(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
-                    gamma: float, y0: float, t: float,
-                    lam_max: float | None = None) -> WorstCaseResult:
+                    gamma: float, y0: float, t: float) -> WorstCaseResult:
     """Exact maximum SOC at time t over all budget-feasible signals."""
     if t < -ABS_TOL or t > grid.T + ABS_TOL:
         raise DomainError(f"t={t} outside horizon")
-    if lam_max is None:
-        _check_power_bounds(bids, params)
-        lam_max = (params.x_max - params.x_min) / params.eta_d
+    _check_power_bounds(bids, params)
+    lam_max = (params.x_max - params.x_min) / params.eta_d
     if t <= 0:
         return WorstCaseResult(value=y0, lambda_star=0.0,
                                witness_xi=np.zeros(grid.K), t_star=0.0, sign=-1)
@@ -441,7 +440,7 @@ class ConstraintCheck:
 @dataclass(frozen=True)
 class FeasibilityReport:
     checks: list[ConstraintCheck]
-    tol: float = 1e-9
+    tol: ClassVar[float] = 1e-9
 
     @property
     def worst(self) -> ConstraintCheck:

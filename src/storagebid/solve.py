@@ -8,6 +8,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from itertools import chain
+from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -207,7 +208,7 @@ class RowResidual:
 @dataclass(frozen=True)
 class VerificationReport:
     residuals: list[RowResidual]
-    tol: float
+    tol: ClassVar[float] = 1e-6
 
     @property
     def violations(self) -> list[RowResidual]:
@@ -243,7 +244,7 @@ def verify_point(ir: ModelIR, point: dict[str, float]) -> VerificationReport:
     for row in ir.bilinear_rows:
         out.append(RowResidual(name=row.name, residual=residual(row, x),
                                bilinear=True, active=row.active))
-    return VerificationReport(residuals=out, tol=1e-6)
+    return VerificationReport(residuals=out)
 
 
 # ---------------------------------------------------------------------------

@@ -165,10 +165,10 @@ class UncertaintyBudget:
             raise DomainError(f"unknown budget kind {self.kind!r}")
 
     @classmethod
-    def from_eu_rules(cls, gamma_prime: float,
-                      recovery_hours: float = 2.0) -> "UncertaintyBudget":
+    def from_eu_rules(cls, gamma_prime: float) -> "UncertaintyBudget":
+        """Rolling window with the 2 h recovery time of the EU rules."""
         return cls(kind="rolling_window", gamma_prime=gamma_prime,
-                   Gamma_prime=gamma_prime + recovery_hours)
+                   Gamma_prime=gamma_prime + 2.0)
 
     def validate_for_grid(self, grid: TimeGrid) -> None:
         """Total budgets must be a positive integer multiple of dt and at
@@ -214,7 +214,6 @@ class BidSchedule:
     x0: np.ndarray
     x_up: np.ndarray
     x_dn: np.ndarray
-    symmetric: bool = False
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float)
@@ -229,8 +228,6 @@ class BidSchedule:
             raise DomainError("bids must be finite")
         if np.any(x_up < -ABS_TOL) or np.any(x_dn < -ABS_TOL):
             raise DomainError("regulation bids must be nonnegative")
-        if self.symmetric and not np.allclose(x_up, x_dn, atol=ABS_TOL):
-            raise DomainError("symmetric schedule requires x_up == x_dn")
 
     @property
     def K(self) -> int:
@@ -239,7 +236,7 @@ class BidSchedule:
     @classmethod
     def zero(cls, K: int) -> "BidSchedule":
         z = np.zeros(K)
-        return cls(x0=z, x_up=z.copy(), x_dn=z.copy(), symmetric=True)
+        return cls(x0=z, x_up=z.copy(), x_dn=z.copy())
 
 
 @dataclass(frozen=True)
@@ -287,11 +284,9 @@ class RegulationSignal:
         return v.sum(axis=1) * self.sample_period_hours
 
     @classmethod
-    def constant(cls, value: float, grid: TimeGrid,
-                 sample_period_hours: float = 10.0 / 3600.0) -> "RegulationSignal":
-        n = round(grid.T / sample_period_hours)
-        return cls(values=np.full(n, float(value)),
-                   sample_period_hours=sample_period_hours)
+    def constant(cls, value: float, grid: TimeGrid) -> "RegulationSignal":
+        n = round(grid.T / cls.sample_period_hours)
+        return cls(values=np.full(n, float(value)))
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,7 @@ def solve_variant(inst, variant):
 def point_bids(point, K):
     x0 = np.array([point[f"x0[{k}]"] for k in range(1, K + 1)])
     xr = np.array([point.get(f"xr[{k}]", 0.0) for k in range(1, K + 1)])
-    return BidSchedule(x0=x0, x_up=xr, x_dn=xr.copy(), symmetric=True)
+    return BidSchedule(x0=x0, x_up=xr, x_dn=xr.copy())
 
 
 @pytest.fixture(scope="module")

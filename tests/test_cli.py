@@ -18,6 +18,8 @@ from storagebid.cli import (
     read_bids_csv,
 )
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
 HOURLY_CFG = """\
 variant = restriction
 fcr_block_len = 4
@@ -70,8 +72,10 @@ class TestConfigParsing:
             config_from_mapping({"K": "4", "dt_hours": "1", "zap": "1"})
 
     @pytest.mark.parametrize(
-        "line", ["country = DE", "backend = /usr/bin/true", "symmetric = true"],
-        ids=["country", "backend", "symmetric"])
+        "line", ["country = DE", "backend = /usr/bin/true", "symmetric = true",
+                 "limited_arbitrage_mode = per_block", "exclude_dst = false"],
+        ids=["country", "backend", "symmetric", "limited_arbitrage_mode",
+             "exclude_dst"])
     def test_country_key_rejected(self, line):
         raw = parse_config_text(HOURLY_CFG + line + "\n")
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -91,6 +95,16 @@ class TestConfigParsing:
     def test_override_variant(self, cfg_file):
         cfg = load_config(cfg_file, {"variant": "relaxation"})
         assert cfg.options.variant == "relaxation"
+
+    def test_readme_config_block_loads(self):
+        with open(README, encoding="utf-8") as f:
+            text = f.read()
+        after = text.split("Configs are plain `key = value` files:", 1)[1]
+        block = after.split("```", 2)[1]
+        cfg = config_from_mapping(parse_config_text(block))
+        assert cfg.options.variant == "restriction"
+        assert cfg.grid.K == 24
+        assert cfg.budget.gamma == 2.0
 
     def test_empty_horizon_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -266,6 +280,25 @@ initial_soc = 0.5
         cfg, bids = self._write(tmp_path, ["1,0,0,0"])  # missing interval 2
         assert main(["verify", "--config", cfg, "--bids", bids]) == EXIT_DATA
 
+    @pytest.mark.parametrize("rows", [
+        ["1,0,0,0", "1,0,0,0"],
+        ["0,0,0,0", "1,0,0,0"],
+        ["1,0,0,0", "3,0,0,0"],
+        ["1,0,0,0", "1.5,0,0,0"],
+    ], ids=["duplicate", "zero", "past-K", "fractional"])
+    def test_bad_interval_column_is_a_data_error(self, tmp_path, capsys,
+                                                 rows):
+        cfg, bids = self._write(tmp_path, rows)
+        assert main(["verify", "--config", cfg, "--bids", bids]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and bids in err
+
+    def test_missing_bids_file_is_a_data_error(self, tmp_path, capsys):
+        cfg, bids = self._write(tmp_path, ["1,0,0,0", "2,0,0,0"])
+        os.remove(bids)
+        assert main(["verify", "--config", cfg, "--bids", bids]) == EXIT_DATA
+        assert "missing data file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row", ["1,nan,0,0", "1,0,inf,0",
                                      "1,0,0,x"])
     def test_unreadable_bid_value_is_a_data_error(self, tmp_path, capsys,
@@ -280,6 +313,13 @@ initial_soc = 0.5
         sched = read_bids_csv(bids, 2)
         np.testing.assert_array_equal(sched.x0, [1.0, 0.5])
         np.testing.assert_array_equal(sched.x_up, [0.2, 0.1])
+        np.testing.assert_array_equal(sched.x_dn, [2.5, 3.5])
+
+    def test_extra_columns_ignored(self, tmp_path):
+        cfg, bids = self._write(tmp_path, ["2,0.5,0.1,3.5,late",
+                                           "1,1.0,0.2,2.5,early"])
+        sched = read_bids_csv(bids, 2)
+        np.testing.assert_array_equal(sched.x0, [1.0, 0.5])
         np.testing.assert_array_equal(sched.x_dn, [2.5, 3.5])
 
 

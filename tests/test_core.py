@@ -76,7 +76,7 @@ class TestEffectiveBudget:
         assert effective_budget(0.25, 2.25, 2.0) == pytest.approx(0.25)
 
     def test_budget_object(self):
-        b = UncertaintyBudget.from_eu_rules(gamma_prime=0.25, recovery_hours=2.0)
+        b = UncertaintyBudget.from_eu_rules(gamma_prime=0.25)
         assert b.Gamma_prime == pytest.approx(2.25)
         assert b.total_gamma(24.0) == pytest.approx(2.75)
 
@@ -126,11 +126,6 @@ class TestStorageParams:
 
 
 class TestBidSchedule:
-    def test_symmetric(self):
-        with pytest.raises(DomainError):
-            BidSchedule(x0=np.zeros(2), x_up=np.array([1.0, 1.0]),
-                        x_dn=np.array([1.0, 2.0]), symmetric=True)
-
     def test_negative_reserve_rejected(self):
         with pytest.raises(DomainError):
             BidSchedule(x0=np.zeros(2), x_up=np.array([-1.0, 0.0]),

@@ -352,7 +352,7 @@ class TestOrderingAndSoundness:
         def ok(point):
             x0 = np.array([point[f"x0[{k}]"] for k in range(1, 5)])
             xr = np.array([point[f"xr[{k}]"] for k in range(1, 5)])
-            bids = BidSchedule(x0=x0, x_up=xr, x_dn=xr.copy(), symmetric=True)
+            bids = BidSchedule(x0=x0, x_up=xr, x_dn=xr.copy())
             rep = check_feasibility(bids, params, grid,
                                     budget.total_gamma(grid.T), y0)
             return rep.worst.slack >= -1e-7
@@ -379,7 +379,7 @@ class TestOrderingAndSoundness:
         assert res.ok
         x0 = np.array([res.point[f"x0[{k}]"] for k in range(1, 5)])
         xr = np.array([res.point[f"xr[{k}]"] for k in range(1, 5)])
-        bids = BidSchedule(x0=x0, x_up=xr, x_dn=xr.copy(), symmetric=True)
+        bids = BidSchedule(x0=x0, x_up=xr, x_dn=xr.copy())
         rep = check_feasibility(bids, params, grid,
                                 budget.total_gamma(grid.T), y0)
         assert rep.worst_violation <= 1e-6
@@ -429,24 +429,22 @@ class TestGapBound:
 
 
 class TestLimitedArbitrage:
-    def _profit(self, limited, mode="per_block"):
+    def _profit(self, limited):
         params = small_battery()
         grid = TimeGrid(dt_hours=1.0, K=4)
         budget = UncertaintyBudget(kind="total_budget", gamma=1.0)
         prices = PriceSeries(day_ahead=np.array([5.0, 90.0, 10.0, 80.0]),
                              fcr_availability=np.array([20.0]))
         opts = ModelOptions(variant="restriction", fcr_block_len=4,
-                            da_block_len=1, limited_arbitrage=limited,
-                            limited_arbitrage_mode=mode)
+                            da_block_len=1, limited_arbitrage=limited)
         res = solve(dispatch_variant(params, grid, budget, 4.0, prices, opts))
         assert res.ok
         return -res.objective, res
 
     def test_profit_dominated_by_full_mode(self):
         full, _ = self._profit(False)
-        for mode in ("per_block", "per_interval"):
-            limited, _ = self._profit(True, mode)
-            assert limited <= full + 1e-9
+        limited, _ = self._profit(True)
+        assert limited <= full + 1e-9
 
     def test_zero_reserve_forces_zero_arbitrage(self):
         params = small_battery()

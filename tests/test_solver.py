@@ -444,7 +444,7 @@ class TestWarmStart:
         assert res.objective <= res.start_objective + 1e-9
         x0 = np.array([res.point[f"x0[{k}]"] for k in range(1, 25)])
         xr = np.array([res.point[f"xr[{k}]"] for k in range(1, 25)])
-        bids = BidSchedule(x0=x0, x_up=xr, x_dn=xr.copy(), symmetric=True)
+        bids = BidSchedule(x0=x0, x_up=xr, x_dn=xr.copy())
         rep = check_feasibility(bids, params, grid, 2.0, 50.0)
         assert rep.feasible
 
