@@ -54,6 +54,12 @@ def build_power_bounds(ir: ModelIR, params: StorageParams, grid: TimeGrid,
                    ">=", params.x_min)
 
 
+def _family(ir: ModelIR, name: str, n: int) -> list:
+    """Indices of ``name[1]..name[n]`` at list positions 1..n, resolved
+    once so that the O(K^2) blocks below look up no name per coefficient."""
+    return [None] + [ir.var(f"{name}[{k}]") for k in range(1, n + 1)]
+
+
 def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
                     gamma: float, y0: float) -> None:
     """Worst-case SOC lower bound: dual reformulation with alpha/beta
@@ -64,34 +70,34 @@ def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     K = grid.K
     hi = max(params.x_max * ec, params.x_max / ed)
     lo = min(params.x_min * ec, params.x_min / ed)
+    alpha = [None] + [ir.add_variable(f"alpha[{k}]", lower=lo, upper=hi)
+                      for k in range(1, K + 1)]
+    beta = [None] + [ir.add_variable(f"beta[{k}]", lower=lo, upper=hi)
+                     for k in range(1, K + 1)]
+    laml, Laml = [None], [None]
     for k in range(1, K + 1):
-        ir.add_variable(f"alpha[{k}]", lower=lo, upper=hi)
+        laml.append(ir.add_variable(f"laml[{k}]", lower=0.0))
+        Laml.append([None] + [ir.add_variable(f"Laml[{k},{l}]", lower=0.0)
+                              for l in range(1, k + 1)])
+    x0, xup = _family(ir, "x0", K), _family(ir, "x_up", K)
     for k in range(1, K + 1):
-        ir.add_variable(f"beta[{k}]", lower=lo, upper=hi)
-    for k in range(1, K + 1):
-        ir.add_variable(f"laml[{k}]", lower=0.0)
-        for l in range(1, k + 1):
-            ir.add_variable(f"Laml[{k},{l}]", lower=0.0)
-    for k in range(1, K + 1):
-        x0, xup = ir.var(f"x0[{k}]"), ir.var(f"x_up[{k}]")
-        a, b = ir.var(f"alpha[{k}]"), ir.var(f"beta[{k}]")
-        ir.add_row(f"alpha_c[{k}]", [(a, 1.0), (x0, -ec)], ">=", 0.0)
-        ir.add_row(f"alpha_d[{k}]", [(a, 1.0), (x0, -1.0 / ed)], ">=", 0.0)
-        ir.add_row(f"beta_c[{k}]", [(b, 1.0), (x0, -ec), (xup, -ec)], ">=", 0.0)
-        ir.add_row(f"beta_d[{k}]", [(b, 1.0), (x0, -1.0 / ed), (xup, -1.0 / ed)],
+        a, b = alpha[k], beta[k]
+        ir.add_row(f"alpha_c[{k}]", [(a, 1.0), (x0[k], -ec)], ">=", 0.0)
+        ir.add_row(f"alpha_d[{k}]", [(a, 1.0), (x0[k], -1.0 / ed)], ">=", 0.0)
+        ir.add_row(f"beta_c[{k}]", [(b, 1.0), (x0[k], -ec), (xup[k], -ec)],
+                   ">=", 0.0)
+        ir.add_row(f"beta_d[{k}]",
+                   [(b, 1.0), (x0[k], -1.0 / ed), (xup[k], -1.0 / ed)],
                    ">=", 0.0)
     for k in range(1, K + 1):
-        coeffs = [(ir.var(f"laml[{k}]"), -gamma)]
+        coeffs = [(laml[k], -gamma)]
         for l in range(1, k + 1):
-            coeffs.append((ir.var(f"alpha[{l}]"), -dt))
-            coeffs.append((ir.var(f"Laml[{k},{l}]"), -dt))
+            coeffs += ((alpha[l], -dt), (Laml[k][l], -dt))
         ir.add_row(f"soc_lo[{k}]", coeffs, ">=", params.y_min - y0)
         for l in range(1, k + 1):
             ir.add_row(f"Laml_epi[{k},{l}]",
-                       [(ir.var(f"Laml[{k},{l}]"), 1.0),
-                        (ir.var(f"laml[{k}]"), 1.0),
-                        (ir.var(f"alpha[{l}]"), 1.0),
-                        (ir.var(f"beta[{l}]"), -1.0)],
+                       [(Laml[k][l], 1.0), (laml[k], 1.0), (alpha[l], 1.0),
+                        (beta[l], -1.0)],
                        ">=", 0.0)
 
 
@@ -106,50 +112,54 @@ def build_soc_upper_exact(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     K = grid.K
     x_lo, x_hi = params.x_min, params.x_max
     lam_cap = (x_hi - x_lo) / ed
+    lamu, Lamu = [None], [None]
     for k in range(1, K + 1):
-        ir.add_variable(f"lamu[{k}]", lower=0.0, upper=lam_cap)
-        for l in range(1, k + 1):
-            ir.add_variable(f"Lamu[{k},{l}]")
+        lamu.append(ir.add_variable(f"lamu[{k}]", lower=0.0, upper=lam_cap))
+        Lamu.append([None] + [ir.add_variable(f"Lamu[{k},{l}]")
+                              for l in range(1, k + 1)])
     # case-indicator binaries carry specific-loss offsets, so a lossless
     # battery needs none of them (the system is a plain LP block)
     with_cases = not params.is_lossless
+    u1, u2 = [None], [None]
     if with_cases:
         for k in range(1, K):
-            ir.add_variable(f"u1[{k}]", kind=BINARY, lower=0.0, upper=1.0)
-            ir.add_variable(f"u2[{k}]", kind=BINARY, lower=0.0, upper=1.0)
+            u1.append(ir.add_variable(f"u1[{k}]", kind=BINARY, lower=0.0,
+                                      upper=1.0))
+            u2.append(ir.add_variable(f"u2[{k}]", kind=BINARY, lower=0.0,
+                                      upper=1.0))
+    x0, xdn = _family(ir, "x0", K), _family(ir, "x_dn", K)
 
     for k in range(1, K + 1):
-        coeffs = [(ir.var(f"lamu[{k}]"), gamma)]
-        for l in range(1, k + 1):
-            coeffs.append((ir.var(f"Lamu[{k},{l}]"), dt))
+        coeffs = [(lamu[k], gamma)]
+        coeffs += ((Lamu[k][l], dt) for l in range(1, k + 1))
         ir.add_row(f"soc_hi[{k}]", coeffs, "<=", params.y_max - y0)
-        kk = ir.var(f"Lamu[{k},{k}]")
-        x0k, xdnk = ir.var(f"x0[{k}]"), ir.var(f"x_dn[{k}]")
-        ir.add_row(f"Lamu_diag_b[{k}]", [(kk, 1.0), (x0k, ec)], ">=", 0.0)
+        kk = Lamu[k][k]
+        ir.add_row(f"Lamu_diag_b[{k}]", [(kk, 1.0), (x0[k], ec)], ">=", 0.0)
         ir.add_row(f"Lamu_diag_c[{k}]",
-                   [(kk, 1.0), (xdnk, -ec), (x0k, ec),
-                    (ir.var(f"lamu[{k}]"), 1.0)], ">=", 0.0)
+                   [(kk, 1.0), (xdn[k], -ec), (x0[k], ec), (lamu[k], 1.0)],
+                   ">=", 0.0)
         ir.add_row(f"Lamu_diag_pos[{k}]", [(kk, 1.0)], ">=", 0.0)
 
     # binary case indicators: u1_k = 1 iff x0_k >= x_dn_k, u2_k = 1 iff
     # x0_k <= 0
     if with_cases:
         for k in range(1, K):
-            x0k, xdnk = ir.var(f"x0[{k}]"), ir.var(f"x_dn[{k}]")
-            u1, u2 = ir.var(f"u1[{k}]"), ir.var(f"u2[{k}]")
-            ir.add_row(f"u1_hi[{k}]", [(x0k, 1.0), (xdnk, -1.0), (u1, -x_hi)],
+            ir.add_row(f"u1_hi[{k}]",
+                       [(x0[k], 1.0), (xdn[k], -1.0), (u1[k], -x_hi)],
                        "<=", 0.0)
-            ir.add_row(f"u1_lo[{k}]", [(x0k, 1.0), (xdnk, -1.0), (u1, x_lo)],
+            ir.add_row(f"u1_lo[{k}]",
+                       [(x0[k], 1.0), (xdn[k], -1.0), (u1[k], x_lo)],
                        ">=", x_lo)
-            ir.add_row(f"u2_hi[{k}]", [(x0k, 1.0), (u2, x_hi)], "<=", x_hi)
-            ir.add_row(f"u2_lo[{k}]", [(x0k, 1.0), (u2, -x_lo)], ">=", 0.0)
+            ir.add_row(f"u2_hi[{k}]", [(x0[k], 1.0), (u2[k], x_hi)],
+                       "<=", x_hi)
+            ir.add_row(f"u2_lo[{k}]", [(x0[k], 1.0), (u2[k], -x_lo)],
+                       ">=", 0.0)
 
     # off-diagonal epigraph rows with the minimal valid big-M offsets
     for k in range(2, K + 1):
-        lamk = ir.var(f"lamu[{k}]")
+        lamk = lamu[k]
         for l in range(1, k):
-            L = ir.var(f"Lamu[{k},{l}]")
-            x0l, xdnl = ir.var(f"x0[{l}]"), ir.var(f"x_dn[{l}]")
+            L, x0l, xdnl = Lamu[k][l], x0[l], xdn[l]
             if not with_cases:
                 # zero specific loss: the big-M offsets and the ratio
                 # hinge vanish, leaving a convex epigraph
@@ -159,26 +169,25 @@ def build_soc_upper_exact(ir: ModelIR, params: StorageParams, grid: TimeGrid,
                 ir.add_row(f"Lbd2[{k},{l}]",
                            [(L, 1.0), (x0l, 1.0 / ed)], ">=", 0.0)
                 continue
-            u1, u2 = ir.var(f"u1[{l}]"), ir.var(f"u2[{l}]")
             ir.add_row(f"Lbd1[{k},{l}]",
                        [(L, 1.0), (xdnl, -1.0 / ed), (x0l, 1.0 / ed),
-                        (lamk, 1.0), (u1, d_eta * x_lo)],
+                        (lamk, 1.0), (u1[l], d_eta * x_lo)],
                        ">=", d_eta * x_lo)
             ir.add_row(f"Lbd2[{k},{l}]",
-                       [(L, 1.0), (x0l, 1.0 / ed), (u2, -d_eta * x_lo)],
+                       [(L, 1.0), (x0l, 1.0 / ed), (u2[l], -d_eta * x_lo)],
                        ">=", 0.0)
             ir.add_row(f"Lbd3[{k},{l}]",
                        [(L, 1.0), (xdnl, -ec), (x0l, ec), (lamk, 1.0),
-                        (u1, d_eta * x_hi)],
+                        (u1[l], d_eta * x_hi)],
                        ">=", 0.0)
             ir.add_row(f"Lbd4[{k},{l}]",
-                       [(L, 1.0), (x0l, ec), (u2, -d_eta * x_hi)],
+                       [(L, 1.0), (x0l, ec), (u2[l], -d_eta * x_hi)],
                        ">=", -d_eta * x_hi)
             ir.add_bilinear(
                 f"bil[{k},{l}]",
                 quad=[(L, xdnl, 1.0), (lamk, x0l, 1.0)],
-                linear=[(u2, -x_lo * (x_hi - x_lo) / ed),
-                        (u1, x_hi ** 2 / (4 * ed))],
+                linear=[(u2[l], -x_lo * (x_hi - x_lo) / ed),
+                        (u1[l], x_hi ** 2 / (4 * ed))],
                 sense=">=", rhs=0.0)
 
 
@@ -193,35 +202,39 @@ def build_restriction_rows(ir: ModelIR, params: StorageParams,
     x_lo, x_hi = params.x_min, params.x_max
     m_lo = (2.0 - rt) * x_hi - x_lo
     m_hi = rt * x_hi - x_lo
+    u3 = [None] + [ir.add_variable(f"u3[{k}]", kind=BINARY, lower=0.0,
+                                   upper=1.0)
+                   for k in range(1, K)]
+    x0, xdn = _family(ir, "x0", K), _family(ir, "x_dn", K)
+    lamu = _family(ir, "lamu", K)
+    u1, u2 = _family(ir, "u1", K - 1), _family(ir, "u2", K - 1)
     for k in range(1, K):
-        ir.add_variable(f"u3[{k}]", kind=BINARY, lower=0.0, upper=1.0)
-    for k in range(1, K):
-        x0k, xdnk = ir.var(f"x0[{k}]"), ir.var(f"x_dn[{k}]")
-        lamk, u3 = ir.var(f"lamu[{k}]"), ir.var(f"u3[{k}]")
+        x0k, xdnk, lamk = x0[k], xdn[k], lamu[k]
         ir.add_row(f"u3_lo[{k}]",
-                   [(xdnk, 1.0), (x0k, -(1.0 - rt)), (lamk, -ed), (u3, -m_lo)],
+                   [(xdnk, 1.0), (x0k, -(1.0 - rt)), (lamk, -ed),
+                    (u3[k], -m_lo)],
                    ">=", -m_lo)
         ir.add_row(f"u3_hi[{k}]",
-                   [(xdnk, 1.0), (x0k, -(1.0 - rt)), (lamk, -ed), (u3, -m_hi)],
+                   [(xdnk, 1.0), (x0k, -(1.0 - rt)), (lamk, -ed),
+                    (u3[k], -m_hi)],
                    "<=", 0.0)
         # sign rules of the case binaries, for a relax-and-fix start
-        ir.add_indicator(ir.var(f"u1[{k}]"), [(x0k, 1.0), (xdnk, -1.0)])
-        ir.add_indicator(ir.var(f"u2[{k}]"), [(x0k, -1.0)])
-        ir.add_indicator(u3, [(xdnk, 1.0), (x0k, -(1.0 - rt)), (lamk, -ed)])
+        ir.add_indicator(u1[k], [(x0k, 1.0), (xdnk, -1.0)])
+        ir.add_indicator(u2[k], [(x0k, -1.0)])
+        ir.add_indicator(u3[k], [(xdnk, 1.0), (x0k, -(1.0 - rt)),
+                                 (lamk, -ed)])
     for k in range(2, K + 1):
-        lamk = ir.var(f"lamu[{k}]")
+        lamk = lamu[k]
         for l in range(1, k):
-            L = ir.var(f"Lamu[{k},{l}]")
-            x0l, xdnl = ir.var(f"x0[{l}]"), ir.var(f"x_dn[{l}]")
-            u1, u2 = ir.var(f"u1[{l}]"), ir.var(f"u2[{l}]")
-            u3 = ir.var(f"u3[{l}]")
+            L, x0l = ir.var(f"Lamu[{k},{l}]"), x0[l]
             ir.add_row(f"res_a[{k},{l}]",
-                       [(L, 1.0), (x0l, ec), (u1, d_eta * x_hi),
-                        (u3, -d_eta * x_hi)],
+                       [(L, 1.0), (x0l, ec), (u1[l], d_eta * x_hi),
+                        (u3[l], -d_eta * x_hi)],
                        ">=", -d_eta * x_hi)
             ir.add_row(f"res_b[{k},{l}]",
-                       [(L, 1.0), (xdnl, -1.0 / ed), (x0l, 1.0 / ed),
-                        (lamk, 1.0), (u2, -d_eta * x_lo), (u3, -d_eta * x_lo)],
+                       [(L, 1.0), (xdn[l], -1.0 / ed), (x0l, 1.0 / ed),
+                        (lamk, 1.0), (u2[l], -d_eta * x_lo),
+                        (u3[l], -d_eta * x_lo)],
                        ">=", 0.0)
 
 

@@ -9,6 +9,7 @@ to indices so that builders and verifiers agree on the layout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -20,7 +21,10 @@ BINARY = "binary"
 SENSES = ("<=", ">=", "==")
 
 
-@dataclass
+# Rows and variables are slotted, and coefficient lists are tuples: a
+# quarter-hour model holds tens of thousands of them, and every object
+# with a __dict__ or a list is one more that the cyclic collector scans.
+@dataclass(slots=True)
 class Variable:
     name: str
     kind: str = CONTINUOUS
@@ -28,17 +32,17 @@ class Variable:
     upper: float = np.inf
 
 
-@dataclass
+@dataclass(slots=True)
 class LinearRow:
     """sum(coeff * var) sense rhs."""
 
     name: str
-    coeffs: list[tuple[int, float]]
+    coeffs: tuple[tuple[int, float], ...]
     sense: str
     rhs: float
 
 
-@dataclass
+@dataclass(slots=True)
 class BilinearRow:
     """sum(q_coeff * var_i * var_j) + sum(coeff * var) sense rhs.
 
@@ -47,8 +51,8 @@ class BilinearRow:
     """
 
     name: str
-    quad: list[tuple[int, int, float]]
-    linear: list[tuple[int, float]]
+    quad: tuple[tuple[int, int, float], ...]
+    linear: tuple[tuple[int, float], ...]
     sense: str
     rhs: float
     active: bool = True
@@ -96,19 +100,23 @@ class ModelIR:
         return name in self.registry
 
     def add_row(self, name: str, coeffs, sense: str, rhs: float) -> int:
-        self._check_refs(name, (i for i, _ in coeffs), sense)
-        self.rows.append(LinearRow(name=name, coeffs=list(coeffs),
-                                   sense=sense, rhs=float(rhs)))
+        coeffs = tuple(coeffs)
+        # min and max compare the (index, coeff) pairs in C, index first;
+        # the full check runs only to name what is wrong
+        if sense not in SENSES or coeffs and (
+                min(coeffs)[0] < 0 or max(coeffs)[0] >= len(self.variables)):
+            self._check_refs(name, [i for i, _ in coeffs], sense)
+        self.rows.append(LinearRow(name, coeffs, sense, float(rhs)))
         return len(self.rows) - 1
 
     def add_bilinear(self, name: str, quad, linear, sense: str, rhs: float,
                      active: bool = True) -> int:
+        quad, linear = tuple(quad), tuple(linear)
         refs = [i for i, _, _ in quad] + [j for _, j, _ in quad]
         refs += [i for i, _ in linear]
         self._check_refs(name, refs, sense)
-        self.bilinear_rows.append(BilinearRow(
-            name=name, quad=list(quad), linear=list(linear), sense=sense,
-            rhs=float(rhs), active=active))
+        self.bilinear_rows.append(BilinearRow(name, quad, linear, sense,
+                                              float(rhs), active))
         return len(self.bilinear_rows) - 1
 
     def add_indicator(self, idx: int, coeffs) -> None:
@@ -163,16 +171,31 @@ class ModelIR:
         return lo, hi
 
     def validate(self) -> None:
-        for v in self.variables:
-            if v.lower > v.upper + 1e-12:
+        """Raise ModelError for the first variable, in index order, with
+        a NaN bound, an empty bound interval or a binary outside [0, 1],
+        and for the first row whose name an earlier row holds."""
+        lo, hi = self.bounds_arrays()
+        binary = np.array([v.kind == BINARY for v in self.variables],
+                          dtype=bool)
+        nan = np.isnan(lo) | np.isnan(hi)
+        empty = (lo > hi + 1e-12) | (lo == np.inf) | (hi == -np.inf)
+        off = binary & ((lo < -1e-12) | (hi > 1 + 1e-12))
+        bad = np.flatnonzero(nan | empty | off)
+        if bad.size:
+            i = bad[0]
+            v = self.variables[i]
+            if nan[i]:
+                raise ModelError(f"variable {v.name}: NaN bound")
+            if empty[i]:
                 raise ModelError(f"variable {v.name}: empty bound interval")
-            if v.kind == BINARY and (v.lower < -1e-12 or v.upper > 1 + 1e-12):
-                raise ModelError(f"binary {v.name}: bounds outside [0, 1]")
-        names = set()
-        for row in self.rows:
-            if row.name in names:
-                raise ModelError(f"duplicate row name {row.name!r}")
-            names.add(row.name)
+            raise ModelError(f"binary {v.name}: bounds outside [0, 1]")
+        names = list(map(attrgetter("name"), self.rows))
+        if len(set(names)) != len(names):
+            seen = set()
+            for name in names:
+                if name in seen:
+                    raise ModelError(f"duplicate row name {name!r}")
+                seen.add(name)
 
     # -- evaluation ---------------------------------------------------
     def point_from_map(self, values: dict[str, float]) -> np.ndarray:

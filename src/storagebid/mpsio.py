@@ -7,7 +7,7 @@ LP). Emission is deterministic: fixed ordering, fixed float format.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .ir import BINARY, ModelIR
 
@@ -22,53 +22,88 @@ def _num(x: float) -> str:
     return format(x, ".12g")
 
 
+class _NonFinite(EmissionError):
+    """A NaN or infinite number where a model file needs a finite one."""
+
+
+class _Numbers(dict):
+    """Text of each distinct number of one write call, formatted once.
+
+    A model repeats few distinct coefficients many times over, so most
+    lookups are dict hits. The memo lives only as long as its write call,
+    so memory stays bounded over long runs."""
+
+    def __missing__(self, x):
+        if not math.isfinite(x):
+            raise _NonFinite(f"non-finite number {x}")
+        text = self[x] = _num(x)
+        return text
+
+
+def _non_finite_error(ir: ModelIR) -> EmissionError:
+    """Name the first objective term, row or column with a number that a
+    model file cannot write: a NaN or infinite coefficient or right-hand
+    side, or a bound that is NaN or fixed at infinity."""
+    for i, c in sorted(ir.objective.items()):
+        if not math.isfinite(c):
+            return EmissionError(
+                f"column {ir.variables[i].name!r}: objective coefficient {c}")
+    rows = [(row, row.coeffs) for row in ir.rows]
+    rows += [(row, row.linear + tuple((i, c) for i, _, c in row.quad))
+             for row in ir.bilinear_rows if row.active]
+    for row, terms in rows:
+        bad = [c for _, c in terms if not math.isfinite(c)]
+        if bad:
+            return EmissionError(f"row {row.name!r}: coefficient {bad[0]}")
+        if not math.isfinite(row.rhs):
+            return EmissionError(
+                f"row {row.name!r}: right-hand side {row.rhs}")
+    for v in ir.variables:
+        for bound in (v.lower, v.upper):
+            if math.isnan(bound) or (math.isinf(bound) and v.lower == v.upper):
+                return EmissionError(f"column {v.name!r}: bound {bound}")
+    return EmissionError("non-finite number")
+
+
 _SENSE_MPS = {"<=": "L", ">=": "G", "==": "E"}
 
 
 def write_mps(ir: ModelIR) -> str:
+    nums = _Numbers()
+    active = [row for row in ir.bilinear_rows if row.active]
     out = ["NAME STORAGEBID", "ROWS", " N OBJ"]
-    for row in ir.rows:
-        out.append(f" {_SENSE_MPS[row.sense]} {row.name}")
-    for row in ir.bilinear_rows:
-        if row.active:
-            out.append(f" {_SENSE_MPS[row.sense]} {row.name}")
+    out += [f" {_SENSE_MPS[row.sense]} {row.name}"
+            for row in ir.rows + active]
 
-    # column-major coefficient lists
-    col_entries: list[list[tuple[str, float]]] = [[] for _ in ir.variables]
+    # column-major nonzeros, each column's entries as "row value" text:
+    # the objective first, then the rows in order
+    entries: list[list[str]] = [[] for _ in ir.variables]
     for i, coeff in sorted(ir.objective.items()):
-        col_entries[i].append(("OBJ", coeff))
-    for row in ir.rows:
-        for i, c in row.coeffs:
-            col_entries[i].append((row.name, c))
-    for row in ir.bilinear_rows:
-        if row.active:
-            for i, c in row.linear:
-                col_entries[i].append((row.name, c))
+        entries[i].append("OBJ " + nums[coeff])
+    for name, terms in [(row.name, row.coeffs) for row in ir.rows] + \
+            [(row.name, row.linear) for row in active]:
+        head = name + " "
+        for i, c in terms:
+            entries[i].append(head + nums[c])
 
     out.append("COLUMNS")
     in_int = False
     marker = 0
-    for i, v in enumerate(ir.variables):
+    for v, lines in zip(ir.variables, entries):
         want_int = v.kind == BINARY
         if want_int != in_int:
             kind = "INTORG" if want_int else "INTEND"
             out.append(f" MARKER{marker} 'MARKER' '{kind}'")
             marker += 1
             in_int = want_int
-        for rname, c in col_entries[i]:
-            out.append(f" {v.name} {rname} {_num(c)}")
-        if not col_entries[i]:
-            out.append(f" {v.name} OBJ 0")
+        head = f" {v.name} "
+        out.append(head + ("\n" + head).join(lines or ["OBJ 0"]))
     if in_int:
         out.append(f" MARKER{marker} 'MARKER' 'INTEND'")
 
     out.append("RHS")
-    for row in ir.rows:
-        if row.rhs != 0.0:
-            out.append(f" RHS {row.name} {_num(row.rhs)}")
-    for row in ir.bilinear_rows:
-        if row.active and row.rhs != 0.0:
-            out.append(f" RHS {row.name} {_num(row.rhs)}")
+    out += [f" RHS {row.name} {nums[row.rhs]}"
+            for row in ir.rows + active if row.rhs != 0.0]
 
     out.append("BOUNDS")
     for v in ir.variables:
@@ -77,29 +112,27 @@ def write_mps(ir: ModelIR) -> str:
             out.append(f" BV BND {v.name}")
             continue
         if lo == hi:
-            out.append(f" FX BND {v.name} {_num(lo)}")
+            out.append(f" FX BND {v.name} {nums[lo]}")
             continue
-        if np.isinf(lo) and np.isinf(hi):
+        if math.isinf(lo) and math.isinf(hi):
             out.append(f" FR BND {v.name}")
             continue
-        if np.isinf(lo):
+        if math.isinf(lo):
             out.append(f" MI BND {v.name}")
         elif lo != 0.0:
-            out.append(f" LO BND {v.name} {_num(lo)}")
-        if not np.isinf(hi):
-            out.append(f" UP BND {v.name} {_num(hi)}")
+            out.append(f" LO BND {v.name} {nums[lo]}")
+        if not math.isinf(hi):
+            out.append(f" UP BND {v.name} {nums[hi]}")
 
-    for row in ir.bilinear_rows:
-        if not row.active:
-            continue
+    for row in active:
         out.append(f"QCMATRIX {row.name}")
         for i, j, c in row.quad:
             ni, nj = ir.variables[i].name, ir.variables[j].name
             if i == j:
-                out.append(f" {ni} {nj} {_num(c)}")
+                out.append(f" {ni} {nj} {nums[c]}")
             else:
-                out.append(f" {ni} {nj} {_num(c / 2)}")
-                out.append(f" {nj} {ni} {_num(c / 2)}")
+                out.append(f" {ni} {nj} {nums[c / 2]}")
+                out.append(f" {nj} {ni} {nums[c / 2]}")
     out.append("ENDATA")
     return "\n".join(out) + "\n"
 
@@ -110,38 +143,38 @@ _SENSE_LP = {"<=": "<=", ">=": ">=", "==": "="}
 _LP_NAME = str.maketrans("[]", "()")
 
 
-def _lp_linear(terms, names) -> str:
-    parts = []
-    for i, c in terms:
-        sign = "+" if c >= 0 else "-"
-        parts.append(f"{sign} {_num(abs(c))} {names[i]}")
-    return " ".join(parts) if parts else "0"
+def _lp_linear(terms, names, nums) -> str:
+    if not terms:
+        return "0"
+    return " ".join([f"{'+' if c >= 0 else '-'} {nums[abs(c)]} {names[i]}"
+                     for i, c in terms])
 
 
 def write_lp(ir: ModelIR) -> str:
+    nums = _Numbers()
     names = [v.name.translate(_LP_NAME) for v in ir.variables]
     out = ["\\ STORAGEBID", "Minimize", " obj: " +
-           _lp_linear(sorted(ir.objective.items()), names)]
+           _lp_linear(sorted(ir.objective.items()), names, nums)]
     out.append("Subject To")
-    for row in ir.rows:
-        out.append(f" {row.name.translate(_LP_NAME)}: "
-                   f"{_lp_linear(row.coeffs, names)} "
-                   f"{_SENSE_LP[row.sense]} {_num(row.rhs)}")
+    out += [f" {row.name.translate(_LP_NAME)}: "
+            f"{_lp_linear(row.coeffs, names, nums)} "
+            f"{_SENSE_LP[row.sense]} {nums[row.rhs]}"
+            for row in ir.rows]
     for row in ir.bilinear_rows:
         if not row.active:
             continue
         quad = " ".join(
-            f"{'+' if c >= 0 else '-'} {_num(abs(c))} "
+            f"{'+' if c >= 0 else '-'} {nums[abs(c)]} "
             f"{names[i]} * {names[j]}"
             for i, j, c in row.quad)
-        lin = _lp_linear(row.linear, names) if row.linear else ""
+        lin = _lp_linear(row.linear, names, nums) if row.linear else ""
         body = f"[ {quad} ]" + (f" {lin}" if row.linear else "")
         out.append(f" {row.name.translate(_LP_NAME)}: {body} "
-                   f"{_SENSE_LP[row.sense]} {_num(row.rhs)}")
+                   f"{_SENSE_LP[row.sense]} {nums[row.rhs]}")
     out.append("Bounds")
     for v, name in zip(ir.variables, names):
-        lo = "-inf" if np.isinf(v.lower) else _num(v.lower)
-        hi = "+inf" if np.isinf(v.upper) else _num(v.upper)
+        lo = "-inf" if math.isinf(v.lower) else nums[v.lower]
+        hi = "+inf" if math.isinf(v.upper) else nums[v.upper]
         out.append(f" {lo} <= {name} <= {hi}")
     bins = [name for v, name in zip(ir.variables, names)
             if v.kind == BINARY]
@@ -155,8 +188,10 @@ def write_lp(ir: ModelIR) -> str:
 def emit_model(ir: ModelIR, fmt: str = "MPS") -> bytes:
     """Serialize a model; deterministic byte output."""
     ir.validate()
-    if fmt.upper() == "MPS":
-        return write_mps(ir).encode()
-    if fmt.upper() == "LP":
-        return write_lp(ir).encode()
-    raise EmissionError(f"unsupported format {fmt!r}")
+    write = {"MPS": write_mps, "LP": write_lp}.get(fmt.upper())
+    if write is None:
+        raise EmissionError(f"unsupported format {fmt!r}")
+    try:
+        return write(ir).encode()
+    except _NonFinite:
+        raise _non_finite_error(ir) from None

@@ -57,6 +57,98 @@ def build_upper_ir(params, grid, gamma, y0):
     return ir
 
 
+class TestModelIRChecks:
+    """Reference, sense and bound checks raise ModelError with messages
+    that name the row or variable."""
+
+    @staticmethod
+    def two_vars():
+        ir = ModelIR()
+        ir.add_variable("x", lower=0.0, upper=1.0)
+        ir.add_variable("y", kind="binary", lower=0.0, upper=1.0)
+        return ir
+
+    @pytest.mark.parametrize("index", [2, 7, -1])
+    def test_row_with_unknown_variable(self, index):
+        ir = self.two_vars()
+        msg = f"row 'r' references unknown variable {index}"
+        with pytest.raises(ModelError, match=msg):
+            ir.add_row("r", [(0, 1.0), (index, 2.0), (1, 1.0)], "<=", 1.0)
+        assert ir.rows == []
+
+    def test_first_bad_index_is_named(self):
+        ir = self.two_vars()
+        with pytest.raises(ModelError, match="unknown variable 5$"):
+            ir.add_row("r", [(5, 1.0), (-3, 1.0)], "<=", 1.0)
+
+    def test_row_with_unknown_sense(self):
+        ir = self.two_vars()
+        with pytest.raises(ModelError, match="row 'r': unknown sense '<'"):
+            ir.add_row("r", [(0, 1.0)], "<", 1.0)
+
+    @pytest.mark.parametrize("quad, linear, index", [
+        ([(0, 2, 1.0)], [], 2),
+        ([(-1, 0, 1.0)], [], -1),
+        ([(0, 1, 1.0)], [(3, 1.0)], 3),
+    ])
+    def test_bilinear_with_unknown_variable(self, quad, linear, index):
+        ir = self.two_vars()
+        msg = f"row 'b' references unknown variable {index}"
+        with pytest.raises(ModelError, match=msg):
+            ir.add_bilinear("b", quad, linear, ">=", 0.0)
+        assert ir.bilinear_rows == []
+
+    def test_bilinear_with_unknown_sense(self):
+        ir = self.two_vars()
+        with pytest.raises(ModelError, match="row 'b': unknown sense '=>'"):
+            ir.add_bilinear("b", [(0, 1, 1.0)], [], "=>", 0.0)
+
+    def test_rows_keep_their_coefficients(self):
+        ir = self.two_vars()
+        ir.add_row("r", iter([(1, 2.0), (0, -1.0), (1, 0.5)]), "==", 3)
+        row = ir.rows[0]
+        assert row.coeffs == ((1, 2.0), (0, -1.0), (1, 0.5))
+        assert row.rhs == 3.0 and isinstance(row.rhs, float)
+
+    def test_validate_duplicate_row_name(self):
+        ir = self.two_vars()
+        for name in ("a", "b", "a", "b"):
+            ir.add_row(name, [(0, 1.0)], "<=", 1.0)
+        with pytest.raises(ModelError, match="duplicate row name 'a'"):
+            ir.validate()
+
+    @pytest.mark.parametrize("lower, upper, msg", [
+        (2.0, 1.0, "variable z: empty bound interval"),
+        (np.inf, np.inf, "variable z: empty bound interval"),
+        (-np.inf, -np.inf, "variable z: empty bound interval"),
+        (np.nan, 1.0, "variable z: NaN bound"),
+        (0.0, np.nan, "variable z: NaN bound"),
+    ])
+    def test_validate_bad_bounds(self, lower, upper, msg):
+        ir = self.two_vars()
+        ir.add_variable("z", lower=lower, upper=upper)
+        ir.add_variable("w", lower=3.0, upper=1.0)
+        with pytest.raises(ModelError, match=msg):
+            ir.validate()
+
+    def test_validate_binary_outside_unit_interval(self):
+        ir = self.two_vars()
+        ir.variables[1].upper = 2.0
+        ir.add_variable("w", lower=3.0, upper=1.0)
+        with pytest.raises(ModelError,
+                           match=r"binary y: bounds outside \[0, 1\]"):
+            ir.validate()
+
+    def test_validate_accepts_a_built_model(self):
+        grid = TimeGrid(dt_hours=1.0, K=6)
+        budget = UncertaintyBudget(kind="total_budget", gamma=2.0)
+        opts = ModelOptions(variant="restriction", fcr_block_len=3,
+                            da_block_len=1)
+        ir = dispatch_variant(reference_battery(), grid, budget, 50.0,
+                              flat_prices(grid), opts)
+        ir.validate()
+
+
 class TestCounts:
     def test_power_bounds(self):
         params = reference_battery()

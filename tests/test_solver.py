@@ -210,6 +210,35 @@ class TestEmission:
         with pytest.raises(EmissionError):
             emit_model(ModelIR(), "SAV")
 
+    def test_column_in_no_row_gets_a_zero_cost_line(self):
+        ir = tiny_lp()
+        ir.add_variable("y", lower=0.0, upper=1.0)
+        ir.add_row("r", [(0, 2.5)], "<=", 1.0)
+        lines = emit_model(ir, "MPS").decode().splitlines()
+        columns = lines[lines.index("COLUMNS") + 1:lines.index("RHS")]
+        assert columns == [" x r 2.5", " y OBJ 0"]
+
+    @pytest.mark.parametrize("fmt", ["MPS", "LP"])
+    def test_nan_rhs_names_the_row(self, fmt):
+        ir = tiny_lp()
+        ir.add_row("broken", [(0, 1.0)], "<=", float("nan"))
+        with pytest.raises(EmissionError, match="row 'broken'"):
+            emit_model(ir, fmt)
+
+    @pytest.mark.parametrize("fmt", ["MPS", "LP"])
+    def test_infinite_coefficient_names_the_row(self, fmt):
+        ir = tiny_lp()
+        ir.add_row("broken", [(0, float("inf"))], "<=", 1.0)
+        with pytest.raises(EmissionError, match="row 'broken'"):
+            emit_model(ir, fmt)
+
+    @pytest.mark.parametrize("fmt", ["MPS", "LP"])
+    def test_nan_bound_names_the_column(self, fmt):
+        ir = tiny_lp()
+        ir.add_variable("broken", lower=float("nan"), upper=1.0)
+        with pytest.raises(ModelError, match="variable broken: NaN bound"):
+            emit_model(ir, fmt)
+
     def test_deterministic_bytes(self):
         params = StorageParams(x_min=-3, x_max=3, y_min=0, y_max=8,
                                eta_c=0.9, eta_d=0.9)
@@ -283,6 +312,27 @@ class TestEmission:
         blob = emit_model(_k4_model(variant, params), "MPS")
         assert hashlib.sha256(blob).hexdigest() == MPS_SHA256[variant]
 
+    @pytest.mark.parametrize("variant", [
+        "restriction", "relaxation", "no_sell_lp", "exact", "arbitrage_only",
+        "lossless_lp"])
+    def test_lp_bytes_are_pinned(self, variant):
+        params = LOSSLESS if variant == "lossless_lp" else LOSSY
+        blob = emit_model(_k4_model(variant, params), "LP")
+        assert hashlib.sha256(blob).hexdigest() == LP_SHA256[variant]
+
+    def test_restriction_k96_mps_bytes_are_pinned(self):
+        params = StorageParams(x_min=-50, x_max=50, y_min=10, y_max=90,
+                               eta_c=0.92, eta_d=0.92)
+        grid = TimeGrid(dt_hours=0.25, K=96)
+        budget = UncertaintyBudget.from_eu_rules(0.25)
+        prices = PriceSeries(day_ahead=np.full(24, 40.0),
+                             fcr_availability=np.full(6, 15.0))
+        opts = ModelOptions(variant="restriction", fcr_block_len=16,
+                            da_block_len=4)
+        ir = dispatch_variant(params, grid, budget, 53.3, prices, opts)
+        blob = emit_model(ir, "MPS")
+        assert hashlib.sha256(blob).hexdigest() == K96_RESTRICTION_MPS_SHA256
+
     @pytest.mark.parametrize("variant, params", [
         pytest.param("restriction", LOSSY, id="restriction"),
         pytest.param("relaxation", LOSSY, id="relaxation"),
@@ -322,6 +372,27 @@ MPS_SHA256 = {
     "lossless_lp":
         "750227e4a2b3ebb8322f97d9d3099120b517fca8997848dc7913db0ddb5227ce",
 }
+
+# SHA-256 of emit_model(_k4_model(variant), "LP")
+LP_SHA256 = {
+    "restriction":
+        "afe00c9c26d6bb97e4f9e4dbdf5df4cd5f799b04c08d8444e4536ffcb05bd475",
+    "relaxation":
+        "17ff7de55be4d9b4f380050553243aaa270bc2ff40a7cef51c636520ce87bc42",
+    "no_sell_lp":
+        "4638163499960745733ba773bb8986a78b9bc2f81282cfb95479c58f52712b2a",
+    "arbitrage_only":
+        "3c47a69b9a3710a827ee68d8cda4939969b1222ecc61b3a724f5c5a5243bdfeb",
+    "exact":
+        "bee00812144a547740987e396a252f645d3f94ef6793c7be66935205697f2dbf",
+    "lossless_lp":
+        "db43997a316d318dbd5dd576a0747ddffa37daefe34289689c87ed6eabbe8355",
+}
+
+# SHA-256 of the quarter-hour restriction MPS (K=96, 4 h FCR and 1 h
+# day-ahead blocks) of test_restriction_k96_declares_binaries
+K96_RESTRICTION_MPS_SHA256 = (
+    "972dde5a8b084dbf0b854260bf87b447f559e3933a1c1786b2c580451426f621")
 
 
 class TestVerifyPoint:
