@@ -4,7 +4,8 @@ Each builder appends rows and variables to a ModelIR. ``dispatch_variant``
 assembles a full model: power bounds (plain or intraday-tightened), the
 worst-case SOC lower and upper blocks, market-coupling rows, the terminal
 SOC condition and the objective, then applies variant-specific surgery
-(dropping or deactivating bilinear rows, fixing binaries).
+(restriction rows, fixed or merged binaries). Only the ``exact`` variant
+gets bilinear rows.
 """
 
 from __future__ import annotations
@@ -101,10 +102,12 @@ def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
                        ">=", 0.0)
 
 
-def build_soc_upper_exact(ir: ModelIR, params: StorageParams, grid: TimeGrid,
-                          gamma: float, y0: float) -> None:
-    """Worst-case SOC upper bound: mixed-binary bilinear system with
-    K(K-1)/2 bilinear rows and 2(K-1) binaries."""
+def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
+                    gamma: float, y0: float) -> None:
+    """Worst-case SOC upper bound, the part every variant shares: the
+    dual variables, the linear rows and 2(K-1) case binaries (none for a
+    lossless battery). ``build_soc_upper_exact`` adds the bilinear rows
+    that the relaxation drops and the restriction replaces."""
     _check_assumption_gamma(gamma, grid)
     ec, ed = params.eta_c, params.eta_d
     d_eta = params.specific_loss()
@@ -183,9 +186,25 @@ def build_soc_upper_exact(ir: ModelIR, params: StorageParams, grid: TimeGrid,
             ir.add_row(f"Lbd4[{k},{l}]",
                        [(L, 1.0), (x0l, ec), (u2[l], -d_eta * x_hi)],
                        ">=", -d_eta * x_hi)
+
+
+def build_soc_upper_exact(ir: ModelIR, params: StorageParams, grid: TimeGrid,
+                          gamma: float, y0: float) -> None:
+    """Worst-case SOC upper bound of the exact model: ``build_soc_upper``
+    plus K(K-1)/2 bilinear rows, or none for a lossless battery."""
+    build_soc_upper(ir, params, grid, gamma, y0)
+    if params.is_lossless:
+        return
+    K, ed = grid.K, params.eta_d
+    x_lo, x_hi = params.x_min, params.x_max
+    x0, xdn, lamu = (_family(ir, name, K) for name in ("x0", "x_dn", "lamu"))
+    u1, u2 = _family(ir, "u1", K - 1), _family(ir, "u2", K - 1)
+    for k in range(2, K + 1):
+        for l in range(1, k):
             ir.add_bilinear(
                 f"bil[{k},{l}]",
-                quad=[(L, xdnl, 1.0), (lamk, x0l, 1.0)],
+                quad=[(ir.var(f"Lamu[{k},{l}]"), xdn[l], 1.0),
+                      (lamu[k], x0[l], 1.0)],
                 linear=[(u2[l], -x_lo * (x_hi - x_lo) / ed),
                         (u1[l], x_hi ** 2 / (4 * ed))],
                 sense=">=", rhs=0.0)
@@ -470,14 +489,12 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
     else:
         build_power_bounds(ir, params, grid)
 
-    build_soc_lower(ir, params, grid, gamma, y0)
-    build_soc_upper_exact(ir, params, grid, gamma, y0_up)
-
     variant = options.variant
+    build_soc_lower(ir, params, grid, gamma, y0)
+    upper = build_soc_upper_exact if variant == "exact" else build_soc_upper
+    upper(ir, params, grid, gamma, y0_up)
+
     has_cases = ir.has_var("u1[1]")
-    if variant != "exact":
-        for row in ir.bilinear_rows:
-            row.active = False
     # lossless builds have no case binaries: their relaxation is exact
     if variant == "restriction" and has_cases:
         build_restriction_rows(ir, params, grid)

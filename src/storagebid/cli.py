@@ -156,7 +156,6 @@ def cmd_build(args) -> int:
         "n_binaries": ir.n_binaries,
         "n_rows": len(ir.rows),
         "n_bilinear_rows": len(ir.bilinear_rows),
-        "n_bilinear_active": ir.n_bilinear_active,
         "sha256": hashlib.sha256(blob).hexdigest(),
     }
     mpath = args.out + ".manifest.json"

@@ -1,9 +1,10 @@
 """Solver-agnostic intermediate representation of the bidding models.
 
-A ModelIR holds variables, linear rows, optionally-active bilinear rows
-and a linear minimization objective. Variables are referenced by integer
-index; a registry maps structured names like ``x0[3]`` or ``Lamu[5,2]``
-to indices so that builders and verifiers agree on the layout.
+A ModelIR holds variables, linear rows, bilinear rows (only the exact
+model has any) and a linear minimization objective. Variables are
+referenced by integer index; a registry maps structured names like
+``x0[3]`` or ``Lamu[5,2]`` to indices so that builders and verifiers
+agree on the layout.
 """
 
 from __future__ import annotations
@@ -44,18 +45,13 @@ class LinearRow:
 
 @dataclass(slots=True)
 class BilinearRow:
-    """sum(q_coeff * var_i * var_j) + sum(coeff * var) sense rhs.
-
-    ``active`` marks whether the row is part of the model being solved;
-    inactive rows are kept for post-hoc violation counting.
-    """
+    """sum(q_coeff * var_i * var_j) + sum(coeff * var) sense rhs."""
 
     name: str
     quad: tuple[tuple[int, int, float], ...]
     linear: tuple[tuple[int, float], ...]
     sense: str
     rhs: float
-    active: bool = True
 
 
 class ModelError(ValueError):
@@ -109,14 +105,14 @@ class ModelIR:
         self.rows.append(LinearRow(name, coeffs, sense, float(rhs)))
         return len(self.rows) - 1
 
-    def add_bilinear(self, name: str, quad, linear, sense: str, rhs: float,
-                     active: bool = True) -> int:
+    def add_bilinear(self, name: str, quad, linear, sense: str,
+                     rhs: float) -> int:
         quad, linear = tuple(quad), tuple(linear)
         refs = [i for i, _, _ in quad] + [j for _, j, _ in quad]
         refs += [i for i, _ in linear]
         self._check_refs(name, refs, sense)
         self.bilinear_rows.append(BilinearRow(name, quad, linear, sense,
-                                              float(rhs), active))
+                                              float(rhs)))
         return len(self.bilinear_rows) - 1
 
     def add_indicator(self, idx: int, coeffs) -> None:
@@ -154,10 +150,6 @@ class ModelIR:
     @property
     def n_binaries(self) -> int:
         return sum(1 for v in self.variables if v.kind == BINARY)
-
-    @property
-    def n_bilinear_active(self) -> int:
-        return sum(1 for r in self.bilinear_rows if r.active)
 
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.n_vars)

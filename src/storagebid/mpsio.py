@@ -50,7 +50,7 @@ def _non_finite_error(ir: ModelIR) -> EmissionError:
                 f"column {ir.variables[i].name!r}: objective coefficient {c}")
     rows = [(row, row.coeffs) for row in ir.rows]
     rows += [(row, row.linear + tuple((i, c) for i, _, c in row.quad))
-             for row in ir.bilinear_rows if row.active]
+             for row in ir.bilinear_rows]
     for row, terms in rows:
         bad = [c for _, c in terms if not math.isfinite(c)]
         if bad:
@@ -70,10 +70,9 @@ _SENSE_MPS = {"<=": "L", ">=": "G", "==": "E"}
 
 def write_mps(ir: ModelIR) -> str:
     nums = _Numbers()
-    active = [row for row in ir.bilinear_rows if row.active]
     out = ["NAME STORAGEBID", "ROWS", " N OBJ"]
     out += [f" {_SENSE_MPS[row.sense]} {row.name}"
-            for row in ir.rows + active]
+            for row in ir.rows + ir.bilinear_rows]
 
     # column-major nonzeros, each column's entries as "row value" text:
     # the objective first, then the rows in order
@@ -81,7 +80,7 @@ def write_mps(ir: ModelIR) -> str:
     for i, coeff in sorted(ir.objective.items()):
         entries[i].append("OBJ " + nums[coeff])
     for name, terms in [(row.name, row.coeffs) for row in ir.rows] + \
-            [(row.name, row.linear) for row in active]:
+            [(row.name, row.linear) for row in ir.bilinear_rows]:
         head = name + " "
         for i, c in terms:
             entries[i].append(head + nums[c])
@@ -103,7 +102,7 @@ def write_mps(ir: ModelIR) -> str:
 
     out.append("RHS")
     out += [f" RHS {row.name} {nums[row.rhs]}"
-            for row in ir.rows + active if row.rhs != 0.0]
+            for row in ir.rows + ir.bilinear_rows if row.rhs != 0.0]
 
     out.append("BOUNDS")
     for v in ir.variables:
@@ -124,7 +123,7 @@ def write_mps(ir: ModelIR) -> str:
         if not math.isinf(hi):
             out.append(f" UP BND {v.name} {nums[hi]}")
 
-    for row in active:
+    for row in ir.bilinear_rows:
         out.append(f"QCMATRIX {row.name}")
         for i, j, c in row.quad:
             ni, nj = ir.variables[i].name, ir.variables[j].name
@@ -161,8 +160,6 @@ def write_lp(ir: ModelIR) -> str:
             f"{_SENSE_LP[row.sense]} {nums[row.rhs]}"
             for row in ir.rows]
     for row in ir.bilinear_rows:
-        if not row.active:
-            continue
         quad = " ".join(
             f"{'+' if c >= 0 else '-'} {nums[abs(c)]} "
             f"{names[i]} * {names[j]}"

@@ -106,6 +106,21 @@ def simulate_soc(bids: BidSchedule, signal: RegulationSignal,
 # The per-interval optimal value function and its McCormick-style bounds.
 # ---------------------------------------------------------------------------
 
+def _phi_pieces(x0, x_dn, lam, params: StorageParams):
+    """What phi and its two bounds share: x0 and x_dn as arrays, the
+    pieces a = max{(x_dn-x0)/eta_d - lam, -x0/eta_d} and
+    b = max{p1, -eta_c*x0} with p1 = eta_c(x_dn-x0) - lam, and the masks
+    of the first two cases (x_dn <= x0; otherwise x0 <= 0)."""
+    x0 = np.asarray(x0, dtype=float)
+    x_dn = np.asarray(x_dn, dtype=float)
+    ec, ed = params.eta_c, params.eta_d
+    a = np.maximum((x_dn - x0) / ed - lam, -x0 / ed)
+    p1 = ec * (x_dn - x0) - lam
+    b = np.maximum(p1, -ec * x0)
+    case_a = x_dn <= x0
+    return x0, x_dn, a, b, p1, case_a, ~case_a & (x0 <= 0)
+
+
 def phi_values(x0, x_dn, lam, params: StorageParams):
     """Worst-case SOC growth rate for arbitrage bid x0 and downregulation
     bid x_dn at budget dual lam, vectorized over intervals.
@@ -116,19 +131,12 @@ def phi_values(x0, x_dn, lam, params: StorageParams):
       x0 <= 0:             max{eta_c(x_dn-x0) - lam, -eta_c*x0}
       0 <= x0 <= x_dn > 0: max{eta_c(x_dn-x0) - lam, -lam*x0/x_dn, -x0/eta_d}
     """
-    x0 = np.asarray(x0, dtype=float)
-    x_dn = np.asarray(x_dn, dtype=float)
-    ec, ed = params.eta_c, params.eta_d
-    a = np.maximum((x_dn - x0) / ed - lam, -x0 / ed)
-    p1 = ec * (x_dn - x0) - lam
-    b = np.maximum(p1, -ec * x0)
+    x0, x_dn, a, b, p1, case_a, case_b = _phi_pieces(x0, x_dn, lam, params)
     # the ratio piece only matters when 0 <= x0 <= x_dn, so clamp the
     # numerator to keep the unused np.where branch from overflowing
     safe_dn = np.where(x_dn > 0, x_dn, 1.0)
     ratio = np.minimum(np.maximum(x0, 0.0), safe_dn) / safe_dn
-    c = np.maximum(p1, np.maximum(-lam * ratio, -x0 / ed))
-    case_a = x_dn <= x0
-    case_b = ~case_a & (x0 <= 0)
+    c = np.maximum(p1, np.maximum(-lam * ratio, -x0 / params.eta_d))
     return np.where(case_a, a, np.where(case_b, b, c))
 
 
@@ -144,31 +152,20 @@ def phi(x0: float, x_dn: float, lam: float, params: StorageParams) -> float:
 def phi_lower_values(x0, x_dn, lam, params: StorageParams):
     """Lower bound on phi obtained by dropping its bilinear ratio piece
     (the relaxation's per-interval estimate)."""
-    x0 = np.asarray(x0, dtype=float)
-    x_dn = np.asarray(x_dn, dtype=float)
-    ec, ed = params.eta_c, params.eta_d
-    a = np.maximum((x_dn - x0) / ed - lam, -x0 / ed)
-    b = np.maximum(ec * (x_dn - x0) - lam, -ec * x0)
-    mid = np.maximum(ec * (x_dn - x0) - lam, -x0 / ed)
-    case_a = x_dn <= x0
-    case_b = ~case_a & (x0 <= 0)
+    x0, x_dn, a, b, p1, case_a, case_b = _phi_pieces(x0, x_dn, lam, params)
+    mid = np.maximum(p1, -x0 / params.eta_d)
     return np.where(case_a, a, np.where(case_b, b, mid))
 
 
 def phi_upper_values(x0, x_dn, lam, params: StorageParams):
     """Upper bound on phi replacing the ratio piece by the adjacent
     linear pieces (the restriction's per-interval estimate)."""
-    x0 = np.asarray(x0, dtype=float)
-    x_dn = np.asarray(x_dn, dtype=float)
+    x0, x_dn, a, b, _, use_a, _ = _phi_pieces(x0, x_dn, lam, params)
     ec, ed = params.eta_c, params.eta_d
-    a = np.maximum((x_dn - x0) / ed - lam, -x0 / ed)
-    b = np.maximum(ec * (x_dn - x0) - lam, -ec * x0)
     denom = 1.0 - ec * ed
-    if denom > 0:
+    if denom > 0:  # lossless: both branches coincide
         thresh = np.maximum((x_dn - ed * lam) / denom, 0.0)
-        use_a = (x0 >= x_dn) | (x0 >= thresh)
-    else:
-        use_a = x0 >= x_dn  # lossless: both branches coincide
+        use_a = use_a | (x0 >= thresh)
     return np.where(use_a, a, b)
 
 

@@ -141,14 +141,13 @@ _LIMITS = (_highs.HighsModelStatus.kTimeLimit,
 
 def solve(ir: ModelIR, time_limit: float | None = None,
           gap_target: float | None = None) -> SolveResult:
-    """Solve a model with no active bilinear rows (LP or MILP) with
-    scipy's bundled HiGHS. A model whose every binary has an indicator
+    """Solve a model without bilinear rows (LP or MILP) with scipy's
+    bundled HiGHS. A model whose every binary has an indicator
     rule gets a relax-and-fix start point as its first MIP incumbent;
     HiGHS then improves on it up to ``gap_target``."""
     ir.validate()
-    if ir.n_bilinear_active > 0:
-        raise ModelError(
-            "model has active bilinear rows; use solve_exact_bilinear")
+    if ir.bilinear_rows:
+        raise ModelError("model has bilinear rows; use solve_exact_bilinear")
     integrality = np.array(
         [1 if v.kind == BINARY else 0 for v in ir.variables], dtype=np.uint8)
     binaries = np.flatnonzero(integrality).astype(np.int32)
@@ -202,7 +201,6 @@ class RowResidual:
     name: str
     residual: float
     bilinear: bool
-    active: bool
 
 
 @dataclass(frozen=True)
@@ -215,35 +213,27 @@ class VerificationReport:
         return [r for r in self.residuals if r.residual < -self.tol]
 
     @property
-    def active_violations(self) -> list[RowResidual]:
-        return [r for r in self.violations if r.active]
-
-    @property
     def bilinear_violations(self) -> int:
         return sum(1 for r in self.violations if r.bilinear)
 
     @property
     def feasible(self) -> bool:
-        return not self.active_violations
+        return not self.violations
 
 
 def verify_point(ir: ModelIR, point: dict[str, float]) -> VerificationReport:
-    """Residuals of every row (including inactive bilinear rows) and
-    variable bounds at a candidate point."""
+    """Residuals of every row, bilinear rows included, and every finite
+    variable bound at a candidate point."""
     x = ir.point_from_map(point)
     out = []
     for v, xi in zip(ir.variables, x):
         slack = min(xi - v.lower, v.upper - xi)
         if np.isfinite(slack):
             out.append(RowResidual(name=f"bound:{v.name}",
-                                   residual=float(slack), bilinear=False,
-                                   active=True))
-    for row in ir.rows:
-        out.append(RowResidual(name=row.name, residual=residual(row, x),
-                               bilinear=False, active=True))
-    for row in ir.bilinear_rows:
-        out.append(RowResidual(name=row.name, residual=residual(row, x),
-                               bilinear=True, active=row.active))
+                                   residual=float(slack), bilinear=False))
+    for rows, bilinear in ((ir.rows, False), (ir.bilinear_rows, True)):
+        out += [RowResidual(name=row.name, residual=residual(row, x),
+                            bilinear=bilinear) for row in rows]
     return VerificationReport(residuals=out)
 
 
@@ -264,9 +254,8 @@ def solve_exact_bilinear(ir: ModelIR, is_feasible,
     ``error``, with the relaxation's bound. Other failures of the
     relaxation solve come back as they are. ``ir`` is not changed.
     """
-    relaxed = replace(ir, bilinear_rows=[replace(row, active=False)
-                                         for row in ir.bilinear_rows])
-    res = solve(relaxed, time_limit=time_limit, gap_target=1e-9)
+    res = solve(replace(ir, bilinear_rows=[]), time_limit=time_limit,
+                gap_target=1e-9)
     if not res.ok:
         return res
     if not is_feasible(res.point):

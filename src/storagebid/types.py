@@ -78,9 +78,6 @@ class TimeGrid:
             return 1
         return min(max(int(math.ceil(t / self.dt_hours - 1e-12)), 1), self.K)
 
-    def boundaries(self) -> np.ndarray:
-        return np.arange(self.K + 1) * self.dt_hours
-
 
 def sigma(grid: TimeGrid, t: float, l: int) -> float:
     """Elapsed time within trading interval ``l`` up to time ``t``.
@@ -258,10 +255,6 @@ class RegulationSignal:
             raise DomainError("signal values must lie in [-1, 1]")
         if self.sample_period_hours <= 0:
             raise DomainError("sample period must be positive")
-
-    @property
-    def duration_hours(self) -> float:
-        return len(self.values) * self.sample_period_hours
 
     def check_alignment(self, grid: TimeGrid) -> int:
         """Samples per trading interval; raises if the period does not

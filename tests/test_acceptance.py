@@ -305,7 +305,6 @@ class TestCriterion6StructuralCounts:
     def test_exact_bilinear_and_binary_counts(self):
         ir = self._build("exact")
         assert len(ir.bilinear_rows) == 4560  # K(K-1)/2
-        assert ir.n_bilinear_active == 4560
         assert ir.n_binaries == 190  # 2(K-1)
 
     def test_restriction_binary_count(self):

@@ -128,6 +128,17 @@ class TestBuildCommand:
         assert manifest["variant"] == "restriction"
         assert os.path.getsize(out) > 0
 
+    def test_manifest_restriction_k4_has_no_bilinear_rows(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_text(HOURLY_CFG.replace("K = 24", "K = 4")
+                     .replace("gamma = 2.0", "gamma = 1.0"))
+        out = str(tmp_path / "model.mps")
+        assert main(["build", "--config", str(p), "--out", out]) == EXIT_OK
+        manifest = json.load(open(out + ".manifest.json"))
+        assert manifest["n_bilinear_rows"] == 0
+        assert "n_bilinear_active" not in manifest
+        assert "QCMATRIX" not in open(out).read()
+
     def test_manifest_bilinear_exact_k4(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text(HOURLY_CFG.replace("K = 24", "K = 4")

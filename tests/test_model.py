@@ -355,7 +355,7 @@ class TestVariants:
                               ModelOptions(variant="no_sell_lp",
                                            fcr_block_len=4, da_block_len=1))
         assert ir.n_binaries == 0
-        assert ir.n_bilinear_active == 0
+        assert len(ir.bilinear_rows) == 0
         for k in range(1, 5):
             assert ir.variables[ir.var(f"x0[{k}]")].upper == 0.0
 
@@ -368,7 +368,7 @@ class TestVariants:
                               ModelOptions(variant="lossless_lp",
                                            fcr_block_len=4, da_block_len=1))
         assert ir.n_binaries == 0
-        assert ir.n_bilinear_active == 0
+        assert len(ir.bilinear_rows) == 0
 
     def test_arbitrage_only_binaries(self):
         params = reference_battery()
@@ -417,6 +417,61 @@ class TestVariants:
         lp = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs),
                      bounds=[(-50, 0)] * K + [(0, 50)] * K, method="highs")
         assert res.objective == pytest.approx(lp.fun, abs=1e-7)
+
+
+class TestOnlyExactHasBilinearRows:
+    """Each variant builds the model it solves or writes: the bilinear
+    rows exist only in the exact model, which is the relaxation plus
+    those rows."""
+
+    @staticmethod
+    def _build(variant, K):
+        if K == 96:
+            grid = TimeGrid(dt_hours=0.25, K=96)
+            budget = UncertaintyBudget.from_eu_rules(0.25)
+            opts = ModelOptions(variant=variant, fcr_block_len=16,
+                                da_block_len=4)
+            return dispatch_variant(reference_battery(), grid, budget,
+                                    53.328, flat_prices(grid), opts)
+        grid = TimeGrid(dt_hours=1.0, K=K)
+        budget = UncertaintyBudget(kind="total_budget", gamma=1.0)
+        params = small_battery()
+        if variant == "lossless_lp":
+            params = StorageParams(x_min=-3.0, x_max=3.0, y_min=0.0,
+                                   y_max=8.0, eta_c=1.0, eta_d=1.0)
+        fcr = variant != "arbitrage_only"
+        opts = ModelOptions(variant=variant, fcr_enabled=fcr,
+                            fcr_block_len=4 if fcr else None,
+                            da_block_len=1)
+        return dispatch_variant(params, grid, budget, 4.0,
+                                flat_prices(grid), opts)
+
+    @pytest.mark.parametrize("variant,K",
+                             [(v, 4) for v in ModelOptions.VARIANTS]
+                             + [("restriction", 96)])
+    def test_bilinear_rows_are_built_for_exact_only(self, monkeypatch,
+                                                    variant, K):
+        calls = []
+        add_bilinear = ModelIR.add_bilinear
+
+        def counted(ir, *args, **kwargs):
+            calls.append(args[0] if args else kwargs["name"])
+            return add_bilinear(ir, *args, **kwargs)
+
+        monkeypatch.setattr(ModelIR, "add_bilinear", counted)
+        ir = self._build(variant, K)
+        n = K * (K - 1) // 2 if variant == "exact" else 0
+        assert len(calls) == len(ir.bilinear_rows) == n
+        if variant != "exact":
+            return
+        relax = self._build("relaxation", K)
+        assert relax.bilinear_rows == []
+        assert ir.variables == relax.variables
+        assert ir.registry == relax.registry
+        assert ir.rows == relax.rows
+        assert ir.objective == relax.objective
+        assert [r.name for r in ir.bilinear_rows] == [
+            f"bil[{k},{l}]" for k in range(2, K + 1) for l in range(1, k)]
 
 
 class TestOrderingAndSoundness:
@@ -490,7 +545,13 @@ class TestOrderingAndSoundness:
         ir = dispatch_variant(params, grid, budget, 1.916, prices, opts)
         res = solve(ir)
         assert res.ok
-        assert verify_point(ir, res.point).bilinear_violations >= 1
+        assert verify_point(ir, res.point).feasible
+        exact = dispatch_variant(params, grid, budget, 1.916, prices,
+                                 ModelOptions(variant="exact",
+                                              fcr_block_len=4,
+                                              da_block_len=1))
+        rep = verify_point(exact, res.point)
+        assert rep.bilinear_violations == len(rep.violations) >= 1
 
 
 class TestGapBound:

@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -256,9 +257,9 @@ class TestEmission:
     def test_exact_mps_has_one_qcmatrix_per_bilinear_row(self):
         ir = _k4_model("exact")
         text = emit_model(ir, "MPS").decode()
-        assert ir.n_bilinear_active == K4.K * (K4.K - 1) // 2 == 6
+        assert len(ir.bilinear_rows) == K4.K * (K4.K - 1) // 2 == 6
         assert sum(1 for line in text.splitlines()
-                   if line.startswith("QCMATRIX ")) == ir.n_bilinear_active
+                   if line.startswith("QCMATRIX ")) == len(ir.bilinear_rows)
 
     def test_roundtrip_counts(self, tmp_path):
         # HiGHS has no quadratic rows, so it reads the relaxation: the
@@ -284,7 +285,7 @@ class TestEmission:
                              fcr_availability=np.array([20.0]))
         opts = ModelOptions(variant="exact", fcr_block_len=1, da_block_len=1)
         ir = dispatch_variant(params, grid, budget, 4.0, prices, opts)
-        assert ir.n_bilinear_active == 0
+        assert len(ir.bilinear_rows) == 0
         read = _highs_read(tmp_path, emit_model(ir, "MPS"), "MPS")
         assert read.n_cols == ir.n_vars
         assert read.n_rows == len(ir.rows)
@@ -422,11 +423,15 @@ class TestVerifyPoint:
                             da_block_len=1)
         ir = dispatch_variant(params, grid, budget, 4.0, prices, opts)
         res = solve(ir)
-        # re-check against the exact model (same variable layout except
-        # for the u3 block, so verify on the restriction IR itself: its
-        # inactive bilinear rows are the exact rows)
-        rep = verify_point(ir, res.point)
+        assert res.ok
+        # the exact model has the restriction's columns less the u3 block
+        exact = dispatch_variant(params, grid, budget, 4.0, prices,
+                                 replace(opts, variant="exact"))
+        assert len(exact.bilinear_rows) == 6
+        rep = verify_point(exact, {name: res.point[name]
+                                   for name in exact.registry})
         assert rep.bilinear_violations == 0
+        assert rep.feasible
 
     def test_crafted_relaxation_violation_reported(self):
         params = StorageParams(x_min=-3, x_max=3, y_min=0, y_max=4.919,
@@ -439,9 +444,13 @@ class TestVerifyPoint:
                             da_block_len=1)
         ir = dispatch_variant(params, grid, budget, 1.916, prices, opts)
         res = solve(ir)
-        rep = verify_point(ir, res.point)
-        assert rep.bilinear_violations >= 1
-        assert rep.feasible  # only inactive rows are violated
+        assert verify_point(ir, res.point).feasible
+        exact = dispatch_variant(params, grid, budget, 1.916, prices,
+                                 replace(opts, variant="exact"))
+        rep = verify_point(exact, res.point)
+        # the exact model adds only bilinear rows, and only they fail
+        assert rep.bilinear_violations == len(rep.violations) >= 1
+        assert not rep.feasible
 
 
 def _binaries(ir):
@@ -566,7 +575,7 @@ class TestExactBilinearContract:
     def test_certified_point_is_the_relaxation_optimum(self):
         res = solve_exact_bilinear(self._toy(), lambda point: True)
         relaxed = self._toy()
-        relaxed.bilinear_rows[0].active = False
+        relaxed.bilinear_rows.clear()
         ref = solve(relaxed)
         assert res.status == "optimal"
         assert res.bound == res.objective == ref.objective
@@ -587,7 +596,7 @@ class TestExactBilinearContract:
     def test_callers_bilinear_rows_stay_active(self):
         ir = self._toy()
         solve_exact_bilinear(ir, self._off_corner)
-        assert ir.n_bilinear_active == 1
+        assert len(ir.bilinear_rows) == 1
 
     def test_uncertified_toy_is_rejected_at_once(self):
         # min -x - y, x*y <= 0.3, x + y <= 1.5: the relaxation optimum
