@@ -18,7 +18,7 @@ from .builder import MWH_PER_KWH, dispatch_variant, split_arbitrage_lp
 from .data import DataError, Dataset, DayData
 from .ir import ModelOptions
 from .soc import realized_power, soc_path
-from .solve import OPTIMAL, SolveResult, solve
+from .solve import INFEASIBLE, OPTIMAL, SolveResult, solve
 from .types import (
     AlignmentError,
     DomainError,
@@ -191,11 +191,14 @@ def _solve_arbitrage(config: ExperimentConfig, split,
     returned as ``optimal`` with gap 0, path ``split-lp`` and a point
     holding x0 only.
 
-    Otherwise the split LP charges and discharges in one interval, which
-    only negative prices pay for, and the MILP runs on ``build()``. Both
-    solves share ``config.time_limit``."""
+    An infeasible split LP proves the model infeasible, and its result
+    is returned as it is. Otherwise the split LP charges and discharges
+    in one interval, which only negative prices pay for, and the MILP
+    runs on ``build()``. Both solves share ``config.time_limit``."""
     t0 = time.perf_counter()
     lower = solve(split, time_limit=config.time_limit)
+    if lower.status == INFEASIBLE:
+        return lower
     if lower.status == OPTIMAL:
         K = config.grid.K
         c = np.array([lower.point[f"c[{k}]"] for k in range(1, K + 1)])
@@ -216,7 +219,6 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
     params, grid, budget = config.params, config.grid, config.budget
     prices, signal = day.prices, day.signal
     per = signal.check_alignment(grid)
-    prices.check_alignment(grid)
 
     lo, hi = params.y_min, params.y_max
     y0c, y0_lo, y0_hi = np.clip([y0, y0 - drift, y0 + drift], lo, hi).tolist()

@@ -261,7 +261,6 @@ def build_objective(ir: ModelIR, prices: PriceSeries, grid: TimeGrid,
                     fcr_enabled: bool) -> None:
     """Minimize negative revenue: day-ahead energy at per-interval prices
     plus FCR availability payments on the symmetric reserve bid."""
-    prices.check_alignment(grid)
     da = prices.da_per_interval(grid)
     for k in range(1, grid.K + 1):
         ir.add_objective_term(ir.var(f"x0[{k}]"),
@@ -518,6 +517,5 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
     build_objective(ir, prices, grid, options.fcr_enabled)
     if options.limited_arbitrage:
         limited_arbitrage_rows(ir, params, grid, budget, fcr_block)
-    ir.validate()
     return ir
 

@@ -213,16 +213,14 @@ class WorstCaseResult:
         return RegulationSignal(values=values, sample_period_hours=sample_period_hours)
 
 
-def _check_power_bounds(bids: BidSchedule, params: StorageParams) -> None:
-    if np.any(bids.x0 + bids.x_up > params.x_max + 1e-7):
-        raise DomainError("bids violate upper power bound (x0 + x_up <= x_max)")
-    if np.any(bids.x0 - bids.x_dn < params.x_min - 1e-7):
-        raise DomainError("bids violate lower power bound (x0 - x_dn >= x_min)")
+def _lam_candidates(x0, x_dn, params: StorageParams, phi_fn) -> np.ndarray:
+    """0 and the breakpoints of the dual's phi pieces: eta_c*x_dn,
+    x_dn/eta_d and, for the restriction, its case switch point.
 
-
-def _lam_candidates(x0, x_dn, params: StorageParams, lam_max: float,
-                    phi_fn) -> np.ndarray:
-    pts = [0.0, lam_max]
+    No cap is needed: past the largest breakpoint every piece of every
+    case of phi_values, phi_lower_values and phi_upper_values is constant
+    in lam, so the dual rises there at slope gamma >= 0."""
+    pts = [0.0]
     pts.extend(params.eta_c * x_dn)
     pts.extend(x_dn / params.eta_d)
     if phi_fn is phi_upper_values:
@@ -231,13 +229,11 @@ def _lam_candidates(x0, x_dn, params: StorageParams, lam_max: float,
             # switch point of the restriction's case condition
             pts.extend((np.asarray(x_dn) - denom * np.asarray(x0)) / params.eta_d)
     pts = np.asarray(pts, dtype=float)
-    pts = pts[(pts >= 0.0) & (pts <= lam_max + _TOL)]
-    return np.unique(np.clip(pts, 0.0, lam_max))
+    return np.unique(pts[pts >= 0.0])
 
 
 def _dual_minimize(x0, x_dn, params: StorageParams, gamma: float, dt: float,
-                   k: int, lam_max: float, phi_fn, sigma_k: float | None,
-                   hinge: bool):
+                   k: int, phi_fn, sigma_k: float | None, hinge: bool):
     """Minimize the convex piecewise-linear dual objective
 
         gamma*lam + dt * sum_{l<k} phi_l(lam) + tail_k(lam)
@@ -254,7 +250,7 @@ def _dual_minimize(x0, x_dn, params: StorageParams, gamma: float, dt: float,
         vals = phi_fn(x0, x_dn, cands[:, None], params)
         return gamma * cands + dt * vals[:, :-1].sum(axis=1), vals[:, -1]
 
-    cands = _lam_candidates(x0, x_dn, params, lam_max, phi_fn)
+    cands = _lam_candidates(x0, x_dn, params, phi_fn)
     a, b = lines(cands)
     if hinge:
         # the hinge adds a kink where phi_k crosses zero
@@ -317,36 +313,30 @@ def max_soc_at_time(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
     """Exact maximum SOC at time t over all budget-feasible signals."""
     if t < -ABS_TOL or t > grid.T + ABS_TOL:
         raise DomainError(f"t={t} outside horizon")
-    _check_power_bounds(bids, params)
-    lam_max = (params.x_max - params.x_min) / params.eta_d
     if t <= 0:
         return WorstCaseResult(value=y0, lambda_star=0.0,
                                witness_xi=np.zeros(grid.K), t_star=0.0, sign=-1)
     k = grid.interval_of(t)
     sig_k = t - (k - 1) * grid.dt_hours  # elapsed part of interval k
     val, lam_star, _, _ = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
-                                         grid.dt_hours, k, lam_max,
-                                         phi_values, sigma_k=sig_k,
-                                         hinge=False)
+                                         grid.dt_hours, k, phi_values,
+                                         sigma_k=sig_k, hinge=False)
     xi = _max_witness(bids, params, grid, gamma, t)
     return WorstCaseResult(value=y0 + val, lambda_star=lam_star,
                            witness_xi=xi, t_star=t, sign=-1)
 
 
 def max_soc_over_interval(bids: BidSchedule, params: StorageParams,
-                          grid: TimeGrid, gamma: float, y0: float, k: int,
-                          lam_max: float | None = None) -> WorstCaseResult:
+                          grid: TimeGrid, gamma: float, y0: float,
+                          k: int) -> WorstCaseResult:
     """Exact maximum SOC over the k-th trading interval (1-based), which
     may peak strictly inside the interval."""
     if not (1 <= k <= grid.K):
         raise DomainError(f"interval k={k} outside 1..{grid.K}")
-    if lam_max is None:
-        _check_power_bounds(bids, params)
-        lam_max = (params.x_max - params.x_min) / params.eta_d
     dt = grid.dt_hours
     val, lam_star, a, b = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
-                                         dt, k, lam_max, phi_values,
-                                         sigma_k=None, hinge=True)
+                                         dt, k, phi_values, sigma_k=None,
+                                         hinge=True)
     # the fixed-time maximum at offset s is min_c (a_c + s*b_c); its
     # earliest maximizer is where the last rising line reaches val
     rising = b > 0
@@ -371,10 +361,8 @@ def max_soc_estimate(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
         raise DomainError(f"unknown estimate kind {kind!r}")
     if not (1 <= k <= grid.K):
         raise DomainError(f"interval k={k} outside 1..{grid.K}")
-    _check_power_bounds(bids, params)
-    lam_max = (params.x_max - params.x_min) / params.eta_d
     val, _, _, _ = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
-                                  grid.dt_hours, k, lam_max, _PHI_FNS[kind],
+                                  grid.dt_hours, k, _PHI_FNS[kind],
                                   sigma_k=None, hinge=True)
     return y0 + val
 
@@ -391,11 +379,9 @@ def max_soc_gap_bound(params: StorageParams, grid: TimeGrid) -> float:
 
 def alpha_beta(bids: BidSchedule, params: StorageParams):
     """Tight epigraph values for the SOC lower bound:
-    alpha_l = max{eta_c x0_l, x0_l/eta_d}, beta_l analogous for x0 + x_up."""
-    ec, ed = params.eta_c, params.eta_d
-    alpha = np.maximum(ec * bids.x0, bids.x0 / ed)
-    beta = np.maximum(ec * (bids.x0 + bids.x_up), (bids.x0 + bids.x_up) / ed)
-    return alpha, beta
+    alpha_l = max{eta_c x0_l, x0_l/eta_d} = -soc_rate(x0_l), beta_l
+    analogous for x0 + x_up."""
+    return -soc_rate(bids.x0, params), -soc_rate(bids.x0 + bids.x_up, params)
 
 
 def min_soc_at_boundaries(bids: BidSchedule, params: StorageParams,
@@ -474,17 +460,11 @@ def check_feasibility(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
                                   slack=float(y0 - params.y_min)))
     checks.append(ConstraintCheck(name="initial_soc_upper",
                                   slack=float(params.y_max - y0)))
-    # extend the dual cap so SOC checks stay valid even when power bounds
-    # are themselves violated
-    lam_max = max((params.x_max - params.x_min) / params.eta_d,
-                  float(np.max(bids.x_dn, initial=0.0)) / params.eta_d,
-                  float(np.max(bids.x_dn - bids.x0, initial=0.0)) / params.eta_d)
     for k in range(1, grid.K + 1):
         lo = min_soc_at_boundaries(bids, params, grid, gamma, y0, k)
         checks.append(ConstraintCheck(name=f"soc_lower[{k}]",
                                       slack=lo.value - params.y_min, witness=lo))
-        hi = max_soc_over_interval(bids, params, grid, gamma, y0, k,
-                                   lam_max=lam_max)
+        hi = max_soc_over_interval(bids, params, grid, gamma, y0, k)
         checks.append(ConstraintCheck(name=f"soc_upper[{k}]",
                                       slack=params.y_max - hi.value, witness=hi))
     return FeasibilityReport(checks=checks)

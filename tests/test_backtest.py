@@ -1,8 +1,11 @@
 """Tests for the daily bidding loop: intraday adjustments, accounting,
 realized-feasibility, and the multi-day driver."""
 
+import importlib
+import itertools
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from storagebid import backtest
 from storagebid.backtest import (
     BacktestRecord,
+    BacktestReport,
     ExperimentConfig,
     budget_usage,
     drift_envelope,
@@ -24,7 +28,7 @@ from storagebid.backtest import (
 from storagebid.builder import dispatch_variant, split_arbitrage_lp
 from storagebid.data import Dataset, DayData, generate_synthetic_dataset
 from storagebid.ir import ModelOptions
-from storagebid.soc import check_feasibility, simulate_soc
+from storagebid.soc import check_feasibility, simulate_soc, soc_rate
 from storagebid.solve import SolveResult, solve
 from storagebid.types import (
     BidSchedule,
@@ -311,6 +315,24 @@ class TestRunBacktest:
         rep = run_backtest(hourly_config(), Dataset(str(root)))
         assert ("2021-03-28", "dst_transition") in rep.skipped
 
+    @pytest.mark.parametrize("bounds,expected", [
+        (("2021-01-02", "2021-01-02"), ["2021-01-02"]),
+        (("2021-01-02", None), ["2021-01-02", "2021-01-03"]),
+        ((None, "2021-01-01"), ["2021-01-01"]),
+        (("2021-02-01", None), [])])
+    def test_start_and_end_date_bound_the_days(self, synth, bounds,
+                                               expected):
+        start, end = bounds
+        cfg = hourly_config(options=ARBITRAGE, gap_target=None,
+                            start_date=start, end_date=end)
+        rep = run_backtest(cfg, synth)
+        assert [r.date for r in rep.records] == expected
+        assert rep.skipped == []
+        # explicit dates are bounded the same way
+        rep = run_backtest(cfg, synth, dates=["2021-01-03", "2021-01-01"])
+        assert [r.date for r in rep.records] == \
+            [d for d in ("2021-01-03", "2021-01-01") if d in expected]
+
     def test_8am_bidding_runs_and_is_conservative(self, synth):
         mid = run_backtest(hourly_config(day_coupling=True), synth,
                            dates=synth.dates())
@@ -536,6 +558,19 @@ class TestArbitrageSplitPath:
         run_day(*self._full_at_negative_price(), 8.0)
         assert calls == {"dispatch_variant": 1, "solve": 2}
 
+    def test_infeasible_split_lp_ends_the_day(self, monkeypatch):
+        # a terminal floor above y_max: the split LP relaxes the robust
+        # model, so its infeasibility settles the day without a build
+        calls = self._count_calls(monkeypatch)
+        options = ModelOptions(variant="arbitrage_only", fcr_enabled=False,
+                               da_block_len=1, terminal_soc_floor=95.0)
+        da = 40 + 30 * np.sin(np.arange(24) / 24 * 4 * np.pi)
+        with pytest.raises(backtest.SolverError,
+                           match="solver returned infeasible"):
+            run_day(hourly_config(options=options, gap_target=None),
+                    arbitrage_day(da), 50.0)
+        assert calls == {"dispatch_variant": 0, "solve": 1}
+
     def test_lossless_arbitrage_keeps_the_lp_path(self, monkeypatch):
         lossless = StorageParams(x_min=-50, x_max=50, y_min=10, y_max=90,
                                  eta_c=1.0, eta_d=1.0)
@@ -573,3 +608,65 @@ class TestIntradayMode:
             abs=1e-9)
         # drift-envelope violations would be recorded explicitly
         assert not any(v.startswith("drift") for v in rec.violations)
+
+
+class TestStartOnTimeLimit:
+    def test_no_time_left_returns_the_start(self, synth, monkeypatch):
+        # a clock that jumps 1000 s per reading leaves the MILP no time
+        # after the relax-and-fix start, so the start is the incumbent
+        ticks = itertools.count(0.0, 1000.0)
+        monkeypatch.setattr(importlib.import_module("storagebid.solve"),
+                            "time", SimpleNamespace(
+                                perf_counter=lambda: next(ticks)))
+        cfg = hourly_config()
+        day = synth.load_day("2021-01-01")
+        ir = dispatch_variant(cfg.params, cfg.grid, cfg.budget,
+                              cfg.y0_default, day.prices, cfg.options)
+        res = solve(ir, time_limit=cfg.time_limit,
+                    gap_target=cfg.gap_target)
+        assert res.status == "feasible_limit"
+        assert res.path == "start+milp"
+        assert res.objective == pytest.approx(res.start_objective, abs=1e-9)
+        rep = run_backtest(cfg, synth, dates=["2021-01-01"])
+        assert rep.skipped == []
+        (rec,) = rep.records
+        assert rec.status == "feasible_limit"
+        assert rec.solve_path == "start+milp"
+        assert rec.objective == res.objective
+
+
+class TestReplayViolations:
+    def test_signal_beyond_the_budget_is_recorded(self, synth):
+        # full upregulation for the first 6 h, then full downregulation:
+        # 3 h of deviation per 3 h window against a budget of 1 h
+        params, grid = REFERENCE_BATTERY, HOURLY
+        cfg = hourly_config(
+            budget=UncertaintyBudget(kind="rolling_window", gamma_prime=1.0,
+                                     Gamma_prime=3.0),
+            options=ModelOptions(variant="restriction", intraday=True,
+                                 fcr_block_len=4, da_block_len=1))
+        day = synth.load_day("2021-01-01")
+        n = len(day.signal.values)
+        signal = RegulationSignal(np.where(np.arange(n) < n // 4, 1.0, -1.0),
+                                  day.signal.sample_period_hours)
+        day = DayData(date=day.date, prices=day.prices, signal=signal)
+        rec, x0, x_up, _ = run_day_with_bids(cfg, day, 53.328)
+        assert rec.budget_usage == pytest.approx(3.0, abs=1e-9)
+        low, high, drift = rec.violations
+        assert low == f"soc_below_min:{rec.soc_min:.6f}"
+        assert high == f"soc_above_max:{rec.soc_max:.6f}"
+        assert rec.soc_min < params.y_min and rec.soc_max > params.y_max
+        # interval 1 has no intraday trade yet: the plan moves at the
+        # rate of x0, the replay at that of x0 + x_up
+        dy = abs(float(soc_rate(x0[0] + x_up[0], params)
+                       - soc_rate(x0[0], params))) * grid.dt_hours
+        env = drift_envelope(x_up, signal, grid, 3.0)
+        assert drift == f"drift_envelope[1]:{dy:.6f}"
+        assert dy > env[0] + 1e-6
+        clean = run_day(hourly_config(), synth.load_day("2021-01-01"),
+                        53.328)
+        summary = BacktestReport(config=cfg,
+                                 records=[rec, clean]).summary()
+        assert summary["days_with_violations"] == 1
+        assert summary["soc_min"] == rec.soc_min
+        assert summary["soc_max"] == rec.soc_max

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 
@@ -11,6 +13,7 @@ from storagebid.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
+    EXIT_SOLVER,
     config_from_mapping,
     load_config,
     main,
@@ -105,6 +108,19 @@ class TestConfigParsing:
         assert cfg.options.variant == "restriction"
         assert cfg.grid.K == 24
         assert cfg.budget.gamma == 2.0
+
+    def test_readme_quick_start_block_runs(self):
+        with open(README, encoding="utf-8") as f:
+            text = f.read()
+        after = text.split("## Library quick start", 1)[1]
+        block = after.split("```python", 1)[1].split("```", 1)[0]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(block, {})
+        value, t_star = map(float, out.getvalue().splitlines()[0].split())
+        # the README's comment: 1.53 kWh at t = 1.6 h
+        assert value == pytest.approx(1.53, abs=1e-9)
+        assert t_star == pytest.approx(1.6, abs=1e-9)
 
     def test_empty_horizon_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -217,6 +233,19 @@ class TestSolveDayCommand:
         lines = capsys.readouterr().out.splitlines()
         assert "solve path       split-lp" in lines
         assert any(line.startswith("gap              ") for line in lines)
+
+    def test_infeasible_day_exit_code(self, tmp_path, data_dir, capsys):
+        # a terminal floor above y_max leaves no feasible bid
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text(HOURLY_CFG.replace("variant = restriction",
+                                          "variant = arbitrage_only\n"
+                                          "fcr_enabled = false\n"
+                                          "terminal_soc_floor = 95")
+                       .replace("fcr_block_len = 4\n", ""))
+        code = main(["solve-day", "--config", str(cfg), "--data-dir",
+                     data_dir, "--date", "2021-01-01"])
+        assert code == EXIT_SOLVER
+        assert capsys.readouterr().err.startswith("solver error: ")
 
     def test_missing_date_exit_code(self, cfg_file, data_dir):
         code = main(["solve-day", "--config", cfg_file, "--data-dir",

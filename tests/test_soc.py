@@ -248,8 +248,27 @@ class TestMaxSocRandom:
         bids = BidSchedule(x0=x0, x_up=np.zeros(3), x_dn=x_dn)
         gamma = 0.5
         k = int(rng.integers(1, 4))
-        r = max_soc_over_interval(bids, p, grid, gamma, 3.0, k,
-                                  lam_max=10.0)
+        r = max_soc_over_interval(bids, p, grid, gamma, 3.0, k)
+        bf = brute_force_max_soc(bids, p, grid, gamma, 3.0, k, m=20)
+        assert bf <= r.value + 1e-9
+        assert r.value - bf <= 0.3
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(deadline=None, max_examples=40)
+    def test_oracle_vs_brute_force_outside_power_limits(self, seed):
+        # every interval breaks both power limits (x0 + x_up > x_max and
+        # x0 - x_dn < x_min); the oracle stays exact there
+        rng = np.random.default_rng(seed)
+        grid = TimeGrid(dt_hours=0.5, K=3)
+        p = small_battery()
+        bids = BidSchedule(x0=rng.uniform(-1.0, 1.0, 3),
+                           x_up=rng.uniform(3.5, 5.0, 3),
+                           x_dn=rng.uniform(3.5, 5.0, 3))
+        assert np.all(bids.x0 + bids.x_up > p.x_max)
+        assert np.all(bids.x0 - bids.x_dn < p.x_min)
+        gamma = 0.5
+        k = int(rng.integers(1, 4))
+        r = max_soc_over_interval(bids, p, grid, gamma, 3.0, k)
         bf = brute_force_max_soc(bids, p, grid, gamma, 3.0, k, m=20)
         assert bf <= r.value + 1e-9
         assert r.value - bf <= 0.3
@@ -263,7 +282,7 @@ class TestMaxSocRandom:
         bids = BidSchedule(x0=rng.uniform(-1.0, 1.0, 3), x_up=np.zeros(3),
                            x_dn=rng.uniform(0.0, 1.5, 3))
         k = int(rng.integers(1, 4))
-        r = max_soc_over_interval(bids, p, grid, 0.5, 3.0, k, lam_max=10.0)
+        r = max_soc_over_interval(bids, p, grid, 0.5, 3.0, k)
         sig = r.to_signal(grid)
         assert sig.abs_integral() <= 0.5 + 1e-9  # witness respects the budget
         traj = simulate_soc(bids, sig, p, grid, 3.0)
@@ -324,10 +343,8 @@ class TestMaxSocRandom:
         t = float(rng.uniform(1e-9, grid.T))
         k = grid.interval_of(t)
         sig_k = t - (k - 1) * dt
-        lam_max = (p.x_max - p.x_min) / p.eta_d
         vals = []
-        for lam in _lam_candidates(x0[:k], bids.x_dn[:k], p, lam_max,
-                                   phi_values):
+        for lam in _lam_candidates(x0[:k], bids.x_dn[:k], p, phi_values):
             v = phi_values(x0[:k], bids.x_dn[:k], lam, p)
             vals.append(gamma * lam + dt * float(np.sum(v[:-1]))
                         + sig_k * v[-1])
