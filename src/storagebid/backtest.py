@@ -60,8 +60,7 @@ def _abs_interval_integrals(signal: RegulationSignal,
 
 
 def intraday_adjustments(xr: np.ndarray, signal: RegulationSignal,
-                         grid: TimeGrid, gamma_prime: float,
-                         Gamma_prime: float) -> np.ndarray:
+                         grid: TimeGrid, Gamma_prime: float) -> np.ndarray:
     """Per-interval intraday trades that buy back regulation energy
     accumulated over the trailing recovery window:
 
@@ -163,9 +162,9 @@ class BacktestRecord:
 
 
 def _extract_bids(point: dict[str, float], K: int, options: ModelOptions):
-    x0 = np.array([point.get(f"x0[{k}]", 0.0) for k in range(1, K + 1)])
+    x0 = np.array([point[f"x0[{k}]"] for k in range(1, K + 1)])
     if options.fcr_enabled:
-        xr = np.array([point.get(f"xr[{k}]", 0.0) for k in range(1, K + 1)])
+        xr = np.array([point[f"xr[{k}]"] for k in range(1, K + 1)])
         return x0, xr, xr
     return x0, np.zeros(K), np.zeros(K)
 
@@ -215,7 +214,10 @@ def _solve_arbitrage(config: ExperimentConfig, split,
 def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
                       drift: float = 0.0):
     """Like run_day but also returns the accepted bid arrays
-    (x0, x_up, x_dn) for downstream use."""
+    (x0, x_up, x_dn) for downstream use.
+
+    The model plans for every start SOC in ``y0 +/- drift``, clamped to
+    the SOC range; the replay starts at ``y0``."""
     params, grid, budget = config.params, config.grid, config.budget
     prices, signal = day.prices, day.signal
     per = signal.check_alignment(grid)
@@ -235,7 +237,7 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
     else:
         res = solve(build(), time_limit=config.time_limit,
                     gap_target=config.gap_target)
-    if res.status not in ("optimal", "feasible_limit"):
+    if not res.ok:
         raise SolverError(f"{day.date}: solver returned {res.status}: "
                           f"{res.message}")
 
@@ -246,8 +248,7 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
     dt = grid.dt_hours
 
     if config.options.intraday:
-        xa = intraday_adjustments(x_up, signal, grid, budget.gamma_prime,
-                                  budget.Gamma_prime)
+        xa = intraday_adjustments(x_up, signal, grid, budget.Gamma_prime)
     else:
         xa = np.zeros(K)
 
@@ -298,19 +299,16 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
     return record, x0, x_up, x_dn
 
 
-def run_day(config: ExperimentConfig, day: DayData, y0: float,
-            drift: float = 0.0) -> BacktestRecord:
+def run_day(config: ExperimentConfig, day: DayData,
+            y0: float) -> BacktestRecord:
     """Bid for one day, then replay it under the recorded signal.
-
-    The model plans for every start SOC in ``y0 +/- drift``, clamped to
-    the SOC range; the replay starts at ``y0``.
 
     Cash flows: FCR availability revenue at the block prices, day-ahead
     revenue for x0, intraday trades valued at the concurrent day-ahead
     price. Realized regulation energy is also valued at the day-ahead
     price but reported separately (zero in expectation).
     """
-    return run_day_with_bids(config, day, y0, drift=drift)[0]
+    return run_day_with_bids(config, day, y0)[0]
 
 
 def is_dst_transition(date: str) -> bool:

@@ -268,8 +268,8 @@ def build_objective(ir: ModelIR, prices: PriceSeries, grid: TimeGrid,
     if fcr_enabled:
         fcr = prices.fcr_per_interval(grid)
         for k in range(1, grid.K + 1):
-            name = f"xr[{k}]" if ir.has_var(f"xr[{k}]") else f"x_up[{k}]"
-            ir.add_objective_term(ir.var(name), -fcr[k - 1] * MWH_PER_KWH)
+            ir.add_objective_term(ir.var(f"xr[{k}]"),
+                                  -fcr[k - 1] * MWH_PER_KWH)
 
 
 def add_market_coupling(ir: ModelIR, params: StorageParams, grid: TimeGrid,
@@ -314,8 +314,6 @@ def add_market_coupling(ir: ModelIR, params: StorageParams, grid: TimeGrid,
 def add_terminal_condition(ir: ModelIR, grid: TimeGrid, y0: float,
                            y_star: float) -> None:
     """Guaranteed terminal SOC: y0 - dt * sum_k alpha_k >= y_star."""
-    if not ir.has_var("alpha[1]"):
-        raise ModelError("terminal condition requires the SOC lower block")
     coeffs = [(ir.var(f"alpha[{k}]"), -grid.dt_hours)
               for k in range(1, grid.K + 1)]
     ir.add_row("terminal_soc", coeffs, ">=", y_star - y0)
@@ -333,10 +331,9 @@ def build_intraday_power_bounds(ir: ModelIR, params: StorageParams,
     """
     if not is_multiple_of(gamma_prime, grid.dt_hours):
         raise DomainError("gamma_prime must be a multiple of dt")
-    if not ir.has_var("xr[1]"):
-        raise ModelError("intraday bounds require symmetric reserve bids")
     dt = grid.dt_hours
     K = grid.K
+    xr = _family(ir, "xr", K)
     win = round(Gamma_prime / dt)  # window length Gamma'/dt in intervals
     rate = dt / (Gamma_prime - dt)
     scale = gamma_prime / dt
@@ -347,7 +344,7 @@ def build_intraday_power_bounds(ir: ModelIR, params: StorageParams,
         for i in range(lo, k + 1):
             w = ir.add_variable(f"w[{k},{i}]", lower=0.0)
             ir.add_row(f"w_epi[{k},{i}]",
-                       [(w, 1.0), (ir.var(f"xr[{i}]"), -rate), (lam, 1.0)],
+                       [(w, 1.0), (xr[i], -rate), (lam, 1.0)],
                        ">=", 0.0)
             tight.append((w, 1.0))
         x0n = ir.var(f"x0[{k + 1}]")
@@ -366,10 +363,9 @@ def limited_arbitrage_rows(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     """Cap day-ahead trading by the worst-case regulation energy the FCR
     bid can induce: |x0| energy within each FCR block is at most the
     block's deviation budget times its reserve bid."""
-    if not ir.has_var("xr[1]"):
-        raise ModelError("limited arbitrage requires symmetric reserve bids")
     dt = grid.dt_hours
     K = grid.K
+    xr = _family(ir, "xr", K)
     cap_abs = max(params.x_max, -params.x_min)
     for k in range(1, K + 1):
         s = ir.add_variable(f"s[{k}]", lower=0.0, upper=cap_abs)
@@ -382,7 +378,7 @@ def limited_arbitrage_rows(ir: ModelIR, params: StorageParams, grid: TimeGrid,
         first = b * fcr_block + 1
         coeffs = [(ir.var(f"s[{k}]"), dt)
                   for k in range(first, first + fcr_block)]
-        coeffs.append((ir.var(f"xr[{first}]"), -gamma_block))
+        coeffs.append((xr[first], -gamma_block))
         ir.add_row(f"lim_arb_blk[{b + 1}]", coeffs, "<=", 0.0)
 
 

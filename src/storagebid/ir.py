@@ -95,7 +95,7 @@ class ModelIR:
     def has_var(self, name: str) -> bool:
         return name in self.registry
 
-    def add_row(self, name: str, coeffs, sense: str, rhs: float) -> int:
+    def add_row(self, name: str, coeffs, sense: str, rhs: float) -> None:
         coeffs = tuple(coeffs)
         # min and max compare the (index, coeff) pairs in C, index first;
         # the full check runs only to name what is wrong
@@ -103,17 +103,15 @@ class ModelIR:
                 min(coeffs)[0] < 0 or max(coeffs)[0] >= len(self.variables)):
             self._check_refs(name, [i for i, _ in coeffs], sense)
         self.rows.append(LinearRow(name, coeffs, sense, float(rhs)))
-        return len(self.rows) - 1
 
     def add_bilinear(self, name: str, quad, linear, sense: str,
-                     rhs: float) -> int:
+                     rhs: float) -> None:
         quad, linear = tuple(quad), tuple(linear)
         refs = [i for i, _, _ in quad] + [j for _, j, _ in quad]
         refs += [i for i, _ in linear]
         self._check_refs(name, refs, sense)
         self.bilinear_rows.append(BilinearRow(name, quad, linear, sense,
                                               float(rhs)))
-        return len(self.bilinear_rows) - 1
 
     def add_indicator(self, idx: int, coeffs) -> None:
         """Record that binary ``idx`` is 1 where sum(coeff * var) >= 0."""

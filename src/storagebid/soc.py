@@ -233,16 +233,16 @@ def _lam_candidates(x0, x_dn, params: StorageParams, phi_fn) -> np.ndarray:
 
 
 def _dual_minimize(x0, x_dn, params: StorageParams, gamma: float, dt: float,
-                   k: int, phi_fn, sigma_k: float | None, hinge: bool):
+                   k: int, phi_fn, sigma_k: float | None):
     """Minimize the convex piecewise-linear dual objective
 
         gamma*lam + dt * sum_{l<k} phi_l(lam) + tail_k(lam)
 
-    where tail_k is sigma_k * phi_k (fixed-time mode) or dt * [phi_k]+
-    (interval-max mode), over its breakpoints. Each candidate c gives the
-    line a_c + s * b_c in the weight s of interval k, with
-    a_c = gamma*c + dt * sum_{l<k} phi_l(c) and b_c = phi_k(c). Returns
-    (objective value, smallest minimizer, a, b)."""
+    where tail_k is sigma_k * phi_k (fixed-time mode) or, with sigma_k
+    None, dt * [phi_k]+ (interval-max mode), over its breakpoints. Each
+    candidate c gives the line a_c + s * b_c in the weight s of interval
+    k, with a_c = gamma*c + dt * sum_{l<k} phi_l(c) and b_c = phi_k(c).
+    Returns (objective value, smallest minimizer, a, b)."""
     x0 = np.asarray(x0, dtype=float)[:k]
     x_dn = np.asarray(x_dn, dtype=float)[:k]
 
@@ -252,7 +252,7 @@ def _dual_minimize(x0, x_dn, params: StorageParams, gamma: float, dt: float,
 
     cands = _lam_candidates(x0, x_dn, params, phi_fn)
     a, b = lines(cands)
-    if hinge:
+    if sigma_k is None:
         # the hinge adds a kink where phi_k crosses zero
         fa, fb = b[:-1], b[1:]
         cross = ((fa > 0) & (fb < 0)) | ((fa < 0) & (fb > 0))
@@ -261,7 +261,7 @@ def _dual_minimize(x0, x_dn, params: StorageParams, gamma: float, dt: float,
         ra, rb = lines(roots)
         cands = np.concatenate([cands, roots])
         a, b = np.concatenate([a, ra]), np.concatenate([b, rb])
-    vals = a + (dt * np.maximum(b, 0.0) if hinge else sigma_k * b)
+    vals = a + (dt * np.maximum(b, 0.0) if sigma_k is None else sigma_k * b)
     best = vals.min()
     lam_star = float(cands[vals <= best + 1e-10].min())
     return float(best), lam_star, a, b
@@ -296,8 +296,6 @@ def _max_witness(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
     SOC gain of interval l rises at x_dn/eta_d while it still discharges
     (xi_l up to x0/x_dn), then at eta_c*x_dn."""
     xi = np.zeros(grid.K)
-    if t <= 0:
-        return xi
     k = grid.interval_of(t)
     x0, x_dn = bids.x0[:k], bids.x_dn[:k]
     safe_dn = np.where(x_dn > 0, x_dn, 1.0)
@@ -320,7 +318,7 @@ def max_soc_at_time(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
     sig_k = t - (k - 1) * grid.dt_hours  # elapsed part of interval k
     val, lam_star, _, _ = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
                                          grid.dt_hours, k, phi_values,
-                                         sigma_k=sig_k, hinge=False)
+                                         sigma_k=sig_k)
     xi = _max_witness(bids, params, grid, gamma, t)
     return WorstCaseResult(value=y0 + val, lambda_star=lam_star,
                            witness_xi=xi, t_star=t, sign=-1)
@@ -335,8 +333,7 @@ def max_soc_over_interval(bids: BidSchedule, params: StorageParams,
         raise DomainError(f"interval k={k} outside 1..{grid.K}")
     dt = grid.dt_hours
     val, lam_star, a, b = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
-                                         dt, k, phi_values, sigma_k=None,
-                                         hinge=True)
+                                         dt, k, phi_values, sigma_k=None)
     # the fixed-time maximum at offset s is min_c (a_c + s*b_c); its
     # earliest maximizer is where the last rising line reaches val
     rising = b > 0
@@ -363,7 +360,7 @@ def max_soc_estimate(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
         raise DomainError(f"interval k={k} outside 1..{grid.K}")
     val, _, _, _ = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
                                   grid.dt_hours, k, _PHI_FNS[kind],
-                                  sigma_k=None, hinge=True)
+                                  sigma_k=None)
     return y0 + val
 
 

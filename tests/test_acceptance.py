@@ -387,7 +387,7 @@ class TestCriterion8IntradayEnvelope:
         for seed in range(100):
             sig = self._scaled_signal(seed)
             assert window_budget_usage(sig, self.GRID, 0.25, 2.25) <= 1.0
-            xa = intraday_adjustments(xr, sig, self.GRID, 0.25, 2.25)
+            xa = intraday_adjustments(xr, sig, self.GRID, 2.25)
             soc = self._simulate(x0, xr, xa, sig, self.LOSSLESS)
             # SOC guarantee within operational bounds (lossless)
             assert soc.min() >= 10.0 - 1e-7
@@ -411,7 +411,7 @@ class TestCriterion8IntradayEnvelope:
         xr = np.full(96, 8.0)
         for seed in range(100):
             sig = self._scaled_signal(1000 + seed)
-            xa = intraday_adjustments(xr, sig, self.GRID, 0.25, 2.25)
+            xa = intraday_adjustments(xr, sig, self.GRID, 2.25)
             assert np.max(np.abs(xa)) <= 8.0 / 8.0 + 1e-9
 
     def test_gamma_prime_equals_dt_max_form(self):

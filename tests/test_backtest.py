@@ -5,6 +5,7 @@ import importlib
 import itertools
 import json
 import os
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -82,7 +83,7 @@ class TestBudgetUsage:
 class TestIntradayAdjustments:
     def test_zero_signal_zero_adjustment(self):
         sig = RegulationSignal.constant(0.0, QUARTER)
-        xa = intraday_adjustments(np.full(96, 8.0), sig, QUARTER, 0.25, 2.25)
+        xa = intraday_adjustments(np.full(96, 8.0), sig, QUARTER, 2.25)
         np.testing.assert_array_equal(xa, 0.0)
 
     def test_single_interval_full_activation(self):
@@ -91,7 +92,7 @@ class TestIntradayAdjustments:
         vals = np.zeros(96 * 90)
         vals[:90] = 1.0
         sig = RegulationSignal(values=vals)
-        xa = intraday_adjustments(np.full(96, 8.0), sig, QUARTER, 0.25, 2.25)
+        xa = intraday_adjustments(np.full(96, 8.0), sig, QUARTER, 2.25)
         assert xa[0] == 0.0
         assert xa[1] == pytest.approx(-1.0, abs=1e-12)
         # the window is 9 intervals long, so the drift leaves after that
@@ -103,13 +104,13 @@ class TestIntradayAdjustments:
         sig = RegulationSignal(
             values=np.clip(rng.normal(0, 0.5, 96 * 90), -1, 1))
         xr = np.full(96, 8.0)
-        xa = intraday_adjustments(xr, sig, QUARTER, 0.25, 2.25)
+        xa = intraday_adjustments(xr, sig, QUARTER, 2.25)
         # the bound holds for window usage within the budget; rescale the
         # signal so every window is feasible, then check
         vals = sig.values.copy()
         wu = window_budget_usage(sig, QUARTER, 0.25, 2.25)
         sig2 = RegulationSignal(values=vals / max(wu, 1.0))
-        xa2 = intraday_adjustments(xr, sig2, QUARTER, 0.25, 2.25)
+        xa2 = intraday_adjustments(xr, sig2, QUARTER, 2.25)
         assert np.max(np.abs(xa2)) <= 8.0 / 8.0 + 1e-9
 
     def test_drift_envelope_dominates_partial_sums(self):
@@ -357,6 +358,16 @@ class TestDstDetection:
         assert not is_dst_transition("2021-06-27")
 
 
+class TestExtractBids:
+    @pytest.mark.parametrize("point,missing", [
+        ({"x0[1]": 1.0, "xr[1]": 2.0, "xr[2]": 2.0}, "x0[2]"),
+        ({"x0[1]": 1.0, "x0[2]": 1.0, "xr[1]": 2.0}, "xr[2]")])
+    def test_missing_bid_variable_raises(self, point, missing):
+        # a missing name is a bug upstream, not a zero bid
+        with pytest.raises(KeyError, match=re.escape(missing)):
+            backtest._extract_bids(point, 2, ModelOptions())
+
+
 class TestReportFiles:
     def test_write_and_determinism(self, synth, tmp_path):
         rep = run_backtest(hourly_config(), synth)
@@ -381,6 +392,23 @@ class TestReportFiles:
         assert rec.solve_path == path
         assert rec.to_dict(include_timing=True)["solve_path"] == path
         assert "solve_path" not in rec.to_dict()
+
+    def test_timed_write_adds_only_the_timing_keys(self, synth, tmp_path):
+        rep = run_backtest(hourly_config(options=ARBITRAGE), synth)
+        plain = write_report(rep, str(tmp_path / "plain"))
+        timed = write_report(rep, str(tmp_path / "timed"),
+                             include_timing=True)
+        for key in ("summary", "series"):
+            assert open(timed[key], "rb").read() == \
+                open(plain[key], "rb").read()
+        plain_recs = [json.loads(line) for line in open(plain["records"])]
+        timed_recs = [json.loads(line) for line in open(timed["records"])]
+        assert len(timed_recs) == len(plain_recs) == len(rep.records) > 0
+        for p, t, r in zip(plain_recs, timed_recs, rep.records):
+            assert not {"solve_time", "gap", "solve_path"} & p.keys()
+            assert (t.pop("solve_time"), t.pop("gap"), t.pop("solve_path")) \
+                == (r.solve_time, r.gap, r.solve_path)
+            assert t == p
 
     def test_series_csv_shape(self, synth, tmp_path):
         rep = run_backtest(hourly_config(), synth)

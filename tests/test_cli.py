@@ -363,15 +363,6 @@ initial_soc = 0.5
         np.testing.assert_array_equal(sched.x_dn, [2.5, 3.5])
 
 
-class TestExample1Command:
-    def test_table_and_peak(self, capsys):
-        assert main(["example1"]) == EXIT_OK
-        text = capsys.readouterr().out
-        assert "peak at t = 1.6 dt with max SOC 1.530000 kWh" in text
-        assert "1.275000" in text  # value at t = dt
-        assert "1.373529" in text  # value at t = 2 dt
-
-
 class TestSynthCommand:
     def test_same_seed_identical(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +211,7 @@ class TestObjective:
         grid = TimeGrid(dt_hours=1.0, K=24)
         ir = ModelIR()
         add_bid_variables(ir, reference_battery(), grid)
+        add_market_coupling(ir, reference_battery(), grid, 4, 1)
         build_objective(ir, flat_prices(grid, da=0.0, fcr=0.0), grid, True)
         assert not any(ir.objective.values())
 
@@ -335,6 +338,30 @@ class TestIntraday:
         add_market_coupling(ir, params, grid, 16, 4)
         with pytest.raises(DomainError):
             build_intraday_power_bounds(ir, params, grid, 0.3, 2.3)
+
+
+class TestMissingFamilies:
+    """Blocks that read another block's variables name the first missing
+    one and leave the IR as it was."""
+
+    @pytest.mark.parametrize("add,name", [
+        (lambda ir, params, grid: add_terminal_condition(ir, grid, 50.0,
+                                                         50.0), "alpha[1]"),
+        (lambda ir, params, grid: build_intraday_power_bounds(
+            ir, params, grid, 0.25, 2.25), "xr[1]"),
+        (lambda ir, params, grid: limited_arbitrage_rows(
+            ir, params, grid,
+            UncertaintyBudget(kind="total_budget", gamma=1.0), 16), "xr[1]"),
+    ], ids=["terminal", "intraday", "limited_arbitrage"])
+    def test_raises_before_changing_the_ir(self, add, name):
+        params, grid = reference_battery(), TimeGrid(dt_hours=0.25, K=16)
+        ir = ModelIR()
+        add_bid_variables(ir, params, grid)
+        counts = (ir.n_vars, len(ir.rows))
+        with pytest.raises(ModelError,
+                           match=re.escape(f"unknown variable {name!r}")):
+            add(ir, params, grid)
+        assert (ir.n_vars, len(ir.rows)) == counts
 
 
 class TestVariants:

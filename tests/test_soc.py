@@ -368,6 +368,17 @@ class TestMaxSocRandom:
             over = max_soc_over_interval(BIDS2, PARAMS2, GRID2, 1.0, 0.0, 2).value
             assert at_t <= over + 1e-9
 
+    @pytest.mark.parametrize("x0_first", [0.0, 1.0])
+    def test_first_interval_that_never_rises_peaks_at_zero(self, x0_first):
+        # with x_dn[0] = 0 and x0[0] >= 0 no signal raises the SOC over
+        # interval 1: its maximum is y0 at t = 0, with an idle witness
+        bids = BidSchedule(x0=np.array([x0_first, 0.5]), x_up=np.zeros(2),
+                           x_dn=np.array([0.0, 3.5]))
+        r = max_soc_over_interval(bids, PARAMS2, GRID2, 1.0, 3.0, 1)
+        assert r.t_star == 0.0
+        assert r.value == 3.0
+        np.testing.assert_array_equal(r.witness_xi, np.zeros(2))
+
 
 class TestBruteForceGuards:
     def test_too_many_intervals(self):
