@@ -261,15 +261,16 @@ def build_objective(ir: ModelIR, prices: PriceSeries, grid: TimeGrid,
                     fcr_enabled: bool) -> None:
     """Minimize negative revenue: day-ahead energy at per-interval prices
     plus FCR availability payments on the symmetric reserve bid."""
+    # resolve every index first, so a missing variable leaves ir unchanged
+    x0 = _family(ir, "x0", grid.K)
+    xr = _family(ir, "xr", grid.K) if fcr_enabled else None
     da = prices.da_per_interval(grid)
     for k in range(1, grid.K + 1):
-        ir.add_objective_term(ir.var(f"x0[{k}]"),
-                              -da[k - 1] * MWH_PER_KWH * grid.dt_hours)
+        ir.add_objective_term(x0[k], -da[k - 1] * MWH_PER_KWH * grid.dt_hours)
     if fcr_enabled:
         fcr = prices.fcr_per_interval(grid)
         for k in range(1, grid.K + 1):
-            ir.add_objective_term(ir.var(f"xr[{k}]"),
-                                  -fcr[k - 1] * MWH_PER_KWH)
+            ir.add_objective_term(xr[k], -fcr[k - 1] * MWH_PER_KWH)
 
 
 def add_market_coupling(ir: ModelIR, params: StorageParams, grid: TimeGrid,

@@ -438,13 +438,69 @@ class FeasibilityReport:
         return [c for c in self.checks if c.slack < -self.tol]
 
 
+def _max_soc_rise_all(bids: BidSchedule, params: StorageParams,
+                      gamma: float, dt: float) -> np.ndarray:
+    """Worst-case SOC rise over every interval k = 1..K at once (entry
+    k-1 is ``max_soc_over_interval``'s value minus y0).
+
+    All k share one candidate set C, the breakpoints of every interval's
+    phi. For each k the dual is convex piecewise linear with all its
+    breakpoints in C plus the root of its hinge, so adding candidates that
+    belong to other intervals only adds points where the dual is at or
+    above its minimum. phi_k is non-increasing in lam and linear between
+    consecutive candidates, so it crosses zero at most once, inside one
+    segment of C, where interpolation finds the root."""
+    x0, x_dn = bids.x0, bids.x_dn
+    cands = _lam_candidates(x0, x_dn, params, phi_values)
+
+    def lines(lam, phis):
+        # a = gamma*lam + dt * sum_{l<k} phi_l(lam) for every k, b = phi_k(lam)
+        before = np.zeros_like(phis)
+        np.cumsum(phis[:, :-1], axis=1, out=before[:, 1:])
+        return gamma * lam + dt * before, phis
+
+    a, b = lines(cands[:, None], phi_values(x0, x_dn, cands[:, None], params))
+    best = (a + dt * np.maximum(b, 0.0)).min(axis=0)
+    # the hinge adds a kink where phi_k crosses zero: one segment per k
+    seg, k = np.nonzero((b[:-1] > 0) & (b[1:] < 0))
+    if len(seg):
+        lo, hi = cands[seg], cands[seg + 1]
+        fa, fb = b[seg, k], b[seg + 1, k]
+        roots = (lo + (hi - lo) * fa / (fa - fb))[:, None]
+        ra, rb = lines(roots, phi_values(x0, x_dn, roots, params))
+        rows = np.arange(len(seg))
+        best[k] = np.minimum(best[k],
+                             ra[rows, k] + dt * np.maximum(rb[rows, k], 0.0))
+    return best
+
+
+def _min_soc_all(bids: BidSchedule, params: StorageParams, gamma: float,
+                 dt: float, y0: float) -> np.ndarray:
+    """``min_soc_at_boundaries`` for every k = 1..K at once. Each k's dual
+    is concave piecewise linear with its breakpoints among the positive
+    surpluses beta - alpha of intervals 1..k, so the union over all
+    intervals only adds points at or below its maximum."""
+    alpha, beta = alpha_beta(bids, params)
+    diffs = beta - alpha
+    cands = np.unique(np.concatenate([[0.0], diffs[diffs > 0]]))[:, None]
+    drain = np.cumsum(alpha + np.maximum(diffs - cands, 0.0), axis=1)
+    return (y0 - gamma * cands - dt * drain).max(axis=0)
+
+
 def check_feasibility(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
                       gamma: float, y0: float) -> FeasibilityReport:
     """Verify power bounds and worst-case SOC bounds for candidate bids.
 
-    Violations are reported as negative slack with a witness signal; they
-    are data, not errors.
+    Violations are reported as negative slack; they are data, not errors.
+    All 2K SOC bounds come from one array pass over the union of the
+    intervals' dual breakpoints. A violated SOC check carries the witness
+    of its per-interval oracle (``min_soc_at_boundaries`` or
+    ``max_soc_over_interval``); a satisfied one carries none, and the same
+    oracles give its witness on demand.
     """
+    if bids.K != grid.K:
+        raise DomainError(f"bid schedule has {bids.K} intervals, "
+                          f"the grid has {grid.K}")
     checks: list[ConstraintCheck] = []
     for k in range(grid.K):
         checks.append(ConstraintCheck(
@@ -457,13 +513,20 @@ def check_feasibility(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
                                   slack=float(y0 - params.y_min)))
     checks.append(ConstraintCheck(name="initial_soc_upper",
                                   slack=float(params.y_max - y0)))
+    tol, dt = FeasibilityReport.tol, grid.dt_hours
+    lows = _min_soc_all(bids, params, gamma, dt, y0)
+    rises = _max_soc_rise_all(bids, params, gamma, dt)
     for k in range(1, grid.K + 1):
-        lo = min_soc_at_boundaries(bids, params, grid, gamma, y0, k)
-        checks.append(ConstraintCheck(name=f"soc_lower[{k}]",
-                                      slack=lo.value - params.y_min, witness=lo))
-        hi = max_soc_over_interval(bids, params, grid, gamma, y0, k)
-        checks.append(ConstraintCheck(name=f"soc_upper[{k}]",
-                                      slack=params.y_max - hi.value, witness=hi))
+        slack = float(lows[k - 1]) - params.y_min
+        witness = (min_soc_at_boundaries(bids, params, grid, gamma, y0, k)
+                   if slack < -tol else None)
+        checks.append(ConstraintCheck(name=f"soc_lower[{k}]", slack=slack,
+                                      witness=witness))
+        slack = params.y_max - (y0 + float(rises[k - 1]))
+        witness = (max_soc_over_interval(bids, params, grid, gamma, y0, k)
+                   if slack < -tol else None)
+        checks.append(ConstraintCheck(name=f"soc_upper[{k}]", slack=slack,
+                                      witness=witness))
     return FeasibilityReport(checks=checks)
 
 

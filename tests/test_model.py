@@ -352,7 +352,9 @@ class TestMissingFamilies:
         (lambda ir, params, grid: limited_arbitrage_rows(
             ir, params, grid,
             UncertaintyBudget(kind="total_budget", gamma=1.0), 16), "xr[1]"),
-    ], ids=["terminal", "intraday", "limited_arbitrage"])
+        (lambda ir, params, grid: build_objective(
+            ir, flat_prices(grid, da=100.0, fcr=12.0), grid, True), "xr[1]"),
+    ], ids=["terminal", "intraday", "limited_arbitrage", "objective"])
     def test_raises_before_changing_the_ir(self, add, name):
         params, grid = reference_battery(), TimeGrid(dt_hours=0.25, K=16)
         ir = ModelIR()
@@ -362,6 +364,7 @@ class TestMissingFamilies:
                            match=re.escape(f"unknown variable {name!r}")):
             add(ir, params, grid)
         assert (ir.n_vars, len(ir.rows)) == counts
+        assert ir.objective == {}
 
 
 class TestVariants:

@@ -14,12 +14,14 @@ from storagebid.types import (
     sigma_vector,
 )
 from storagebid.soc import (
+    FeasibilityReport,
     _lam_candidates,
     alpha_beta,
     brute_force_max_soc,
     brute_force_min_soc,
     check_feasibility,
     max_soc_at_time,
+    max_soc_estimate,
     max_soc_over_interval,
     min_soc_at_boundaries,
     phi,
@@ -424,3 +426,111 @@ class TestCheckFeasibility:
         w = bad[-1].witness
         traj = simulate_soc(bids, w.to_signal(grid), p, grid, 5.5)
         assert traj.max() > p.y_max + 1e-9
+
+    @pytest.mark.parametrize("n_bids", [3, 5])
+    def test_wrong_length_rejected(self, n_bids):
+        # neither cut a longer schedule to the grid nor index past the
+        # end of a shorter one
+        grid = TimeGrid(dt_hours=0.5, K=4)
+        with pytest.raises(DomainError, match=f"{n_bids} intervals.* 4"):
+            check_feasibility(BidSchedule.zero(n_bids), small_battery(), grid,
+                              0.5, 3.0)
+
+    def test_soc_lower_violation_with_witness(self):
+        grid = TimeGrid(dt_hours=1.0, K=2)
+        p = small_battery()
+        # heavy upregulation offer drains the battery from y0 near bottom
+        bids = BidSchedule(x0=np.zeros(2), x_up=np.array([2.0, 2.0]),
+                           x_dn=np.zeros(2))
+        rep = check_feasibility(bids, p, grid, 2.0, 1.0)
+        bad = [c for c in rep.violations() if c.name.startswith("soc_lower")]
+        assert [c.name for c in bad] == ["soc_lower[1]", "soc_lower[2]"]
+        for c in bad:
+            w = c.witness
+            traj = simulate_soc(bids, w.to_signal(grid), p, grid, 1.0)
+            assert traj.value_at(w.t_star) == pytest.approx(w.value, abs=1e-6)
+            assert traj.value_at(w.t_star) < p.y_min - 1e-9
+
+
+def per_interval_soc_checks(bids, p, grid, gamma, y0):
+    """The SOC checks of ``check_feasibility`` as (name, slack, oracle
+    result), one per-interval oracle call each. An upper check's result
+    (with its witness) is computed only where it is violated."""
+    out = []
+    for k in range(1, grid.K + 1):
+        lo = min_soc_at_boundaries(bids, p, grid, gamma, y0, k)
+        out.append((f"soc_lower[{k}]", lo.value - p.y_min, lo))
+        slack = p.y_max - max_soc_estimate(bids, p, grid, gamma, y0, k)
+        hi = (max_soc_over_interval(bids, p, grid, gamma, y0, k)
+              if slack < -FeasibilityReport.tol else None)
+        out.append((f"soc_upper[{k}]", slack, hi))
+    return out
+
+
+def sweep_instance(i, rng):
+    """Schedule i of the equivalence sweep: K = 1..29 in turn and K = 96
+    every 97th, lossless every third; by i % 5 zero reserve, x_dn = 0
+    entries, power-limit violators, reserve high enough to violate the SOC
+    bounds, or a plain random schedule."""
+    K = 96 if i % 97 == 0 else 1 + i % 29
+    grid = TimeGrid(dt_hours=float(rng.choice([0.25, 0.5, 1.0])), K=K)
+    eta = (1.0, 1.0) if i % 3 == 0 else rng.uniform(0.7, 1.0, 2)
+    p = StorageParams(x_min=-10.0, x_max=10.0, y_min=10.0, y_max=90.0,
+                      eta_c=eta[0], eta_d=eta[1])
+    kind = i % 5
+    x0 = rng.uniform(-4.0, 4.0, K)
+    x_up, x_dn = rng.uniform(0.0, 3.0, K), rng.uniform(0.0, 3.0, K)
+    if kind == 0:
+        x_up, x_dn = np.zeros(K), np.zeros(K)
+    elif kind == 1:
+        x_dn[rng.random(K) < 0.5] = 0.0
+    elif kind == 2:
+        out = rng.random(K) < 0.3
+        x0[out] = rng.uniform(10.0, 14.0, out.sum()) * rng.choice(
+            [-1.0, 1.0], out.sum())
+    elif kind == 3:
+        high = rng.random(K) < 0.3
+        x_up[high], x_dn[high] = rng.uniform(8.0, 12.0, (2, high.sum()))
+    bids = BidSchedule(x0=x0, x_up=x_up, x_dn=x_dn)
+    gamma = float(rng.uniform(0.0, grid.T))
+    y0 = float(rng.uniform(p.y_min, p.y_max))
+    return bids, p, grid, gamma, y0
+
+
+class TestOnePassMatchesPerIntervalOracles:
+    """``check_feasibility`` computes all SOC checks in one array pass;
+    the per-interval oracles are its reference. The summation order
+    differs, so slacks agree to rounding, and verdicts exactly."""
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(2017)
+        tol = FeasibilityReport.tol
+        seen = {"feasible": 0, "soc_lower": 0, "soc_upper": 0, "power": 0}
+        for i in range(2000):
+            bids, p, grid, gamma, y0 = sweep_instance(i, rng)
+            rep = check_feasibility(bids, p, grid, gamma, y0)
+            ref = per_interval_soc_checks(bids, p, grid, gamma, y0)
+            n_power = 2 * grid.K + 2
+            power, soc = rep.checks[:n_power], rep.checks[n_power:]
+            assert [c.name for c in power] == [
+                f"power_{side}[{k}]" for k in range(1, grid.K + 1)
+                for side in ("upper", "lower")] + ["initial_soc_lower",
+                                                   "initial_soc_upper"]
+            assert [c.name for c in soc] == [name for name, _, _ in ref]
+            for c, (_, slack, oracle) in zip(soc, ref):
+                assert abs(c.slack - slack) <= 1e-12, (i, c.name)
+                assert (c.slack < -tol) == (slack < -tol), (i, c.name)
+                if c.slack < -tol:
+                    seen[c.name.split("[")[0]] += 1
+                    w = c.witness
+                    assert (w.value, w.lambda_star, w.t_star, w.sign) == (
+                        oracle.value, oracle.lambda_star, oracle.t_star,
+                        oracle.sign)
+                    np.testing.assert_array_equal(w.witness_xi,
+                                                  oracle.witness_xi)
+                else:
+                    assert c.witness is None, (i, c.name)
+            seen["feasible"] += rep.feasible
+            seen["power"] += any(c.slack < -tol for c in power)
+        # every kind of verdict occurs in the sweep
+        assert all(n > 50 for n in seen.values()), seen
