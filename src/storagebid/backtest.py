@@ -211,13 +211,20 @@ def _solve_arbitrage(config: ExperimentConfig, split,
     return solve(build(), time_limit=time_left, gap_target=config.gap_target)
 
 
-def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
-                      drift: float = 0.0):
-    """Like run_day but also returns the accepted bid arrays
-    (x0, x_up, x_dn) for downstream use.
+def run_day(config: ExperimentConfig, day: DayData, y0: float,
+            drift: float = 0.0):
+    """Bid for one day, then replay it under the recorded signal; returns
+    the record and the accepted bids, ``(record, x0, x_up, x_dn)``.
 
     The model plans for every start SOC in ``y0 +/- drift``, clamped to
-    the SOC range; the replay starts at ``y0``."""
+    the SOC range; the replay starts at ``y0``, clamped, and reads the
+    signal up to the trading horizon.
+
+    Cash flows: FCR availability revenue at the block prices, day-ahead
+    revenue for x0, intraday trades valued at the concurrent day-ahead
+    price. Realized regulation energy is also valued at the day-ahead
+    price but reported separately (zero in expectation).
+    """
     params, grid, budget = config.params, config.grid, config.budget
     prices, signal = day.prices, day.signal
     per = signal.check_alignment(grid)
@@ -267,8 +274,8 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
     throughput = float(params.eta_c
                        * np.sum(np.maximum(-power, 0.0)) * sample_dt)
 
-    gamma_day = budget.total_gamma(grid.T)
-    usage = budget_usage(signal, gamma_day)
+    usage = budget_usage(RegulationSignal(xi, sample_dt),
+                         budget.total_gamma(grid.T))
 
     violations: list[str] = []
     tol = 1e-7
@@ -299,16 +306,8 @@ def run_day_with_bids(config: ExperimentConfig, day: DayData, y0: float,
     return record, x0, x_up, x_dn
 
 
-def run_day(config: ExperimentConfig, day: DayData,
-            y0: float) -> BacktestRecord:
-    """Bid for one day, then replay it under the recorded signal.
-
-    Cash flows: FCR availability revenue at the block prices, day-ahead
-    revenue for x0, intraday trades valued at the concurrent day-ahead
-    price. Realized regulation energy is also valued at the day-ahead
-    price but reported separately (zero in expectation).
-    """
-    return run_day_with_bids(config, day, y0)[0]
+# the benchmark's pipeline imports the day step under its former name
+run_day_with_bids = run_day
 
 
 def is_dst_transition(date: str) -> bool:
@@ -321,7 +320,6 @@ def is_dst_transition(date: str) -> bool:
 
 @dataclass
 class BacktestReport:
-    config: ExperimentConfig
     records: list[BacktestRecord] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)
 
@@ -384,7 +382,7 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
     if config.end_date is not None:
         dates = [d for d in dates if d <= config.end_date]
 
-    report = BacktestReport(config=config)
+    report = BacktestReport()
     y0 = config.y0_default
     prev_xr: np.ndarray | None = None
     for date in dates:
@@ -402,7 +400,7 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
         if config.bidding_time == "8am":
             drift = _eight_am_drift(config, prev_xr)
         try:
-            rec, _, x_up, _ = run_day_with_bids(config, day, y0, drift=drift)
+            rec, _, x_up, _ = run_day(config, day, y0, drift=drift)
         except SolverError as e:
             report.skipped.append((date, str(e)))
             continue
@@ -410,8 +408,6 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
         prev_xr = x_up
         if config.day_coupling:
             y0 = rec.soc_midnight
-        else:
-            y0 = config.y0_default
     return report
 
 

@@ -490,8 +490,8 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
     upper = build_soc_upper_exact if variant == "exact" else build_soc_upper
     upper(ir, params, grid, gamma, y0_up)
 
-    has_cases = ir.has_var("u1[1]")
     # lossless builds have no case binaries: their relaxation is exact
+    has_cases = not params.is_lossless
     if variant == "restriction" and has_cases:
         build_restriction_rows(ir, params, grid)
     elif variant == "no_sell_lp" and has_cases:

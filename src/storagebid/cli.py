@@ -175,10 +175,10 @@ def cmd_solve_day(args) -> int:
         "gap_target": args.gap})
     day = dat.Dataset(args.data_dir).load_day(args.date)
     y0 = args.y0 if args.y0 is not None else config.y0_default
-    record, x0, x_up, x_dn = bt.run_day_with_bids(config, day, y0)
+    record, x0, x_up, x_dn = bt.run_day(config, day, y0)
     gamma = config.budget.total_gamma(config.grid.T)
     bids = BidSchedule(x0=x0, x_up=x_up, x_dn=x_dn)
-    rep = check_feasibility(bids, config.params, config.grid, gamma, y0)
+    rep = check_feasibility(bids, config.params, config.grid, gamma, record.y0)
     print(f"date             {record.date}")
     print(f"status           {record.status}")
     print(f"solve path       {record.solve_path}")

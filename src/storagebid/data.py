@@ -15,6 +15,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import diags_array
+from scipy.sparse.linalg import spsolve_triangular
 
 from .types import PriceSeries, RegulationSignal
 
@@ -167,12 +169,12 @@ def synthetic_signal(rng: np.random.Generator, gamma: float,
     """Mean-reverting frequency-deviation noise scaled so the daily
     deviation-time usage approximates ``budget_target`` of gamma."""
     sample_period_hours = FREQ_SAMPLE_S / 3600.0
-    x = np.empty(n)
-    x[0] = 0.0
     theta, sig = 0.02, 0.12
     noise = rng.normal(0.0, sig, n - 1)
-    for i in range(1, n):
-        x[i] = x[i - 1] * (1.0 - theta) + noise[i - 1]
+    # x[0] = 0, x[i] = (1 - theta) x[i-1] + noise[i-1], by substitution
+    ar1 = diags_array([1.0, theta - 1.0], offsets=[0, -1], shape=(n, n))
+    x = spsolve_triangular(ar1.tocsc(), np.concatenate(([0.0], noise)),
+                           lower=True, unit_diagonal=True)
     target = budget_target * gamma
     vals = np.clip(x, -1.0, 1.0)
     for _ in range(8):

@@ -150,7 +150,7 @@ class TestRunDay:
                         prices=PriceSeries(day_ahead=np.zeros(24),
                                            fcr_availability=np.zeros(6)),
                         signal=day.signal)
-        rec = run_day(hourly_config(), day, 53.328)
+        rec = run_day(hourly_config(), day, 53.328)[0]
         # any feasible point is optimal at zero prices, so only the cash
         # flows are pinned down
         assert rec.profit_total == pytest.approx(0.0, abs=1e-9)
@@ -159,7 +159,8 @@ class TestRunDay:
         assert not rec.violations
 
     def test_accounting_identity(self, synth):
-        rec = run_day(hourly_config(), synth.load_day("2021-01-01"), 53.328)
+        rec = run_day(hourly_config(), synth.load_day("2021-01-01"),
+                      53.328)[0]
         assert rec.profit_total == pytest.approx(
             rec.profit_fcr + rec.profit_dayahead + rec.profit_intraday,
             abs=1e-9)
@@ -168,7 +169,7 @@ class TestRunDay:
     def test_realized_soc_within_bounds_when_budget_respected(self, synth):
         for date in synth.dates():
             day = synth.load_day(date)
-            rec = run_day(hourly_config(), day, 53.328)
+            rec = run_day(hourly_config(), day, 53.328)[0]
             assert rec.budget_usage <= 1.0
             assert rec.soc_min >= REFERENCE_BATTERY.y_min - 1e-7
             assert rec.soc_max <= REFERENCE_BATTERY.y_max + 1e-7
@@ -191,7 +192,7 @@ class TestRunDay:
             options=ModelOptions(variant="arbitrage_only",
                                  fcr_enabled=False, da_block_len=1),
             gap_target=None)
-        rec = run_day(cfg, day, 10.0)
+        rec = run_day(cfg, day, 10.0)[0]
         assert rec.profit_total == pytest.approx(80.0 * 100.0 * 1e-3,
                                                  abs=1e-6)
 
@@ -203,12 +204,40 @@ class TestRunDay:
         # the report's SOC figures come from the same integrator as
         # simulate_soc, so they agree exactly, not just to rounding
         day = synth.load_day("2021-01-01")
-        rec, x0, x_up, x_dn = run_day_with_bids(hourly_config(), day, 53.328)
+        rec, x0, x_up, x_dn = run_day(hourly_config(), day, 53.328)
         traj = simulate_soc(BidSchedule(x0=x0, x_up=x_up, x_dn=x_dn),
                             day.signal, REFERENCE_BATTERY, HOURLY, 53.328)
         assert rec.soc_min == traj.min()
         assert rec.soc_max == traj.max()
         assert rec.soc_midnight == traj.terminal
+
+    def test_returns_record_and_bids(self, synth):
+        out = run_day(hourly_config(), synth.load_day("2021-01-01"), 53.328)
+        rec, x0, x_up, x_dn = out
+        assert len(out) == 4 and isinstance(rec, BacktestRecord)
+        for bid in (x0, x_up, x_dn):
+            assert isinstance(bid, np.ndarray) and bid.shape == (24,)
+        # the restriction model bids symmetric reserve
+        np.testing.assert_array_equal(x_up, x_dn)
+
+    def test_former_name_is_an_alias(self):
+        # the benchmark's pipeline imports the day step by this name
+        assert run_day_with_bids is run_day
+
+    def test_samples_past_the_horizon_are_ignored(self, synth):
+        # a recorded day may run past the trading horizon; the replay and
+        # every record field, budget_usage included, use its samples only
+        day = synth.load_day("2021-01-01")
+        vals = day.signal.values
+        longer = DayData(date=day.date, prices=day.prices,
+                         signal=RegulationSignal(
+                             np.concatenate((vals, np.ones(360))),
+                             day.signal.sample_period_hours))
+        rec, x0, x_up, x_dn = run_day(hourly_config(), day, 53.328)
+        rec2, x0_2, x_up2, x_dn2 = run_day(hourly_config(), longer, 53.328)
+        assert rec2.to_dict() == rec.to_dict()
+        for a, b in ((x0, x0_2), (x_up, x_up2), (x_dn, x_dn2)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestRunBacktest:
@@ -388,7 +417,7 @@ class TestReportFiles:
                       da_block_len=1), "split-lp")])
     def test_timed_record_names_the_solve_path(self, synth, options, path):
         rec = run_day(hourly_config(options=options),
-                      synth.load_day("2021-01-01"), 53.328)
+                      synth.load_day("2021-01-01"), 53.328)[0]
         assert rec.solve_path == path
         assert rec.to_dict(include_timing=True)["solve_path"] == path
         assert "solve_path" not in rec.to_dict()
@@ -495,7 +524,7 @@ class TestArbitrageSplitPath:
                 assert bound.ok
                 assert bound.objective <= milp.objective + 1e-7
             try:
-                rec, x0, _, _ = run_day_with_bids(config, day, y0, drift)
+                rec, x0, _, _ = run_day(config, day, y0, drift)
             except backtest.SolverError:
                 assert not milp.ok
                 continue
@@ -545,7 +574,7 @@ class TestArbitrageSplitPath:
                                          day.prices, ARBITRAGE))
         assert split.point["c[1]"] > 1e-6 and split.point["d[1]"] > 1e-6
         results = self._capture(monkeypatch)
-        rec = run_day(config, day, 8.0)
+        rec = run_day(config, day, 8.0)[0]
         milp = solve(dispatch_variant(params, config.grid, config.budget,
                                       8.0, day.prices, ARBITRAGE))
         assert results[-1].path != "split-lp"
@@ -569,7 +598,7 @@ class TestArbitrageSplitPath:
         results = self._capture(monkeypatch)
         calls = self._count_calls(monkeypatch)
         da = 40 + 30 * np.sin(np.arange(24) / 24 * 4 * np.pi)
-        rec, x0, _, _ = run_day_with_bids(
+        rec, x0, _, _ = run_day(
             hourly_config(options=ARBITRAGE, gap_target=None),
             arbitrage_day(da), 50.0)
         assert calls == {"dispatch_variant": 0, "solve": 1}
@@ -609,7 +638,7 @@ class TestArbitrageSplitPath:
         da = 40 + 30 * np.sin(np.arange(24) / 24 * 4 * np.pi)
         rec = run_day(hourly_config(params=lossless, options=ARBITRAGE,
                                     gap_target=None),
-                      arbitrage_day(da), 50.0)
+                      arbitrage_day(da), 50.0)[0]
         assert [ir.n_binaries for ir in calls] == [0]
         assert calls[0].has_var("x0[1]")
         assert rec.solve_path == "milp"
@@ -629,7 +658,7 @@ class TestIntradayMode:
                                  fcr_block_len=16, da_block_len=4),
             time_limit=120.0, gap_target=0.1)
         rec = run_day(cfg, Dataset(str(root)).load_day("2021-01-01"),
-                      53.328)
+                      53.328)[0]
         assert rec.status in ("optimal", "feasible_limit")
         assert rec.profit_total == pytest.approx(
             rec.profit_fcr + rec.profit_dayahead + rec.profit_intraday,
@@ -678,7 +707,7 @@ class TestReplayViolations:
         signal = RegulationSignal(np.where(np.arange(n) < n // 4, 1.0, -1.0),
                                   day.signal.sample_period_hours)
         day = DayData(date=day.date, prices=day.prices, signal=signal)
-        rec, x0, x_up, _ = run_day_with_bids(cfg, day, 53.328)
+        rec, x0, x_up, _ = run_day(cfg, day, 53.328)
         assert rec.budget_usage == pytest.approx(3.0, abs=1e-9)
         low, high, drift = rec.violations
         assert low == f"soc_below_min:{rec.soc_min:.6f}"
@@ -692,9 +721,8 @@ class TestReplayViolations:
         assert drift == f"drift_envelope[1]:{dy:.6f}"
         assert dy > env[0] + 1e-6
         clean = run_day(hourly_config(), synth.load_day("2021-01-01"),
-                        53.328)
-        summary = BacktestReport(config=cfg,
-                                 records=[rec, clean]).summary()
+                        53.328)[0]
+        summary = BacktestReport(records=[rec, clean]).summary()
         assert summary["days_with_violations"] == 1
         assert summary["soc_min"] == rec.soc_min
         assert summary["soc_max"] == rec.soc_max

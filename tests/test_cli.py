@@ -252,6 +252,21 @@ class TestSolveDayCommand:
                      data_dir, "--date", "1999-01-01"])
         assert code == EXIT_DATA
 
+    def test_start_above_y_max_is_certified_from_the_clamp(
+            self, cfg_file, data_dir, tmp_path, capsys):
+        # the day is planned and replayed from y_max = 90, so the bids are
+        # certified from there, not from the raw 95
+        out = str(tmp_path / "rec.json")
+        code = main(["solve-day", "--config", cfg_file, "--data-dir",
+                     data_dir, "--date", "2021-01-01", "--y0", "95",
+                     "--out", out])
+        assert code == EXIT_OK
+        assert json.load(open(out))["y0"] == 90.0
+        check = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("worst-case check ")]
+        assert check == [check[0]]
+        assert check[0].startswith("worst-case check feasible ")
+
 
 class TestBacktestCommand:
     def test_backtest_reports_and_rerun_identical(self, cfg_file, data_dir,

@@ -293,6 +293,33 @@ class TestSyntheticGenerator:
                 hb = hashlib.sha256((b / sub / name).read_bytes()).digest()
                 assert ha == hb
 
+    # SHA-256 of the first two days of the acceptance dataset (seed 21,
+    # gamma 2), which the benchmark's pools and the acceptance backtest
+    # read: a change to the generator moves every digest built on them
+    ACCEPTANCE_DAY_SHA256 = {
+        ("dayahead", "2021-01-01"): "265f80c2655f7634e3f1b7ffecebd46a"
+                                    "926f940c31bd984aea0bd38c4a8ae8fd",
+        ("dayahead", "2021-01-02"): "aa5759aa86a0be4ed2d43d2e85ac75a5"
+                                    "215058e1623d819862a04046ec58e83b",
+        ("fcr", "2021-01-01"): "dcf4c4f288b2dc396be4439a29f71ce3"
+                               "a2b85d28e30a0e00e53532911611f4db",
+        ("fcr", "2021-01-02"): "2fdc7d82b05132ac9f61ad231c00004f"
+                               "55c47446858542e3cb2f20f5accacab3",
+        ("frequency", "2021-01-01"): "129c7b586507495de53439618367f716"
+                                     "0ba0866aa640618acecb0e4f95a79fd4",
+        ("frequency", "2021-01-02"): "77f33a415a528e3b63f87284e06137f"
+                                     "ba12f2f633a50c51cd9e6d90954998346",
+    }
+
+    def test_acceptance_days_are_pinned(self, tmp_path):
+        dates = generate_synthetic_dataset(str(tmp_path), seed=21, days=2,
+                                           gamma=2.0)
+        assert dates == ["2021-01-01", "2021-01-02"]
+        got = {(sub, date): hashlib.sha256(
+                   (tmp_path / sub / f"{date}.csv").read_bytes()).hexdigest()
+               for sub, date in self.ACCEPTANCE_DAY_SHA256}
+        assert got == self.ACCEPTANCE_DAY_SHA256
+
     def test_different_seed_differs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         generate_synthetic_dataset(str(a), seed=1, days=1, gamma=2.75)

@@ -449,6 +449,28 @@ class TestVariants:
         assert res.objective == pytest.approx(lp.fun, abs=1e-7)
 
 
+class TestLossyOneIntervalBuilds:
+    """dispatch_variant takes case binaries from the battery's losses. A
+    lossy K=1 model has none, so the restriction rows and the variant
+    surgery add nothing there. lossless_lp needs a lossless battery."""
+
+    @pytest.mark.parametrize("variant,n_vars,n_rows", [
+        ("exact", 10, 14), ("relaxation", 10, 14), ("restriction", 10, 14),
+        ("arbitrage_only", 9, 12), ("no_sell_lp", 10, 14)])
+    def test_no_case_binaries_and_same_counts(self, variant, n_vars, n_rows):
+        grid = TimeGrid(dt_hours=1.0, K=1)
+        budget = UncertaintyBudget(kind="total_budget", gamma=1.0)
+        fcr = variant != "arbitrage_only"
+        ir = dispatch_variant(small_battery(), grid, budget, 4.0,
+                              flat_prices(grid),
+                              ModelOptions(variant=variant, fcr_enabled=fcr,
+                                           da_block_len=1))
+        assert ir.n_binaries == 0 and ir.bilinear_rows == []
+        assert (len(ir.variables), len(ir.rows)) == (n_vars, n_rows)
+        assert not [name for name in ir.registry
+                    if name.startswith(("u1[", "u2[", "u3["))]
+
+
 class TestOnlyExactHasBilinearRows:
     """Each variant builds the model it solves or writes: the bilinear
     rows exist only in the exact model, which is the relaxation plus
