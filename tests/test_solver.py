@@ -12,7 +12,7 @@ from storagebid.types import (
     UncertaintyBudget,
 )
 from storagebid.ir import BINARY, ModelError, ModelIR, ModelOptions
-from storagebid.builder import dispatch_variant
+from storagebid.builder import dispatch_variant, split_arbitrage_lp
 from storagebid.data import Dataset, generate_synthetic_dataset
 from storagebid.mpsio import EmissionError, emit_model
 from storagebid.soc import check_feasibility
@@ -394,6 +394,73 @@ LP_SHA256 = {
 # day-ahead blocks) of test_restriction_k96_declares_binaries
 K96_RESTRICTION_MPS_SHA256 = (
     "972dde5a8b084dbf0b854260bf87b447f559e3933a1c1786b2c580451426f621")
+
+
+def _k4_options_model(budget=UncertaintyBudget(kind="total_budget",
+                                               gamma=1.0), **options):
+    return dispatch_variant(LOSSY, K4, budget, 4.0, K4_PRICES,
+                            ModelOptions(**options))
+
+
+def _k96_restriction():
+    params = StorageParams(x_min=-50, x_max=50, y_min=10, y_max=90,
+                           eta_c=0.92, eta_d=0.92)
+    grid = TimeGrid(dt_hours=0.25, K=96)
+    prices = PriceSeries(day_ahead=np.full(24, 40.0),
+                         fcr_availability=np.full(6, 15.0))
+    opts = ModelOptions(variant="restriction", fcr_block_len=16,
+                        da_block_len=4)
+    budget = UncertaintyBudget.from_eu_rules(0.25)
+    return dispatch_variant(params, grid, budget, 53.3, prices, opts)
+
+
+# Builder paths that the variant pins above do not reach: the intraday
+# power bounds, limited arbitrage with a terminal floor, day-ahead blocks
+# without FCR (the asymmetric market coupling), the split arbitrage LP,
+# and the quarter-hour restriction as an LP file
+PINNED_BUILDS = {
+    "intraday": lambda: _k4_options_model(
+        UncertaintyBudget.from_eu_rules(1.0), variant="restriction",
+        intraday=True, fcr_block_len=4, da_block_len=1),
+    "limited-terminal": lambda: _k4_options_model(
+        variant="restriction", limited_arbitrage=True,
+        terminal_soc_floor=3.0, fcr_block_len=2, da_block_len=1),
+    "arbitrage-blocks": lambda: _k4_options_model(
+        variant="arbitrage_only", fcr_enabled=False, da_block_len=2),
+    "split-lp": lambda: split_arbitrage_lp(
+        LOSSY, K4, 4.0, K4_PRICES,
+        ModelOptions(variant="arbitrage_only", fcr_enabled=False,
+                     da_block_len=2, terminal_soc_floor=3.0)),
+    "k96-restriction": _k96_restriction,
+}
+
+# SHA-256 of emit_model(PINNED_BUILDS[build](), fmt)
+PATH_SHA256 = {
+    ("intraday", "MPS"):
+        "a858742877cbdccf9cb516435bdd3cb18bc9637d2b57f6a587700186a416f45b",
+    ("intraday", "LP"):
+        "dfc846498a09f95eefccb71f02bba4c5723bd01b612325e1a773616aea5b6559",
+    ("limited-terminal", "MPS"):
+        "01603e5cedeb9b2db6886f85305e06286061edc5c655d9d341e99c0a6b24b8c7",
+    ("limited-terminal", "LP"):
+        "4136337d6ebff025ec3a4872205d6d5101606528f53d67453c48cb4c52b2f229",
+    ("arbitrage-blocks", "MPS"):
+        "e6c83dfa40842e2e89eb2f831642551e4e1d764c5a61004ce93165247f157977",
+    ("arbitrage-blocks", "LP"):
+        "2bcff417d1632e01528a5a799f54ef01a2dc4fa033d7980b6aafabc3c24bbacb",
+    ("split-lp", "MPS"):
+        "61e434b125bbadcac34e80e3ba14b7fd14efee9b16349ddd91635c0c71bfdbe1",
+    ("split-lp", "LP"):
+        "6696015c17dbb4b3ff94a6a02bb7633c4527ab57a05e4a761fa0cee548d13a2f",
+    ("k96-restriction", "LP"):
+        "3830b7ce130e5691fad945a87498036be0f910d0f7635ac425b5940f573015cc",
+}
+
+
+@pytest.mark.parametrize("build, fmt", sorted(PATH_SHA256))
+def test_other_build_paths_are_pinned(build, fmt):
+    blob = emit_model(PINNED_BUILDS[build](), fmt)
+    assert hashlib.sha256(blob).hexdigest() == PATH_SHA256[build, fmt]
 
 
 class TestVerifyPoint:
