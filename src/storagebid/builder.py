@@ -10,7 +10,9 @@ gets bilinear rows.
 
 from __future__ import annotations
 
-from .ir import BINARY, CONTINUOUS, ModelError, ModelIR, ModelOptions
+import numpy as np
+
+from .ir import BINARY, GE, SENSES, ModelError, ModelIR, ModelOptions
 from .types import (
     DomainError,
     PriceSeries,
@@ -33,32 +35,101 @@ def add_bid_variables(ir: ModelIR, params: StorageParams, grid: TimeGrid,
                       sell_allowed: bool = True) -> None:
     x0_hi = params.x_max if sell_allowed else 0.0
     span = params.x_max - params.x_min
-    for k in range(1, grid.K + 1):
-        ir.add_variable(f"x0[{k}]", lower=params.x_min, upper=x0_hi)
-    for k in range(1, grid.K + 1):
-        ir.add_variable(f"x_up[{k}]", lower=0.0, upper=span)
-    for k in range(1, grid.K + 1):
-        ir.add_variable(f"x_dn[{k}]", lower=0.0, upper=span)
+    _add_family(ir, "x0", grid.K, params.x_min, x0_hi)
+    _add_family(ir, "x_up", grid.K, 0.0, span)
+    _add_family(ir, "x_dn", grid.K, 0.0, span)
 
 
 def build_power_bounds(ir: ModelIR, params: StorageParams, grid: TimeGrid,
                        intervals=None) -> None:
     """x0_k + x_up_k <= x_max and x0_k - x_dn_k >= x_min."""
-    if intervals is None:
-        intervals = range(1, grid.K + 1)
-    for k in intervals:
-        ir.add_row(f"pow_hi[{k}]",
-                   [(ir.var(f"x0[{k}]"), 1.0), (ir.var(f"x_up[{k}]"), 1.0)],
-                   "<=", params.x_max)
-        ir.add_row(f"pow_lo[{k}]",
-                   [(ir.var(f"x0[{k}]"), 1.0), (ir.var(f"x_dn[{k}]"), -1.0)],
-                   ">=", params.x_min)
+    k = np.arange(1, grid.K + 1) if intervals is None else np.array(intervals)
+    x0, xup, xdn = (_family(ir, name, grid.K)
+                    for name in ("x0", "x_up", "x_dn"))
+    _add_rows(ir, _keys(k), [
+        ("pow_hi", [x0[k], xup[k]], [1.0, 1.0], "<=", params.x_max),
+        ("pow_lo", [x0[k], xdn[k]], [1.0, -1.0], ">=", params.x_min)])
 
 
-def _family(ir: ModelIR, name: str, n: int) -> list:
-    """Indices of ``name[1]..name[n]`` at list positions 1..n, resolved
-    once so that the O(K^2) blocks below look up no name per coefficient."""
-    return [None] + [ir.var(f"{name}[{k}]") for k in range(1, n + 1)]
+def _family(ir: ModelIR, name: str, n: int) -> np.ndarray:
+    """Indices of ``name[1]..name[n]`` at positions 1..n (position 0
+    holds -1), resolved once so that the O(K^2) blocks below look up no
+    name per coefficient."""
+    return np.array([-1] + [ir.var(f"{name}[{k}]") for k in range(1, n + 1)])
+
+
+def _add_family(ir: ModelIR, name: str, n: int, lower=-np.inf,
+                upper=np.inf) -> np.ndarray:
+    """Add continuous ``name[1]..name[n]``; indices as ``_family``."""
+    names = [f"{name}[{k}]" for k in range(1, n + 1)]
+    return np.concatenate([[-1], ir.add_variables(names, lower, upper)])
+
+
+def _pairs(K: int, first: int = 1, strict: bool = False):
+    """Index arrays (k, l) over k = 1..K and l = first..k, or l < k when
+    ``strict``, ordered by k and then l: the order of the O(K^2) blocks."""
+    per_k = np.arange(1, K + 1) + (1 - first) - strict
+    k = np.repeat(np.arange(1, K + 1), per_k)
+    l = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
+    return k, l + first
+
+
+def _block_starts(K: int, block: int):
+    """Index arrays (k, first): each interval k = 1..K that does not open
+    its market block of ``block`` intervals, and the one that does."""
+    k = np.arange(1, K + 1)
+    first = (k - 1) // block * block + 1
+    return k[k != first], first[k != first]
+
+
+def _keys(k, l=None) -> list[str]:
+    """Name suffixes ``[k]``, or ``[k,l]`` of index pairs."""
+    if l is None:
+        return [f"[{a}]" for a in k.tolist()]
+    n = int(k.max(initial=0)) + 1
+    heads, tails = [f"[{a}," for a in range(n)], [f"{b}]" for b in range(n)]
+    return [heads[a] + tails[b] for a, b in zip(k.tolist(), l.tolist())]
+
+
+def _triangle_names(head: str, name: str, k, l) -> list[str]:
+    """``head[k]`` for a pair with l = 0, ``name[k,l]`` for the others."""
+    heads = [f"{head}[{a}]" for a in range(int(k.max(initial=0)) + 1)]
+    return [name + key if b else heads[a]
+            for a, b, key in zip(k.tolist(), l.tolist(), _keys(k, l))]
+
+
+def _add_triangle(ir: ModelIR, head: str, name: str, K: int, head_bounds,
+                  bounds) -> np.ndarray:
+    """Add continuous ``head[k]`` and then ``name[k,1..k]`` for each k,
+    with (lower, upper) bounds ``head_bounds`` and ``bounds``. Returns
+    their indices as a table: ``name[k,l]`` at (k, l), ``head[k]`` at
+    (k, 0) and -1 elsewhere."""
+    k, l = _pairs(K, first=0)
+    table = np.full((K + 1, K + 1), -1)
+    table[k, l] = ir.add_variables(
+        _triangle_names(head, name, k, l),
+        *(np.where(l == 0, h, b) for h, b in zip(head_bounds, bounds)))
+    return table
+
+
+def _add_rows(ir: ModelIR, keys: list[str], families) -> None:
+    """Append, for each key in turn, the row ``name + key`` of every
+    family. A family is (name, columns, coefficients, sense, rhs): per
+    term an index array with one entry per key and one coefficient. An
+    index of -1 leaves its term out of that row."""
+    col = np.column_stack([c for _, cols, *_ in families for c in cols])
+    val = np.broadcast_to(np.concatenate([f[2] for f in families]),
+                          col.shape)
+    keep = col >= 0
+    widths = [len(f[2]) for f in families]
+    n_terms = np.add.reduceat(keep.astype(np.intp),
+                              np.cumsum(widths) - widths, axis=1)
+    prefixes = [name for name, *_ in families]
+    names = [name + key for key in keys for name in prefixes]
+    ir.add_rows(names, np.concatenate([[0], np.cumsum(n_terms)]), col[keep],
+                val[keep], np.tile([SENSES.index(f[3]) for f in families],
+                                   len(keys)),
+                np.tile([f[4] for f in families], len(keys)))
 
 
 def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
@@ -71,35 +142,39 @@ def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     K = grid.K
     hi = max(params.x_max * ec, params.x_max / ed)
     lo = min(params.x_min * ec, params.x_min / ed)
-    alpha = [None] + [ir.add_variable(f"alpha[{k}]", lower=lo, upper=hi)
-                      for k in range(1, K + 1)]
-    beta = [None] + [ir.add_variable(f"beta[{k}]", lower=lo, upper=hi)
-                     for k in range(1, K + 1)]
-    laml, Laml = [None], [None]
-    for k in range(1, K + 1):
-        laml.append(ir.add_variable(f"laml[{k}]", lower=0.0))
-        Laml.append([None] + [ir.add_variable(f"Laml[{k},{l}]", lower=0.0)
-                              for l in range(1, k + 1)])
+    alpha = _add_family(ir, "alpha", K, lo, hi)
+    beta = _add_family(ir, "beta", K, lo, hi)
+    Laml = _add_triangle(ir, "laml", "Laml", K, (0.0, np.inf),
+                         (0.0, np.inf))
+    laml = Laml[:, 0]
     x0, xup = _family(ir, "x0", K), _family(ir, "x_up", K)
-    for k in range(1, K + 1):
-        a, b = alpha[k], beta[k]
-        ir.add_row(f"alpha_c[{k}]", [(a, 1.0), (x0[k], -ec)], ">=", 0.0)
-        ir.add_row(f"alpha_d[{k}]", [(a, 1.0), (x0[k], -1.0 / ed)], ">=", 0.0)
-        ir.add_row(f"beta_c[{k}]", [(b, 1.0), (x0[k], -ec), (xup[k], -ec)],
-                   ">=", 0.0)
-        ir.add_row(f"beta_d[{k}]",
-                   [(b, 1.0), (x0[k], -1.0 / ed), (xup[k], -1.0 / ed)],
-                   ">=", 0.0)
-    for k in range(1, K + 1):
-        coeffs = [(laml[k], -gamma)]
-        for l in range(1, k + 1):
-            coeffs += ((alpha[l], -dt), (Laml[k][l], -dt))
-        ir.add_row(f"soc_lo[{k}]", coeffs, ">=", params.y_min - y0)
-        for l in range(1, k + 1):
-            ir.add_row(f"Laml_epi[{k},{l}]",
-                       [(Laml[k][l], 1.0), (laml[k], 1.0), (alpha[l], 1.0),
-                        (beta[l], -1.0)],
-                       ">=", 0.0)
+    k = np.arange(1, K + 1)
+    _add_rows(ir, _keys(k), [
+        ("alpha_c", [alpha[k], x0[k]], [1.0, -ec], ">=", 0.0),
+        ("alpha_d", [alpha[k], x0[k]], [1.0, -1.0 / ed], ">=", 0.0),
+        ("beta_c", [beta[k], x0[k], xup[k]], [1.0, -ec, -ec], ">=", 0.0),
+        ("beta_d", [beta[k], x0[k], xup[k]], [1.0, -1.0 / ed, -1.0 / ed],
+         ">=", 0.0)])
+    # for each k the row soc_lo[k], then the rows Laml_epi[k,l]
+    k, l = _pairs(K, first=0)
+    n_terms = np.where(l == 0, 1 + 2 * k, 4)
+    ptr = np.concatenate([[0], np.cumsum(n_terms)])
+    col, val = np.empty(ptr[-1], dtype=np.intp), np.empty(ptr[-1])
+    # soc_lo[k]: -gamma * laml[k], then -dt * (alpha[l] + Laml[k,l]) for
+    # l = 1..k
+    head = ptr[:-1][l == 0]
+    col[head], val[head] = laml[1:], -gamma
+    e = l > 0
+    ke, le = k[e], l[e]
+    body = head[ke - 1] + 2 * le
+    col[body - 1], col[body] = alpha[le], Laml[ke, le]
+    val[body - 1] = val[body] = -dt
+    epi = ptr[:-1][e, None] + np.arange(4)
+    col[epi] = np.column_stack([Laml[ke, le], laml[ke], alpha[le],
+                                beta[le]])
+    val[epi] = (1.0, 1.0, 1.0, -1.0)
+    ir.add_rows(_triangle_names("soc_lo", "Laml_epi", k, l), ptr, col, val,
+                GE, np.where(l == 0, params.y_min - y0, 0.0))
 
 
 def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
@@ -115,77 +190,62 @@ def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     K = grid.K
     x_lo, x_hi = params.x_min, params.x_max
     lam_cap = (x_hi - x_lo) / ed
-    lamu, Lamu = [None], [None]
-    for k in range(1, K + 1):
-        lamu.append(ir.add_variable(f"lamu[{k}]", lower=0.0, upper=lam_cap))
-        Lamu.append([None] + [ir.add_variable(f"Lamu[{k},{l}]")
-                              for l in range(1, k + 1)])
+    Lamu = _add_triangle(ir, "lamu", "Lamu", K, (0.0, lam_cap),
+                         (-np.inf, np.inf))
+    lamu = Lamu[:, 0]
     # case-indicator binaries carry specific-loss offsets, so a lossless
     # battery needs none of them (the system is a plain LP block)
     with_cases = not params.is_lossless
-    u1, u2 = [None], [None]
+    u1, u2 = [-1], [-1]
     if with_cases:
         for k in range(1, K):
             u1.append(ir.add_variable(f"u1[{k}]", kind=BINARY, lower=0.0,
                                       upper=1.0))
             u2.append(ir.add_variable(f"u2[{k}]", kind=BINARY, lower=0.0,
                                       upper=1.0))
+    u1, u2 = np.array(u1), np.array(u2)
     x0, xdn = _family(ir, "x0", K), _family(ir, "x_dn", K)
 
-    for k in range(1, K + 1):
-        coeffs = [(lamu[k], gamma)]
-        coeffs += ((Lamu[k][l], dt) for l in range(1, k + 1))
-        ir.add_row(f"soc_hi[{k}]", coeffs, "<=", params.y_max - y0)
-        kk = Lamu[k][k]
-        ir.add_row(f"Lamu_diag_b[{k}]", [(kk, 1.0), (x0[k], ec)], ">=", 0.0)
-        ir.add_row(f"Lamu_diag_c[{k}]",
-                   [(kk, 1.0), (xdn[k], -ec), (x0[k], ec), (lamu[k], 1.0)],
-                   ">=", 0.0)
-        ir.add_row(f"Lamu_diag_pos[{k}]", [(kk, 1.0)], ">=", 0.0)
+    k = np.arange(1, K + 1)
+    diag = Lamu[k, k]
+    _add_rows(ir, _keys(k), [
+        # the -1 entries of Lamu leave out Lamu[k,l] for l > k
+        ("soc_hi", [lamu[k], *Lamu[k, 1:].T], [gamma] + [dt] * K, "<=",
+         params.y_max - y0),
+        ("Lamu_diag_b", [diag, x0[k]], [1.0, ec], ">=", 0.0),
+        ("Lamu_diag_c", [diag, xdn[k], x0[k], lamu[k]], [1.0, -ec, ec, 1.0],
+         ">=", 0.0),
+        ("Lamu_diag_pos", [diag], [1.0], ">=", 0.0)])
 
     # binary case indicators: u1_k = 1 iff x0_k >= x_dn_k, u2_k = 1 iff
     # x0_k <= 0
     if with_cases:
-        for k in range(1, K):
-            ir.add_row(f"u1_hi[{k}]",
-                       [(x0[k], 1.0), (xdn[k], -1.0), (u1[k], -x_hi)],
-                       "<=", 0.0)
-            ir.add_row(f"u1_lo[{k}]",
-                       [(x0[k], 1.0), (xdn[k], -1.0), (u1[k], x_lo)],
-                       ">=", x_lo)
-            ir.add_row(f"u2_hi[{k}]", [(x0[k], 1.0), (u2[k], x_hi)],
-                       "<=", x_hi)
-            ir.add_row(f"u2_lo[{k}]", [(x0[k], 1.0), (u2[k], -x_lo)],
-                       ">=", 0.0)
+        k = np.arange(1, K)
+        _add_rows(ir, _keys(k), [
+            ("u1_hi", [x0[k], xdn[k], u1[k]], [1.0, -1.0, -x_hi], "<=", 0.0),
+            ("u1_lo", [x0[k], xdn[k], u1[k]], [1.0, -1.0, x_lo], ">=", x_lo),
+            ("u2_hi", [x0[k], u2[k]], [1.0, x_hi], "<=", x_hi),
+            ("u2_lo", [x0[k], u2[k]], [1.0, -x_lo], ">=", 0.0)])
 
     # off-diagonal epigraph rows with the minimal valid big-M offsets
-    for k in range(2, K + 1):
-        lamk = lamu[k]
-        for l in range(1, k):
-            L, x0l, xdnl = Lamu[k][l], x0[l], xdn[l]
-            if not with_cases:
-                # zero specific loss: the big-M offsets and the ratio
-                # hinge vanish, leaving a convex epigraph
-                ir.add_row(f"Lbd1[{k},{l}]",
-                           [(L, 1.0), (xdnl, -1.0 / ed), (x0l, 1.0 / ed),
-                            (lamk, 1.0)], ">=", 0.0)
-                ir.add_row(f"Lbd2[{k},{l}]",
-                           [(L, 1.0), (x0l, 1.0 / ed)], ">=", 0.0)
-                continue
-            ir.add_row(f"Lbd1[{k},{l}]",
-                       [(L, 1.0), (xdnl, -1.0 / ed), (x0l, 1.0 / ed),
-                        (lamk, 1.0), (u1[l], d_eta * x_lo)],
-                       ">=", d_eta * x_lo)
-            ir.add_row(f"Lbd2[{k},{l}]",
-                       [(L, 1.0), (x0l, 1.0 / ed), (u2[l], -d_eta * x_lo)],
-                       ">=", 0.0)
-            ir.add_row(f"Lbd3[{k},{l}]",
-                       [(L, 1.0), (xdnl, -ec), (x0l, ec), (lamk, 1.0),
-                        (u1[l], d_eta * x_hi)],
-                       ">=", 0.0)
-            ir.add_row(f"Lbd4[{k},{l}]",
-                       [(L, 1.0), (x0l, ec), (u2[l], -d_eta * x_hi)],
-                       ">=", -d_eta * x_hi)
+    k, l = _pairs(K, strict=True)
+    L, lamk, x0l, xdnl = Lamu[k, l], lamu[k], x0[l], xdn[l]
+    if not with_cases:
+        # zero specific loss: the big-M offsets and the ratio hinge
+        # vanish, leaving a convex epigraph
+        _add_rows(ir, _keys(k, l), [
+            ("Lbd1", [L, xdnl, x0l, lamk], [1.0, -1.0 / ed, 1.0 / ed, 1.0],
+             ">=", 0.0),
+            ("Lbd2", [L, x0l], [1.0, 1.0 / ed], ">=", 0.0)])
+        return
+    _add_rows(ir, _keys(k, l), [
+        ("Lbd1", [L, xdnl, x0l, lamk, u1[l]],
+         [1.0, -1.0 / ed, 1.0 / ed, 1.0, d_eta * x_lo], ">=", d_eta * x_lo),
+        ("Lbd2", [L, x0l, u2[l]], [1.0, 1.0 / ed, -d_eta * x_lo], ">=", 0.0),
+        ("Lbd3", [L, xdnl, x0l, lamk, u1[l]],
+         [1.0, -ec, ec, 1.0, d_eta * x_hi], ">=", 0.0),
+        ("Lbd4", [L, x0l, u2[l]], [1.0, ec, -d_eta * x_hi], ">=",
+         -d_eta * x_hi)])
 
 
 def build_soc_upper_exact(ir: ModelIR, params: StorageParams, grid: TimeGrid,
@@ -221,40 +281,34 @@ def build_restriction_rows(ir: ModelIR, params: StorageParams,
     x_lo, x_hi = params.x_min, params.x_max
     m_lo = (2.0 - rt) * x_hi - x_lo
     m_hi = rt * x_hi - x_lo
-    u3 = [None] + [ir.add_variable(f"u3[{k}]", kind=BINARY, lower=0.0,
-                                   upper=1.0)
-                   for k in range(1, K)]
+    u3 = np.array([-1] + [ir.add_variable(f"u3[{k}]", kind=BINARY,
+                                          lower=0.0, upper=1.0)
+                          for k in range(1, K)])
     x0, xdn = _family(ir, "x0", K), _family(ir, "x_dn", K)
     lamu = _family(ir, "lamu", K)
     u1, u2 = _family(ir, "u1", K - 1), _family(ir, "u2", K - 1)
+    k = np.arange(1, K)
+    _add_rows(ir, _keys(k), [
+        ("u3_lo", [xdn[k], x0[k], lamu[k], u3[k]],
+         [1.0, -(1.0 - rt), -ed, -m_lo], ">=", -m_lo),
+        ("u3_hi", [xdn[k], x0[k], lamu[k], u3[k]],
+         [1.0, -(1.0 - rt), -ed, -m_hi], "<=", 0.0)])
+    # sign rules of the case binaries, for a relax-and-fix start
     for k in range(1, K):
         x0k, xdnk, lamk = x0[k], xdn[k], lamu[k]
-        ir.add_row(f"u3_lo[{k}]",
-                   [(xdnk, 1.0), (x0k, -(1.0 - rt)), (lamk, -ed),
-                    (u3[k], -m_lo)],
-                   ">=", -m_lo)
-        ir.add_row(f"u3_hi[{k}]",
-                   [(xdnk, 1.0), (x0k, -(1.0 - rt)), (lamk, -ed),
-                    (u3[k], -m_hi)],
-                   "<=", 0.0)
-        # sign rules of the case binaries, for a relax-and-fix start
         ir.add_indicator(u1[k], [(x0k, 1.0), (xdnk, -1.0)])
         ir.add_indicator(u2[k], [(x0k, -1.0)])
         ir.add_indicator(u3[k], [(xdnk, 1.0), (x0k, -(1.0 - rt)),
                                  (lamk, -ed)])
-    for k in range(2, K + 1):
-        lamk = lamu[k]
-        for l in range(1, k):
-            L, x0l = ir.var(f"Lamu[{k},{l}]"), x0[l]
-            ir.add_row(f"res_a[{k},{l}]",
-                       [(L, 1.0), (x0l, ec), (u1[l], d_eta * x_hi),
-                        (u3[l], -d_eta * x_hi)],
-                       ">=", -d_eta * x_hi)
-            ir.add_row(f"res_b[{k},{l}]",
-                       [(L, 1.0), (xdn[l], -1.0 / ed), (x0l, 1.0 / ed),
-                        (lamk, 1.0), (u2[l], -d_eta * x_lo),
-                        (u3[l], -d_eta * x_lo)],
-                       ">=", 0.0)
+    k, l = _pairs(K, strict=True)
+    L = np.array([ir.var("Lamu" + key) for key in _keys(k, l)],
+                 dtype=np.intp)
+    _add_rows(ir, _keys(k, l), [
+        ("res_a", [L, x0[l], u1[l], u3[l]],
+         [1.0, ec, d_eta * x_hi, -d_eta * x_hi], ">=", -d_eta * x_hi),
+        ("res_b", [L, xdn[l], x0[l], lamu[k], u2[l], u3[l]],
+         [1.0, -1.0 / ed, 1.0 / ed, 1.0, -d_eta * x_lo, -d_eta * x_lo],
+         ">=", 0.0)])
 
 
 def build_objective(ir: ModelIR, prices: PriceSeries, grid: TimeGrid,
@@ -282,34 +336,20 @@ def add_market_coupling(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     if K % fcr_block != 0 or K % da_block != 0:
         raise ModelError("block lengths must divide the number of intervals")
     if symmetric:
-        cap = min(params.x_max, -params.x_min)
-        for k in range(1, K + 1):
-            ir.add_variable(f"xr[{k}]", lower=0.0, upper=cap)
-        for k in range(1, K + 1):
-            ir.add_row(f"sym_up[{k}]",
-                       [(ir.var(f"x_up[{k}]"), 1.0), (ir.var(f"xr[{k}]"), -1.0)],
-                       "==", 0.0)
-            ir.add_row(f"sym_dn[{k}]",
-                       [(ir.var(f"x_dn[{k}]"), 1.0), (ir.var(f"xr[{k}]"), -1.0)],
-                       "==", 0.0)
-        reserve_names = ["xr"]
+        xr = _add_family(ir, "xr", K, 0.0, min(params.x_max, -params.x_min))
+        x_up, x_dn = _family(ir, "x_up", K), _family(ir, "x_dn", K)
+        k = np.arange(1, K + 1)
+        _add_rows(ir, _keys(k), [
+            ("sym_up", [x_up[k], xr[k]], [1.0, -1.0], "==", 0.0),
+            ("sym_dn", [x_dn[k], xr[k]], [1.0, -1.0], "==", 0.0)])
+        blocks = [("xr", fcr_block)]
     else:
-        reserve_names = ["x_up", "x_dn"]
-    for name in reserve_names:
-        for k in range(1, K + 1):
-            first = ((k - 1) // fcr_block) * fcr_block + 1
-            if k != first:
-                ir.add_row(f"blk_{name}[{k}]",
-                           [(ir.var(f"{name}[{k}]"), 1.0),
-                            (ir.var(f"{name}[{first}]"), -1.0)],
-                           "==", 0.0)
-    for k in range(1, K + 1):
-        first = ((k - 1) // da_block) * da_block + 1
-        if k != first:
-            ir.add_row(f"blk_x0[{k}]",
-                       [(ir.var(f"x0[{k}]"), 1.0),
-                        (ir.var(f"x0[{first}]"), -1.0)],
-                       "==", 0.0)
+        blocks = [("x_up", fcr_block), ("x_dn", fcr_block)]
+    for name, block in blocks + [("x0", da_block)]:
+        bid = _family(ir, name, K)
+        k, first = _block_starts(K, block)
+        _add_rows(ir, _keys(k), [
+            (f"blk_{name}", [bid[k], bid[first]], [1.0, -1.0], "==", 0.0)])
 
 
 def add_terminal_condition(ir: ModelIR, grid: TimeGrid, y0: float,
@@ -406,6 +446,8 @@ def split_arbitrage_lp(params: StorageParams, grid: TimeGrid, y0: float,
     if K % da_block != 0:
         raise ModelError("block lengths must divide the number of intervals")
 
+    # a per-day model of O(K) rows: rows one at a time cost less here
+    # than blocks
     ir = ModelIR()
     for k in range(1, K + 1):
         ir.add_variable(f"c[{k}]", lower=0.0, upper=-params.x_min)
@@ -503,8 +545,7 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
         # with x_dn = 0 the case regions merge: u1 = 1 - u2 suffices,
         # leaving K-1 effective charge/discharge binaries
         for k in range(1, grid.K):
-            u1 = ir.variables[ir.var(f"u1[{k}]")]
-            u1.kind = CONTINUOUS
+            ir.binary[ir.var(f"u1[{k}]")] = False
             ir.add_row(f"u_complement[{k}]",
                        [(ir.var(f"u1[{k}]"), 1.0), (ir.var(f"u2[{k}]"), 1.0)],
                        "==", 1.0)

@@ -152,9 +152,9 @@ def cmd_build(args) -> int:
         "format": fmt,
         "variant": config.options.variant,
         "K": config.grid.K,
-        "n_variables": len(ir.variables),
+        "n_variables": ir.n_vars,
         "n_binaries": ir.n_binaries,
-        "n_rows": len(ir.rows),
+        "n_rows": ir.n_rows,
         "n_bilinear_rows": len(ir.bilinear_rows),
         "sha256": hashlib.sha256(blob).hexdigest(),
     }

@@ -5,12 +5,31 @@ model has any) and a linear minimization objective. Variables are
 referenced by integer index; a registry maps structured names like
 ``x0[3]`` or ``Lamu[5,2]`` to indices so that builders and verifiers
 agree on the layout.
+
+A quarter-hour model has tens of thousands of variables and rows, so it
+keeps them in arrays and flat lists rather than one object each:
+
+- Variable ``i`` is ``var_names[i]`` with bounds ``lower[i]`` and
+  ``upper[i]``; ``binary[i]`` marks a binary.
+- Linear rows are compressed sparse rows (``RowArrays``): row ``r`` has
+  the coefficients ``val[ptr[r]:ptr[r+1]]`` on the columns
+  ``col[ptr[r]:ptr[r+1]]`` in insertion order, repeated columns kept,
+  a sense code (an index into ``SENSES``), a right-hand side and the
+  name ``row_names[r]``. ``add_rows`` appends a block of rows as arrays;
+  ``add_row`` appends one row to flat lists in O(1), which become arrays
+  when the next block comes or ``row_arrays`` reads the rows.
+
+``variables`` and ``rows`` are read-only views that build ``Variable``
+and ``LinearRow`` objects on every call, for tests and tracing; solving,
+verifying and writing model files read the arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from operator import attrgetter
+import copy
+from dataclasses import dataclass, field, fields
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,11 +39,13 @@ CONTINUOUS = "continuous"
 BINARY = "binary"
 
 SENSES = ("<=", ">=", "==")
+LE, GE, EQ = range(3)
+_SENSE_CODE = {sense: code for code, sense in enumerate(SENSES)}
+
+# one term of an indicator rule's linear form
+_TERM = np.dtype([("col", np.intp), ("val", np.float64)])
 
 
-# Rows and variables are slotted, and coefficient lists are tuples: a
-# quarter-hour model holds tens of thousands of them, and every object
-# with a __dict__ or a list is one more that the cyclic collector scans.
 @dataclass(slots=True)
 class Variable:
     name: str
@@ -54,24 +75,59 @@ class BilinearRow:
     rhs: float
 
 
+class RowArrays(NamedTuple):
+    """Linear rows in compressed sparse row form; read-only arrays."""
+
+    ptr: np.ndarray    # int32, one more entry than rows
+    col: np.ndarray    # int32
+    val: np.ndarray    # float64
+    sense: np.ndarray  # int8 codes into SENSES
+    rhs: np.ndarray    # float64
+
+
+def _row_arrays(ptr, col, val, sense, rhs) -> RowArrays:
+    arrays = RowArrays(np.asarray(ptr, np.int32), np.asarray(col, np.int32),
+                       np.asarray(val, np.float64),
+                       np.asarray(sense, np.int8),
+                       np.asarray(rhs, np.float64))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 class ModelError(ValueError):
     """Inconsistent model construction."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelIR:
     """``indicators`` maps a binary's index to the linear form whose sign
     sets it in a good solution: the binary is 1 where the form is >= 0.
     Solvers may use the rules to build a start point; the model rows
     alone define feasibility, and model files do not carry the rules."""
 
-    variables: list[Variable] = field(default_factory=list)
-    rows: list[LinearRow] = field(default_factory=list)
+    var_names: list[str] = field(default_factory=list)
+    lower: list[float] = field(default_factory=list)
+    upper: list[float] = field(default_factory=list)
+    binary: list[bool] = field(default_factory=list)
+    registry: dict[str, int] = field(default_factory=dict)
+    row_names: list[str] = field(default_factory=list)
     bilinear_rows: list[BilinearRow] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
-    registry: dict[str, int] = field(default_factory=dict)
-    indicators: dict[int, list[tuple[int, float]]] = field(
-        default_factory=dict)
+    indicators: dict[int, np.ndarray] = field(default_factory=dict)
+    # row blocks in order, then the rows added one at a time since the
+    # last block: their (col, val) pairs and (term count, sense code,
+    # rhs) triples, flattened
+    _blocks: list[RowArrays] = field(default_factory=list)
+    _terms: list[float] = field(default_factory=list)
+    _heads: list[float] = field(default_factory=list)
+
+    def __post_init__(self):
+        # dataclasses.replace passes this model the containers of the one
+        # it copies: take copies, so that neither model appends to the
+        # other's (row blocks are read-only arrays, shared safely)
+        for f in fields(self):
+            setattr(self, f.name, copy.copy(getattr(self, f.name)))
 
     # -- construction -------------------------------------------------
     def add_variable(self, name: str, kind: str = CONTINUOUS,
@@ -80,11 +136,29 @@ class ModelIR:
             raise ModelError(f"duplicate variable {name!r}")
         if kind not in (CONTINUOUS, BINARY):
             raise ModelError(f"unknown variable kind {kind!r}")
-        self.variables.append(Variable(name=name, kind=kind,
-                                       lower=lower, upper=upper))
-        idx = len(self.variables) - 1
-        self.registry[name] = idx
+        idx = self.registry[name] = len(self.var_names)
+        self.var_names.append(name)
+        self.lower.append(float(lower))
+        self.upper.append(float(upper))
+        self.binary.append(kind == BINARY)
         return idx
+
+    def add_variables(self, names: list[str], lower=-np.inf,
+                      upper=np.inf) -> np.ndarray:
+        """Append continuous variables, with bounds given as one number
+        or one per variable. Returns their indices."""
+        start, n = self.n_vars, len(names)
+        new = dict(zip(names, range(start, start + n)))
+        if len(new) < n or not self.registry.keys().isdisjoint(new):
+            name = next(name for i, name in enumerate(names, start)
+                        if name in self.registry or new[name] != i)
+            raise ModelError(f"duplicate variable {name!r}")
+        self.registry.update(new)
+        self.var_names += names
+        self.lower += np.broadcast_to(lower, n).astype(float).tolist()
+        self.upper += np.broadcast_to(upper, n).astype(float).tolist()
+        self.binary += [False] * n
+        return np.arange(start, start + n)
 
     def var(self, name: str) -> int:
         try:
@@ -99,10 +173,29 @@ class ModelIR:
         coeffs = tuple(coeffs)
         # min and max compare the (index, coeff) pairs in C, index first;
         # the full check runs only to name what is wrong
-        if sense not in SENSES or coeffs and (
-                min(coeffs)[0] < 0 or max(coeffs)[0] >= len(self.variables)):
+        if sense not in _SENSE_CODE or coeffs and (
+                min(coeffs)[0] < 0 or max(coeffs)[0] >= self.n_vars):
             self._check_refs(name, [i for i, _ in coeffs], sense)
-        self.rows.append(LinearRow(name, coeffs, sense, float(rhs)))
+        self.row_names.append(name)
+        self._terms.extend(chain.from_iterable(coeffs))
+        self._heads += (len(coeffs), _SENSE_CODE[sense], float(rhs))
+
+    def add_rows(self, names: list[str], ptr, col, val, sense, rhs) -> None:
+        """Append a block of rows: row i has the coefficients
+        ``val[ptr[i]:ptr[i+1]]`` on the columns ``col[ptr[i]:ptr[i+1]]``.
+        ``sense`` (a code, an index into SENSES) and ``rhs`` are each
+        one value or one per row."""
+        n, col = len(names), np.asarray(col)
+        bad = np.flatnonzero((col < 0) | (col >= self.n_vars))
+        if bad.size:
+            name = names[np.searchsorted(ptr, bad[0], side="right") - 1]
+            raise ModelError(
+                f"row {name!r} references unknown variable {col[bad[0]]}")
+        self._flush()
+        self.row_names += names
+        self._blocks.append(_row_arrays(ptr, col, val,
+                                        np.broadcast_to(sense, n),
+                                        np.broadcast_to(rhs, n)))
 
     def add_bilinear(self, name: str, quad, linear, sense: str,
                      rhs: float) -> None:
@@ -115,39 +208,92 @@ class ModelIR:
 
     def add_indicator(self, idx: int, coeffs) -> None:
         """Record that binary ``idx`` is 1 where sum(coeff * var) >= 0."""
-        if not (0 <= idx < self.n_vars) or self.variables[idx].kind != BINARY:
+        if not (0 <= idx < self.n_vars) or not self.binary[idx]:
             raise ModelError(f"indicator for non-binary variable {idx}")
+        coeffs = list(coeffs)
         self._check_refs(f"indicator {idx}", (i for i, _ in coeffs), ">=")
-        self.indicators[idx] = list(coeffs)
+        self.indicators[int(idx)] = np.array(coeffs, dtype=_TERM)
 
     def add_objective_term(self, idx: int, coeff: float) -> None:
-        if not (0 <= idx < len(self.variables)):
+        if not (0 <= idx < self.n_vars):
             raise ModelError(f"objective references unknown variable {idx}")
+        idx = int(idx)
         self.objective[idx] = self.objective.get(idx, 0.0) + float(coeff)
 
     def fix_variable(self, name: str, value: float) -> None:
         """Collapse a variable's bounds to a constant (keeps indices
         stable across model variants)."""
-        v = self.variables[self.var(name)]
-        v.lower = v.upper = float(value)
-        v.kind = CONTINUOUS
+        i = self.var(name)
+        self.lower[i] = self.upper[i] = float(value)
+        self.binary[i] = False
 
     def _check_refs(self, name, refs, sense):
         if sense not in SENSES:
             raise ModelError(f"row {name!r}: unknown sense {sense!r}")
-        n = len(self.variables)
+        n = self.n_vars
         for i in refs:
             if not (0 <= i < n):
                 raise ModelError(f"row {name!r} references unknown variable {i}")
 
+    def _flush(self) -> None:
+        """Turn the rows added one at a time into a block."""
+        if not self._heads:
+            return
+        terms = np.array(self._terms, dtype=np.float64).reshape(-1, 2)
+        heads = np.array(self._heads, dtype=np.float64).reshape(-1, 3)
+        self._blocks.append(_row_arrays(
+            np.concatenate([[0], np.cumsum(heads[:, 0])]), terms[:, 0],
+            terms[:, 1], heads[:, 1], heads[:, 2]))
+        self._terms, self._heads = [], []
+
     # -- inspection ---------------------------------------------------
     @property
     def n_vars(self) -> int:
-        return len(self.variables)
+        return len(self.var_names)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.row_names)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.row_arrays().ptr[-1])
 
     @property
     def n_binaries(self) -> int:
-        return sum(1 for v in self.variables if v.kind == BINARY)
+        return sum(self.binary)
+
+    def row_arrays(self) -> RowArrays:
+        """Every linear row, as one set of read-only arrays."""
+        self._flush()
+        blocks = self._blocks
+        if not blocks:
+            return _row_arrays([0], [], [], [], [])
+        if len(blocks) > 1:
+            starts = np.cumsum([0] + [b.ptr[-1] for b in blocks[:-1]])
+            ptr = np.concatenate([[0]] + [b.ptr[1:] + start for b, start
+                                          in zip(blocks, starts)])
+            self._blocks = [_row_arrays(ptr, *map(np.concatenate, zip(
+                *(b[1:] for b in blocks))))]
+        return self._blocks[0]
+
+    @property
+    def variables(self) -> list[Variable]:
+        """The variables as objects, built on every call."""
+        return [Variable(name, BINARY if b else CONTINUOUS, lo, hi)
+                for name, b, lo, hi in zip(self.var_names, self.binary,
+                                           self.lower, self.upper)]
+
+    @property
+    def rows(self) -> list[LinearRow]:
+        """The linear rows as objects, built on every call."""
+        a = self.row_arrays()
+        terms = list(zip(a.col.tolist(), a.val.tolist()))
+        ptr = a.ptr.tolist()
+        return [LinearRow(name, tuple(terms[ptr[r]:ptr[r + 1]]),
+                          SENSES[s], rhs)
+                for r, (name, s, rhs) in enumerate(zip(
+                    self.row_names, a.sense.tolist(), a.rhs.tolist()))]
 
     def objective_vector(self) -> np.ndarray:
         c = np.zeros(self.n_vars)
@@ -156,30 +302,28 @@ class ModelIR:
         return c
 
     def bounds_arrays(self):
-        lo = np.array([v.lower for v in self.variables])
-        hi = np.array([v.upper for v in self.variables])
-        return lo, hi
+        return (np.array(self.lower, dtype=np.float64),
+                np.array(self.upper, dtype=np.float64))
 
     def validate(self) -> None:
         """Raise ModelError for the first variable, in index order, with
         a NaN bound, an empty bound interval or a binary outside [0, 1],
         and for the first row whose name an earlier row holds."""
         lo, hi = self.bounds_arrays()
-        binary = np.array([v.kind == BINARY for v in self.variables],
-                          dtype=bool)
+        binary = np.array(self.binary, dtype=bool)
         nan = np.isnan(lo) | np.isnan(hi)
         empty = (lo > hi + 1e-12) | (lo == np.inf) | (hi == -np.inf)
         off = binary & ((lo < -1e-12) | (hi > 1 + 1e-12))
         bad = np.flatnonzero(nan | empty | off)
         if bad.size:
             i = bad[0]
-            v = self.variables[i]
+            name = self.var_names[i]
             if nan[i]:
-                raise ModelError(f"variable {v.name}: NaN bound")
+                raise ModelError(f"variable {name}: NaN bound")
             if empty[i]:
-                raise ModelError(f"variable {v.name}: empty bound interval")
-            raise ModelError(f"binary {v.name}: bounds outside [0, 1]")
-        names = list(map(attrgetter("name"), self.rows))
+                raise ModelError(f"variable {name}: empty bound interval")
+            raise ModelError(f"binary {name}: bounds outside [0, 1]")
+        names = self.row_names
         if len(set(names)) != len(names):
             seen = set()
             for name in names:
@@ -196,7 +340,8 @@ class ModelIR:
             x[idx] = val
             seen[idx] = True
         if not seen.all():
-            missing = [v.name for v, s in zip(self.variables, seen) if not s]
+            missing = [name for name, s in zip(self.var_names, seen)
+                       if not s]
             raise ModelError(f"point missing variables: {missing[:5]}...")
         return x
 

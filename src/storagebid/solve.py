@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -17,7 +16,7 @@ from scipy.optimize import milp  # noqa: F401
 # milp's own HiGHS binding; it exposes setSolution, which milp does not.
 from scipy.optimize._highspy import _core as _highs
 
-from .ir import BINARY, ModelError, ModelIR, residual
+from .ir import GE, LE, ModelError, ModelIR, residual
 
 OPTIMAL = "optimal"
 FEASIBLE_LIMIT = "feasible_limit"
@@ -52,45 +51,43 @@ class SolveResult:
         return self.status in (OPTIMAL, FEASIBLE_LIMIT)
 
 
+def _row_matrix(ir: ModelIR) -> sparse.csr_array:
+    """The linear rows as a CSR matrix of its own (32-bit indices, as
+    HiGHS takes them), repeated columns of a row kept."""
+    a = ir.row_arrays()
+    return sparse.csr_array((a.val, a.col, a.ptr), copy=True,
+                            shape=(ir.n_rows, ir.n_vars))
+
+
 def _constraint_matrix(ir: ModelIR):
     """Rows as a CSC matrix with row bounds, built as ``milp`` builds it:
     duplicate entries of a row are summed."""
-    rows = ir.rows
-    # HiGHS indexes with 32-bit integers
-    counts = np.fromiter((len(row.coeffs) for row in rows), dtype=np.int32,
-                         count=len(rows))
-    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    # (column, coefficient) pairs of every row, flattened in row order
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(row.coeffs for row in rows)),
-        dtype=float, count=2 * int(indptr[-1]))
-    a = sparse.csr_array((flat[1::2], flat[0::2].astype(np.int32), indptr),
-                         shape=(len(rows), ir.n_vars))
+    a = _row_matrix(ir)
     a.sum_duplicates()
-    lo = np.fromiter((-np.inf if row.sense == "<=" else row.rhs
-                      for row in rows), dtype=float, count=len(rows))
-    hi = np.fromiter((np.inf if row.sense == ">=" else row.rhs
-                      for row in rows), dtype=float, count=len(rows))
+    rows = ir.row_arrays()
+    lo = np.where(rows.sense == LE, -np.inf, rows.rhs)
+    hi = np.where(rows.sense == GE, np.inf, rows.rhs)
     return a.tocsc(), lo, hi
 
 
 def _highs_lp(ir: ModelIR):
     """The model as a HiGHS LP, without integrality."""
     a, row_lo, row_hi = _constraint_matrix(ir)
-    col_lo, col_hi = ir.bounds_arrays()
     lp = _highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = ir.n_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = len(ir.rows)
+    lp.num_row_ = lp.a_matrix_.num_row_ = ir.n_rows
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data.astype(np.float64)
-    lp.col_cost_ = ir.objective_vector()
-    lp.col_lower_ = col_lo
-    lp.col_upper_ = col_hi
-    lp.row_lower_ = row_lo
-    lp.row_upper_ = row_hi
+    # the binding copies a sequence item by item; a memoryview hands out
+    # plain Python numbers, which convert several times faster than the
+    # numpy scalars an array hands out
+    lp.a_matrix_.start_ = memoryview(a.indptr)
+    lp.a_matrix_.index_ = memoryview(a.indices)
+    lp.a_matrix_.value_ = memoryview(a.data)
+    lp.col_cost_ = memoryview(ir.objective_vector())
+    lp.col_lower_ = ir.lower
+    lp.col_upper_ = ir.upper
+    lp.row_lower_ = memoryview(row_lo)
+    lp.row_upper_ = memoryview(row_hi)
     return lp
 
 
@@ -124,7 +121,8 @@ def _relax_and_fix(ir: ModelIR, lp, binaries: np.ndarray,
     x = _optimal_point(highs)
     if x is None:
         return None
-    fixed = np.array([float(sum(c * x[j] for j, c in ir.indicators[i]) >= 0.0)
+    fixed = np.array([float(sum(c * x[j] for j, c in
+                                ir.indicators[i].tolist()) >= 0.0)
                       for i in binaries])
     highs.changeColsBounds(len(binaries), binaries, fixed, fixed)
     highs.run()
@@ -148,8 +146,7 @@ def solve(ir: ModelIR, time_limit: float | None = None,
     ir.validate()
     if ir.bilinear_rows:
         raise ModelError("model has bilinear rows; use solve_exact_bilinear")
-    integrality = np.array(
-        [1 if v.kind == BINARY else 0 for v in ir.variables], dtype=np.uint8)
+    integrality = np.array(ir.binary, dtype=np.uint8)
     binaries = np.flatnonzero(integrality).astype(np.int32)
     is_mip = binaries.size > 0
     options = {"log_to_console": False}
@@ -181,7 +178,7 @@ def solve(ir: ModelIR, time_limit: float | None = None,
     bound = np.nan
     if status in (OPTIMAL, FEASIBLE_LIMIT):
         x = highs.getSolution().col_value
-        point = {v.name: float(xi) for v, xi in zip(ir.variables, x)}
+        point = dict(zip(ir.var_names, map(float, x)))
         objective = float(info.objective_function_value)
         bound = float(info.mip_dual_bound) if is_mip else objective
     else:
@@ -225,15 +222,20 @@ def verify_point(ir: ModelIR, point: dict[str, float]) -> VerificationReport:
     """Residuals of every row, bilinear rows included, and every finite
     variable bound at a candidate point."""
     x = ir.point_from_map(point)
-    out = []
-    for v, xi in zip(ir.variables, x):
-        slack = min(xi - v.lower, v.upper - xi)
-        if np.isfinite(slack):
-            out.append(RowResidual(name=f"bound:{v.name}",
-                                   residual=float(slack), bilinear=False))
-    for rows, bilinear in ((ir.rows, False), (ir.bilinear_rows, True)):
-        out += [RowResidual(name=row.name, residual=residual(row, x),
-                            bilinear=bilinear) for row in rows]
+    lo, hi = ir.bounds_arrays()
+    out = [RowResidual(name=f"bound:{name}", residual=slack, bilinear=False)
+           for name, slack in zip(ir.var_names,
+                                  np.minimum(x - lo, hi - x).tolist())
+           if np.isfinite(slack)]
+    rows = ir.row_arrays()
+    lhs = _row_matrix(ir) @ x
+    slack = np.where(rows.sense == LE, rows.rhs - lhs,
+                     np.where(rows.sense == GE, lhs - rows.rhs,
+                              -np.abs(lhs - rows.rhs)))
+    out += [RowResidual(name=name, residual=r, bilinear=False)
+            for name, r in zip(ir.row_names, slack.tolist())]
+    out += [RowResidual(name=row.name, residual=residual(row, x),
+                        bilinear=True) for row in ir.bilinear_rows]
     return VerificationReport(residuals=out)
 
 

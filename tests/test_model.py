@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestModelIRChecks:
 
     def test_validate_binary_outside_unit_interval(self):
         ir = self.two_vars()
-        ir.variables[1].upper = 2.0
+        ir.upper[1] = 2.0
         ir.add_variable("w", lower=3.0, upper=1.0)
         with pytest.raises(ModelError,
                            match=r"binary y: bounds outside \[0, 1\]"):
@@ -149,6 +150,55 @@ class TestModelIRChecks:
         ir = dispatch_variant(reference_battery(), grid, budget, 50.0,
                               flat_prices(grid), opts)
         ir.validate()
+
+
+class TestRowStore:
+    """Rows added one at a time and rows added as a block keep their
+    order and their coefficients' order, and a copy made with
+    dataclasses.replace shares nothing either model appends to."""
+
+    @staticmethod
+    def three_rows():
+        ir = TestModelIRChecks.two_vars()
+        ir.add_row("a", [(1, 2.0), (0, -1.0)], "<=", 1.0)
+        ir.add_rows(["b", "c"], [0, 1, 3], [0, 1, 1], [4.0, 5.0, 6.0],
+                    [1, 2], [0.0, 2.5])
+        ir.add_row("d", [], ">=", -3.0)
+        return ir
+
+    def test_order_across_rows_and_blocks(self):
+        ir = self.three_rows()
+        assert [(r.name, r.coeffs, r.sense, r.rhs) for r in ir.rows] == [
+            ("a", ((1, 2.0), (0, -1.0)), "<=", 1.0),
+            ("b", ((0, 4.0),), ">=", 0.0),
+            ("c", ((1, 5.0), (1, 6.0)), "==", 2.5),
+            ("d", (), ">=", -3.0)]
+        a = ir.row_arrays()
+        assert a.ptr.tolist() == [0, 2, 3, 5, 5]
+        assert (ir.n_rows, ir.nnz) == (4, 5)
+        with pytest.raises(ValueError):
+            a.val[0] = 0.0
+
+    def test_block_with_unknown_variable(self):
+        ir = self.three_rows()
+        with pytest.raises(ModelError,
+                           match="row 'f' references unknown variable 2"):
+            ir.add_rows(["e", "f"], [0, 1, 2], [0, 2], [1.0, 1.0], 0, 0.0)
+        assert ir.n_rows == 4
+
+    def test_replaced_copy_shares_no_buffer(self):
+        ir = self.three_rows()
+        ir.row_arrays()
+        ir.add_row("e", [(0, 1.0)], "<=", 0.0)
+        copy = replace(ir, bilinear_rows=[])
+        copy.add_variable("z")
+        copy.add_row("f", [(2, 1.0)], "<=", 0.0)
+        ir.add_rows(["g"], [0, 1], [1], [7.0], 0, 0.0)
+        ir.fix_variable("x", 0.5)
+        assert [r.name for r in ir.rows] == list("abcdeg")
+        assert [r.name for r in copy.rows] == list("abcdef")
+        assert (ir.n_vars, copy.n_vars) == (2, 3)
+        assert (ir.lower[0], copy.lower[0]) == (0.5, 0.0)
 
 
 class TestCounts:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 from dataclasses import replace
 from typing import NamedTuple
@@ -11,7 +12,7 @@ from storagebid.types import (
     TimeGrid,
     UncertaintyBudget,
 )
-from storagebid.ir import BINARY, ModelError, ModelIR, ModelOptions
+from storagebid.ir import BINARY, ModelError, ModelIR, ModelOptions, residual
 from storagebid.builder import dispatch_variant, split_arbitrage_lp
 from storagebid.data import Dataset, generate_synthetic_dataset
 from storagebid.mpsio import EmissionError, emit_model
@@ -463,7 +464,46 @@ def test_other_build_paths_are_pinned(build, fmt):
     assert hashlib.sha256(blob).hexdigest() == PATH_SHA256[build, fmt]
 
 
+def test_quarter_hour_build_leaves_no_object_per_row():
+    # the model keeps its columns and rows in arrays and flat lists; one
+    # Python object per row and coefficient would leave about 235 000
+    # objects for the collector here
+    _k96_restriction()
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        ir = _k96_restriction()
+        grown = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert (ir.n_vars, ir.n_rows, ir.nnz) == (10365, 33996, 155778)
+    assert grown <= 300
+
+
 class TestVerifyPoint:
+    @pytest.mark.parametrize("variant", ModelOptions.VARIANTS)
+    def test_residuals_match_the_row_formula(self, variant):
+        # the linear rows' residuals come from one sparse product; the
+        # reference takes each bound and row on its own
+        ir = _k4_model(variant,
+                       LOSSLESS if variant == "lossless_lp" else LOSSY)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            x = rng.uniform(-10.0, 10.0, size=ir.n_vars)
+            ref = [(f"bound:{v.name}", min(xi - v.lower, v.upper - xi),
+                    False) for v, xi in zip(ir.variables, x)]
+            ref = [r for r in ref if np.isfinite(r[1])]
+            ref += [(row.name, residual(row, x), False) for row in ir.rows]
+            ref += [(row.name, residual(row, x), True)
+                    for row in ir.bilinear_rows]
+            got = verify_point(ir, dict(zip(ir.var_names, x))).residuals
+            assert [(r.name, r.bilinear) for r in got] == \
+                [(name, bilinear) for name, _, bilinear in ref]
+            np.testing.assert_allclose([r.residual for r in got],
+                                       [r for _, r, _ in ref],
+                                       rtol=0, atol=1e-12)
+
     def test_zero_point_zero_model(self):
         ir = ModelIR()
         ir.add_variable("x", lower=0.0, upper=1.0)
