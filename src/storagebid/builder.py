@@ -105,10 +105,19 @@ def _add_triangle(ir: ModelIR, head: str, name: str, K: int, head_bounds,
     their indices as a table: ``name[k,l]`` at (k, l), ``head[k]`` at
     (k, 0) and -1 elsewhere."""
     k, l = _pairs(K, first=0)
+    ir.add_variables(_triangle_names(head, name, k, l),
+                     *(np.where(l == 0, h, b)
+                       for h, b in zip(head_bounds, bounds)))
+    return _triangle(ir, head, K)
+
+
+def _triangle(ir: ModelIR, head: str, K: int) -> np.ndarray:
+    """The index table of a triangle that ``_add_triangle`` added, found
+    from the index of ``head[1]`` alone: it adds the whole triangle as
+    one block of variables in pair order."""
+    k, l = _pairs(K, first=0)
     table = np.full((K + 1, K + 1), -1)
-    table[k, l] = ir.add_variables(
-        _triangle_names(head, name, k, l),
-        *(np.where(l == 0, h, b) for h, b in zip(head_bounds, bounds)))
+    table[k, l] = ir.var(f"{head}[1]") + np.arange(k.size)
     return table
 
 
@@ -257,14 +266,14 @@ def build_soc_upper_exact(ir: ModelIR, params: StorageParams, grid: TimeGrid,
         return
     K, ed = grid.K, params.eta_d
     x_lo, x_hi = params.x_min, params.x_max
-    x0, xdn, lamu = (_family(ir, name, K) for name in ("x0", "x_dn", "lamu"))
+    x0, xdn = _family(ir, "x0", K), _family(ir, "x_dn", K)
+    Lamu = _triangle(ir, "lamu", K)
     u1, u2 = _family(ir, "u1", K - 1), _family(ir, "u2", K - 1)
     for k in range(2, K + 1):
         for l in range(1, k):
             ir.add_bilinear(
                 f"bil[{k},{l}]",
-                quad=[(ir.var(f"Lamu[{k},{l}]"), xdn[l], 1.0),
-                      (lamu[k], x0[l], 1.0)],
+                quad=[(Lamu[k, l], xdn[l], 1.0), (Lamu[k, 0], x0[l], 1.0)],
                 linear=[(u2[l], -x_lo * (x_hi - x_lo) / ed),
                         (u1[l], x_hi ** 2 / (4 * ed))],
                 sense=">=", rhs=0.0)
@@ -301,8 +310,7 @@ def build_restriction_rows(ir: ModelIR, params: StorageParams,
         ir.add_indicator(u3[k], [(xdnk, 1.0), (x0k, -(1.0 - rt)),
                                  (lamk, -ed)])
     k, l = _pairs(K, strict=True)
-    L = np.array([ir.var("Lamu" + key) for key in _keys(k, l)],
-                 dtype=np.intp)
+    L = _triangle(ir, "lamu", K)[k, l]
     _add_rows(ir, _keys(k, l), [
         ("res_a", [L, x0[l], u1[l], u3[l]],
          [1.0, ec, d_eta * x_hi, -d_eta * x_hi], ">=", -d_eta * x_hi),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import sparse
 
 from .ir import SENSES, ModelIR
 
@@ -31,9 +32,10 @@ def _objects(strings) -> np.ndarray:
 def _texts(values, fmt=_num) -> np.ndarray:
     """``fmt`` of each number, as an object array. A model repeats few
     distinct numbers many times, so each is formatted once."""
-    distinct, inverse = np.unique(np.asarray(values, dtype=np.float64),
-                                  return_inverse=True)
-    return _objects([fmt(x) for x in distinct.tolist()])[inverse]
+    values = np.asarray(values, dtype=np.float64)
+    distinct = np.unique(values)
+    return _objects([fmt(x) for x in distinct.tolist()])[
+        np.searchsorted(distinct, values)]
 
 
 def _pieces(*parts) -> np.ndarray:
@@ -87,35 +89,38 @@ def write_mps(ir: ModelIR) -> str:
     out += _pieces(_SENSE_MPS[sense], row_names, "\n").tolist()
 
     # column-major nonzeros: in each column the objective first, then
-    # the rows in order, then the linear parts of the bilinear rows; a
-    # column with none of them gets a zero cost
-    linear = [(i, c, r) for r, row in enumerate(bil, 1 + ir.n_rows)
-              for i, c in row.linear]
+    # the rows in order, then the linear parts of the bilinear rows. One
+    # transpose of those rows, with each nonzero's index as its value,
+    # gives that order and each nonzero's row label; a column with none
+    # of them gets a zero cost.
+    n_obj = len(ir.objective)
+    linear = [term for row in bil for term in row.linear]
+    ptr = np.concatenate([[0], n_obj + rows.ptr, n_obj + rows.ptr[-1]
+                          + np.cumsum([len(row.linear) for row in bil],
+                                      dtype=np.int32)], dtype=np.int32)
     col = np.concatenate([list(ir.objective), rows.col,
-                          [i for i, _, _ in linear]]).astype(np.intp)
-    count = np.bincount(col, minlength=ir.n_vars)
-    empty = np.flatnonzero(count == 0)
-    col = np.concatenate([col, empty])
+                          [i for i, _ in linear]]).astype(np.int32)
     val = np.concatenate([list(ir.objective.values()), rows.val,
-                          [c for _, c, _ in linear], np.zeros(empty.size)])
-    label = np.concatenate([
-        np.zeros(len(ir.objective), dtype=np.intp),
-        np.repeat(np.arange(1, ir.n_rows + 1), np.diff(rows.ptr)),
-        np.array([r for *_, r in linear], dtype=np.intp),
-        np.zeros(empty.size, dtype=np.intp)])
-    order = np.argsort(col, kind="stable")
-    heads = (" " + names + " ")[col[order]]
-    labels = np.concatenate([_objects(["OBJ"]), row_names]) + " "
+                          [c for _, c in linear], [0.0]])
+    csc = sparse.csr_array((np.arange(col.size), col, ptr),
+                           shape=(ptr.size - 1, ir.n_vars)).tocsc()
+    lines = np.diff(csc.indptr)
+    empty = csc.indptr[:-1][lines == 0]
+    order = np.insert(csc.data, empty, col.size)
+    label = np.insert(csc.indices, empty, 0)
+    lines[lines == 0] = 1
+    heads = np.repeat(" " + names + " ", lines)
+    labels = np.concatenate([_objects(["OBJ"]), row_names])
     # integer markers open before the first line of a column whose kind
     # differs from the previous column's
-    first = np.concatenate([[0], np.cumsum(np.maximum(count, 1))])
+    first = np.concatenate([[0], np.cumsum(lines)])
     switch = np.flatnonzero(np.diff(binary, prepend=False))
     for m, c in enumerate(switch.tolist()):
         kind = "INTORG" if binary[c] else "INTEND"
         heads[first[c]] = f" MARKER{m} 'MARKER' '{kind}'\n" + heads[first[c]]
     out.append("COLUMNS\n")
-    out += _pieces(heads, labels[label[order]],
-                   _texts(val, lambda x: _num(x) + "\n")[order]).tolist()
+    out += _pieces(heads, labels[label],
+                   _texts(val[order], lambda x: f" {_num(x)}\n")).tolist()
     if binary.size and binary[-1]:
         out.append(f" MARKER{switch.size} 'MARKER' 'INTEND'\n")
 
@@ -158,9 +163,13 @@ def write_mps(ir: ModelIR) -> str:
 
 
 _SENSE_LP = {"<=": " <= ", ">=": " >= ", "==": " = "}
-# LP files reserve square brackets for quadratic terms, so names use
-# parentheses there: x0[3] is written x0(3).
-_LP_NAME = str.maketrans("[]", "()")
+
+
+def _lp_names(names) -> np.ndarray:
+    """LP files reserve square brackets for quadratic terms, so names use
+    parentheses there: x0[3] is written x0(3)."""
+    return _objects([name.replace("[", "(").replace("]", ")")
+                     for name in names])
 
 
 def _signed(c: float) -> str:
@@ -173,7 +182,7 @@ def _lp_terms(col, val, names) -> np.ndarray:
 
 
 def write_lp(ir: ModelIR) -> str:
-    names = _objects([name.translate(_LP_NAME) for name in ir.var_names])
+    names = _lp_names(ir.var_names)
     obj = sorted(ir.objective.items())
     terms = _lp_terms([i for i, _ in obj], [c for _, c in obj], names)
     out = ["\\ STORAGEBID\nMinimize\n obj:",
@@ -183,23 +192,23 @@ def write_lp(ir: ModelIR) -> str:
     # and rhs, inserted around the terms at the row's start and end
     rows = ir.row_arrays()
     around = _pieces(
-        " " + _objects([name.translate(_LP_NAME)
-                        for name in ir.row_names]) + ":",
+        " " + _lp_names(ir.row_names) + ":",
         np.where(np.diff(rows.ptr) == 0, " 0", "").astype(object),
         _objects([_SENSE_LP[s] for s in SENSES])[rows.sense]
-        + _texts(rows.rhs) + "\n")
+        + _texts(rows.rhs, lambda x: _num(x) + "\n"))
     at = 2 * np.column_stack([rows.ptr[:-1], rows.ptr[:-1], rows.ptr[1:]])
     out += np.insert(_lp_terms(rows.col, rows.val, names), at.ravel(),
                      around).tolist()
 
-    for row in ir.bilinear_rows:
+    bil = ir.bilinear_rows
+    for row, name in zip(bil, _lp_names(row.name for row in bil)):
         quad = " ".join(
             f"{'+' if c >= 0 else '-'} {_num(abs(c))} "
             f"{names[i]} * {names[j]}"
             for i, j, c in row.quad)
         lin = _lp_terms([i for i, _ in row.linear],
                         [c for _, c in row.linear], names)
-        out.append(f" {row.name.translate(_LP_NAME)}: [ {quad} ]"
+        out.append(f" {name}: [ {quad} ]"
                    f"{''.join(lin.tolist())}"
                    f"{_SENSE_LP[row.sense]}{_num(row.rhs)}\n")
 

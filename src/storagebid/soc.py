@@ -213,33 +213,51 @@ class WorstCaseResult:
         return RegulationSignal(values=values, sample_period_hours=sample_period_hours)
 
 
-def _lam_candidates(x0, x_dn, params: StorageParams, phi_fn) -> np.ndarray:
-    """0 and the breakpoints of the dual's phi pieces: eta_c*x_dn,
-    x_dn/eta_d and, for the restriction, its case switch point.
+def _lam_breakpoints(x0, x_dn, params: StorageParams, phi_fn) -> np.ndarray:
+    """The breakpoints of the dual's phi pieces, one row per kind and one
+    column per interval: eta_c*x_dn, x_dn/eta_d and, for the restriction,
+    its case switch point.
 
     No cap is needed: past the largest breakpoint every piece of every
     case of phi_values, phi_lower_values and phi_upper_values is constant
     in lam, so the dual rises there at slope gamma >= 0."""
-    pts = [0.0]
-    pts.extend(params.eta_c * x_dn)
-    pts.extend(x_dn / params.eta_d)
-    if phi_fn is phi_upper_values:
-        denom = 1.0 - params.eta_c * params.eta_d
-        if denom > 0:
-            # switch point of the restriction's case condition
-            pts.extend((np.asarray(x_dn) - denom * np.asarray(x0)) / params.eta_d)
-    pts = np.asarray(pts, dtype=float)
+    x0, x_dn = np.asarray(x0, dtype=float), np.asarray(x_dn, dtype=float)
+    rows = [params.eta_c * x_dn, x_dn / params.eta_d]
+    denom = 1.0 - params.eta_c * params.eta_d
+    if phi_fn is phi_upper_values and denom > 0:
+        # switch point of the restriction's case condition
+        rows.append((x_dn - denom * x0) / params.eta_d)
+    return np.array(rows)
+
+
+def _lam_candidates(x0, x_dn, params: StorageParams, phi_fn) -> np.ndarray:
+    """0 and the non-negative breakpoints of the dual, ascending."""
+    pts = np.concatenate([[0.0], _lam_breakpoints(x0, x_dn, params,
+                                                  phi_fn).ravel()])
     return np.unique(pts[pts >= 0.0])
 
 
+def _prefix_sets(values: np.ndarray, owners: np.ndarray):
+    """``np.unique`` of 0 and the ``values`` whose owner is below k, for
+    every k at once: the distinct values of 0 and ``values``, ascending,
+    and for each the smallest owner that has it (-1 for 0). The set of k
+    is ``distinct[first < k]``, the same array bit for bit."""
+    distinct, inverse = np.unique(np.concatenate([[0.0], values]),
+                                  return_inverse=True)
+    first = np.full(distinct.size, np.iinfo(np.intp).max)
+    np.minimum.at(first, inverse, np.concatenate([[-1], owners]))
+    return distinct, first
+
+
 def _dual_minimize(x0, x_dn, params: StorageParams, gamma: float, dt: float,
-                   k: int, phi_fn, sigma_k: float | None):
+                   k: int, phi_fn, sigma_k: float | None, cands=None):
     """Minimize the convex piecewise-linear dual objective
 
         gamma*lam + dt * sum_{l<k} phi_l(lam) + tail_k(lam)
 
     where tail_k is sigma_k * phi_k (fixed-time mode) or, with sigma_k
-    None, dt * [phi_k]+ (interval-max mode), over its breakpoints. Each
+    None, dt * [phi_k]+ (interval-max mode), over its breakpoints
+    (``cands``, or ``_lam_candidates`` of intervals 1..k when None). Each
     candidate c gives the line a_c + s * b_c in the weight s of interval
     k, with a_c = gamma*c + dt * sum_{l<k} phi_l(c) and b_c = phi_k(c).
     Returns (objective value, smallest minimizer, a, b)."""
@@ -250,7 +268,8 @@ def _dual_minimize(x0, x_dn, params: StorageParams, gamma: float, dt: float,
         vals = phi_fn(x0, x_dn, cands[:, None], params)
         return gamma * cands + dt * vals[:, :-1].sum(axis=1), vals[:, -1]
 
-    cands = _lam_candidates(x0, x_dn, params, phi_fn)
+    if cands is None:
+        cands = _lam_candidates(x0, x_dn, params, phi_fn)
     a, b = lines(cands)
     if sigma_k is None:
         # the hinge adds a kink where phi_k crosses zero
@@ -269,39 +288,51 @@ def _dual_minimize(x0, x_dn, params: StorageParams, gamma: float, dt: float,
 
 def _greedy_fill(rates: np.ndarray, lengths, weights,
                  gamma: float) -> np.ndarray:
-    """Fractional knapsack over concave piecewise-linear gains.
+    """Fractional knapsack over concave piecewise-linear gains, for one
+    budget or a batch of independent ones.
 
-    Column l of ``rates``/``lengths`` lists the pieces of interval l's
-    gain in its magnitude xi_l (rows in order, rates non-increasing); a
-    unit of xi_l costs ``weights[l]`` of the budget ``gamma``. Lengths and
-    weights broadcast against ``rates``. Pieces are filled by falling
-    rate (stable order) until the budget is spent; pieces with zero rate
-    or zero weight get nothing. Returns xi."""
-    n = rates.shape[1]
-    r = rates.ravel()
-    ln = np.broadcast_to(lengths, rates.shape).ravel()
-    w = np.broadcast_to(weights, rates.shape).ravel()
-    owner = np.tile(np.arange(n), rates.shape[0])
-    order = np.argsort(-r, kind="stable")
-    order = order[(r[order] > _TOL) & (w[order] > 0) & (ln[order] > 0)]
-    cost = ln[order] * w[order]
-    spent = np.concatenate([[0.0], np.cumsum(cost)[:-1]])
-    take = np.clip((gamma - spent) / w[order], 0.0, ln[order])
-    return np.bincount(owner[order], weights=take, minlength=n)
+    Along the last two axes, column l of ``rates``/``lengths`` lists the
+    pieces of interval l's gain in its magnitude xi_l (rows in order,
+    rates non-increasing); a unit of xi_l costs ``weights[..., l]`` of
+    the budget ``gamma``. Leading axes index the problems of a batch;
+    lengths and weights broadcast against ``rates``. Pieces are filled by
+    falling rate (stable order) until the budget is spent; pieces with
+    zero rate, length or weight get nothing and add exactly 0 to the
+    running cost, so a problem's xi does not depend on what else is in
+    its batch. Returns xi, of shape ``rates.shape[:-2] + (n,)``."""
+    shape = np.broadcast_shapes(np.shape(rates), np.shape(lengths),
+                                np.shape(weights))
+    *batch, pieces, n = shape
+    r, ln, w = (np.broadcast_to(a, shape).reshape(-1, pieces * n)
+                for a in (rates, lengths, weights))
+    order = np.argsort(-r, axis=1, kind="stable")
+    r, ln, w = (np.take_along_axis(a, order, axis=1) for a in (r, ln, w))
+    fill = (r > _TOL) & (w > 0) & (ln > 0)
+    cost = np.where(fill, ln * w, 0.0)
+    spent = np.zeros_like(cost)
+    np.cumsum(cost[:, :-1], axis=1, out=spent[:, 1:])
+    take = np.clip((gamma - spent[fill]) / w[fill], 0.0, ln[fill])
+    owner = order % n + n * np.arange(len(order))[:, None]
+    return np.bincount(owner[fill], weights=take,
+                       minlength=len(order) * n).reshape(*batch, n)
+
+
+def _gain_pieces(x0, x_dn, params: StorageParams):
+    """Rates and lengths of each interval's two SOC-gain pieces under
+    downregulation: the gain of interval l rises at x_dn/eta_d while it
+    still discharges (xi_l up to x0/x_dn), then at eta_c*x_dn."""
+    safe_dn = np.where(x_dn > 0, x_dn, 1.0)
+    first = np.clip(x0 / safe_dn, 0.0, 1.0)
+    return (np.stack([x_dn / params.eta_d, params.eta_c * x_dn]),
+            np.stack([first, 1.0 - first]))
 
 
 def _max_witness(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
                  gamma: float, t: float) -> np.ndarray:
-    """Worst-case downregulation magnitudes for the SOC at time t: the
-    SOC gain of interval l rises at x_dn/eta_d while it still discharges
-    (xi_l up to x0/x_dn), then at eta_c*x_dn."""
+    """Worst-case downregulation magnitudes for the SOC at time t."""
     xi = np.zeros(grid.K)
     k = grid.interval_of(t)
-    x0, x_dn = bids.x0[:k], bids.x_dn[:k]
-    safe_dn = np.where(x_dn > 0, x_dn, 1.0)
-    first = np.clip(x0 / safe_dn, 0.0, 1.0)
-    rates = np.stack([x_dn / params.eta_d, params.eta_c * x_dn])
-    lengths = np.stack([first, 1.0 - first])
+    rates, lengths = _gain_pieces(bids.x0[:k], bids.x_dn[:k], params)
     xi[:k] = _greedy_fill(rates, lengths, sigma_vector(grid, t)[:k], gamma)
     return xi
 
@@ -331,17 +362,25 @@ def max_soc_over_interval(bids: BidSchedule, params: StorageParams,
     may peak strictly inside the interval."""
     if not (1 <= k <= grid.K):
         raise DomainError(f"interval k={k} outside 1..{grid.K}")
-    dt = grid.dt_hours
+    val, lam_star, t_star = _interval_peak(bids, params, gamma,
+                                           grid.dt_hours, k)
+    xi = _max_witness(bids, params, grid, gamma, t_star)
+    return WorstCaseResult(value=y0 + val, lambda_star=lam_star,
+                           witness_xi=xi, t_star=t_star, sign=-1)
+
+
+def _interval_peak(bids: BidSchedule, params: StorageParams, gamma: float,
+                   dt: float, k: int, cands=None):
+    """The worst-case SOC rise over interval k, its smallest minimizing
+    budget dual and its earliest peak time, over the candidates
+    ``cands`` (as ``_dual_minimize``)."""
     val, lam_star, a, b = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
-                                         dt, k, phi_values, sigma_k=None)
+                                         dt, k, phi_values, None, cands)
     # the fixed-time maximum at offset s is min_c (a_c + s*b_c); its
     # earliest maximizer is where the last rising line reaches val
     rising = b > 0
     s = np.max((val - a[rising]) / b[rising], initial=0.0)
-    t_star = (k - 1) * dt + min(float(s), dt)
-    xi = _max_witness(bids, params, grid, gamma, t_star)
-    return WorstCaseResult(value=y0 + val, lambda_star=lam_star,
-                           witness_xi=xi, t_star=t_star, sign=-1)
+    return val, lam_star, (k - 1) * dt + min(float(s), dt)
 
 
 _PHI_FNS = {"exact": phi_values, "lower": phi_lower_values,
@@ -394,16 +433,23 @@ def min_soc_at_boundaries(bids: BidSchedule, params: StorageParams,
     alpha, beta = alpha[:k], beta[:k]
     diffs = beta - alpha
     cands = np.unique(np.concatenate([[0.0], diffs[diffs > 0]]))
-    vals = y0 - gamma * cands - dt * np.sum(
-        alpha + np.maximum(diffs - cands[:, None], 0.0), axis=1)
-    best = vals.max()
-    lam_star = float(cands[vals >= best - 1e-10].min())
+    value, lam_star = _boundary_min(alpha, diffs, cands, gamma, dt, y0)
     # greedy primal: spend the budget on intervals with the largest
     # discharge surplus
     xi = np.zeros(grid.K)
     xi[:k] = _greedy_fill(diffs[None, :], 1.0, dt, gamma)
-    return WorstCaseResult(value=float(best), lambda_star=lam_star,
+    return WorstCaseResult(value=value, lambda_star=lam_star,
                            witness_xi=xi, t_star=k * dt, sign=+1)
+
+
+def _boundary_min(alpha, diffs, cands, gamma: float, dt: float, y0: float):
+    """The worst-case SOC at the end of the intervals of ``alpha`` and
+    ``diffs`` = beta - alpha, and its smallest maximizing budget dual,
+    over the candidates ``cands``."""
+    vals = y0 - gamma * cands - dt * np.sum(
+        alpha + np.maximum(diffs - cands[:, None], 0.0), axis=1)
+    best = vals.max()
+    return float(best), float(cands[vals >= best - 1e-10].min())
 
 
 # ---------------------------------------------------------------------------
@@ -474,17 +520,57 @@ def _max_soc_rise_all(bids: BidSchedule, params: StorageParams,
     return best
 
 
-def _min_soc_all(bids: BidSchedule, params: StorageParams, gamma: float,
-                 dt: float, y0: float) -> np.ndarray:
-    """``min_soc_at_boundaries`` for every k = 1..K at once. Each k's dual
-    is concave piecewise linear with its breakpoints among the positive
-    surpluses beta - alpha of intervals 1..k, so the union over all
-    intervals only adds points at or below its maximum."""
-    alpha, beta = alpha_beta(bids, params)
-    diffs = beta - alpha
+def _min_soc_all(alpha, diffs, gamma: float, dt: float,
+                 y0: float) -> np.ndarray:
+    """``min_soc_at_boundaries`` for every k = 1..K at once, with
+    ``diffs`` = beta - alpha. Each k's dual is concave piecewise linear
+    with its breakpoints among the positive surpluses of intervals 1..k,
+    so the union over all intervals only adds points at or below its
+    maximum."""
     cands = np.unique(np.concatenate([[0.0], diffs[diffs > 0]]))[:, None]
     drain = np.cumsum(alpha + np.maximum(diffs - cands, 0.0), axis=1)
     return (y0 - gamma * cands - dt * drain).max(axis=0)
+
+
+def _min_soc_witnesses(alpha, diffs, grid: TimeGrid, gamma: float,
+                       y0: float, ks: list[int]):
+    """``min_soc_at_boundaries`` of each interval in ``ks``, bit for bit:
+    each dual over its own candidates, all taken from one candidate set,
+    and every signal from one greedy fill in which intervals past k weigh
+    nothing. Returns them by k."""
+    if not ks:
+        return {}
+    dt = grid.dt_hours
+    pos = np.flatnonzero(diffs > 0)
+    cands, first = _prefix_sets(diffs[pos], pos)
+    weights = np.where(np.arange(grid.K) < np.array(ks)[:, None], dt, 0.0)
+    xi = _greedy_fill(diffs[None, None], 1.0, weights[:, None], gamma)
+    return {k: WorstCaseResult(*_boundary_min(alpha[:k], diffs[:k],
+                                              cands[first < k], gamma, dt,
+                                              y0),
+                               witness_xi=x, t_star=k * dt, sign=+1)
+            for k, x in zip(ks, xi)}
+
+
+def _max_soc_witnesses(bids: BidSchedule, params: StorageParams,
+                       grid: TimeGrid, gamma: float, y0: float,
+                       ks: list[int]):
+    """``max_soc_over_interval`` of each interval in ``ks``, bit for bit:
+    each dual over its own candidates, all taken from one candidate set,
+    and every signal from one greedy fill weighted by the elapsed time of
+    each interval at that check's peak. Returns them by k."""
+    if not ks:
+        return {}
+    pts = _lam_breakpoints(bids.x0, bids.x_dn, params, phi_values)
+    keep = pts >= 0.0
+    cands, first = _prefix_sets(pts[keep], np.nonzero(keep)[1])
+    peaks = [_interval_peak(bids, params, gamma, grid.dt_hours, k,
+                            cands[first < k]) for k in ks]
+    weights = np.array([sigma_vector(grid, t) for *_, t in peaks])
+    xi = _greedy_fill(*_gain_pieces(bids.x0, bids.x_dn, params),
+                      weights[:, None], gamma)
+    return {k: WorstCaseResult(y0 + val, lam_star, x, t_star, sign=-1)
+            for k, (val, lam_star, t_star), x in zip(ks, peaks, xi)}
 
 
 def check_feasibility(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
@@ -495,38 +581,43 @@ def check_feasibility(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
     All 2K SOC bounds come from one array pass over the union of the
     intervals' dual breakpoints. A violated SOC check carries the witness
     of its per-interval oracle (``min_soc_at_boundaries`` or
-    ``max_soc_over_interval``); a satisfied one carries none, and the same
-    oracles give its witness on demand.
+    ``max_soc_over_interval``), bit for bit: each check's dual value,
+    multiplier and time on that oracle's arithmetic over its own
+    candidates, which are taken from the union; and the signals of all
+    violated checks on one side from one greedy fill over a (check x
+    interval) batch. A satisfied check carries none, and the same oracles
+    give its witness on demand.
     """
     if bids.K != grid.K:
         raise DomainError(f"bid schedule has {bids.K} intervals, "
                           f"the grid has {grid.K}")
-    checks: list[ConstraintCheck] = []
-    for k in range(grid.K):
-        checks.append(ConstraintCheck(
-            name=f"power_upper[{k + 1}]",
-            slack=float(params.x_max - (bids.x0[k] + bids.x_up[k]))))
-        checks.append(ConstraintCheck(
-            name=f"power_lower[{k + 1}]",
-            slack=float((bids.x0[k] - bids.x_dn[k]) - params.x_min)))
+    K, tol, dt = grid.K, FeasibilityReport.tol, grid.dt_hours
+    power = zip((params.x_max - (bids.x0 + bids.x_up)).tolist(),
+                ((bids.x0 - bids.x_dn) - params.x_min).tolist())
+    checks = [ConstraintCheck(name=f"power_{side}[{k}]", slack=slack)
+              for k, slacks in enumerate(power, 1)
+              for side, slack in zip(("upper", "lower"), slacks)]
     checks.append(ConstraintCheck(name="initial_soc_lower",
                                   slack=float(y0 - params.y_min)))
     checks.append(ConstraintCheck(name="initial_soc_upper",
                                   slack=float(params.y_max - y0)))
-    tol, dt = FeasibilityReport.tol, grid.dt_hours
-    lows = _min_soc_all(bids, params, gamma, dt, y0)
-    rises = _max_soc_rise_all(bids, params, gamma, dt)
-    for k in range(1, grid.K + 1):
-        slack = float(lows[k - 1]) - params.y_min
-        witness = (min_soc_at_boundaries(bids, params, grid, gamma, y0, k)
-                   if slack < -tol else None)
-        checks.append(ConstraintCheck(name=f"soc_lower[{k}]", slack=slack,
-                                      witness=witness))
-        slack = params.y_max - (y0 + float(rises[k - 1]))
-        witness = (max_soc_over_interval(bids, params, grid, gamma, y0, k)
-                   if slack < -tol else None)
-        checks.append(ConstraintCheck(name=f"soc_upper[{k}]", slack=slack,
-                                      witness=witness))
+
+    alpha, beta = alpha_beta(bids, params)
+    diffs = beta - alpha
+    low = (_min_soc_all(alpha, diffs, gamma, dt, y0) - params.y_min).tolist()
+    high = (params.y_max
+            - (y0 + _max_soc_rise_all(bids, params, gamma, dt))).tolist()
+    low_w = _min_soc_witnesses(alpha, diffs, grid, gamma, y0,
+                               [k for k, v in enumerate(low, 1) if v < -tol])
+    high_w = _max_soc_witnesses(bids, params, grid, gamma, y0,
+                                [k for k, v in enumerate(high, 1)
+                                 if v < -tol])
+    for k in range(1, K + 1):
+        checks.append(ConstraintCheck(name=f"soc_lower[{k}]",
+                                      slack=low[k - 1], witness=low_w.get(k)))
+        checks.append(ConstraintCheck(name=f"soc_upper[{k}]",
+                                      slack=high[k - 1],
+                                      witness=high_w.get(k)))
     return FeasibilityReport(checks=checks)
 
 

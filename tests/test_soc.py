@@ -1,6 +1,7 @@
 import runpy
 from pathlib import Path
 
+import storagebid.soc as soc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from storagebid.types import (
     RegulationSignal,
     StorageParams,
     TimeGrid,
+    default_initial_soc,
     sigma_vector,
 )
 from storagebid.soc import (
@@ -534,3 +536,61 @@ class TestOnePassMatchesPerIntervalOracles:
             seen["power"] += any(c.slack < -tol for c in power)
         # every kind of verdict occurs in the sweep
         assert all(n > 50 for n in seen.values()), seen
+
+
+class TestBatchedWitnesses:
+    """``check_feasibility`` fills the witness signals of all violated
+    checks on one side in one batch; each must equal its per-interval
+    oracle's exactly."""
+
+    @staticmethod
+    def overbid_quarter_hours():
+        # 40 kW symmetric reserve over a K = 96 day, with +-12 kW of
+        # arbitrage on the first 50 quarter-hours, which also breaks the
+        # power limits there
+        p = StorageParams(x_min=-50.0, x_max=50.0, y_min=10.0, y_max=90.0,
+                          eta_c=0.92, eta_d=0.92)
+        x0 = np.zeros(96)
+        x0[:50] = 12.0 * (-1.0) ** np.arange(50)
+        reserve = np.full(96, 40.0)
+        bids = BidSchedule(x0=x0, x_up=reserve, x_dn=reserve.copy())
+        return bids, p, TimeGrid(dt_hours=0.25, K=96), default_initial_soc(p)
+
+    @staticmethod
+    def counted_fills(monkeypatch):
+        calls = []
+        fill = soc._greedy_fill
+
+        def counted(*args):
+            calls.append(args)
+            return fill(*args)
+        monkeypatch.setattr(soc, "_greedy_fill", counted)
+        return calls
+
+    def test_every_witness_equals_the_oracle(self, monkeypatch):
+        bids, p, grid, y0 = self.overbid_quarter_hours()
+        calls = self.counted_fills(monkeypatch)
+        rep = check_feasibility(bids, p, grid, 2.0, y0)
+        assert len(calls) <= 2
+        monkeypatch.undo()
+        assert len(rep.violations()) == 236
+        violated = [c for c in rep.violations() if c.witness is not None]
+        assert len(violated) == 186
+        for c in violated:
+            side, k = c.name[:-1].split("[")
+            oracle = (min_soc_at_boundaries if side == "soc_lower"
+                      else max_soc_over_interval)(bids, p, grid, 2.0, y0,
+                                                  int(k))
+            w = c.witness
+            assert (w.value, w.lambda_star, w.t_star, w.sign) == (
+                oracle.value, oracle.lambda_star, oracle.t_star,
+                oracle.sign), c.name
+            np.testing.assert_array_equal(w.witness_xi, oracle.witness_xi)
+
+    def test_a_certified_schedule_fills_nothing(self, monkeypatch):
+        _, p, grid, y0 = self.overbid_quarter_hours()
+        calm = BidSchedule(x0=np.zeros(96), x_up=np.full(96, 5.0),
+                           x_dn=np.full(96, 5.0))
+        calls = self.counted_fills(monkeypatch)
+        assert check_feasibility(calm, p, grid, 2.0, y0).feasible
+        assert calls == []

@@ -12,7 +12,15 @@ from storagebid.types import (
     TimeGrid,
     UncertaintyBudget,
 )
-from storagebid.ir import BINARY, ModelError, ModelIR, ModelOptions, residual
+from storagebid.ir import (
+    BINARY,
+    GE,
+    LE,
+    ModelError,
+    ModelIR,
+    ModelOptions,
+    residual,
+)
 from storagebid.builder import dispatch_variant, split_arbitrage_lp
 from storagebid.data import Dataset, generate_synthetic_dataset
 from storagebid.mpsio import EmissionError, emit_model
@@ -45,6 +53,69 @@ def _unbounded_mip():
     y = ir.add_variable("y", kind=BINARY, lower=0.0, upper=1.0)
     ir.add_row("floor", [(0, 1.0), (y, 1.0)], ">=", 0.5)
     return ir
+
+
+def _edge_case_ir():
+    """A model with what a writer gets wrong most easily: a repeated
+    column in one row, a column in no row, an objective-only column, a
+    binary run that ends the columns, a -0.0 coefficient, numbers of at
+    least 1e15, rows added one at a time and as a block, and a bilinear
+    row with linear terms."""
+    ir = ModelIR()
+    x = ir.add_variable("x", lower=0.0, upper=10.0)
+    b0 = ir.add_variable("b0", kind=BINARY, lower=0.0, upper=1.0)
+    y = ir.add_variable("y")
+    ir.add_variable("e", lower=0.0, upper=1.0)
+    o = ir.add_variable("o", lower=-5.0)
+    b1 = ir.add_variable("b1", kind=BINARY, lower=0.0, upper=1.0)
+    b2 = ir.add_variable("b2", kind=BINARY, lower=0.0, upper=1.0)
+    ir.add_objective_term(o, 2.5e15)
+    ir.add_objective_term(x, 2.0)
+    ir.add_objective_term(b0, -1.0)
+    ir.add_row("r1", [(x, 1.0), (y, -0.0), (x, 3.0)], "<=", 1e15)
+    ir.add_rows(["r2", "r3"], [0, 2, 4], [y, b0, x, b1],
+                [2.5, -1.0, 1e16, 1.0], [GE, LE], [0.0, -7.25])
+    ir.add_bilinear("q", quad=[(x, y, 2.0), (x, x, 1.0)],
+                    linear=[(b2, 4.0), (x, -1.5)], sense=">=", rhs=-3.0)
+    ir.add_row("r4", [(b2, 1.0), (y, 0.5)], "==", 1.0)
+    return ir
+
+
+# emit_model(_edge_case_ir(), fmt), line by line
+EDGE_CASE_TEXT = {
+    "MPS": [
+        "NAME STORAGEBID", "ROWS", " N OBJ", " L r1", " G r2", " L r3",
+        " E r4", " G q",
+        "COLUMNS",
+        " x OBJ 2", " x r1 1", " x r1 3", " x r3 1e+16", " x q -1.5",
+        " MARKER0 'MARKER' 'INTORG'",
+        " b0 OBJ -1", " b0 r2 -1",
+        " MARKER1 'MARKER' 'INTEND'",
+        " y r1 0", " y r2 2.5", " y r4 0.5",
+        " e OBJ 0",
+        " o OBJ 2.5e+15",
+        " MARKER2 'MARKER' 'INTORG'",
+        " b1 r3 1", " b2 r4 1", " b2 q 4",
+        " MARKER3 'MARKER' 'INTEND'",
+        "RHS", " RHS r1 1e+15", " RHS r3 -7.25", " RHS r4 1", " RHS q -3",
+        "BOUNDS", " UP BND x 10", " BV BND b0", " FR BND y", " UP BND e 1",
+        " LO BND o -5", " BV BND b1", " BV BND b2",
+        "QCMATRIX q", " x y 1", " y x 1", " x x 1",
+        "ENDATA"],
+    "LP": [
+        "\\ STORAGEBID", "Minimize", " obj: + 2 x - 1 b0 + 2.5e+15 o",
+        "Subject To",
+        " r1: + 1 x + 0 y + 3 x <= 1e+15",
+        " r2: + 2.5 y - 1 b0 >= 0",
+        " r3: + 1e+16 x + 1 b1 <= -7.25",
+        " r4: + 1 b2 + 0.5 y = 1",
+        " q: [ + 2 x * y + 1 x * x ] + 4 b2 - 1.5 x >= -3",
+        "Bounds", " 0 <= x <= 10", " 0 <= b0 <= 1", " -inf <= y <= +inf",
+        " 0 <= e <= 1", " -5 <= o <= +inf", " 0 <= b1 <= 1",
+        " 0 <= b2 <= 1",
+        "Binaries", " b0 b1 b2",
+        "End"],
+}
 
 
 def _infeasible_lp():
@@ -219,6 +290,11 @@ class TestEmission:
         lines = emit_model(ir, "MPS").decode().splitlines()
         columns = lines[lines.index("COLUMNS") + 1:lines.index("RHS")]
         assert columns == [" x r 2.5", " y OBJ 0"]
+
+    @pytest.mark.parametrize("fmt", ["MPS", "LP"])
+    def test_edge_cases_are_pinned(self, fmt):
+        text = emit_model(_edge_case_ir(), fmt).decode()
+        assert text.splitlines() == EDGE_CASE_TEXT[fmt]
 
     @pytest.mark.parametrize("fmt", ["MPS", "LP"])
     def test_nan_rhs_names_the_row(self, fmt):
