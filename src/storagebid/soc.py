@@ -377,8 +377,10 @@ def _interval_peak(bids: BidSchedule, params: StorageParams, gamma: float,
     val, lam_star, a, b = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
                                          dt, k, phi_values, None, cands)
     # the fixed-time maximum at offset s is min_c (a_c + s*b_c); its
-    # earliest maximizer is where the last rising line reaches val
-    rising = b > 0
+    # earliest maximizer is where the last rising line reaches val. A
+    # slope within rounding of zero (phi_k at its own hinge root) rises by
+    # nothing, yet would put that time at the end of the interval.
+    rising = b > _TOL
     s = np.max((val - a[rising]) / b[rising], initial=0.0)
     return val, lam_star, (k - 1) * dt + min(float(s), dt)
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import storagebid.soc as soc
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from storagebid.types import (
     BidSchedule,
@@ -279,6 +279,9 @@ class TestMaxSocRandom:
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(deadline=None, max_examples=40)
+    # seed 122181: phi_2 at its hinge root evaluates to 5.6e-17, which
+    # once put the peak at the end of interval 2 instead of its start
+    @example(122181)
     def test_witness_achieves_value(self, seed):
         rng = np.random.default_rng(seed)
         grid = TimeGrid(dt_hours=0.5, K=3)
