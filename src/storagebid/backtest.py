@@ -14,7 +14,12 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .builder import MWH_PER_KWH, dispatch_variant, split_arbitrage_lp
+from .builder import (
+    MWH_PER_KWH,
+    case_cuts,
+    dispatch_variant,
+    split_arbitrage_lp,
+)
 from .data import DataError, Dataset, DayData
 from .ir import ModelOptions
 from .soc import realized_power, soc_path
@@ -242,8 +247,12 @@ def run_day(config: ExperimentConfig, day: DayData, y0: float,
                                    config.options, y0_high=y0_hi)
         res = _solve_arbitrage(config, split, build)
     else:
-        res = solve(build(), time_limit=config.time_limit,
-                    gap_target=config.gap_target)
+        ir = build()
+        # a lossy battery's model has case binaries, whose cuts can prove
+        # a relax-and-fix start without branch and bound
+        cuts = None if params.is_lossless else case_cuts(ir, params, grid)
+        res = solve(ir, time_limit=config.time_limit,
+                    gap_target=config.gap_target, cuts=cuts)
     if not res.ok:
         raise SolverError(f"{day.date}: solver returned {res.status}: "
                           f"{res.message}")

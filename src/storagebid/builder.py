@@ -12,7 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ir import BINARY, GE, SENSES, ModelError, ModelIR, ModelOptions
+from .ir import (
+    BINARY,
+    GE,
+    SENSES,
+    ModelError,
+    ModelIR,
+    ModelOptions,
+    RowArrays,
+)
 from .types import (
     DomainError,
     PriceSeries,
@@ -317,6 +325,58 @@ def build_restriction_rows(ir: ModelIR, params: StorageParams,
         ("res_b", [L, xdn[l], x0[l], lamu[k], u2[l], u3[l]],
          [1.0, -1.0 / ed, 1.0 / ed, 1.0, -d_eta * x_lo, -d_eta * x_lo],
          ">=", 0.0)])
+
+
+def case_cuts(ir: ModelIR, params: StorageParams,
+              grid: TimeGrid) -> RowArrays:
+    """Two families of valid inequalities for a model with ``u2`` case
+    binaries, as K(K-1) rows ``>= 0`` in CSR form over ``ir``'s columns:
+    first, for each pair 1 <= l < k <= K in ``_pairs`` order,
+
+        (A)  Lamu[k,l] + alpha[l] >= 0,
+
+    then, in the same order,
+
+        (B)  Lamu[k,l] + (1/(eta_c*eta_d) - 1) * Lamu[l,l] + x0[l]/eta_d
+             >= 0.
+
+    Both hold at every point of the model where ``u2[l]`` is integral.
+    ``build_soc_lower`` gives alpha[l] >= eta_c*x0[l] and alpha[l] >=
+    x0[l]/eta_d, and ``build_soc_upper`` gives Lamu[l,l] >= -eta_c*x0[l]
+    (``Lamu_diag_b``) and Lamu[l,l] >= 0 (``Lamu_diag_pos``). Write L
+    for Lamu[k,l], x for x0[l] and D for Lamu[l,l].
+
+    - u2 = 1: ``u2_hi`` gives x <= 0, and ``Lbd4`` gives L >= -eta_c*x.
+      Then L + alpha >= -eta_c*x + eta_c*x = 0, which is (A). With
+      c = 1/(eta_c*eta_d) - 1 >= 0 (both efficiencies lie in (0, 1]),
+      c*D >= -c*eta_c*x = -(1/eta_d - eta_c)*x, so
+      L + c*D + x/eta_d >= (-eta_c - 1/eta_d + eta_c + 1/eta_d)*x = 0,
+      which is (B).
+    - u2 = 0: ``u2_lo`` gives x >= 0, and ``Lbd2`` gives L >= -x/eta_d.
+      Then L + alpha >= -x/eta_d + x/eta_d = 0, which is (A), and
+      L + x/eta_d >= 0 with c*D >= 0 gives (B).
+
+    They are disjunctive cuts of each interval's ``u2`` disjunction
+    (Balas, Discrete Appl. Math. 89, 1998): they cut points of the LP
+    relaxation with fractional ``u2`` and no point with integral ``u2``.
+    No builder adds them to a model; ``solve`` adds them to the LP that
+    bounds the model's optimum (its ``cuts`` argument).
+    """
+    ec, ed = params.eta_c, params.eta_d
+    K = grid.K
+    Lamu = _triangle(ir, "lamu", K)
+    alpha, x0 = _family(ir, "alpha", K), _family(ir, "x0", K)
+    k, l = _pairs(K, strict=True)
+    n = k.size
+    L = Lamu[k, l]
+    col = np.concatenate([np.column_stack([L, alpha[l]]).ravel(),
+                          np.column_stack([L, Lamu[l, l], x0[l]]).ravel()])
+    val = np.concatenate([np.ones(2 * n),
+                          np.tile([1.0, 1.0 / (ec * ed) - 1.0, 1.0 / ed], n)])
+    ptr = np.concatenate([np.arange(0, 2 * n, 2),
+                          2 * n + np.arange(0, 3 * n + 1, 3)])
+    return RowArrays(ptr.astype(np.int32), col.astype(np.int32), val,
+                     np.full(2 * n, GE, dtype=np.int8), np.zeros(2 * n))
 
 
 def build_objective(ir: ModelIR, prices: PriceSeries, grid: TimeGrid,

@@ -1,6 +1,11 @@
 """Solve contract: LP and MILP solves with the HiGHS solver bundled with
 scipy, solution verification, and the exact bilinear optimum when the
 model's relaxation attains it.
+
+A MILP whose binaries all have indicator rules starts from a
+relax-and-fix point. Given valid cuts, ``solve`` accepts that point
+from an LP bound alone when it is close enough; otherwise HiGHS's branch
+and bound starts from it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from scipy.optimize import milp  # noqa: F401
 # milp's own HiGHS binding; it exposes setSolution, which milp does not.
 from scipy.optimize._highspy import _core as _highs
 
-from .ir import GE, LE, ModelError, ModelIR, residual
+from .ir import GE, LE, ModelError, ModelIR, RowArrays, residual
 
 OPTIMAL = "optimal"
 FEASIBLE_LIMIT = "feasible_limit"
@@ -35,9 +40,11 @@ class SolveResult:
     message: str = ""
     # objective of the start point offered to the MIP search; nan if none
     start_objective: float = np.nan
-    # how the point was found: ``milp``, ``start+milp`` when the search
-    # began from a relax-and-fix start point, or ``split-lp`` for an
-    # arbitrage-only optimum proved without branch and bound
+    # how the point was found: ``milp``; ``start+milp`` when the search
+    # began from a relax-and-fix start point; ``start+bound`` for that
+    # start accepted at the bound of the LP plus the caller's cuts, with
+    # no branch and bound; or ``split-lp`` for an arbitrage-only optimum
+    # proved without branch and bound
     path: str = "milp"
 
     @property
@@ -111,22 +118,43 @@ def _optimal_point(highs) -> np.ndarray | None:
     return np.array(highs.getSolution().col_value)
 
 
-def _relax_and_fix(ir: ModelIR, lp, binaries: np.ndarray,
-                   options: dict) -> np.ndarray | None:
+def _relax_and_fix(ir: ModelIR, lp, binaries: np.ndarray, options: dict):
     """Solve the LP relaxation, set every binary from its indicator rule
     at the LP point and re-solve with the binaries fixed. Returns the
-    fixed LP's optimum, or None when either LP is not solved to
-    optimality."""
+    HiGHS object, left holding the fixed LP and its basis, and the fixed
+    LP's optimum, or None when either LP is not solved to optimality."""
     highs = _highs_run(lp, options)
     x = _optimal_point(highs)
     if x is None:
-        return None
+        return highs, None
     fixed = np.array([float(sum(c * x[j] for j, c in
                                 ir.indicators[i].tolist()) >= 0.0)
                       for i in binaries])
     highs.changeColsBounds(len(binaries), binaries, fixed, fixed)
     highs.run()
-    return _optimal_point(highs)
+    return highs, _optimal_point(highs)
+
+
+def _cut_bound(highs, ir: ModelIR, binaries: np.ndarray, cuts: RowArrays,
+               time_left: float | None) -> float:
+    """Lower bound on the MILP's optimum from the LP in ``highs`` (the
+    fixed LP of ``_relax_and_fix``) with its binaries released to their
+    bounds and the valid inequalities ``cuts`` added as rows. The LP
+    starts from the fixed LP's basis. Returns nan unless it ends
+    optimal."""
+    lo, hi = ir.bounds_arrays()
+    highs.changeColsBounds(len(binaries), binaries, lo[binaries],
+                           hi[binaries])
+    n = len(cuts.rhs)
+    highs.addRows(n, np.where(cuts.sense == LE, -np.inf, cuts.rhs),
+                  np.where(cuts.sense == GE, np.inf, cuts.rhs),
+                  len(cuts.val), cuts.ptr[:-1], cuts.col, cuts.val)
+    if time_left is not None:
+        highs.setOptionValue("time_limit", time_left)
+    highs.run()
+    if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
+        return np.nan
+    return float(highs.getInfo().objective_function_value)
 
 
 _STATUS = {_highs.HighsModelStatus.kOptimal: OPTIMAL,
@@ -138,11 +166,21 @@ _LIMITS = (_highs.HighsModelStatus.kTimeLimit,
 
 
 def solve(ir: ModelIR, time_limit: float | None = None,
-          gap_target: float | None = None) -> SolveResult:
+          gap_target: float | None = None,
+          cuts: RowArrays | None = None) -> SolveResult:
     """Solve a model without bilinear rows (LP or MILP) with scipy's
-    bundled HiGHS. A model whose every binary has an indicator
-    rule gets a relax-and-fix start point as its first MIP incumbent;
-    HiGHS then improves on it up to ``gap_target``."""
+    bundled HiGHS. A model whose every binary has an indicator rule gets
+    a relax-and-fix start point.
+
+    With ``cuts``, rows valid at every point of the model with integral
+    binaries (such as ``builder.case_cuts``), the start is first compared
+    with the optimum of the LP relaxation plus those rows: when that LP
+    is optimal and the start is within ``gap_target`` of it (HiGHS's
+    default ``mip_rel_gap`` when unset), the start is returned as
+    ``optimal`` with that bound, path ``start+bound``, and no branch and
+    bound runs. Otherwise, and without ``cuts``, the start is the MILP's
+    first incumbent, and HiGHS improves on it up to ``gap_target`` in the
+    time left of ``time_limit``."""
     ir.validate()
     if ir.bilinear_rows:
         raise ModelError("model has bilinear rows; use solve_exact_bilinear")
@@ -156,12 +194,32 @@ def solve(ir: ModelIR, time_limit: float | None = None,
         options["mip_rel_gap"] = float(gap_target)
     lp = _highs_lp(ir)
     t0 = time.perf_counter()
-    start = None
+
+    def time_left():
+        if time_limit is None:
+            return None
+        return max(0.0, float(time_limit) - (time.perf_counter() - t0))
+
+    start, start_objective, path = None, np.nan, "milp"
     if is_mip and all(int(i) in ir.indicators for i in binaries):
-        start = _relax_and_fix(ir, lp, binaries, options)
-        if time_limit is not None:
-            options["time_limit"] = max(
-                0.0, float(time_limit) - (time.perf_counter() - t0))
+        highs, start = _relax_and_fix(ir, lp, binaries, options)
+        if start is not None:
+            start_objective = float(ir.objective_vector() @ start)
+            path = "start+milp"
+        left = time_left()
+        if start is not None and cuts is not None and left != 0.0:
+            res = SolveResult(
+                status=OPTIMAL, objective=start_objective,
+                bound=_cut_bound(highs, ir, binaries, cuts, left),
+                point=dict(zip(ir.var_names, start.tolist())),
+                message="start within the gap target of the cut LP bound",
+                start_objective=start_objective, path="start+bound")
+            # the MILP's own target: gap_target, or HiGHS's default
+            if res.gap <= highs.getOptionValue("mip_rel_gap")[1]:
+                return replace(res, solve_time=time.perf_counter() - t0)
+            left = time_left()
+        if left is not None:
+            options["time_limit"] = left
     lp.integrality_ = [_highs.HighsVarType(i) for i in integrality]
     highs = _highs_run(lp, options, start)
     elapsed = time.perf_counter() - t0
@@ -184,10 +242,6 @@ def solve(ir: ModelIR, time_limit: float | None = None,
     else:
         message = (f"model_status is {message}; primal_status is "
                    f"{highs.solutionStatusToString(info.primal_solution_status)}")
-    start_objective, path = np.nan, "milp"
-    if start is not None:
-        start_objective = float(ir.objective_vector() @ start)
-        path = "start+milp"
     return SolveResult(status=status, objective=objective, bound=bound,
                        point=point, solve_time=elapsed, message=message,
                        start_objective=start_objective, path=path)

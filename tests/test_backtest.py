@@ -412,7 +412,7 @@ class TestReportFiles:
 
     @pytest.mark.parametrize("options,path", [
         (ModelOptions(variant="restriction", fcr_block_len=4,
-                      da_block_len=1), "start+milp"),
+                      da_block_len=1), "start+bound"),
         (ModelOptions(variant="arbitrage_only", fcr_enabled=False,
                       da_block_len=1), "split-lp")])
     def test_timed_record_names_the_solve_path(self, synth, options, path):
