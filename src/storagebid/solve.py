@@ -66,15 +66,18 @@ def _row_matrix(ir: ModelIR) -> sparse.csr_array:
                             shape=(ir.n_rows, ir.n_vars))
 
 
+def _row_bounds(rows: RowArrays):
+    """Lower and upper bounds of each row's linear form."""
+    return (np.where(rows.sense == LE, -np.inf, rows.rhs),
+            np.where(rows.sense == GE, np.inf, rows.rhs))
+
+
 def _constraint_matrix(ir: ModelIR):
     """Rows as a CSC matrix with row bounds, built as ``milp`` builds it:
     duplicate entries of a row are summed."""
     a = _row_matrix(ir)
     a.sum_duplicates()
-    rows = ir.row_arrays()
-    lo = np.where(rows.sense == LE, -np.inf, rows.rhs)
-    hi = np.where(rows.sense == GE, np.inf, rows.rhs)
-    return a.tocsc(), lo, hi
+    return (a.tocsc(), *_row_bounds(ir.row_arrays()))
 
 
 def _highs_lp(ir: ModelIR):
@@ -145,10 +148,8 @@ def _cut_bound(highs, ir: ModelIR, binaries: np.ndarray, cuts: RowArrays,
     lo, hi = ir.bounds_arrays()
     highs.changeColsBounds(len(binaries), binaries, lo[binaries],
                            hi[binaries])
-    n = len(cuts.rhs)
-    highs.addRows(n, np.where(cuts.sense == LE, -np.inf, cuts.rhs),
-                  np.where(cuts.sense == GE, np.inf, cuts.rhs),
-                  len(cuts.val), cuts.ptr[:-1], cuts.col, cuts.val)
+    highs.addRows(len(cuts.rhs), *_row_bounds(cuts), len(cuts.val),
+                  cuts.ptr[:-1], cuts.col, cuts.val)
     if time_left is not None:
         highs.setOptionValue("time_limit", time_left)
     highs.run()
