@@ -26,12 +26,13 @@ LOSSY = StorageParams(x_min=-4.0, x_max=5.0, y_min=1.0, y_max=20.0,
                       eta_c=0.9, eta_d=0.85)
 
 
-def _model(K=3, params=LOSSY):
-    grid = TimeGrid(dt_hours=1.0, K=K)
-    prices = PriceSeries(day_ahead=np.linspace(-10.0, 60.0, K),
-                         fcr_availability=np.full(K, 20.0),
+def _model():
+    """A K = 3 restriction of a battery with distinct efficiencies."""
+    grid = TimeGrid(dt_hours=1.0, K=3)
+    prices = PriceSeries(day_ahead=np.array([-10.0, 25.0, 60.0]),
+                         fcr_availability=np.full(3, 20.0),
                          fcr_block_hours=1.0)
-    ir = dispatch_variant(params, grid,
+    ir = dispatch_variant(LOSSY, grid,
                           UncertaintyBudget(kind="total_budget", gamma=1.0),
                           8.0, prices, ModelOptions(variant="restriction"))
     return ir, grid
@@ -66,10 +67,6 @@ class TestCaseCuts:
             {"Lamu[3,2]": 1.0, "Lamu[2,2]": c, "x0[2]": 1.0 / ed}]
         assert cuts.sense.tolist() == [GE] * 6
         assert cuts.rhs.tolist() == [0.0] * 6
-
-    def test_count_is_k_times_k_minus_one(self):
-        ir, grid = _model(K=24)
-        assert len(case_cuts(ir, LOSSY, grid).rhs) == 24 * 23
 
     def test_model_and_its_files_stay_as_built(self):
         ir, grid = _model()
