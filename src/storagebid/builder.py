@@ -10,6 +10,8 @@ gets bilinear rows.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .ir import (
@@ -54,7 +56,7 @@ def build_power_bounds(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     k = np.arange(1, grid.K + 1) if intervals is None else np.array(intervals)
     x0, xup, xdn = (_family(ir, name, grid.K)
                     for name in ("x0", "x_up", "x_dn"))
-    _add_rows(ir, _keys(k), [
+    _add_rows(ir, _keys(ir, grid.K, k), [
         ("pow_hi", [x0[k], xup[k]], [1.0, 1.0], "<=", params.x_max),
         ("pow_lo", [x0[k], xdn[k]], [1.0, -1.0], ">=", params.x_min)])
 
@@ -90,20 +92,38 @@ def _block_starts(K: int, block: int):
     return k[k != first], first[k != first]
 
 
-def _keys(k, l=None) -> list[str]:
-    """Name suffixes ``[k]``, or ``[k,l]`` of index pairs."""
-    if l is None:
-        return [f"[{a}]" for a in k.tolist()]
-    n = int(k.max(initial=0)) + 1
-    heads, tails = [f"[{a}," for a in range(n)], [f"{b}]" for b in range(n)]
-    return [heads[a] + tails[b] for a, b in zip(k.tolist(), l.tolist())]
+# name suffixes of each model under construction, made at its first
+# ``_keys`` call and dropped with the model
+_SUFFIXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _triangle_names(head: str, name: str, k, l) -> list[str]:
-    """``head[k]`` for a pair with l = 0, ``name[k,l]`` for the others."""
-    heads = [f"{head}[{a}]" for a in range(int(k.max(initial=0)) + 1)]
+def _keys(ir: ModelIR, K: int, k, l=None) -> list[str]:
+    """Name suffixes ``[k]``, or ``[k,l]`` of index pairs, for indices up
+    to K. They are picked from two object arrays, ``[k]`` at k and
+    ``[k,l]`` at (k, l) for 0 <= l <= k <= K, made once per model and K,
+    so that the blocks of one build share their strings."""
+    tables = _SUFFIXES.setdefault(ir, {})
+    if K not in tables:
+        a, b = _pairs(K, first=0)
+        heads = [f"[{i}," for i in range(K + 1)]
+        tails = [f"{i}]" for i in range(K + 1)]
+        pair = np.empty((K + 1, K + 1), dtype=object)
+        pair[a, b] = [heads[i] + tails[j]
+                      for i, j in zip(a.tolist(), b.tolist())]
+        tables[K] = (np.array([f"[{i}]" for i in range(K + 1)],
+                              dtype=object), pair)
+    single, pair = tables[K]
+    return (single[k] if l is None else pair[k, l]).tolist()
+
+
+def _triangle_names(ir: ModelIR, K: int, head: str,
+                    name: str) -> list[str]:
+    """For the pairs ``_pairs(K, first=0)``: ``head[k]`` for a pair with
+    l = 0, ``name[k,l]`` for the others."""
+    k, l = _pairs(K, first=0)
+    heads = [head + key for key in _keys(ir, K, np.arange(K + 1))]
     return [name + key if b else heads[a]
-            for a, b, key in zip(k.tolist(), l.tolist(), _keys(k, l))]
+            for a, b, key in zip(k.tolist(), l.tolist(), _keys(ir, K, k, l))]
 
 
 def _add_triangle(ir: ModelIR, head: str, name: str, K: int, head_bounds,
@@ -113,7 +133,7 @@ def _add_triangle(ir: ModelIR, head: str, name: str, K: int, head_bounds,
     their indices as a table: ``name[k,l]`` at (k, l), ``head[k]`` at
     (k, 0) and -1 elsewhere."""
     k, l = _pairs(K, first=0)
-    ir.add_variables(_triangle_names(head, name, k, l),
+    ir.add_variables(_triangle_names(ir, K, head, name),
                      *(np.where(l == 0, h, b)
                        for h, b in zip(head_bounds, bounds)))
     return _triangle(ir, head, K)
@@ -166,7 +186,7 @@ def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     laml = Laml[:, 0]
     x0, xup = _family(ir, "x0", K), _family(ir, "x_up", K)
     k = np.arange(1, K + 1)
-    _add_rows(ir, _keys(k), [
+    _add_rows(ir, _keys(ir, K, k), [
         ("alpha_c", [alpha[k], x0[k]], [1.0, -ec], ">=", 0.0),
         ("alpha_d", [alpha[k], x0[k]], [1.0, -1.0 / ed], ">=", 0.0),
         ("beta_c", [beta[k], x0[k], xup[k]], [1.0, -ec, -ec], ">=", 0.0),
@@ -190,8 +210,8 @@ def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     col[epi] = np.column_stack([Laml[ke, le], laml[ke], alpha[le],
                                 beta[le]])
     val[epi] = (1.0, 1.0, 1.0, -1.0)
-    ir.add_rows(_triangle_names("soc_lo", "Laml_epi", k, l), ptr, col, val,
-                GE, np.where(l == 0, params.y_min - y0, 0.0))
+    ir.add_rows(_triangle_names(ir, K, "soc_lo", "Laml_epi"), ptr, col,
+                val, GE, np.where(l == 0, params.y_min - y0, 0.0))
 
 
 def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
@@ -225,7 +245,7 @@ def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
 
     k = np.arange(1, K + 1)
     diag = Lamu[k, k]
-    _add_rows(ir, _keys(k), [
+    _add_rows(ir, _keys(ir, K, k), [
         # the -1 entries of Lamu leave out Lamu[k,l] for l > k
         ("soc_hi", [lamu[k], *Lamu[k, 1:].T], [gamma] + [dt] * K, "<=",
          params.y_max - y0),
@@ -238,7 +258,7 @@ def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     # x0_k <= 0
     if with_cases:
         k = np.arange(1, K)
-        _add_rows(ir, _keys(k), [
+        _add_rows(ir, _keys(ir, K, k), [
             ("u1_hi", [x0[k], xdn[k], u1[k]], [1.0, -1.0, -x_hi], "<=", 0.0),
             ("u1_lo", [x0[k], xdn[k], u1[k]], [1.0, -1.0, x_lo], ">=", x_lo),
             ("u2_hi", [x0[k], u2[k]], [1.0, x_hi], "<=", x_hi),
@@ -250,12 +270,12 @@ def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     if not with_cases:
         # zero specific loss: the big-M offsets and the ratio hinge
         # vanish, leaving a convex epigraph
-        _add_rows(ir, _keys(k, l), [
+        _add_rows(ir, _keys(ir, K, k, l), [
             ("Lbd1", [L, xdnl, x0l, lamk], [1.0, -1.0 / ed, 1.0 / ed, 1.0],
              ">=", 0.0),
             ("Lbd2", [L, x0l], [1.0, 1.0 / ed], ">=", 0.0)])
         return
-    _add_rows(ir, _keys(k, l), [
+    _add_rows(ir, _keys(ir, K, k, l), [
         ("Lbd1", [L, xdnl, x0l, lamk, u1[l]],
          [1.0, -1.0 / ed, 1.0 / ed, 1.0, d_eta * x_lo], ">=", d_eta * x_lo),
         ("Lbd2", [L, x0l, u2[l]], [1.0, 1.0 / ed, -d_eta * x_lo], ">=", 0.0),
@@ -305,7 +325,7 @@ def build_restriction_rows(ir: ModelIR, params: StorageParams,
     lamu = _family(ir, "lamu", K)
     u1, u2 = _family(ir, "u1", K - 1), _family(ir, "u2", K - 1)
     k = np.arange(1, K)
-    _add_rows(ir, _keys(k), [
+    _add_rows(ir, _keys(ir, K, k), [
         ("u3_lo", [xdn[k], x0[k], lamu[k], u3[k]],
          [1.0, -(1.0 - rt), -ed, -m_lo], ">=", -m_lo),
         ("u3_hi", [xdn[k], x0[k], lamu[k], u3[k]],
@@ -319,7 +339,7 @@ def build_restriction_rows(ir: ModelIR, params: StorageParams,
                                  (lamk, -ed)])
     k, l = _pairs(K, strict=True)
     L = _triangle(ir, "lamu", K)[k, l]
-    _add_rows(ir, _keys(k, l), [
+    _add_rows(ir, _keys(ir, K, k, l), [
         ("res_a", [L, x0[l], u1[l], u3[l]],
          [1.0, ec, d_eta * x_hi, -d_eta * x_hi], ">=", -d_eta * x_hi),
         ("res_b", [L, xdn[l], x0[l], lamu[k], u2[l], u3[l]],
@@ -407,7 +427,7 @@ def add_market_coupling(ir: ModelIR, params: StorageParams, grid: TimeGrid,
         xr = _add_family(ir, "xr", K, 0.0, min(params.x_max, -params.x_min))
         x_up, x_dn = _family(ir, "x_up", K), _family(ir, "x_dn", K)
         k = np.arange(1, K + 1)
-        _add_rows(ir, _keys(k), [
+        _add_rows(ir, _keys(ir, K, k), [
             ("sym_up", [x_up[k], xr[k]], [1.0, -1.0], "==", 0.0),
             ("sym_dn", [x_dn[k], xr[k]], [1.0, -1.0], "==", 0.0)])
         blocks = [("xr", fcr_block)]
@@ -416,7 +436,7 @@ def add_market_coupling(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     for name, block in blocks + [("x0", da_block)]:
         bid = _family(ir, name, K)
         k, first = _block_starts(K, block)
-        _add_rows(ir, _keys(k), [
+        _add_rows(ir, _keys(ir, K, k), [
             (f"blk_{name}", [bid[k], bid[first]], [1.0, -1.0], "==", 0.0)])
 
 

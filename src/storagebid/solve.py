@@ -42,9 +42,10 @@ class SolveResult:
     start_objective: float = np.nan
     # how the point was found: ``milp``; ``start+milp`` when the search
     # began from a relax-and-fix start point; ``start+bound`` for that
-    # start accepted at the bound of the LP plus the caller's cuts, with
-    # no branch and bound; or ``split-lp`` for an arbitrage-only optimum
-    # proved without branch and bound
+    # start, fixed from the point of the LP plus the caller's cuts,
+    # accepted at that LP's optimum with no branch and bound; or
+    # ``split-lp`` for an arbitrage-only optimum proved without branch
+    # and bound
     path: str = "milp"
 
     @property
@@ -101,13 +102,17 @@ def _highs_lp(ir: ModelIR):
     return lp
 
 
-def _highs_run(lp, options: dict, start: np.ndarray | None = None):
-    """Load ``lp`` into a fresh HiGHS object, offer ``start`` as a MIP
-    incumbent and run."""
+def _highs_run(lp, options: dict, start: np.ndarray | None = None,
+               cuts: RowArrays | None = None):
+    """Load ``lp`` into a fresh HiGHS object, add the rows ``cuts``, offer
+    ``start`` as a MIP incumbent and run."""
     highs = _highs._Highs()
     for key, value in options.items():
         highs.setOptionValue(key, value)
     highs.passModel(lp)
+    if cuts is not None:
+        highs.addRows(len(cuts.rhs), *_row_bounds(cuts), len(cuts.val),
+                      cuts.ptr[:-1], cuts.col, cuts.val)
     if start is not None:
         highs.setSolution(len(start), np.arange(len(start), dtype=np.int32),
                           start)
@@ -121,41 +126,26 @@ def _optimal_point(highs) -> np.ndarray | None:
     return np.array(highs.getSolution().col_value)
 
 
-def _relax_and_fix(ir: ModelIR, lp, binaries: np.ndarray, options: dict):
-    """Solve the LP relaxation, set every binary from its indicator rule
-    at the LP point and re-solve with the binaries fixed. Returns the
-    HiGHS object, left holding the fixed LP and its basis, and the fixed
-    LP's optimum, or None when either LP is not solved to optimality."""
-    highs = _highs_run(lp, options)
+def _relax_and_fix(ir: ModelIR, lp, binaries: np.ndarray, options: dict,
+                   cuts: RowArrays | None = None):
+    """Solve the LP relaxation, with the rows ``cuts`` added when given,
+    set every binary from its indicator rule at the LP point and re-solve
+    warm in the same HiGHS object with the binaries fixed. Cuts valid at
+    every point with integral binaries cut no point of the fixed LP, so
+    they stay in it. Returns the HiGHS object, the first LP's optimal
+    value (nan unless it is optimal) and the fixed LP's optimum (None
+    unless both LPs are optimal)."""
+    highs = _highs_run(lp, options, cuts=cuts)
     x = _optimal_point(highs)
     if x is None:
-        return highs, None
+        return highs, np.nan, None
+    bound = float(highs.getInfo().objective_function_value)
     fixed = np.array([float(sum(c * x[j] for j, c in
                                 ir.indicators[i].tolist()) >= 0.0)
                       for i in binaries])
     highs.changeColsBounds(len(binaries), binaries, fixed, fixed)
     highs.run()
-    return highs, _optimal_point(highs)
-
-
-def _cut_bound(highs, ir: ModelIR, binaries: np.ndarray, cuts: RowArrays,
-               time_left: float | None) -> float:
-    """Lower bound on the MILP's optimum from the LP in ``highs`` (the
-    fixed LP of ``_relax_and_fix``) with its binaries released to their
-    bounds and the valid inequalities ``cuts`` added as rows. The LP
-    starts from the fixed LP's basis. Returns nan unless it ends
-    optimal."""
-    lo, hi = ir.bounds_arrays()
-    highs.changeColsBounds(len(binaries), binaries, lo[binaries],
-                           hi[binaries])
-    highs.addRows(len(cuts.rhs), *_row_bounds(cuts), len(cuts.val),
-                  cuts.ptr[:-1], cuts.col, cuts.val)
-    if time_left is not None:
-        highs.setOptionValue("time_limit", time_left)
-    highs.run()
-    if highs.getModelStatus() != _highs.HighsModelStatus.kOptimal:
-        return np.nan
-    return float(highs.getInfo().objective_function_value)
+    return highs, bound, _optimal_point(highs)
 
 
 _STATUS = {_highs.HighsModelStatus.kOptimal: OPTIMAL,
@@ -174,14 +164,16 @@ def solve(ir: ModelIR, time_limit: float | None = None,
     a relax-and-fix start point.
 
     With ``cuts``, rows valid at every point of the model with integral
-    binaries (such as ``builder.case_cuts``), the start is first compared
-    with the optimum of the LP relaxation plus those rows: when that LP
-    is optimal and the start is within ``gap_target`` of it (HiGHS's
-    default ``mip_rel_gap`` when unset), the start is returned as
-    ``optimal`` with that bound, path ``start+bound``, and no branch and
-    bound runs. Otherwise, and without ``cuts``, the start is the MILP's
-    first incumbent, and HiGHS improves on it up to ``gap_target`` in the
-    time left of ``time_limit``."""
+    binaries (such as ``builder.case_cuts``), the start comes from the LP
+    relaxation plus those rows: its optimum is a bound, its point sets
+    the binaries, and the fixed LP is solved warm with the rows kept.
+    When that LP is optimal and the start is within ``gap_target`` of
+    its bound (HiGHS's default ``mip_rel_gap`` when unset), the start is
+    returned as ``optimal`` with that bound, path ``start+bound``, and no
+    branch and bound runs. Otherwise, and without ``cuts``, the start is
+    the MILP's first incumbent, and HiGHS improves on it up to
+    ``gap_target`` in the time left of ``time_limit``; the MILP gets no
+    cut rows."""
     ir.validate()
     if ir.bilinear_rows:
         raise ModelError("model has bilinear rows; use solve_exact_bilinear")
@@ -203,22 +195,21 @@ def solve(ir: ModelIR, time_limit: float | None = None,
 
     start, start_objective, path = None, np.nan, "milp"
     if is_mip and all(int(i) in ir.indicators for i in binaries):
-        highs, start = _relax_and_fix(ir, lp, binaries, options)
+        highs, bound, start = _relax_and_fix(ir, lp, binaries, options,
+                                             cuts)
         if start is not None:
             start_objective = float(ir.objective_vector() @ start)
             path = "start+milp"
         left = time_left()
         if start is not None and cuts is not None and left != 0.0:
             res = SolveResult(
-                status=OPTIMAL, objective=start_objective,
-                bound=_cut_bound(highs, ir, binaries, cuts, left),
+                status=OPTIMAL, objective=start_objective, bound=bound,
                 point=dict(zip(ir.var_names, start.tolist())),
                 message="start within the gap target of the cut LP bound",
                 start_objective=start_objective, path="start+bound")
             # the MILP's own target: gap_target, or HiGHS's default
             if res.gap <= highs.getOptionValue("mip_rel_gap")[1]:
                 return replace(res, solve_time=time.perf_counter() - t0)
-            left = time_left()
         if left is not None:
             options["time_limit"] = left
     lp.integrality_ = [_highs.HighsVarType(i) for i in integrality]
