@@ -38,7 +38,7 @@ def _model():
     return ir, grid
 
 
-def _lp_optimum(ir, cuts=None, fixed=None) -> float:
+def lp_optimum(ir, cuts=None, fixed=None) -> float:
     """Optimum of ``ir``'s LP relaxation, solved cold on a copy, with
     ``cuts`` added as rows and the binaries fixed at their values in the
     point ``fixed`` when given."""
@@ -52,12 +52,6 @@ def _lp_optimum(ir, cuts=None, fixed=None) -> float:
     res = solve(lp)
     assert res.status == OPTIMAL
     return res.objective
-
-
-def cut_lp_bound(ir, cuts) -> float:
-    """Optimum of ``ir``'s LP relaxation with ``cuts`` added, solved cold
-    on a copy."""
-    return _lp_optimum(ir, cuts)
 
 
 class TestCaseCuts:
@@ -148,7 +142,7 @@ def test_cut_bound_is_below_both_milp_optima():
         K = 24 if i % K24_EVERY == K24_EVERY // 2 else int(rng.choice(SWEEP_K))
         params, grid, build = _sweep_instance(rng, K)
         ir = build("restriction")
-        bound = cut_lp_bound(ir, case_cuts(ir, params, grid))
+        bound = lp_optimum(ir, case_cuts(ir, params, grid))
         limit = K24_LIMIT_S if K == 24 else None
         for model in (ir, build("relaxation")):
             res = solve(model, time_limit=limit, gap_target=1e-9)
@@ -201,7 +195,7 @@ class TestStartBoundPath:
         assert res.gap <= 0.1
         # the bound is the optimum of the cut LP that chose the binaries,
         # and the same LP solved cold on a copy agrees
-        assert res.bound == pytest.approx(cut_lp_bound(ir, cuts), rel=1e-9)
+        assert res.bound == pytest.approx(lp_optimum(ir, cuts), rel=1e-9)
         assert list(res.point) == ir.var_names
         x0, xr = (np.array([res.point[f"{name}[{k}]"] for k in range(1, 25)])
                   for name in ("x0", "xr"))
@@ -217,10 +211,10 @@ class TestStartBoundPath:
             ir = _day_model(day)
             cuts = case_cuts(ir, BATTERY, HOURLY)
             res = solve(ir, time_limit=120.0, gap_target=0.1, cuts=cuts)
-            assert res.bound == pytest.approx(cut_lp_bound(ir, cuts),
+            assert res.bound == pytest.approx(lp_optimum(ir, cuts),
                                               rel=1e-9), day.date
-            plain = _lp_optimum(ir, fixed=res.point)
-            assert _lp_optimum(ir, cuts, fixed=res.point) == pytest.approx(
+            plain = lp_optimum(ir, fixed=res.point)
+            assert lp_optimum(ir, cuts, fixed=res.point) == pytest.approx(
                 plain, abs=1e-9), day.date
             assert res.start_objective == pytest.approx(plain, abs=1e-9)
 
