@@ -5,11 +5,15 @@ Directory layout (one file per day, UTF-8 CSV with a header row):
     dayahead/YYYY-MM-DD.csv   hour, price_eur_mwh
     fcr/YYYY-MM-DD.csv        block_start_hour, price_eur_mw_4h
     frequency/YYYY-MM-DD.csv  offset_s, hz         (10 s cadence)
+
+The generator writes each file as the header row followed by one
+``int,value`` row per entry, the value with six decimals, every line
+ending in CRLF. The readers accept LF or CRLF line ends.
 """
 
 from __future__ import annotations
 
-import csv
+import datetime
 import io
 import os
 from dataclasses import dataclass
@@ -69,11 +73,13 @@ def _row_error(path: str, lines: list[str], columns: int) -> DataError:
 def _read_csv(path: str, columns: int) -> np.ndarray:
     """The rows after the header line, as an (n, columns) array of the
     first ``columns`` fields of each row, parsed in one pass."""
-    if not os.path.exists(path):
-        raise DataError(f"missing data file {path}")
     try:
         with open(path) as f:
             text = f.read()
+    except FileNotFoundError:
+        raise DataError(f"missing data file {path}") from None
+    except OSError as e:
+        raise DataError(f"{path}: cannot read: {e.strerror or e}") from None
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: {e}") from None
     if not text:
@@ -192,12 +198,17 @@ def signal_to_frequency(signal: RegulationSignal) -> np.ndarray:
     return 50.0 - FULL_ACTIVATION_HZ * signal.values
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_rows(path: str, header: str, keys, values) -> None:
+    """Write ``header`` and one ``key,value`` row per entry (integer key,
+    value with six decimals, CRLF line ends), formatted in one
+    ``%`` operation and written in one call."""
     os.makedirs(os.path.dirname(path), exist_ok=True)
+    flat = [None] * (2 * len(values))
+    flat[::2] = keys
+    flat[1::2] = values.tolist()
+    text = header + "\r\n" + ("%d,%.6f\r\n" * len(values)) % tuple(flat)
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
+        f.write(text)
 
 
 def generate_synthetic_dataset(out_dir: str, seed: int, days: int,
@@ -209,7 +220,6 @@ def generate_synthetic_dataset(out_dir: str, seed: int, days: int,
     if days < 1:
         raise DataError("days must be >= 1")
     rng = np.random.default_rng(seed)
-    import datetime
     d0 = datetime.date(2021, 1, 1)
     dates = []
     for d in range(days):
@@ -219,14 +229,11 @@ def generate_synthetic_dataset(out_dir: str, seed: int, days: int,
                                    fcr_level=fcr_level)
         sig = synthetic_signal(rng, gamma, budget_target=budget_target)
         hz = signal_to_frequency(sig)
-        _write_csv(os.path.join(out_dir, "dayahead", f"{date}.csv"),
-                   ["hour", "price_eur_mwh"],
-                   [[h, format(da[h], ".6f")] for h in range(24)])
-        _write_csv(os.path.join(out_dir, "fcr", f"{date}.csv"),
-                   ["block_start_hour", "price_eur_mw_4h"],
-                   [[4 * b, format(fcr[b], ".6f")] for b in range(6)])
-        _write_csv(os.path.join(out_dir, "frequency", f"{date}.csv"),
-                   ["offset_s", "hz"],
-                   [[i * FREQ_SAMPLE_S, format(hz[i], ".6f")]
-                    for i in range(len(hz))])
+        _write_rows(os.path.join(out_dir, "dayahead", f"{date}.csv"),
+                    "hour,price_eur_mwh", range(24), da)
+        _write_rows(os.path.join(out_dir, "fcr", f"{date}.csv"),
+                    "block_start_hour,price_eur_mw_4h", range(0, 24, 4), fcr)
+        _write_rows(os.path.join(out_dir, "frequency", f"{date}.csv"),
+                    "offset_s,hz", range(0, len(hz) * FREQ_SAMPLE_S,
+                                         FREQ_SAMPLE_S), hz)
     return dates

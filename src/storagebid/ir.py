@@ -166,9 +166,6 @@ class ModelIR:
         except KeyError:
             raise ModelError(f"unknown variable {name!r}") from None
 
-    def has_var(self, name: str) -> bool:
-        return name in self.registry
-
     def add_row(self, name: str, coeffs, sense: str, rhs: float) -> None:
         coeffs = tuple(coeffs)
         # min and max compare the (index, coeff) pairs in C, index first;

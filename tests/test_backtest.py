@@ -284,6 +284,22 @@ class TestRunBacktest:
         assert len(rep.skipped) == 1
         assert rep.skipped[0][0] == "2021-01-02"
 
+    def test_unreadable_day_file_skips_day(self, tmp_path):
+        root = tmp_path / "dirday"
+        generate_synthetic_dataset(str(root), seed=2, days=2, gamma=2.0)
+        p = root / "frequency" / "2021-01-01.csv"
+        p.unlink()
+        p.mkdir()
+        rep = run_backtest(hourly_config(
+            options=ModelOptions(variant="arbitrage_only",
+                                 fcr_enabled=False, da_block_len=1),
+            gap_target=None), Dataset(str(root)))
+        assert [r.date for r in rep.records] == ["2021-01-02"]
+        assert len(rep.skipped) == 1
+        date, reason = rep.skipped[0]
+        assert date == "2021-01-01"
+        assert "cannot read" in reason and str(p) in reason
+
     def test_solver_failure_skips_day(self, tmp_path, monkeypatch):
         root = tmp_path / "nosolver"
         generate_synthetic_dataset(str(root), seed=2, days=2, gamma=2.0)
@@ -640,7 +656,7 @@ class TestArbitrageSplitPath:
                                     gap_target=None),
                       arbitrage_day(da), 50.0)[0]
         assert [ir.n_binaries for ir in calls] == [0]
-        assert calls[0].has_var("x0[1]")
+        assert "x0[1]" in calls[0].registry
         assert rec.solve_path == "milp"
 
 

@@ -348,6 +348,16 @@ initial_soc = 0.5
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and bids in err
 
+    def test_bids_path_that_cannot_be_opened_is_a_data_error(self, tmp_path,
+                                                             capsys):
+        cfg, _ = self._write(tmp_path, ["1,0,0,0", "2,0,0,0"])
+        bids = tmp_path / "bids_dir"
+        bids.mkdir()
+        assert main(["verify", "--config", cfg, "--bids", str(bids)]) \
+            == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bids) in err
+
     def test_missing_bids_file_is_a_data_error(self, tmp_path, capsys):
         cfg, bids = self._write(tmp_path, ["1,0,0,0", "2,0,0,0"])
         os.remove(bids)

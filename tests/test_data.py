@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from storagebid import data as data_module
 from storagebid.data import (
     DataError,
     Dataset,
     SAMPLES_PER_DAY,
     _read_csv,
+    _write_rows,
     frequency_to_signal,
     generate_synthetic_dataset,
     load_dayahead,
@@ -69,6 +71,13 @@ class TestCsvReaders:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="missing"):
             load_dayahead(str(tmp_path / "nope.csv"))
+
+    def test_path_that_cannot_be_opened(self, tmp_path):
+        p = tmp_path / "day.csv"
+        p.mkdir()
+        with pytest.raises(DataError, match="cannot read") as e:
+            load_dayahead(str(p))
+        assert str(p) in str(e.value)
 
     def test_short_dayahead_rejected(self, tmp_path):
         p = tmp_path / "day.csv"
@@ -267,6 +276,51 @@ class TestReaderMatchesCsvModule:
                            match="expected|gap in 10 s") as e:
             loader(str(p))
         assert str(p) in str(e.value)
+
+
+def reference_write_rows(path: str, header: str, keys, values) -> None:
+    """The ``csv``-module writer that ``_write_rows`` replaced, kept as
+    the reference for its bytes."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header.split(","))
+        w.writerows([[k, format(v, ".6f")] for k, v in zip(keys, values)])
+
+
+class TestWriterMatchesCsvModule:
+    """``_write_rows`` formats a whole file in one ``%`` operation; the
+    ``csv``-module writer it replaced must give the same bytes."""
+
+    VALUES = np.array([-0.0, 0.0, -1.5, -49.9999995, 5e-7, 2.5e-7, -5e-7,
+                       1.0000005, 0.1234565, 49.95, 1e15, -1e15, 1e22,
+                       np.nan, np.inf, -np.inf])
+
+    @pytest.mark.parametrize("keys", [range(16), np.arange(-8, 8) * 10],
+                             ids=["range", "array"])
+    def test_edge_values(self, tmp_path, keys):
+        got, want = tmp_path / "got" / "f.csv", tmp_path / "want" / "f.csv"
+        _write_rows(str(got), "offset_s,hz", keys, self.VALUES)
+        reference_write_rows(str(want), "offset_s,hz", keys, self.VALUES)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_every_file_of_a_dataset(self, tmp_path, monkeypatch):
+        kw = dict(seed=13, days=2, gamma=1.5, base=-20.0, spread=55.0,
+                  fcr_level=12.5, budget_target=0.9)
+        a, b = tmp_path / "a", tmp_path / "b"
+        generate_synthetic_dataset(str(a), **kw)
+        monkeypatch.setattr(data_module, "_write_rows", reference_write_rows)
+        generate_synthetic_dataset(str(b), **kw)
+        names = {sub: sorted(os.listdir(a / sub))
+                 for sub in ("dayahead", "fcr", "frequency")}
+        assert names == {sub: sorted(os.listdir(b / sub)) for sub in names}
+        for sub, files in names.items():
+            assert len(files) == 2
+            for name in files:
+                assert (a / sub / name).read_bytes() == \
+                    (b / sub / name).read_bytes(), (sub, name)
+        prices = load_dayahead(str(a / "dayahead" / names["dayahead"][0]))
+        assert prices.min() < 0.0
 
 
 class TestSyntheticGenerator:

@@ -314,7 +314,7 @@ class TestCoupling:
         ir = ModelIR()
         add_bid_variables(ir, reference_battery(), grid)
         add_market_coupling(ir, reference_battery(), grid, 16, 4, symmetric=False)
-        assert not ir.has_var("xr[1]")
+        assert "xr[1]" not in ir.registry
 
 
 class TestTerminal:
