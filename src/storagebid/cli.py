@@ -355,7 +355,8 @@ def main(argv=None) -> int:
     except (ConfigError, ModelError, DomainError, EmissionError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (dat.DataError, AlignmentError) as e:
+    except (dat.DataError, AlignmentError, OSError) as e:
+        # OSError: an input or output path that cannot be read or written
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except bt.SolverError as e:

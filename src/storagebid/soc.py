@@ -3,12 +3,15 @@
 The worst-case state of charge under a budgeted regulation signal is
 computed by dualizing the budget constraint: the dual objective is convex
 piecewise linear in the single multiplier, so the exact optimum is found
-by enumerating its breakpoints. The same breakpoints fix the worst time
-inside an interval in closed form. Witness signals come from the primal
-side: at fixed time weights the inner problem is a fractional knapsack
-over concave piecewise-linear SOC gains, solved by a greedy fill.
-Brute-force enumeration oracles are provided for independent
-cross-validation on small instances.
+by enumerating its breakpoints, which also fix the worst time inside an
+interval in closed form. One kernel per side (``_max_duals``,
+``_min_duals``) solves this dual for every interval of a day at once; the
+per-interval oracles call it on intervals 1..k and ``check_feasibility``
+on the whole day, with the same bits. Witness signals come from the
+primal side: at fixed time weights the inner problem is a fractional
+knapsack over concave piecewise-linear SOC gains, solved by one greedy
+fill for any set of times. Brute-force enumeration oracles are provided
+for independent cross-validation on small instances.
 """
 
 from __future__ import annotations
@@ -106,19 +109,13 @@ def simulate_soc(bids: BidSchedule, signal: RegulationSignal,
 # The per-interval optimal value function and its McCormick-style bounds.
 # ---------------------------------------------------------------------------
 
-def _phi_pieces(x0, x_dn, lam, params: StorageParams):
-    """What phi and its two bounds share: x0 and x_dn as arrays, the
-    pieces a = max{(x_dn-x0)/eta_d - lam, -x0/eta_d} and
-    b = max{p1, -eta_c*x0} with p1 = eta_c(x_dn-x0) - lam, and the masks
-    of the first two cases (x_dn <= x0; otherwise x0 <= 0)."""
-    x0 = np.asarray(x0, dtype=float)
-    x_dn = np.asarray(x_dn, dtype=float)
+def _max_line(x0, x_dn, lam, params: StorageParams, u_a, v_a):
+    """max{u - lam, v}, the form of every piece of phi and of its bounds
+    but the ratio: u = (x_dn-x0)/eta_d where ``u_a``, else eta_c(x_dn-x0),
+    and v = -x0/eta_d where ``v_a``, else -eta_c*x0."""
     ec, ed = params.eta_c, params.eta_d
-    a = np.maximum((x_dn - x0) / ed - lam, -x0 / ed)
-    p1 = ec * (x_dn - x0) - lam
-    b = np.maximum(p1, -ec * x0)
-    case_a = x_dn <= x0
-    return x0, x_dn, a, b, p1, case_a, ~case_a & (x0 <= 0)
+    return np.maximum(np.where(u_a, (x_dn - x0) / ed, ec * (x_dn - x0)) - lam,
+                      np.where(v_a, -x0 / ed, -ec * x0))
 
 
 def phi_values(x0, x_dn, lam, params: StorageParams):
@@ -131,13 +128,13 @@ def phi_values(x0, x_dn, lam, params: StorageParams):
       x0 <= 0:             max{eta_c(x_dn-x0) - lam, -eta_c*x0}
       0 <= x0 <= x_dn > 0: max{eta_c(x_dn-x0) - lam, -lam*x0/x_dn, -x0/eta_d}
     """
-    x0, x_dn, a, b, p1, case_a, case_b = _phi_pieces(x0, x_dn, lam, params)
-    # the ratio piece only matters when 0 <= x0 <= x_dn, so clamp the
-    # numerator to keep the unused np.where branch from overflowing
-    safe_dn = np.where(x_dn > 0, x_dn, 1.0)
-    ratio = np.minimum(np.maximum(x0, 0.0), safe_dn) / safe_dn
-    c = np.maximum(p1, np.maximum(-lam * ratio, -x0 / params.eta_d))
-    return np.where(case_a, a, np.where(case_b, b, c))
+    x0, x_dn = np.asarray(x0, dtype=float), np.asarray(x_dn, dtype=float)
+    low = phi_lower_values(x0, x_dn, lam, params)
+    # the ratio piece only where x_dn > x0 > 0; elsewhere the unused
+    # np.where branch divides 0 by 1
+    mid = (x_dn > x0) & (x0 > 0)
+    ratio = np.where(mid, x0, 0.0) / np.where(mid, x_dn, 1.0)
+    return np.where(mid, np.maximum(low, -lam * ratio), low)
 
 
 def phi(x0: float, x_dn: float, lam: float, params: StorageParams) -> float:
@@ -152,21 +149,21 @@ def phi(x0: float, x_dn: float, lam: float, params: StorageParams) -> float:
 def phi_lower_values(x0, x_dn, lam, params: StorageParams):
     """Lower bound on phi obtained by dropping its bilinear ratio piece
     (the relaxation's per-interval estimate)."""
-    x0, x_dn, a, b, p1, case_a, case_b = _phi_pieces(x0, x_dn, lam, params)
-    mid = np.maximum(p1, -x0 / params.eta_d)
-    return np.where(case_a, a, np.where(case_b, b, mid))
+    x0, x_dn = np.asarray(x0, dtype=float), np.asarray(x_dn, dtype=float)
+    case_a = x_dn <= x0
+    return _max_line(x0, x_dn, lam, params, case_a, case_a | (x0 > 0))
 
 
 def phi_upper_values(x0, x_dn, lam, params: StorageParams):
     """Upper bound on phi replacing the ratio piece by the adjacent
     linear pieces (the restriction's per-interval estimate)."""
-    x0, x_dn, a, b, _, use_a, _ = _phi_pieces(x0, x_dn, lam, params)
-    ec, ed = params.eta_c, params.eta_d
-    denom = 1.0 - ec * ed
+    x0, x_dn = np.asarray(x0, dtype=float), np.asarray(x_dn, dtype=float)
+    use_a = x_dn <= x0
+    denom = 1.0 - params.eta_c * params.eta_d
     if denom > 0:  # lossless: both branches coincide
-        thresh = np.maximum((x_dn - ed * lam) / denom, 0.0)
+        thresh = np.maximum((x_dn - params.eta_d * lam) / denom, 0.0)
         use_a = use_a | (x0 >= thresh)
-    return np.where(use_a, a, b)
+    return _max_line(x0, x_dn, lam, params, use_a, use_a)
 
 
 # ---------------------------------------------------------------------------
@@ -213,77 +210,115 @@ class WorstCaseResult:
         return RegulationSignal(values=values, sample_period_hours=sample_period_hours)
 
 
-def _lam_breakpoints(x0, x_dn, params: StorageParams, phi_fn) -> np.ndarray:
-    """The breakpoints of the dual's phi pieces, one row per kind and one
-    column per interval: eta_c*x_dn, x_dn/eta_d and, for the restriction,
-    its case switch point.
-
-    No cap is needed: past the largest breakpoint every piece of every
-    case of phi_values, phi_lower_values and phi_upper_values is constant
-    in lam, so the dual rises there at slope gamma >= 0."""
-    x0, x_dn = np.asarray(x0, dtype=float), np.asarray(x_dn, dtype=float)
-    rows = [params.eta_c * x_dn, x_dn / params.eta_d]
-    denom = 1.0 - params.eta_c * params.eta_d
-    if phi_fn is phi_upper_values and denom > 0:
-        # switch point of the restriction's case condition
-        rows.append((x_dn - denom * x0) / params.eta_d)
-    return np.array(rows)
-
-
-def _lam_candidates(x0, x_dn, params: StorageParams, phi_fn) -> np.ndarray:
-    """0 and the non-negative breakpoints of the dual, ascending."""
-    pts = np.concatenate([[0.0], _lam_breakpoints(x0, x_dn, params,
-                                                  phi_fn).ravel()])
-    return np.unique(pts[pts >= 0.0])
-
-
 def _prefix_sets(values: np.ndarray, owners: np.ndarray):
     """``np.unique`` of 0 and the ``values`` whose owner is below k, for
     every k at once: the distinct values of 0 and ``values``, ascending,
-    and for each the smallest owner that has it (-1 for 0). The set of k
-    is ``distinct[first < k]``, the same array bit for bit."""
-    distinct, inverse = np.unique(np.concatenate([[0.0], values]),
-                                  return_inverse=True)
-    first = np.full(distinct.size, np.iinfo(np.intp).max)
-    np.minimum.at(first, inverse, np.concatenate([[-1], owners]))
-    return distinct, first
+    and for each the smallest owner that has it (-1 for 0), the owner of
+    its first occurrence, as ``owners`` never decrease. The set of k is
+    ``distinct[first < k]``, the same array bit for bit."""
+    distinct, index = np.unique(np.concatenate([[0.0], values]),
+                                return_index=True)
+    return distinct, np.concatenate([[-1], owners])[index]
 
 
-def _dual_minimize(x0, x_dn, params: StorageParams, gamma: float, dt: float,
-                   k: int, phi_fn, sigma_k: float | None, cands=None):
-    """Minimize the convex piecewise-linear dual objective
+def _max_duals(x0, x_dn, params: StorageParams, gamma: float, dt: float,
+               phi_fn, sigma: float | None = None):
+    """Minimize, for every k = 1..len(x0) at once, the convex
+    piecewise-linear budget dual of the worst-case SOC rise
 
         gamma*lam + dt * sum_{l<k} phi_l(lam) + tail_k(lam)
 
-    where tail_k is sigma_k * phi_k (fixed-time mode) or, with sigma_k
-    None, dt * [phi_k]+ (interval-max mode), over its breakpoints
-    (``cands``, or ``_lam_candidates`` of intervals 1..k when None). Each
-    candidate c gives the line a_c + s * b_c in the weight s of interval
-    k, with a_c = gamma*c + dt * sum_{l<k} phi_l(c) and b_c = phi_k(c).
-    Returns (objective value, smallest minimizer, a, b)."""
-    x0 = np.asarray(x0, dtype=float)[:k]
-    x_dn = np.asarray(x_dn, dtype=float)[:k]
+    where tail_k is sigma * phi_k (fixed-time mode, sigma hours into
+    interval k) or, with sigma None, dt * [phi_k]+ (interval-max mode).
 
-    def lines(cands):
-        vals = phi_fn(x0, x_dn, cands[:, None], params)
-        return gamma * cands + dt * vals[:, :-1].sum(axis=1), vals[:, -1]
+    Each k searches its own candidates only: 0, the breakpoints of
+    intervals 1..k and, in interval-max mode, the root of its hinge,
+    interpolated between two consecutive own candidates. A candidate c
+    gives the line a_c + s * b_c in the elapsed time s of interval k, with
+    b_c = phi_k(c) and a_c = gamma*c + dt * sum_{l<k} phi_l(c) summed in
+    interval order. So a call on intervals 1..k gives entry k bit for bit.
 
-    if cands is None:
-        cands = _lam_candidates(x0, x_dn, params, phi_fn)
-    a, b = lines(cands)
-    if sigma_k is None:
-        # the hinge adds a kink where phi_k crosses zero
-        fa, fb = b[:-1], b[1:]
-        cross = ((fa > 0) & (fb < 0)) | ((fa < 0) & (fb > 0))
-        lo, hi = cands[:-1][cross], cands[1:][cross]
-        roots = lo + (hi - lo) * fa[cross] / (fa[cross] - fb[cross])
-        ra, rb = lines(roots)
-        cands = np.concatenate([cands, roots])
-        a, b = np.concatenate([a, ra]), np.concatenate([b, rb])
-    vals = a + (dt * np.maximum(b, 0.0) if sigma_k is None else sigma_k * b)
-    best = vals.min()
-    lam_star = float(cands[vals <= best + 1e-10].min())
-    return float(best), lam_star, a, b
+    Returns the minimum of every k and a function that gives, for the k
+    in a list, the smallest minimizer and the offset into interval k of
+    the worst time: sigma, or in interval-max mode the earliest offset at
+    which the fixed-time maximum min_c (a_c + s * b_c) reaches the
+    minimum."""
+    # the breakpoints of phi's pieces: eta_c*x_dn, x_dn/eta_d and, for the
+    # restriction, its case switch point. No cap is needed: past the
+    # largest one every piece of every case of phi_values, phi_lower_values
+    # and phi_upper_values is constant in lam, so the dual rises at slope
+    # gamma >= 0.
+    pts = [params.eta_c * x_dn, x_dn / params.eta_d]
+    denom = 1.0 - params.eta_c * params.eta_d
+    if phi_fn is phi_upper_values and denom > 0:
+        pts.append((x_dn - denom * x0) / params.eta_d)
+    pts = np.array(pts).T
+    keep = pts >= 0.0
+    lam, first = _prefix_sets(pts[keep], np.nonzero(keep)[0])
+    own = first[:, None] <= np.arange(len(x0))
+    b = phi_fn(x0, x_dn, lam[:, None], params)
+    if sigma is None and (b < 0).any():
+        # phi_k is non-increasing in lam, so its own candidates where it is
+        # positive come first and those where it is negative last. Its
+        # hinge root lies between the last positive and the first negative
+        # one, unless an own candidate between them has phi_k = 0.
+        pos, neg = own & (b > 0), own & (b < 0)
+        k = np.flatnonzero(pos.any(axis=0) & neg.any(axis=0)
+                           & ~(own & (b == 0)).any(axis=0))
+        if len(k):
+            lo = (len(lam) - 1 - np.argmax(pos[::-1], axis=0))[k]
+            hi = np.argmax(neg, axis=0)[k]
+            fa, fb = b[lo, k], b[hi, k]
+            roots = lam[lo] + (lam[hi] - lam[lo]) * fa / (fa - fb)
+            # each root is a candidate of its own k only
+            own = np.vstack([own, np.arange(len(x0)) == k[:, None]])
+            lam = np.concatenate([lam, roots])
+            b = np.vstack([b, phi_fn(x0, x_dn, roots[:, None], params)])
+    a = np.zeros_like(b)
+    np.cumsum(b[:, :-1], axis=1, out=a[:, 1:])
+    a = np.where(own, gamma * lam[:, None] + dt * a, np.inf)
+    vals = a + (dt * np.maximum(b, 0.0) if sigma is None else sigma * b)
+    best = vals.min(axis=0)
+
+    def argmins(ks):
+        j = np.asarray(ks) - 1
+        lam_star = np.where(vals[:, j] <= best[j] + 1e-10, lam[:, None],
+                            np.inf).min(axis=0)
+        if sigma is not None:
+            return lam_star, np.full(len(j), sigma)
+        # the earliest maximizer is where the last rising line reaches
+        # best. A slope within rounding of zero (phi_k at its own hinge
+        # root) rises by nothing, yet would put it at the interval's end.
+        bj = b[:, j]
+        s = np.divide(best[j] - a[:, j], bj, out=np.zeros_like(bj),
+                      where=bj > _TOL)
+        return lam_star, np.minimum(s.max(axis=0), dt)
+    return best, argmins
+
+
+def _min_duals(alpha, diffs, gamma: float, dt: float, y0: float):
+    """Maximize, for every k = 1..len(alpha) at once, the concave
+    piecewise-linear budget dual of the worst-case SOC at the end of
+    interval k, with ``diffs`` = beta - alpha,
+
+        y0 - gamma*lam - dt * sum_{l<=k} (alpha_l + [diffs_l - lam]+),
+
+    over its own candidates, 0 and the positive surpluses of intervals
+    1..k, with the sum taken in interval order; as in ``_max_duals``, a
+    call on intervals 1..k gives entry k bit for bit. Returns the maximum
+    of every k and a function that gives the smallest maximizer of the k
+    in a list."""
+    pos = np.flatnonzero(diffs > 0)
+    lam, first = (a[:, None] for a in _prefix_sets(diffs[pos], pos))
+    drain = np.cumsum(alpha + np.maximum(diffs - lam, 0.0), axis=1)
+    vals = np.where(first <= np.arange(len(alpha)),
+                    y0 - gamma * lam - dt * drain, -np.inf)
+    best = vals.max(axis=0)
+
+    def argmaxs(ks):
+        j = np.asarray(ks) - 1
+        return np.where(vals[:, j] >= best[j] - 1e-10, lam, np.inf).min(axis=0)
+    return best, argmaxs
 
 
 def _greedy_fill(rates: np.ndarray, lengths, weights,
@@ -317,24 +352,39 @@ def _greedy_fill(rates: np.ndarray, lengths, weights,
                        minlength=len(order) * n).reshape(*batch, n)
 
 
-def _gain_pieces(x0, x_dn, params: StorageParams):
-    """Rates and lengths of each interval's two SOC-gain pieces under
-    downregulation: the gain of interval l rises at x_dn/eta_d while it
-    still discharges (xi_l up to x0/x_dn), then at eta_c*x_dn."""
-    safe_dn = np.where(x_dn > 0, x_dn, 1.0)
-    first = np.clip(x0 / safe_dn, 0.0, 1.0)
-    return (np.stack([x_dn / params.eta_d, params.eta_c * x_dn]),
-            np.stack([first, 1.0 - first]))
+def _max_results(duals, bids: BidSchedule, params: StorageParams,
+                 grid: TimeGrid, gamma: float, y0: float, ks):
+    """The worst-case maximum SOC of each interval in ``ks``, by k, from
+    ``_max_duals``, all signals from one greedy fill weighted by each
+    interval's elapsed time at the worst time. Interval l's SOC gain rises
+    at x_dn/eta_d while it discharges (xi_l to x0/x_dn), then at eta_c*x_dn."""
+    if not ks:
+        return {}
+    rise, argmins = duals
+    lam_star, peak = argmins(ks)
+    t_star = [(k - 1) * grid.dt_hours + s for k, s in zip(ks, peak.tolist())]
+    x0, x_dn = bids.x0, bids.x_dn
+    first = np.clip(x0 / np.where(x_dn > 0, x_dn, 1.0), 0.0, 1.0)
+    weights = np.array([sigma_vector(grid, t) for t in t_star])
+    xi = _greedy_fill(np.stack([x_dn / params.eta_d, params.eta_c * x_dn]),
+                      np.stack([first, 1.0 - first]), weights[:, None], gamma)
+    return {k: WorstCaseResult(y0 + float(rise[k - 1]), lam, x, t, sign=-1)
+            for k, lam, t, x in zip(ks, lam_star.tolist(), t_star, xi)}
 
 
-def _max_witness(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
-                 gamma: float, t: float) -> np.ndarray:
-    """Worst-case downregulation magnitudes for the SOC at time t."""
-    xi = np.zeros(grid.K)
-    k = grid.interval_of(t)
-    rates, lengths = _gain_pieces(bids.x0[:k], bids.x_dn[:k], params)
-    xi[:k] = _greedy_fill(rates, lengths, sigma_vector(grid, t)[:k], gamma)
-    return xi
+def _min_results(duals, diffs, grid: TimeGrid, gamma: float, ks):
+    """``min_soc_at_boundaries`` of each interval in ``ks``, by k, from
+    ``_min_duals``, all signals from one greedy fill that spends the budget
+    on the largest ``diffs`` = beta - alpha; intervals past k weigh 0."""
+    if not ks:
+        return {}
+    value, argmaxs = duals
+    weights = np.where(np.arange(grid.K) < np.array(ks)[:, None],
+                       grid.dt_hours, 0.0)
+    xi = _greedy_fill(diffs[None, None], 1.0, weights[:, None], gamma)
+    return {k: WorstCaseResult(float(value[k - 1]), lam, x,
+                               k * grid.dt_hours, sign=+1)
+            for k, lam, x in zip(ks, argmaxs(ks).tolist(), xi)}
 
 
 def max_soc_at_time(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
@@ -342,17 +392,12 @@ def max_soc_at_time(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
     """Exact maximum SOC at time t over all budget-feasible signals."""
     if t < -ABS_TOL or t > grid.T + ABS_TOL:
         raise DomainError(f"t={t} outside horizon")
-    if t <= 0:
-        return WorstCaseResult(value=y0, lambda_star=0.0,
-                               witness_xi=np.zeros(grid.K), t_star=0.0, sign=-1)
+    t = max(t, 0.0)
     k = grid.interval_of(t)
-    sig_k = t - (k - 1) * grid.dt_hours  # elapsed part of interval k
-    val, lam_star, _, _ = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
-                                         grid.dt_hours, k, phi_values,
-                                         sigma_k=sig_k)
-    xi = _max_witness(bids, params, grid, gamma, t)
-    return WorstCaseResult(value=y0 + val, lambda_star=lam_star,
-                           witness_xi=xi, t_star=t, sign=-1)
+    sig_k = t - (k - 1) * grid.dt_hours  # exact: (k-1)*dt + sig_k is t
+    duals = _max_duals(bids.x0[:k], bids.x_dn[:k], params, gamma,
+                       grid.dt_hours, phi_values, sigma=sig_k)
+    return _max_results(duals, bids, params, grid, gamma, y0, [k])[k]
 
 
 def max_soc_over_interval(bids: BidSchedule, params: StorageParams,
@@ -362,27 +407,9 @@ def max_soc_over_interval(bids: BidSchedule, params: StorageParams,
     may peak strictly inside the interval."""
     if not (1 <= k <= grid.K):
         raise DomainError(f"interval k={k} outside 1..{grid.K}")
-    val, lam_star, t_star = _interval_peak(bids, params, gamma,
-                                           grid.dt_hours, k)
-    xi = _max_witness(bids, params, grid, gamma, t_star)
-    return WorstCaseResult(value=y0 + val, lambda_star=lam_star,
-                           witness_xi=xi, t_star=t_star, sign=-1)
-
-
-def _interval_peak(bids: BidSchedule, params: StorageParams, gamma: float,
-                   dt: float, k: int, cands=None):
-    """The worst-case SOC rise over interval k, its smallest minimizing
-    budget dual and its earliest peak time, over the candidates
-    ``cands`` (as ``_dual_minimize``)."""
-    val, lam_star, a, b = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
-                                         dt, k, phi_values, None, cands)
-    # the fixed-time maximum at offset s is min_c (a_c + s*b_c); its
-    # earliest maximizer is where the last rising line reaches val. A
-    # slope within rounding of zero (phi_k at its own hinge root) rises by
-    # nothing, yet would put that time at the end of the interval.
-    rising = b > _TOL
-    s = np.max((val - a[rising]) / b[rising], initial=0.0)
-    return val, lam_star, (k - 1) * dt + min(float(s), dt)
+    duals = _max_duals(bids.x0[:k], bids.x_dn[:k], params, gamma,
+                       grid.dt_hours, phi_values)
+    return _max_results(duals, bids, params, grid, gamma, y0, [k])[k]
 
 
 _PHI_FNS = {"exact": phi_values, "lower": phi_lower_values,
@@ -399,10 +426,9 @@ def max_soc_estimate(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
         raise DomainError(f"unknown estimate kind {kind!r}")
     if not (1 <= k <= grid.K):
         raise DomainError(f"interval k={k} outside 1..{grid.K}")
-    val, _, _, _ = _dual_minimize(bids.x0, bids.x_dn, params, gamma,
-                                  grid.dt_hours, k, _PHI_FNS[kind],
-                                  sigma_k=None)
-    return y0 + val
+    rise, _ = _max_duals(bids.x0[:k], bids.x_dn[:k], params, gamma,
+                         grid.dt_hours, _PHI_FNS[kind])
+    return y0 + float(rise[-1])
 
 
 def max_soc_gap_bound(params: StorageParams, grid: TimeGrid) -> float:
@@ -430,28 +456,10 @@ def min_soc_at_boundaries(bids: BidSchedule, params: StorageParams,
     endpoints, so boundary values cover the whole horizon."""
     if not (1 <= k <= grid.K):
         raise DomainError(f"interval k={k} outside 1..{grid.K}")
-    dt = grid.dt_hours
     alpha, beta = alpha_beta(bids, params)
-    alpha, beta = alpha[:k], beta[:k]
     diffs = beta - alpha
-    cands = np.unique(np.concatenate([[0.0], diffs[diffs > 0]]))
-    value, lam_star = _boundary_min(alpha, diffs, cands, gamma, dt, y0)
-    # greedy primal: spend the budget on intervals with the largest
-    # discharge surplus
-    xi = np.zeros(grid.K)
-    xi[:k] = _greedy_fill(diffs[None, :], 1.0, dt, gamma)
-    return WorstCaseResult(value=value, lambda_star=lam_star,
-                           witness_xi=xi, t_star=k * dt, sign=+1)
-
-
-def _boundary_min(alpha, diffs, cands, gamma: float, dt: float, y0: float):
-    """The worst-case SOC at the end of the intervals of ``alpha`` and
-    ``diffs`` = beta - alpha, and its smallest maximizing budget dual,
-    over the candidates ``cands``."""
-    vals = y0 - gamma * cands - dt * np.sum(
-        alpha + np.maximum(diffs - cands[:, None], 0.0), axis=1)
-    best = vals.max()
-    return float(best), float(cands[vals >= best - 1e-10].min())
+    duals = _min_duals(alpha[:k], diffs[:k], gamma, grid.dt_hours, y0)
+    return _min_results(duals, diffs, grid, gamma, [k])[k]
 
 
 # ---------------------------------------------------------------------------
@@ -486,114 +494,20 @@ class FeasibilityReport:
         return [c for c in self.checks if c.slack < -self.tol]
 
 
-def _max_soc_rise_all(bids: BidSchedule, params: StorageParams,
-                      gamma: float, dt: float) -> np.ndarray:
-    """Worst-case SOC rise over every interval k = 1..K at once (entry
-    k-1 is ``max_soc_over_interval``'s value minus y0).
-
-    All k share one candidate set C, the breakpoints of every interval's
-    phi. For each k the dual is convex piecewise linear with all its
-    breakpoints in C plus the root of its hinge, so adding candidates that
-    belong to other intervals only adds points where the dual is at or
-    above its minimum. phi_k is non-increasing in lam and linear between
-    consecutive candidates, so it crosses zero at most once, inside one
-    segment of C, where interpolation finds the root."""
-    x0, x_dn = bids.x0, bids.x_dn
-    cands = _lam_candidates(x0, x_dn, params, phi_values)
-
-    def lines(lam, phis):
-        # a = gamma*lam + dt * sum_{l<k} phi_l(lam) for every k, b = phi_k(lam)
-        before = np.zeros_like(phis)
-        np.cumsum(phis[:, :-1], axis=1, out=before[:, 1:])
-        return gamma * lam + dt * before, phis
-
-    a, b = lines(cands[:, None], phi_values(x0, x_dn, cands[:, None], params))
-    best = (a + dt * np.maximum(b, 0.0)).min(axis=0)
-    # the hinge adds a kink where phi_k crosses zero: one segment per k
-    seg, k = np.nonzero((b[:-1] > 0) & (b[1:] < 0))
-    if len(seg):
-        lo, hi = cands[seg], cands[seg + 1]
-        fa, fb = b[seg, k], b[seg + 1, k]
-        roots = (lo + (hi - lo) * fa / (fa - fb))[:, None]
-        ra, rb = lines(roots, phi_values(x0, x_dn, roots, params))
-        rows = np.arange(len(seg))
-        best[k] = np.minimum(best[k],
-                             ra[rows, k] + dt * np.maximum(rb[rows, k], 0.0))
-    return best
-
-
-def _min_soc_all(alpha, diffs, gamma: float, dt: float,
-                 y0: float) -> np.ndarray:
-    """``min_soc_at_boundaries`` for every k = 1..K at once, with
-    ``diffs`` = beta - alpha. Each k's dual is concave piecewise linear
-    with its breakpoints among the positive surpluses of intervals 1..k,
-    so the union over all intervals only adds points at or below its
-    maximum."""
-    cands = np.unique(np.concatenate([[0.0], diffs[diffs > 0]]))[:, None]
-    drain = np.cumsum(alpha + np.maximum(diffs - cands, 0.0), axis=1)
-    return (y0 - gamma * cands - dt * drain).max(axis=0)
-
-
-def _min_soc_witnesses(alpha, diffs, grid: TimeGrid, gamma: float,
-                       y0: float, ks: list[int]):
-    """``min_soc_at_boundaries`` of each interval in ``ks``, bit for bit:
-    each dual over its own candidates, all taken from one candidate set,
-    and every signal from one greedy fill in which intervals past k weigh
-    nothing. Returns them by k."""
-    if not ks:
-        return {}
-    dt = grid.dt_hours
-    pos = np.flatnonzero(diffs > 0)
-    cands, first = _prefix_sets(diffs[pos], pos)
-    weights = np.where(np.arange(grid.K) < np.array(ks)[:, None], dt, 0.0)
-    xi = _greedy_fill(diffs[None, None], 1.0, weights[:, None], gamma)
-    return {k: WorstCaseResult(*_boundary_min(alpha[:k], diffs[:k],
-                                              cands[first < k], gamma, dt,
-                                              y0),
-                               witness_xi=x, t_star=k * dt, sign=+1)
-            for k, x in zip(ks, xi)}
-
-
-def _max_soc_witnesses(bids: BidSchedule, params: StorageParams,
-                       grid: TimeGrid, gamma: float, y0: float,
-                       ks: list[int]):
-    """``max_soc_over_interval`` of each interval in ``ks``, bit for bit:
-    each dual over its own candidates, all taken from one candidate set,
-    and every signal from one greedy fill weighted by the elapsed time of
-    each interval at that check's peak. Returns them by k."""
-    if not ks:
-        return {}
-    pts = _lam_breakpoints(bids.x0, bids.x_dn, params, phi_values)
-    keep = pts >= 0.0
-    cands, first = _prefix_sets(pts[keep], np.nonzero(keep)[1])
-    peaks = [_interval_peak(bids, params, gamma, grid.dt_hours, k,
-                            cands[first < k]) for k in ks]
-    weights = np.array([sigma_vector(grid, t) for *_, t in peaks])
-    xi = _greedy_fill(*_gain_pieces(bids.x0, bids.x_dn, params),
-                      weights[:, None], gamma)
-    return {k: WorstCaseResult(y0 + val, lam_star, x, t_star, sign=-1)
-            for k, (val, lam_star, t_star), x in zip(ks, peaks, xi)}
-
-
 def check_feasibility(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
                       gamma: float, y0: float) -> FeasibilityReport:
     """Verify power bounds and worst-case SOC bounds for candidate bids.
 
     Violations are reported as negative slack; they are data, not errors.
-    All 2K SOC bounds come from one array pass over the union of the
-    intervals' dual breakpoints. A violated SOC check carries the witness
-    of its per-interval oracle (``min_soc_at_boundaries`` or
-    ``max_soc_over_interval``), bit for bit: each check's dual value,
-    multiplier and time on that oracle's arithmetic over its own
-    candidates, which are taken from the union; and the signals of all
-    violated checks on one side from one greedy fill over a (check x
-    interval) batch. A satisfied check carries none, and the same oracles
-    give its witness on demand.
+    All 2K SOC bounds come from one call of each dual kernel, so each
+    agrees with its per-interval oracle bit for bit. A violated SOC check
+    carries that oracle's result, the signals of all violated checks on
+    one side from one greedy fill; a satisfied check carries none.
     """
     if bids.K != grid.K:
         raise DomainError(f"bid schedule has {bids.K} intervals, "
                           f"the grid has {grid.K}")
-    K, tol, dt = grid.K, FeasibilityReport.tol, grid.dt_hours
+    tol, dt = FeasibilityReport.tol, grid.dt_hours
     power = zip((params.x_max - (bids.x0 + bids.x_up)).tolist(),
                 ((bids.x0 - bids.x_dn) - params.x_min).tolist())
     checks = [ConstraintCheck(name=f"power_{side}[{k}]", slack=slack)
@@ -606,15 +520,15 @@ def check_feasibility(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
 
     alpha, beta = alpha_beta(bids, params)
     diffs = beta - alpha
-    low = (_min_soc_all(alpha, diffs, gamma, dt, y0) - params.y_min).tolist()
-    high = (params.y_max
-            - (y0 + _max_soc_rise_all(bids, params, gamma, dt))).tolist()
-    low_w = _min_soc_witnesses(alpha, diffs, grid, gamma, y0,
-                               [k for k, v in enumerate(low, 1) if v < -tol])
-    high_w = _max_soc_witnesses(bids, params, grid, gamma, y0,
-                                [k for k, v in enumerate(high, 1)
-                                 if v < -tol])
-    for k in range(1, K + 1):
+    low_duals = _min_duals(alpha, diffs, gamma, dt, y0)
+    high_duals = _max_duals(bids.x0, bids.x_dn, params, gamma, dt, phi_values)
+    low = (low_duals[0] - params.y_min).tolist()
+    high = (params.y_max - (y0 + high_duals[0])).tolist()
+    low_w = _min_results(low_duals, diffs, grid, gamma,
+                         [k for k, v in enumerate(low, 1) if v < -tol])
+    high_w = _max_results(high_duals, bids, params, grid, gamma, y0,
+                          [k for k, v in enumerate(high, 1) if v < -tol])
+    for k in range(1, grid.K + 1):
         checks.append(ConstraintCheck(name=f"soc_lower[{k}]",
                                       slack=low[k - 1], witness=low_w.get(k)))
         checks.append(ConstraintCheck(name=f"soc_upper[{k}]",

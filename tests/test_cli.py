@@ -281,6 +281,17 @@ class TestBacktestCommand:
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b
 
+    def test_output_path_that_is_a_file_is_a_data_error(
+            self, cfg_file, data_dir, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["backtest", "--config", cfg_file, "--data-dir",
+                     data_dir, "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(out) in err
+        assert len(err.splitlines()) == 1
+
 
 class TestVerifyCommand:
     EX1_CFG = """\
@@ -389,6 +400,17 @@ initial_soc = 0.5
 
 
 class TestSynthCommand:
+    def test_output_path_that_is_a_file_is_a_data_error(self, tmp_path,
+                                                          capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        code = main(["synth", "--out", str(out), "--seed", "1", "--days",
+                     "1"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(out) in err
+        assert len(err.splitlines()) == 1
+
     def test_same_seed_identical(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (a, b):

@@ -17,7 +17,6 @@ from storagebid.types import (
 )
 from storagebid.soc import (
     FeasibilityReport,
-    _lam_candidates,
     alpha_beta,
     brute_force_max_soc,
     brute_force_min_soc,
@@ -41,6 +40,14 @@ PARAMS2 = StorageParams(x_min=-5.0, x_max=5.0, y_min=0.0, y_max=100.0,
                         eta_c=ETA, eta_d=ETA)
 BIDS2 = BidSchedule(x0=np.array([1.0, 0.5]), x_up=np.zeros(2),
                     x_dn=np.array([2.5, 3.5]))
+
+
+def ordered_sum(values):
+    """Sum left to right, the order of the oracles' interval sums."""
+    total = 0.0
+    for v in values:
+        total += float(v)
+    return total
 
 
 def small_battery():
@@ -333,9 +340,9 @@ class TestMaxSocRandom:
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(deadline=None, max_examples=60)
     def test_dual_equals_per_candidate_loop(self, seed):
-        # the oracles evaluate every candidate multiplier in one broadcast;
-        # a loop over the candidates is the reference, and the sums must
-        # come out in the same order, hence bit-identical
+        # the oracles evaluate every candidate multiplier in one broadcast
+        # and sum in interval order; a loop over the candidates, summing
+        # left to right, is the reference, hence bit-identical
         rng = np.random.default_rng(seed)
         K = int(rng.integers(1, 25))
         dt = float(rng.choice([0.25, 0.5, 1.0]))
@@ -350,17 +357,19 @@ class TestMaxSocRandom:
         t = float(rng.uniform(1e-9, grid.T))
         k = grid.interval_of(t)
         sig_k = t - (k - 1) * dt
+        x_dn = bids.x_dn[:k]
         vals = []
-        for lam in _lam_candidates(x0[:k], bids.x_dn[:k], p, phi_values):
-            v = phi_values(x0[:k], bids.x_dn[:k], lam, p)
-            vals.append(gamma * lam + dt * float(np.sum(v[:-1]))
+        for lam in np.unique(np.concatenate([[0.0], p.eta_c * x_dn,
+                                             x_dn / p.eta_d])):
+            v = phi_values(x0[:k], x_dn, lam, p)
+            vals.append(gamma * lam + dt * ordered_sum(v[:-1])
                         + sig_k * v[-1])
         r = max_soc_at_time(bids, p, grid, gamma, y0, t)
         assert r.value == y0 + min(vals)
         alpha, beta = (a[:k] for a in alpha_beta(bids, p))
         diffs = beta - alpha
         vals = [y0 - gamma * lam
-                - dt * float(np.sum(alpha + np.maximum(diffs - lam, 0.0)))
+                - dt * ordered_sum(alpha + np.maximum(diffs - lam, 0.0))
                 for lam in np.unique(np.concatenate([[0.0],
                                                      diffs[diffs > 0]]))]
         lo = min_soc_at_boundaries(bids, p, grid, gamma, y0, k)
@@ -385,6 +394,75 @@ class TestMaxSocRandom:
         assert r.t_star == 0.0
         assert r.value == 3.0
         np.testing.assert_array_equal(r.witness_xi, np.zeros(2))
+
+
+def interval_max_by_loop(x0, x_dn, p, gamma, dt, phi_fn):
+    """The worst-case SOC rise over the last interval k of ``x0``/``x_dn``
+    by a loop over the dual's candidates: 0 and the breakpoints of
+    intervals 1..k, plus the hinge root wherever phi_k turns from positive
+    to negative between two consecutive candidates. Each candidate c is
+    the line a + s*b in the elapsed time s of interval k, with
+    a = gamma*c + dt * (phi_1(c) + ... + phi_{k-1}(c)) summed left to
+    right and b = phi_k(c). Returns the minimum of a + dt*max(b, 0), its
+    smallest minimizer and the earliest offset at which
+    min over lines of (a + s*b) reaches it."""
+    ec, ed = p.eta_c, p.eta_d
+    pts = [0.0, *(ec * x_dn), *(x_dn / ed)]
+    if phi_fn is phi_upper_values and ec * ed < 1.0:
+        pts += list((x_dn - (1.0 - ec * ed) * x0) / ed)  # case switch
+    cands = np.unique([c for c in pts if c >= 0.0])
+
+    def line(lam):
+        v = phi_fn(x0, x_dn, lam, p)
+        return lam, gamma * lam + dt * ordered_sum(v[:-1]), float(v[-1])
+    lines = [line(c) for c in cands]
+    for (lo, _, fa), (hi, _, fb) in zip(lines[:-1], lines[1:]):
+        if fa > 0.0 > fb:
+            lines.append(line(lo + (hi - lo) * fa / (fa - fb)))
+    vals = [a + dt * max(b, 0.0) for _, a, b in lines]
+    best = min(vals)
+    lam_star = min(c for (c, _, _), v in zip(lines, vals) if v <= best + 1e-10)
+    s = max([(best - a) / b for _, a, b in lines if b > 1e-12], default=0.0)
+    return best, lam_star, min(max(s, 0.0), dt)
+
+
+class TestIntervalMaxDual:
+    """The interval-max dual against a per-candidate loop, exactly: the
+    estimates of all three kinds, the interval oracle and the upper
+    slacks of ``check_feasibility``, whose one call over the whole day
+    sees every other interval's breakpoints between a hinge's own
+    candidates."""
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(deadline=None, max_examples=60)
+    def test_equals_the_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 13))
+        dt = float(rng.choice([0.25, 0.5, 1.0]))
+        grid = TimeGrid(dt_hours=dt, K=K)
+        eta = (1.0, 1.0) if rng.random() < 0.2 else rng.uniform(0.7, 1.0, 2)
+        p = StorageParams(x_min=-10.0, x_max=10.0, y_min=10.0, y_max=20.0,
+                          eta_c=eta[0], eta_d=eta[1])
+        x0, x_dn = rng.uniform(-3.0, 3.0, K), rng.uniform(0.0, 3.0, K)
+        x_dn[rng.random(K) < 0.2] = 0.0
+        bids = BidSchedule(x0=x0, x_up=rng.uniform(0.0, 3.0, K), x_dn=x_dn)
+        gamma, y0 = float(rng.uniform(0.0, grid.T)), 15.0
+        upper = {c.name: c.slack
+                 for c in check_feasibility(bids, p, grid, gamma, y0).checks}
+        for k in range(1, K + 1):
+            for kind, phi_fn in (("exact", phi_values),
+                                 ("lower", phi_lower_values),
+                                 ("upper", phi_upper_values)):
+                ref = interval_max_by_loop(x0[:k], x_dn[:k], p, gamma, dt,
+                                           phi_fn)
+                assert max_soc_estimate(bids, p, grid, gamma, y0, k,
+                                        kind) == y0 + ref[0], (k, kind)
+            best, lam_star, s = interval_max_by_loop(x0[:k], x_dn[:k], p,
+                                                     gamma, dt, phi_values)
+            r = max_soc_over_interval(bids, p, grid, gamma, y0, k)
+            assert (r.value, r.lambda_star, r.t_star) == (
+                y0 + best, lam_star, (k - 1) * dt + s), k
+            assert upper[f"soc_upper[{k}]"] == p.y_max - (y0 + best), k
 
 
 class TestBruteForceGuards:
@@ -503,9 +581,10 @@ def sweep_instance(i, rng):
 
 
 class TestOnePassMatchesPerIntervalOracles:
-    """``check_feasibility`` computes all SOC checks in one array pass;
-    the per-interval oracles are its reference. The summation order
-    differs, so slacks agree to rounding, and verdicts exactly."""
+    """``check_feasibility`` computes all SOC checks in one call of each
+    dual kernel; the per-interval oracles call the same kernels on
+    intervals 1..k, with the same candidates and sums in the same order,
+    so slacks, verdicts and witnesses agree bit for bit."""
 
     def test_seeded_sweep(self):
         rng = np.random.default_rng(2017)
@@ -523,7 +602,7 @@ class TestOnePassMatchesPerIntervalOracles:
                                                    "initial_soc_upper"]
             assert [c.name for c in soc] == [name for name, _, _ in ref]
             for c, (_, slack, oracle) in zip(soc, ref):
-                assert abs(c.slack - slack) <= 1e-12, (i, c.name)
+                assert c.slack == slack, (i, c.name)
                 assert (c.slack < -tol) == (slack < -tol), (i, c.name)
                 if c.slack < -tol:
                     seen[c.name.split("[")[0]] += 1
