@@ -479,22 +479,28 @@ def _k4_options_model(budget=UncertaintyBudget(kind="total_budget",
                             ModelOptions(**options))
 
 
-def _k96_restriction():
+def _k96_model(**options):
     params = StorageParams(x_min=-50, x_max=50, y_min=10, y_max=90,
                            eta_c=0.92, eta_d=0.92)
     grid = TimeGrid(dt_hours=0.25, K=96)
     prices = PriceSeries(day_ahead=np.full(24, 40.0),
                          fcr_availability=np.full(6, 15.0))
     opts = ModelOptions(variant="restriction", fcr_block_len=16,
-                        da_block_len=4)
+                        da_block_len=4, **options)
     budget = UncertaintyBudget.from_eu_rules(0.25)
     return dispatch_variant(params, grid, budget, 53.3, prices, opts)
+
+
+def _k96_restriction():
+    return _k96_model()
 
 
 # Builder paths that the variant pins above do not reach: the intraday
 # power bounds, limited arbitrage with a terminal floor, day-ahead blocks
 # without FCR (the asymmetric market coupling), the split arbitrage LP,
-# and the quarter-hour restriction as an LP file
+# and the quarter-hour restriction as an LP file. The quarter-hour
+# intraday build has recovery windows of 9 intervals, longer than any
+# at K=4
 PINNED_BUILDS = {
     "intraday": lambda: _k4_options_model(
         UncertaintyBudget.from_eu_rules(1.0), variant="restriction",
@@ -509,6 +515,8 @@ PINNED_BUILDS = {
         ModelOptions(variant="arbitrage_only", fcr_enabled=False,
                      da_block_len=2, terminal_soc_floor=3.0)),
     "k96-restriction": _k96_restriction,
+    "k96-intraday": lambda: _k96_model(intraday=True),
+    "k96-limited": lambda: _k96_model(limited_arbitrage=True),
 }
 
 # SHA-256 of emit_model(PINNED_BUILDS[build](), fmt)
@@ -531,6 +539,10 @@ PATH_SHA256 = {
         "6696015c17dbb4b3ff94a6a02bb7633c4527ab57a05e4a761fa0cee548d13a2f",
     ("k96-restriction", "LP"):
         "3830b7ce130e5691fad945a87498036be0f910d0f7635ac425b5940f573015cc",
+    ("k96-intraday", "MPS"):
+        "573e13f44510be49e2e4358b9be9d1878b241c93419bca7e8c80e8da3ba2dde4",
+    ("k96-limited", "MPS"):
+        "cdd113d37c69fb301b75b0c8ad713bb563ee1e60a142e9ad9eb097659e9a4f8e",
 }
 
 
