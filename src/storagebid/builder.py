@@ -16,6 +16,7 @@ import numpy as np
 
 from .ir import (
     BINARY,
+    CONTINUOUS,
     GE,
     SENSES,
     ModelError,
@@ -69,19 +70,25 @@ def _family(ir: ModelIR, name: str, n: int) -> np.ndarray:
 
 
 def _add_family(ir: ModelIR, name: str, n: int, lower=-np.inf,
-                upper=np.inf) -> np.ndarray:
-    """Add continuous ``name[1]..name[n]``; indices as ``_family``."""
+                upper=np.inf, kind: str = CONTINUOUS) -> np.ndarray:
+    """Add ``name[1]..name[n]``; indices as ``_family``."""
     names = [f"{name}[{k}]" for k in range(1, n + 1)]
-    return np.concatenate([[-1], ir.add_variables(names, lower, upper)])
+    return np.concatenate([[-1], ir.add_variables(names, lower, upper,
+                                                  kind)])
+
+
+def _runs(n):
+    """Index arrays (run, position) over runs of the lengths ``n``: for
+    each entry, the run it is in and its position in that run."""
+    run = np.repeat(np.arange(len(n)), n)
+    return run, np.arange(run.size) - np.repeat(np.cumsum(n) - n, n)
 
 
 def _pairs(K: int, first: int = 1, strict: bool = False):
     """Index arrays (k, l) over k = 1..K and l = first..k, or l < k when
     ``strict``, ordered by k and then l: the order of the O(K^2) blocks."""
-    per_k = np.arange(1, K + 1) + (1 - first) - strict
-    k = np.repeat(np.arange(1, K + 1), per_k)
-    l = np.arange(k.size) - np.repeat(np.cumsum(per_k) - per_k, per_k)
-    return k, l + first
+    k, l = _runs(np.arange(1, K + 1) + (1 - first) - strict)
+    return k + 1, l + first
 
 
 def _block_starts(K: int, block: int):
@@ -92,35 +99,33 @@ def _block_starts(K: int, block: int):
     return k[k != first], first[k != first]
 
 
-# name suffixes of each model under construction, made at its first
-# ``_keys`` call and dropped with the model
+# pair name suffixes of each model under construction, made at its
+# first ``_keys`` call for pairs and dropped with the model
 _SUFFIXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _keys(ir: ModelIR, K: int, k, l=None) -> list[str]:
     """Name suffixes ``[k]``, or ``[k,l]`` of index pairs, for indices up
-    to K. They are picked from two object arrays, ``[k]`` at k and
-    ``[k,l]`` at (k, l) for 0 <= l <= k <= K, made once per model and K,
-    so that the blocks of one build share their strings."""
+    to K. Pair suffixes are picked from an object array, ``[k,l]`` at
+    (k, l) for 0 <= l <= k <= K, made at a model's first pair for K, so
+    that the O(K^2) blocks of one build share their strings."""
+    if l is None:
+        return [f"[{i}]" for i in np.asarray(k).tolist()]
     tables = _SUFFIXES.setdefault(ir, {})
     if K not in tables:
         a, b = _pairs(K, first=0)
         heads = [f"[{i}," for i in range(K + 1)]
         tails = [f"{i}]" for i in range(K + 1)]
-        pair = np.empty((K + 1, K + 1), dtype=object)
-        pair[a, b] = [heads[i] + tails[j]
-                      for i, j in zip(a.tolist(), b.tolist())]
-        tables[K] = (np.array([f"[{i}]" for i in range(K + 1)],
-                              dtype=object), pair)
-    single, pair = tables[K]
-    return (single[k] if l is None else pair[k, l]).tolist()
+        tables[K] = np.empty((K + 1, K + 1), dtype=object)
+        tables[K][a, b] = [heads[i] + tails[j]
+                           for i, j in zip(a.tolist(), b.tolist())]
+    return tables[K][k, l].tolist()
 
 
-def _triangle_names(ir: ModelIR, K: int, head: str,
-                    name: str) -> list[str]:
-    """For the pairs ``_pairs(K, first=0)``: ``head[k]`` for a pair with
-    l = 0, ``name[k,l]`` for the others."""
-    k, l = _pairs(K, first=0)
+def _head_names(ir: ModelIR, K: int, head: str, name: str, k,
+                l) -> list[str]:
+    """For index pairs (k, l): ``head[k]`` where l = 0, ``name[k,l]``
+    elsewhere."""
     heads = [head + key for key in _keys(ir, K, np.arange(K + 1))]
     return [name + key if b else heads[a]
             for a, b, key in zip(k.tolist(), l.tolist(), _keys(ir, K, k, l))]
@@ -133,7 +138,7 @@ def _add_triangle(ir: ModelIR, head: str, name: str, K: int, head_bounds,
     their indices as a table: ``name[k,l]`` at (k, l), ``head[k]`` at
     (k, 0) and -1 elsewhere."""
     k, l = _pairs(K, first=0)
-    ir.add_variables(_triangle_names(ir, K, head, name),
+    ir.add_variables(_head_names(ir, K, head, name, k, l),
                      *(np.where(l == 0, h, b)
                        for h, b in zip(head_bounds, bounds)))
     return _triangle(ir, head, K)
@@ -149,11 +154,12 @@ def _triangle(ir: ModelIR, head: str, K: int) -> np.ndarray:
     return table
 
 
-def _add_rows(ir: ModelIR, keys: list[str], families) -> None:
-    """Append, for each key in turn, the row ``name + key`` of every
-    family. A family is (name, columns, coefficients, sense, rhs): per
-    term an index array with one entry per key and one coefficient. An
-    index of -1 leaves its term out of that row."""
+def _rows(keys: list[str], families):
+    """For each key in turn, the row ``name + key`` of every family, as
+    (names, term counts, columns, coefficients, sense codes, rhs). A
+    family is (name, columns, coefficients, sense, rhs): per term an
+    index array with one entry per key and one coefficient. An index of
+    -1 leaves its term out of that row."""
     col = np.column_stack([c for _, cols, *_ in families for c in cols])
     val = np.broadcast_to(np.concatenate([f[2] for f in families]),
                           col.shape)
@@ -163,10 +169,36 @@ def _add_rows(ir: ModelIR, keys: list[str], families) -> None:
                               np.cumsum(widths) - widths, axis=1)
     prefixes = [name for name, *_ in families]
     names = [name + key for key in keys for name in prefixes]
-    ir.add_rows(names, np.concatenate([[0], np.cumsum(n_terms)]), col[keep],
-                val[keep], np.tile([SENSES.index(f[3]) for f in families],
-                                   len(keys)),
-                np.tile([f[4] for f in families], len(keys)))
+    shape = (len(keys), len(families))
+    return (names, n_terms.ravel(), col[keep], val[keep],
+            np.full(shape, [SENSES.index(f[3]) for f in families]).ravel(),
+            np.full(shape, [f[4] for f in families]).ravel())
+
+
+def _add_rows(ir: ModelIR, keys: list[str], families) -> None:
+    """Append the rows ``_rows(keys, families)``."""
+    if not keys:
+        return
+    names, n_terms, col, val, sense, rhs = _rows(keys, families)
+    ir.add_rows(names, np.concatenate([[0], np.cumsum(n_terms)]), col, val,
+                sense, rhs)
+
+
+def _add_grouped_rows(ir: ModelIR, *blocks) -> None:
+    """Append the rows of blocks (groups, keys, families), each the rows
+    ``_rows(keys, families)`` with a group number per key, ordered by
+    group and, within a group, by block."""
+    parts = [_rows(keys, families) for _, keys, families in blocks]
+    group = np.concatenate([np.repeat(g, len(f)) for g, _, f in blocks])
+    n_terms, col, val, sense, rhs = map(np.concatenate,
+                                        zip(*(p[1:] for p in parts)))
+    names = [name for p in parts for name in p[0]]
+    # stable sorts keep the order of rows, and of terms, within a group
+    row = np.argsort(group, kind="stable")
+    term = np.argsort(np.repeat(group, n_terms), kind="stable")
+    ir.add_rows([names[r] for r in row.tolist()],
+                np.concatenate([[0], np.cumsum(n_terms[row])]), col[term],
+                val[term], sense[row], rhs[row])
 
 
 def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
@@ -192,7 +224,8 @@ def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
         ("beta_c", [beta[k], x0[k], xup[k]], [1.0, -ec, -ec], ">=", 0.0),
         ("beta_d", [beta[k], x0[k], xup[k]], [1.0, -1.0 / ed, -1.0 / ed],
          ">=", 0.0)])
-    # for each k the row soc_lo[k], then the rows Laml_epi[k,l]
+    # for each k the row soc_lo[k], then the rows Laml_epi[k,l]: one CSR
+    # block, built here as _add_grouped_rows took 40 % longer at K=96
     k, l = _pairs(K, first=0)
     n_terms = np.where(l == 0, 1 + 2 * k, 4)
     ptr = np.concatenate([[0], np.cumsum(n_terms)])
@@ -210,7 +243,7 @@ def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     col[epi] = np.column_stack([Laml[ke, le], laml[ke], alpha[le],
                                 beta[le]])
     val[epi] = (1.0, 1.0, 1.0, -1.0)
-    ir.add_rows(_triangle_names(ir, K, "soc_lo", "Laml_epi"), ptr, col,
+    ir.add_rows(_head_names(ir, K, "soc_lo", "Laml_epi", k, l), ptr, col,
                 val, GE, np.where(l == 0, params.y_min - y0, 0.0))
 
 
@@ -233,14 +266,12 @@ def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     # case-indicator binaries carry specific-loss offsets, so a lossless
     # battery needs none of them (the system is a plain LP block)
     with_cases = not params.is_lossless
-    u1, u2 = [-1], [-1]
+    u1, u2 = np.full((2, K), -1)
     if with_cases:
-        for k in range(1, K):
-            u1.append(ir.add_variable(f"u1[{k}]", kind=BINARY, lower=0.0,
-                                      upper=1.0))
-            u2.append(ir.add_variable(f"u2[{k}]", kind=BINARY, lower=0.0,
-                                      upper=1.0))
-    u1, u2 = np.array(u1), np.array(u2)
+        names = [u + key for key in _keys(ir, K, np.arange(1, K))
+                 for u in ("u1", "u2")]
+        u1[1:], u2[1:] = ir.add_variables(names, 0.0, 1.0,
+                                          BINARY).reshape(-1, 2).T
     x0, xdn = _family(ir, "x0", K), _family(ir, "x_dn", K)
 
     k = np.arange(1, K + 1)
@@ -318,9 +349,7 @@ def build_restriction_rows(ir: ModelIR, params: StorageParams,
     x_lo, x_hi = params.x_min, params.x_max
     m_lo = (2.0 - rt) * x_hi - x_lo
     m_hi = rt * x_hi - x_lo
-    u3 = np.array([-1] + [ir.add_variable(f"u3[{k}]", kind=BINARY,
-                                          lower=0.0, upper=1.0)
-                          for k in range(1, K)])
+    u3 = _add_family(ir, "u3", K - 1, 0.0, 1.0, BINARY)
     x0, xdn = _family(ir, "x0", K), _family(ir, "x_dn", K)
     lamu = _family(ir, "lamu", K)
     u1, u2 = _family(ir, "u1", K - 1), _family(ir, "u2", K - 1)
@@ -458,32 +487,42 @@ def build_intraday_power_bounds(ir: ModelIR, params: StorageParams,
     (gamma'/dt) * lam_k + sum over the trailing window of
     [dt/(Gamma'-dt) * xr_i - lam_k]+.
     """
-    if not is_multiple_of(gamma_prime, grid.dt_hours):
-        raise DomainError("gamma_prime must be a multiple of dt")
     dt = grid.dt_hours
+    if not is_multiple_of(gamma_prime, dt):
+        raise DomainError("gamma_prime must be a multiple of dt")
+    if not is_multiple_of(Gamma_prime, dt):
+        raise DomainError("Gamma_prime must be a multiple of dt")
+    if Gamma_prime <= dt:
+        raise DomainError("Gamma_prime must exceed dt")
     K = grid.K
-    xr = _family(ir, "xr", K)
+    xr, x0, xup, xdn = (_family(ir, name, K)
+                        for name in ("xr", "x0", "x_up", "x_dn"))
     win = round(Gamma_prime / dt)  # window length Gamma'/dt in intervals
     rate = dt / (Gamma_prime - dt)
     scale = gamma_prime / dt
-    for k in range(1, K):
-        lam = ir.add_variable(f"idlam[{k}]", lower=0.0)
-        lo = max(1, (k + 1) - win + 1)
-        tight = [(lam, scale)]
-        for i in range(lo, k + 1):
-            w = ir.add_variable(f"w[{k},{i}]", lower=0.0)
-            ir.add_row(f"w_epi[{k},{i}]",
-                       [(w, 1.0), (xr[i], -rate), (lam, 1.0)],
-                       ">=", 0.0)
-            tight.append((w, 1.0))
-        x0n = ir.var(f"x0[{k + 1}]")
-        ir.add_row(f"pow_hi[{k + 1}]",
-                   [(x0n, 1.0), (ir.var(f"x_up[{k + 1}]"), 1.0)] + tight,
-                   "<=", params.x_max)
-        ir.add_row(f"pow_lo[{k + 1}]",
-                   [(x0n, 1.0), (ir.var(f"x_dn[{k + 1}]"), -1.0)]
-                   + [(i, -c) for i, c in tight],
-                   ">=", params.x_min)
+    # for each k < K: idlam[k], then w[k,i] for the n = min(k, win - 1)
+    # intervals i <= k in the trailing window of interval k+1
+    k = np.arange(1, K)
+    n = np.minimum(k, win - 1)
+    run, j = _runs(n + 1)
+    e = j > 0
+    kk, i = run + 1, np.where(e, run + 1 - n[run] + j, 0)
+    idx = ir.add_variables(_head_names(ir, K, "idlam", "w", kk, i),
+                           lower=0.0)
+    lam = np.concatenate([[-1], idx[~e]])
+    ke, ie, we = kk[e], i[e], idx[e]
+    # w[k,i] at (k, i - k + win - 2): each window right-aligned
+    w = np.full((K, win - 1), -1)
+    w[ke, ie - ke + win - 2] = we
+    tight = [lam[k], *w[k].T]
+    _add_grouped_rows(
+        ir, (ke, _keys(ir, K, ke, ie), [
+            ("w_epi", [we, xr[ie], lam[ke]], [1.0, -rate, 1.0], ">=", 0.0)]),
+        (k, _keys(ir, K, k + 1), [
+            ("pow_hi", [x0[k + 1], xup[k + 1], *tight],
+             [1.0, 1.0, scale] + [1.0] * (win - 1), "<=", params.x_max),
+            ("pow_lo", [x0[k + 1], xdn[k + 1], *tight],
+             [1.0, -1.0, -scale] + [-1.0] * (win - 1), ">=", params.x_min)]))
 
 
 def limited_arbitrage_rows(ir: ModelIR, params: StorageParams, grid: TimeGrid,
@@ -494,21 +533,19 @@ def limited_arbitrage_rows(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     block's deviation budget times its reserve bid."""
     dt = grid.dt_hours
     K = grid.K
-    xr = _family(ir, "xr", K)
-    cap_abs = max(params.x_max, -params.x_min)
-    for k in range(1, K + 1):
-        s = ir.add_variable(f"s[{k}]", lower=0.0, upper=cap_abs)
-        ir.add_row(f"abs_pos[{k}]", [(s, 1.0), (ir.var(f"x0[{k}]"), -1.0)],
-                   ">=", 0.0)
-        ir.add_row(f"abs_neg[{k}]", [(s, 1.0), (ir.var(f"x0[{k}]"), 1.0)],
-                   ">=", 0.0)
+    xr, x0 = _family(ir, "xr", K), _family(ir, "x0", K)
+    s = _add_family(ir, "s", K, 0.0, max(params.x_max, -params.x_min))
+    k = np.arange(1, K + 1)
+    _add_rows(ir, _keys(ir, K, k), [
+        ("abs_pos", [s[k], x0[k]], [1.0, -1.0], ">=", 0.0),
+        ("abs_neg", [s[k], x0[k]], [1.0, 1.0], ">=", 0.0)])
     gamma_block = budget.total_gamma(fcr_block * dt)
-    for b in range(K // fcr_block):
-        first = b * fcr_block + 1
-        coeffs = [(ir.var(f"s[{k}]"), dt)
-                  for k in range(first, first + fcr_block)]
-        coeffs.append((xr[first], -gamma_block))
-        ir.add_row(f"lim_arb_blk[{b + 1}]", coeffs, "<=", 0.0)
+    b = np.arange(1, K // fcr_block + 1)
+    first = (b - 1) * fcr_block + 1
+    _add_rows(ir, _keys(ir, K, b), [
+        ("lim_arb_blk", [*(s[first + i] for i in range(fcr_block)),
+                         xr[first]], [dt] * fcr_block + [-gamma_block],
+         "<=", 0.0)])
 
 
 def split_arbitrage_lp(params: StorageParams, grid: TimeGrid, y0: float,
@@ -534,38 +571,27 @@ def split_arbitrage_lp(params: StorageParams, grid: TimeGrid, y0: float,
     if K % da_block != 0:
         raise ModelError("block lengths must divide the number of intervals")
 
-    # a per-day model of O(K) rows: rows one at a time cost less here
-    # than blocks
     ir = ModelIR()
-    for k in range(1, K + 1):
-        ir.add_variable(f"c[{k}]", lower=0.0, upper=-params.x_min)
-    for k in range(1, K + 1):
-        ir.add_variable(f"d[{k}]", lower=0.0, upper=params.x_max)
-    for k in range(1, K + 1):
-        ir.add_variable(f"z[{k}]", lower=params.y_min - y0,
-                        upper=params.y_max - y0_up)
-    for k in range(1, K + 1):
-        coeffs = [(ir.var(f"z[{k}]"), 1.0), (ir.var(f"c[{k}]"), -dt * ec),
-                  (ir.var(f"d[{k}]"), dt / ed)]
-        if k > 1:
-            coeffs.append((ir.var(f"z[{k - 1}]"), -1.0))
-        ir.add_row(f"soc[{k}]", coeffs, "==", 0.0)
-    for k in range(1, K + 1):
-        first = ((k - 1) // da_block) * da_block + 1
-        if k != first:
-            ir.add_row(f"blk_x0[{k}]",
-                       [(ir.var(f"d[{k}]"), 1.0), (ir.var(f"c[{k}]"), -1.0),
-                        (ir.var(f"d[{first}]"), -1.0),
-                        (ir.var(f"c[{first}]"), 1.0)],
-                       "==", 0.0)
+    c = _add_family(ir, "c", K, 0.0, -params.x_min)
+    d = _add_family(ir, "d", K, 0.0, params.x_max)
+    z = _add_family(ir, "z", K, params.y_min - y0, params.y_max - y0_up)
+    k = np.arange(1, K + 1)
+    # z[0] is -1: soc[1] has no previous state
+    _add_rows(ir, _keys(ir, K, k), [
+        ("soc", [z[k], c[k], d[k], z[k - 1]], [1.0, -dt * ec, dt / ed, -1.0],
+         "==", 0.0)])
+    k, first = _block_starts(K, da_block)
+    _add_rows(ir, _keys(ir, K, k), [
+        ("blk_x0", [d[k], c[k], d[first], c[first]], [1.0, -1.0, -1.0, 1.0],
+         "==", 0.0)])
     if options.terminal_soc_floor is not None:
-        ir.add_row("terminal_soc", [(ir.var(f"z[{K}]"), 1.0)], ">=",
+        ir.add_row("terminal_soc", [(z[K], 1.0)], ">=",
                    options.terminal_soc_floor - y0)
     da = prices.da_per_interval(grid)
     for k in range(1, K + 1):
         coeff = -da[k - 1] * MWH_PER_KWH * dt
-        ir.add_objective_term(ir.var(f"d[{k}]"), coeff)
-        ir.add_objective_term(ir.var(f"c[{k}]"), -coeff)
+        ir.add_objective_term(d[k], coeff)
+        ir.add_objective_term(c[k], -coeff)
     return ir
 
 
@@ -632,11 +658,12 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
     elif variant == "arbitrage_only" and has_cases:
         # with x_dn = 0 the case regions merge: u1 = 1 - u2 suffices,
         # leaving K-1 effective charge/discharge binaries
-        for k in range(1, grid.K):
-            ir.binary[ir.var(f"u1[{k}]")] = False
-            ir.add_row(f"u_complement[{k}]",
-                       [(ir.var(f"u1[{k}]"), 1.0), (ir.var(f"u2[{k}]"), 1.0)],
-                       "==", 1.0)
+        k = np.arange(1, grid.K)
+        u1, u2 = _family(ir, "u1", grid.K - 1), _family(ir, "u2", grid.K - 1)
+        for i in u1[k].tolist():
+            ir.binary[i] = False
+        _add_rows(ir, _keys(ir, grid.K, k), [
+            ("u_complement", [u1[k], u2[k]], [1.0, 1.0], "==", 1.0)])
 
     if options.terminal_soc_floor is not None:
         add_terminal_condition(ir, grid, y0, options.terminal_soc_floor)

@@ -15,9 +15,9 @@ keeps them in arrays and flat lists rather than one object each:
   the coefficients ``val[ptr[r]:ptr[r+1]]`` on the columns
   ``col[ptr[r]:ptr[r+1]]`` in insertion order, repeated columns kept,
   a sense code (an index into ``SENSES``), a right-hand side and the
-  name ``row_names[r]``. ``add_rows`` appends a block of rows as arrays;
-  ``add_row`` appends one row to flat lists in O(1), which become arrays
-  when the next block comes or ``row_arrays`` reads the rows.
+  name ``row_names[r]``. ``add_rows`` appends a block of rows as arrays
+  (``add_row`` a block of one row); ``row_arrays`` joins the blocks into
+  one when the rows are read.
 
 ``variables`` and ``rows`` are read-only views that build ``Variable``
 and ``LinearRow`` objects on every call, for tests and tracing; solving,
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, fields
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -115,12 +114,8 @@ class ModelIR:
     bilinear_rows: list[BilinearRow] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
     indicators: dict[int, np.ndarray] = field(default_factory=dict)
-    # row blocks in order, then the rows added one at a time since the
-    # last block: their (col, val) pairs and (term count, sense code,
-    # rhs) triples, flattened
+    # row blocks in order
     _blocks: list[RowArrays] = field(default_factory=list)
-    _terms: list[float] = field(default_factory=list)
-    _heads: list[float] = field(default_factory=list)
 
     def __post_init__(self):
         # dataclasses.replace passes this model the containers of the one
@@ -132,20 +127,11 @@ class ModelIR:
     # -- construction -------------------------------------------------
     def add_variable(self, name: str, kind: str = CONTINUOUS,
                      lower: float = -np.inf, upper: float = np.inf) -> int:
-        if name in self.registry:
-            raise ModelError(f"duplicate variable {name!r}")
-        if kind not in (CONTINUOUS, BINARY):
-            raise ModelError(f"unknown variable kind {kind!r}")
-        idx = self.registry[name] = len(self.var_names)
-        self.var_names.append(name)
-        self.lower.append(float(lower))
-        self.upper.append(float(upper))
-        self.binary.append(kind == BINARY)
-        return idx
+        return int(self.add_variables([name], lower, upper, kind)[0])
 
-    def add_variables(self, names: list[str], lower=-np.inf,
-                      upper=np.inf) -> np.ndarray:
-        """Append continuous variables, with bounds given as one number
+    def add_variables(self, names: list[str], lower=-np.inf, upper=np.inf,
+                      kind: str = CONTINUOUS) -> np.ndarray:
+        """Append variables of one kind, with bounds given as one number
         or one per variable. Returns their indices."""
         start, n = self.n_vars, len(names)
         new = dict(zip(names, range(start, start + n)))
@@ -153,11 +139,13 @@ class ModelIR:
             name = next(name for i, name in enumerate(names, start)
                         if name in self.registry or new[name] != i)
             raise ModelError(f"duplicate variable {name!r}")
+        if kind not in (CONTINUOUS, BINARY):
+            raise ModelError(f"unknown variable kind {kind!r}")
         self.registry.update(new)
         self.var_names += names
-        self.lower += np.broadcast_to(lower, n).astype(float).tolist()
-        self.upper += np.broadcast_to(upper, n).astype(float).tolist()
-        self.binary += [False] * n
+        self.lower += np.full(n, lower, dtype=float).tolist()
+        self.upper += np.full(n, upper, dtype=float).tolist()
+        self.binary += [kind == BINARY] * n
         return np.arange(start, start + n)
 
     def var(self, name: str) -> int:
@@ -167,15 +155,11 @@ class ModelIR:
             raise ModelError(f"unknown variable {name!r}") from None
 
     def add_row(self, name: str, coeffs, sense: str, rhs: float) -> None:
+        if sense not in _SENSE_CODE:
+            raise ModelError(f"row {name!r}: unknown sense {sense!r}")
         coeffs = tuple(coeffs)
-        # min and max compare the (index, coeff) pairs in C, index first;
-        # the full check runs only to name what is wrong
-        if sense not in _SENSE_CODE or coeffs and (
-                min(coeffs)[0] < 0 or max(coeffs)[0] >= self.n_vars):
-            self._check_refs(name, [i for i, _ in coeffs], sense)
-        self.row_names.append(name)
-        self._terms.extend(chain.from_iterable(coeffs))
-        self._heads += (len(coeffs), _SENSE_CODE[sense], float(rhs))
+        self.add_rows([name], [0, len(coeffs)], [i for i, _ in coeffs],
+                      [c for _, c in coeffs], _SENSE_CODE[sense], rhs)
 
     def add_rows(self, names: list[str], ptr, col, val, sense, rhs) -> None:
         """Append a block of rows: row i has the coefficients
@@ -188,11 +172,9 @@ class ModelIR:
             name = names[np.searchsorted(ptr, bad[0], side="right") - 1]
             raise ModelError(
                 f"row {name!r} references unknown variable {col[bad[0]]}")
-        self._flush()
         self.row_names += names
-        self._blocks.append(_row_arrays(ptr, col, val,
-                                        np.broadcast_to(sense, n),
-                                        np.broadcast_to(rhs, n)))
+        self._blocks.append(_row_arrays(ptr, col, val, np.full(n, sense),
+                                        np.full(n, rhs)))
 
     def add_bilinear(self, name: str, quad, linear, sense: str,
                      rhs: float) -> None:
@@ -232,17 +214,6 @@ class ModelIR:
             if not (0 <= i < n):
                 raise ModelError(f"row {name!r} references unknown variable {i}")
 
-    def _flush(self) -> None:
-        """Turn the rows added one at a time into a block."""
-        if not self._heads:
-            return
-        terms = np.array(self._terms, dtype=np.float64).reshape(-1, 2)
-        heads = np.array(self._heads, dtype=np.float64).reshape(-1, 3)
-        self._blocks.append(_row_arrays(
-            np.concatenate([[0], np.cumsum(heads[:, 0])]), terms[:, 0],
-            terms[:, 1], heads[:, 1], heads[:, 2]))
-        self._terms, self._heads = [], []
-
     # -- inspection ---------------------------------------------------
     @property
     def n_vars(self) -> int:
@@ -262,7 +233,6 @@ class ModelIR:
 
     def row_arrays(self) -> RowArrays:
         """Every linear row, as one set of read-only arrays."""
-        self._flush()
         blocks = self._blocks
         if not blocks:
             return _row_arrays([0], [], [], [], [])

@@ -348,8 +348,9 @@ def _greedy_fill(rates: np.ndarray, lengths, weights,
     np.cumsum(cost[:, :-1], axis=1, out=spent[:, 1:])
     take = np.clip((gamma - spent[fill]) / w[fill], 0.0, ln[fill])
     owner = order % n + n * np.arange(len(order))[:, None]
-    return np.bincount(owner[fill], weights=take,
-                       minlength=len(order) * n).reshape(*batch, n)
+    # with nothing to fill, bincount returns integer zeros
+    xi = np.bincount(owner[fill], weights=take, minlength=len(order) * n)
+    return xi.astype(np.float64, copy=False).reshape(*batch, n)
 
 
 def _max_results(duals, bids: BidSchedule, params: StorageParams,

@@ -6,6 +6,9 @@ import itertools
 import json
 import os
 import re
+import runpy
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -742,3 +745,17 @@ class TestReplayViolations:
         assert summary["days_with_violations"] == 1
         assert summary["soc_min"] == rec.soc_min
         assert summary["soc_max"] == rec.soc_max
+
+
+def test_synthetic_backtest_demo_runs(tmp_path, monkeypatch, capsys):
+    # demos/synthetic_backtest.py solves a week with each of its three
+    # strategies, limited arbitrage included; its data goes under tmp_path
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    demo = Path(__file__).resolve().parents[1] / "demos" / \
+        "synthetic_backtest.py"
+    runpy.run_path(str(demo), run_name="__main__")
+    out = capsys.readouterr().out
+    (root,) = tmp_path.iterdir()
+    assert f"synthetic data in {root}: 7 days" in out
+    for name in ("arbitrage only", "joint", "joint, limited arbitrage"):
+        assert re.search(rf"^{name} +-?\d+\.\d\d € ", out, re.M), name

@@ -197,6 +197,21 @@ class TestBuildCommand:
         assert code == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == [tmp_path / "exp.cfg"]
 
+    @pytest.mark.parametrize("Gamma_prime, message", [
+        ("1.0", "Gamma_prime must exceed dt"),
+        ("2.5", "Gamma_prime must be a multiple of dt")])
+    def test_bad_intraday_recovery_window_exit_code(self, tmp_path, capsys,
+                                                    Gamma_prime, message):
+        p = tmp_path / "exp.cfg"
+        p.write_text(HOURLY_CFG.replace(
+            "budget_kind = total_budget\ngamma = 2.0",
+            "budget_kind = rolling_window\ngamma_prime = 1.0\n"
+            f"Gamma_prime = {Gamma_prime}\nintraday = true"))
+        code = main(["build", "--config", str(p),
+                     "--out", str(tmp_path / "m.mps")])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_invalid_config_exit_code(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("nonsense = 1\n")

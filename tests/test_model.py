@@ -27,6 +27,7 @@ from storagebid.builder import (
     build_soc_upper_exact,
     dispatch_variant,
     limited_arbitrage_rows,
+    split_arbitrage_lp,
 )
 from storagebid.solve import solve, solve_exact_bilinear, verify_point
 from storagebid.soc import (
@@ -199,6 +200,60 @@ class TestRowStore:
         assert [r.name for r in copy.rows] == list("abcdef")
         assert (ir.n_vars, copy.n_vars) == (2, 3)
         assert (ir.lower[0], copy.lower[0]) == (0.5, 0.0)
+
+
+class TestBlockAppends:
+    """Builders append variables and rows in blocks: a full build calls
+    ``ModelIR.add_variable`` never and ``ModelIR.add_row`` only for the
+    terminal SOC row."""
+
+    OPTIONS = {
+        "restriction": {},
+        "relaxation": {"variant": "relaxation"},
+        "exact": {"variant": "exact"},
+        "no_sell_lp": {"variant": "no_sell_lp"},
+        "lossless_lp": {"variant": "lossless_lp"},
+        "arbitrage_only": {"variant": "arbitrage_only", "fcr_enabled": False,
+                           "da_block_len": None},
+        "intraday": {"intraday": True},
+        "limited": {"limited_arbitrage": True},
+        "terminal": {"terminal_soc_floor": 50.0},
+        "da-blocks": {"variant": "arbitrage_only", "fcr_enabled": False},
+    }
+
+    @staticmethod
+    def build(name, K):
+        grid = TimeGrid(dt_hours=24 / K, K=K)
+        params = reference_battery()
+        if name == "lossless_lp":
+            params = StorageParams(x_min=-50.0, x_max=50.0, y_min=10.0,
+                                   y_max=90.0, eta_c=1.0, eta_d=1.0)
+        if name == "split-lp":
+            return split_arbitrage_lp(
+                params, grid, 50.0, flat_prices(grid),
+                ModelOptions(variant="arbitrage_only", fcr_enabled=False,
+                             da_block_len=2, terminal_soc_floor=50.0))
+        options = {"variant": "restriction", "fcr_block_len": K // 6,
+                   "da_block_len": 2, **TestBlockAppends.OPTIONS[name]}
+        return dispatch_variant(params, grid,
+                                UncertaintyBudget.from_eu_rules(24 / K),
+                                50.0, flat_prices(grid),
+                                ModelOptions(**options))
+
+    @pytest.mark.parametrize("K", [24, 96])
+    @pytest.mark.parametrize("name", [*OPTIONS, "split-lp"])
+    def test_no_single_appends(self, monkeypatch, name, K):
+        calls = []
+        for method in ("add_variable", "add_row"):
+            def counted(ir, name, *args, _call=getattr(ModelIR, method),
+                        _method=method, **kwargs):
+                calls.append((_method, name))
+                return _call(ir, name, *args, **kwargs)
+            monkeypatch.setattr(ModelIR, method, counted)
+        ir = self.build(name, K)
+        terminal = name in ("terminal", "split-lp")
+        assert calls == ([("add_row", "terminal_soc")] if terminal else [])
+        assert ir.n_rows > 0
 
 
 class TestCounts:
@@ -388,6 +443,22 @@ class TestIntraday:
         add_market_coupling(ir, params, grid, 16, 4)
         with pytest.raises(DomainError):
             build_intraday_power_bounds(ir, params, grid, 0.3, 2.3)
+
+    @pytest.mark.parametrize("Gamma_prime, message", [
+        (2.5, "Gamma_prime must be a multiple of dt"),
+        (1.0, "Gamma_prime must exceed dt")])
+    def test_bad_recovery_window(self, Gamma_prime, message):
+        # the windows intraday_adjustments rejects: 2.5 h is not a whole
+        # number of hours, and a window of one interval has no history
+        params = reference_battery()
+        grid = TimeGrid(dt_hours=1.0, K=4)
+        ir = ModelIR()
+        add_bid_variables(ir, params, grid)
+        add_market_coupling(ir, params, grid, 4, 1)
+        counts = (ir.n_vars, ir.n_rows)
+        with pytest.raises(DomainError, match=message):
+            build_intraday_power_bounds(ir, params, grid, 1.0, Gamma_prime)
+        assert (ir.n_vars, ir.n_rows) == counts
 
 
 class TestMissingFamilies:

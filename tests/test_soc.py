@@ -669,6 +669,23 @@ class TestBatchedWitnesses:
                 oracle.sign), c.name
             np.testing.assert_array_equal(w.witness_xi, oracle.witness_xi)
 
+    def test_an_empty_fill_is_float(self):
+        # no down-regulation bid, so no piece fills: the witnesses are
+        # float zeros, like every filled witness
+        p = StorageParams(x_min=-5.0, x_max=5.0, y_min=0.0, y_max=10.0,
+                          eta_c=0.9, eta_d=0.9)
+        bids = BidSchedule(x0=np.full(3, -3.0), x_up=np.zeros(3),
+                           x_dn=np.zeros(3))
+        grid = TimeGrid(dt_hours=1.0, K=3)
+        violated = check_feasibility(bids, p, grid, 1.0, 8.0).violations()
+        assert [c.name for c in violated] == ["soc_upper[1]", "soc_upper[2]",
+                                              "soc_upper[3]"]
+        for c in violated:
+            assert c.witness.witness_xi.dtype == np.float64
+            np.testing.assert_array_equal(c.witness.witness_xi, np.zeros(3))
+        w = max_soc_over_interval(bids, p, grid, 1.0, 8.0, 2).witness_xi
+        assert w.dtype == np.float64
+
     def test_a_certified_schedule_fills_nothing(self, monkeypatch):
         _, p, grid, y0 = self.overbid_quarter_hours()
         calm = BidSchedule(x0=np.zeros(96), x_up=np.full(96, 5.0),
