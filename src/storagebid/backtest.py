@@ -230,6 +230,8 @@ def run_day(config: ExperimentConfig, day: DayData, y0: float,
     price. Realized regulation energy is also valued at the day-ahead
     price but reported separately (zero in expectation).
     """
+    if not np.isfinite(y0):
+        raise DomainError("y0 must be finite")
     params, grid, budget = config.params, config.grid, config.budget
     prices, signal = day.prices, day.signal
     per = signal.check_alignment(grid)

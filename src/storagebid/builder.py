@@ -354,18 +354,20 @@ def build_restriction_rows(ir: ModelIR, params: StorageParams,
     lamu = _family(ir, "lamu", K)
     u1, u2 = _family(ir, "u1", K - 1), _family(ir, "u2", K - 1)
     k = np.arange(1, K)
-    _add_rows(ir, _keys(ir, K, k), [
+    keys = _keys(ir, K, k)
+    _add_rows(ir, keys, [
         ("u3_lo", [xdn[k], x0[k], lamu[k], u3[k]],
          [1.0, -(1.0 - rt), -ed, -m_lo], ">=", -m_lo),
         ("u3_hi", [xdn[k], x0[k], lamu[k], u3[k]],
          [1.0, -(1.0 - rt), -ed, -m_hi], "<=", 0.0)])
     # sign rules of the case binaries, for a relax-and-fix start
-    for k in range(1, K):
-        x0k, xdnk, lamk = x0[k], xdn[k], lamu[k]
-        ir.add_indicator(u1[k], [(x0k, 1.0), (xdnk, -1.0)])
-        ir.add_indicator(u2[k], [(x0k, -1.0)])
-        ir.add_indicator(u3[k], [(xdnk, 1.0), (x0k, -(1.0 - rt)),
-                                 (lamk, -ed)])
+    _, n_terms, col, val, _, _ = _rows(keys, [
+        ("u1", [x0[k], xdn[k]], [1.0, -1.0], ">=", 0.0),
+        ("u2", [x0[k]], [-1.0], ">=", 0.0),
+        ("u3", [xdn[k], x0[k], lamu[k]], [1.0, -(1.0 - rt), -ed], ">=",
+         0.0)])
+    ir.add_indicators(np.column_stack([u1[k], u2[k], u3[k]]).ravel(),
+                      np.concatenate([[0], np.cumsum(n_terms)]), col, val)
     k, l = _pairs(K, strict=True)
     L = _triangle(ir, "lamu", K)[k, l]
     _add_rows(ir, _keys(ir, K, k, l), [

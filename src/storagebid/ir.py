@@ -18,6 +18,8 @@ keeps them in arrays and flat lists rather than one object each:
   name ``row_names[r]``. ``add_rows`` appends a block of rows as arrays
   (``add_row`` a block of one row); ``row_arrays`` joins the blocks into
   one when the rows are read.
+- Relax-and-fix rules (``Indicators``, added in blocks by
+  ``add_indicators``) are rows in the same format, one per binary.
 
 ``variables`` and ``rows`` are read-only views that build ``Variable``
 and ``LinearRow`` objects on every call, for tests and tracing; solving,
@@ -40,10 +42,6 @@ BINARY = "binary"
 SENSES = ("<=", ">=", "==")
 LE, GE, EQ = range(3)
 _SENSE_CODE = {sense: code for code, sense in enumerate(SENSES)}
-
-# one term of an indicator rule's linear form
-_TERM = np.dtype([("col", np.intp), ("val", np.float64)])
-
 
 @dataclass(slots=True)
 class Variable:
@@ -94,16 +92,34 @@ def _row_arrays(ptr, col, val, sense, rhs) -> RowArrays:
     return arrays
 
 
+def _join(blocks: list[RowArrays]) -> RowArrays:
+    """The rows of several blocks, in order, as one block."""
+    if len(blocks) == 1:
+        return blocks[0]
+    starts = np.cumsum([0] + [b.ptr[-1] for b in blocks[:-1]])
+    ptr = np.concatenate([[0]] + [b.ptr[1:] + start
+                                  for b, start in zip(blocks, starts)])
+    return _row_arrays(ptr, *map(np.concatenate, zip(*(b[1:]
+                                                       for b in blocks))))
+
+
+class Indicators(NamedTuple):
+    """Rules: binary ``binary[r]`` is 1 where row ``r`` (form >= 0) holds."""
+
+    binary: np.ndarray  # int32, read-only, each binary at most once
+    rows: RowArrays
+
+
 class ModelError(ValueError):
     """Inconsistent model construction."""
 
 
 @dataclass(eq=False)
 class ModelIR:
-    """``indicators`` maps a binary's index to the linear form whose sign
-    sets it in a good solution: the binary is 1 where the form is >= 0.
-    Solvers may use the rules to build a start point; the model rows
-    alone define feasibility, and model files do not carry the rules."""
+    """``indicators`` (None: no rules) sets binaries in a good solution
+    from the sign of a linear form each. Solvers may use the rules to
+    build a start point; the model rows alone define feasibility, and
+    model files do not carry the rules."""
 
     var_names: list[str] = field(default_factory=list)
     lower: list[float] = field(default_factory=list)
@@ -113,7 +129,7 @@ class ModelIR:
     row_names: list[str] = field(default_factory=list)
     bilinear_rows: list[BilinearRow] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
-    indicators: dict[int, np.ndarray] = field(default_factory=dict)
+    indicators: Indicators | None = None
     # row blocks in order
     _blocks: list[RowArrays] = field(default_factory=list)
 
@@ -166,32 +182,42 @@ class ModelIR:
         ``val[ptr[i]:ptr[i+1]]`` on the columns ``col[ptr[i]:ptr[i+1]]``.
         ``sense`` (a code, an index into SENSES) and ``rhs`` are each
         one value or one per row."""
-        n, col = len(names), np.asarray(col)
-        bad = np.flatnonzero((col < 0) | (col >= self.n_vars))
-        if bad.size:
-            name = names[np.searchsorted(ptr, bad[0], side="right") - 1]
-            raise ModelError(
-                f"row {name!r} references unknown variable {col[bad[0]]}")
+        n = len(names)
+        self._check_cols(ptr, col, names.__getitem__)
         self.row_names += names
         self._blocks.append(_row_arrays(ptr, col, val, np.full(n, sense),
                                         np.full(n, rhs)))
 
+    def add_indicators(self, binaries, ptr, col, val) -> None:
+        """Record that binary ``binaries[i]`` is 1 where row i, given as
+        in ``add_rows``, has a form >= 0. A binary takes one rule."""
+        binaries = np.array(binaries, np.int32)
+        for i in binaries.tolist():
+            if not (0 <= i < self.n_vars and self.binary[i]):
+                raise ModelError(f"indicator for non-binary variable {i}")
+        self._check_cols(ptr, col, lambda r: f"indicator {binaries[r]}")
+        n, old = binaries.size, self.indicators
+        rules = Indicators(binaries, _row_arrays(ptr, col, val,
+                                                 np.full(n, GE), np.zeros(n)))
+        if old is not None:
+            rules = Indicators(np.concatenate([old.binary, binaries]),
+                               _join([old.rows, rules.rows]))
+        twice = np.flatnonzero(np.bincount(rules.binary) > 1)
+        if twice.size:
+            raise ModelError(f"second indicator for variable {twice[0]}")
+        rules.binary.flags.writeable = False
+        self.indicators = rules
+
     def add_bilinear(self, name: str, quad, linear, sense: str,
                      rhs: float) -> None:
         quad, linear = tuple(quad), tuple(linear)
+        if sense not in _SENSE_CODE:
+            raise ModelError(f"row {name!r}: unknown sense {sense!r}")
         refs = [i for i, _, _ in quad] + [j for _, j, _ in quad]
         refs += [i for i, _ in linear]
-        self._check_refs(name, refs, sense)
+        self._check_cols([0, len(refs)], refs, lambda r: name)
         self.bilinear_rows.append(BilinearRow(name, quad, linear, sense,
                                               float(rhs)))
-
-    def add_indicator(self, idx: int, coeffs) -> None:
-        """Record that binary ``idx`` is 1 where sum(coeff * var) >= 0."""
-        if not (0 <= idx < self.n_vars) or not self.binary[idx]:
-            raise ModelError(f"indicator for non-binary variable {idx}")
-        coeffs = list(coeffs)
-        self._check_refs(f"indicator {idx}", (i for i, _ in coeffs), ">=")
-        self.indicators[int(idx)] = np.array(coeffs, dtype=_TERM)
 
     def add_objective_term(self, idx: int, coeff: float) -> None:
         if not (0 <= idx < self.n_vars):
@@ -206,13 +232,15 @@ class ModelIR:
         self.lower[i] = self.upper[i] = float(value)
         self.binary[i] = False
 
-    def _check_refs(self, name, refs, sense):
-        if sense not in SENSES:
-            raise ModelError(f"row {name!r}: unknown sense {sense!r}")
-        n = self.n_vars
-        for i in refs:
-            if not (0 <= i < n):
-                raise ModelError(f"row {name!r} references unknown variable {i}")
+    def _check_cols(self, ptr, col, name_of) -> None:
+        """Raise for the first column that is no variable; row r is named
+        ``name_of(r)``."""
+        col = np.asarray(col)
+        bad = np.flatnonzero((col < 0) | (col >= self.n_vars))
+        if bad.size:
+            name = name_of(np.searchsorted(ptr, bad[0], side="right") - 1)
+            raise ModelError(
+                f"row {name!r} references unknown variable {col[bad[0]]}")
 
     # -- inspection ---------------------------------------------------
     @property
@@ -233,15 +261,9 @@ class ModelIR:
 
     def row_arrays(self) -> RowArrays:
         """Every linear row, as one set of read-only arrays."""
-        blocks = self._blocks
-        if not blocks:
+        if not self._blocks:
             return _row_arrays([0], [], [], [], [])
-        if len(blocks) > 1:
-            starts = np.cumsum([0] + [b.ptr[-1] for b in blocks[:-1]])
-            ptr = np.concatenate([[0]] + [b.ptr[1:] + start for b, start
-                                          in zip(blocks, starts)])
-            self._blocks = [_row_arrays(ptr, *map(np.concatenate, zip(
-                *(b[1:] for b in blocks))))]
+        self._blocks = [_join(self._blocks)]
         return self._blocks[0]
 
     @property

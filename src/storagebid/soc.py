@@ -388,9 +388,20 @@ def _min_results(duals, diffs, grid: TimeGrid, gamma: float, ks):
             for k, lam, x in zip(ks, argmaxs(ks).tolist(), xi)}
 
 
+def _check_query(grid: TimeGrid, gamma: float, y0: float, k=None) -> None:
+    """Refuse a budget, start SOC or interval k without meaning."""
+    if not 0.0 <= gamma < np.inf:
+        raise DomainError(f"gamma={gamma} must be finite and nonnegative")
+    if not -np.inf < y0 < np.inf:
+        raise DomainError("y0 must be finite")
+    if k is not None and not 1 <= k <= grid.K:
+        raise DomainError(f"interval k={k} outside 1..{grid.K}")
+
+
 def max_soc_at_time(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
                     gamma: float, y0: float, t: float) -> WorstCaseResult:
     """Exact maximum SOC at time t over all budget-feasible signals."""
+    _check_query(grid, gamma, y0)
     if t < -ABS_TOL or t > grid.T + ABS_TOL:
         raise DomainError(f"t={t} outside horizon")
     t = max(t, 0.0)
@@ -406,8 +417,7 @@ def max_soc_over_interval(bids: BidSchedule, params: StorageParams,
                           k: int) -> WorstCaseResult:
     """Exact maximum SOC over the k-th trading interval (1-based), which
     may peak strictly inside the interval."""
-    if not (1 <= k <= grid.K):
-        raise DomainError(f"interval k={k} outside 1..{grid.K}")
+    _check_query(grid, gamma, y0, k)
     duals = _max_duals(bids.x0[:k], bids.x_dn[:k], params, gamma,
                        grid.dt_hours, phi_values)
     return _max_results(duals, bids, params, grid, gamma, y0, [k])[k]
@@ -425,8 +435,7 @@ def max_soc_estimate(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
     or over-estimate ('upper', as in the restriction)."""
     if kind not in _PHI_FNS:
         raise DomainError(f"unknown estimate kind {kind!r}")
-    if not (1 <= k <= grid.K):
-        raise DomainError(f"interval k={k} outside 1..{grid.K}")
+    _check_query(grid, gamma, y0, k)
     rise, _ = _max_duals(bids.x0[:k], bids.x_dn[:k], params, gamma,
                          grid.dt_hours, _PHI_FNS[kind])
     return y0 + float(rise[-1])
@@ -455,8 +464,7 @@ def min_soc_at_boundaries(bids: BidSchedule, params: StorageParams,
     """Exact minimum SOC at the boundary time k*dt. Per the dual of the
     budgeted discharge problem, interval minima are attained at interval
     endpoints, so boundary values cover the whole horizon."""
-    if not (1 <= k <= grid.K):
-        raise DomainError(f"interval k={k} outside 1..{grid.K}")
+    _check_query(grid, gamma, y0, k)
     alpha, beta = alpha_beta(bids, params)
     diffs = beta - alpha
     duals = _min_duals(alpha[:k], diffs[:k], gamma, grid.dt_hours, y0)
@@ -505,6 +513,7 @@ def check_feasibility(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
     carries that oracle's result, the signals of all violated checks on
     one side from one greedy fill; a satisfied check carries none.
     """
+    _check_query(grid, gamma, y0)
     if bids.K != grid.K:
         raise DomainError(f"bid schedule has {bids.K} intervals, "
                           f"the grid has {grid.K}")

@@ -59,12 +59,11 @@ class SolveResult:
         return self.status in (OPTIMAL, FEASIBLE_LIMIT)
 
 
-def _row_matrix(ir: ModelIR) -> sparse.csr_array:
-    """The linear rows as a CSR matrix of its own (32-bit indices, as
-    HiGHS takes them), repeated columns of a row kept."""
-    a = ir.row_arrays()
-    return sparse.csr_array((a.val, a.col, a.ptr), copy=True,
-                            shape=(ir.n_rows, ir.n_vars))
+def _row_matrix(rows: RowArrays, n_vars: int) -> sparse.csr_array:
+    """Rows as a CSR matrix of its own (32-bit indices, as HiGHS takes
+    them), repeated columns of a row kept."""
+    return sparse.csr_array((rows.val, rows.col, rows.ptr), copy=True,
+                            shape=(rows.rhs.size, n_vars))
 
 
 def _row_bounds(rows: RowArrays):
@@ -76,7 +75,7 @@ def _row_bounds(rows: RowArrays):
 def _constraint_matrix(ir: ModelIR):
     """Rows as a CSC matrix with row bounds, built as ``milp`` builds it:
     duplicate entries of a row are summed."""
-    a = _row_matrix(ir)
+    a = _row_matrix(ir.row_arrays(), ir.n_vars)
     a.sum_duplicates()
     return (a.tocsc(), *_row_bounds(ir.row_arrays()))
 
@@ -129,20 +128,20 @@ def _optimal_point(highs) -> np.ndarray | None:
 def _relax_and_fix(ir: ModelIR, lp, binaries: np.ndarray, options: dict,
                    cuts: RowArrays | None = None):
     """Solve the LP relaxation, with the rows ``cuts`` added when given,
-    set every binary from its indicator rule at the LP point and re-solve
-    warm in the same HiGHS object with the binaries fixed. Cuts valid at
-    every point with integral binaries cut no point of the fixed LP, so
-    they stay in it. Returns the HiGHS object, the first LP's optimal
-    value (nan unless it is optimal) and the fixed LP's optimum (None
-    unless both LPs are optimal)."""
+    set every binary from its indicator rule at the LP point (one sparse
+    product) and re-solve warm in the same HiGHS object with the binaries
+    fixed. Cuts valid at every point with integral binaries cut no point
+    of the fixed LP, so they stay in it. Returns the HiGHS object, the
+    first LP's optimal value (nan unless it is optimal) and the fixed
+    LP's optimum (None unless both LPs are optimal)."""
     highs = _highs_run(lp, options, cuts=cuts)
     x = _optimal_point(highs)
     if x is None:
         return highs, np.nan, None
     bound = float(highs.getInfo().objective_function_value)
-    fixed = np.array([float(sum(c * x[j] for j, c in
-                                ir.indicators[i].tolist()) >= 0.0)
-                      for i in binaries])
+    rules, on = ir.indicators, np.zeros(ir.n_vars)
+    on[rules.binary] = _row_matrix(rules.rows, ir.n_vars) @ x >= 0.0
+    fixed = on[binaries]
     highs.changeColsBounds(len(binaries), binaries, fixed, fixed)
     highs.run()
     return highs, bound, _optimal_point(highs)
@@ -194,7 +193,8 @@ def solve(ir: ModelIR, time_limit: float | None = None,
         return max(0.0, float(time_limit) - (time.perf_counter() - t0))
 
     start, start_objective, path = None, np.nan, "milp"
-    if is_mip and all(int(i) in ir.indicators for i in binaries):
+    rules = ir.indicators
+    if is_mip and rules is not None and np.isin(binaries, rules.binary).all():
         highs, bound, start = _relax_and_fix(ir, lp, binaries, options,
                                              cuts)
         if start is not None:
@@ -274,7 +274,7 @@ def verify_point(ir: ModelIR, point: dict[str, float]) -> VerificationReport:
                                   np.minimum(x - lo, hi - x).tolist())
            if np.isfinite(slack)]
     rows = ir.row_arrays()
-    lhs = _row_matrix(ir) @ x
+    lhs = _row_matrix(rows, ir.n_vars) @ x
     slack = np.where(rows.sense == LE, rows.rhs - lhs,
                      np.where(rows.sense == GE, lhs - rows.rhs,
                               -np.abs(lhs - rows.rhs)))

@@ -36,6 +36,7 @@ from storagebid.soc import check_feasibility, simulate_soc, soc_rate
 from storagebid.solve import SolveResult, solve
 from storagebid.types import (
     BidSchedule,
+    DomainError,
     PriceSeries,
     RegulationSignal,
     StorageParams,
@@ -160,6 +161,25 @@ class TestRunDay:
         assert rec.profit_fcr == pytest.approx(0.0, abs=1e-9)
         assert rec.profit_dayahead == pytest.approx(0.0, abs=1e-9)
         assert not rec.violations
+
+    @pytest.mark.parametrize("y0", [np.nan, np.inf])
+    @pytest.mark.parametrize("options", [
+        None,
+        ModelOptions(variant="restriction", fcr_block_len=4, da_block_len=1,
+                     limited_arbitrage=True),
+        ModelOptions(variant="arbitrage_only", fcr_enabled=False,
+                     da_block_len=1)])
+    def test_non_finite_start_rejected_before_building(self, synth,
+                                                       monkeypatch, options,
+                                                       y0):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a model")
+
+        monkeypatch.setattr(backtest, "dispatch_variant", no_build)
+        monkeypatch.setattr(backtest, "split_arbitrage_lp", no_build)
+        config = hourly_config(**({"options": options} if options else {}))
+        with pytest.raises(DomainError, match="y0 must be finite"):
+            run_day(config, synth.load_day("2021-01-01"), y0)
 
     def test_accounting_identity(self, synth):
         rec = run_day(hourly_config(), synth.load_day("2021-01-01"),

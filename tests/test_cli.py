@@ -283,6 +283,16 @@ class TestSolveDayCommand:
         assert check[0].startswith("worst-case check feasible ")
 
 
+    def test_non_finite_start_is_a_config_error(self, cfg_file, data_dir,
+                                                capsys):
+        code = main(["solve-day", "--config", cfg_file, "--data-dir",
+                     data_dir, "--date", "2021-01-01", "--y0", "nan"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "config error: y0 must be finite\n"
+        assert "worst-case check" not in captured.out
+
+
 class TestBacktestCommand:
     def test_backtest_reports_and_rerun_identical(self, cfg_file, data_dir,
                                                   tmp_path):
@@ -342,6 +352,15 @@ initial_soc = 0.5
         assert "infeasible" in text
         assert "soc_upper[2]" in text
         assert "worst-case signal" in text
+
+    @pytest.mark.parametrize("y0", ["nan", "inf", "-inf"])
+    def test_non_finite_start_is_a_config_error(self, tmp_path, capsys, y0):
+        cfg, bids = self._write(tmp_path, ["1,0,0,0", "2,0,0,0"])
+        code = main(["verify", "--config", cfg, "--bids", bids, f"--y0={y0}"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == "config error: y0 must be finite\n"
+        assert "verdict" not in captured.out
 
     def test_zero_bids_feasible(self, tmp_path, capsys):
         cfg, bids = self._write(tmp_path, ["1,0,0,0", "2,0,0,0"])

@@ -42,7 +42,7 @@ def lp_optimum(ir, cuts=None, fixed=None) -> float:
     """Optimum of ``ir``'s LP relaxation, solved cold on a copy, with
     ``cuts`` added as rows and the binaries fixed at their values in the
     point ``fixed`` when given."""
-    lp = replace(ir, binary=[False] * ir.n_vars, indicators={})
+    lp = replace(ir, binary=[False] * ir.n_vars, indicators=None)
     if cuts is not None:
         lp.add_rows([f"cut[{i}]" for i in range(len(cuts.rhs))], cuts.ptr,
                     cuts.col, cuts.val, cuts.sense, cuts.rhs)

@@ -535,6 +535,50 @@ class TestCheckFeasibility:
             assert traj.value_at(w.t_star) < p.y_min - 1e-9
 
 
+ORACLES = {
+    "check_feasibility": lambda gamma, y0: check_feasibility(
+        BIDS2, PARAMS2, GRID2, gamma, y0),
+    "max_soc_at_time": lambda gamma, y0: max_soc_at_time(
+        BIDS2, PARAMS2, GRID2, gamma, y0, 1.5),
+    "max_soc_over_interval": lambda gamma, y0: max_soc_over_interval(
+        BIDS2, PARAMS2, GRID2, gamma, y0, 2),
+    "max_soc_estimate": lambda gamma, y0: max_soc_estimate(
+        BIDS2, PARAMS2, GRID2, gamma, y0, 2, "upper"),
+    "min_soc_at_boundaries": lambda gamma, y0: min_soc_at_boundaries(
+        BIDS2, PARAMS2, GRID2, gamma, y0, 2),
+}
+
+
+class TestBudgetAndStartDomain:
+    """No oracle gives a verdict for a start SOC or a budget without
+    meaning: a NaN start made every SOC slack NaN, and the report's
+    worst check skipped them and read feasible."""
+
+    @pytest.mark.parametrize("y0", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_non_finite_start_rejected(self, oracle, y0):
+        with pytest.raises(DomainError, match="y0 must be finite"):
+            ORACLES[oracle](1.0, y0)
+
+    @pytest.mark.parametrize("gamma", [-1.0, -1e-12, np.nan, np.inf])
+    @pytest.mark.parametrize("oracle", ORACLES)
+    def test_negative_or_non_finite_budget_rejected(self, oracle, gamma):
+        with pytest.raises(DomainError, match="gamma.*finite and nonnegative"):
+            ORACLES[oracle](gamma, 50.0)
+
+    def test_zero_budget_checks_the_nominal_path(self):
+        rep = check_feasibility(BIDS2, PARAMS2, GRID2, 0.0, 50.0)
+        path = soc.soc_path(BIDS2.x0, PARAMS2, GRID2.dt_hours, 50.0)
+        slack = {c.name: c.slack for c in rep.checks}
+        for k in (1, 2):
+            assert slack[f"soc_lower[{k}]"] == pytest.approx(
+                path[k] - PARAMS2.y_min, abs=1e-12)
+            assert slack[f"soc_upper[{k}]"] == pytest.approx(
+                PARAMS2.y_max - max(path[k - 1], path[k]), abs=1e-12)
+        for oracle in ORACLES.values():
+            oracle(0.0, 50.0)
+
+
 def per_interval_soc_checks(bids, p, grid, gamma, y0):
     """The SOC checks of ``check_feasibility`` as (name, slack, oracle
     result), one per-interval oracle call each. An upper check's result

@@ -29,6 +29,7 @@ from storagebid.solve import (
     _STATUS,
     _constraint_matrix,
     _highs,
+    _row_matrix,
     solve,
     solve_exact_bilinear,
     verify_point,
@@ -652,6 +653,25 @@ def _binaries(ir):
     return {i for i, v in enumerate(ir.variables) if v.kind == BINARY}
 
 
+def _restriction(K):
+    """A restriction at K = 4 (hourly) or K = 96 (quarter-hourly)."""
+    if K == 4:
+        opts = ModelOptions(variant="restriction", fcr_block_len=4,
+                            da_block_len=1)
+        budget = UncertaintyBudget(kind="total_budget", gamma=1.0)
+        return LOSSY, dispatch_variant(LOSSY, K4, budget, 4.0, K4_PRICES,
+                                       opts)
+    params = StorageParams(x_min=-50, x_max=50, y_min=10, y_max=90,
+                           eta_c=0.92, eta_d=0.92)
+    grid = TimeGrid(dt_hours=0.25, K=96)
+    budget = UncertaintyBudget.from_eu_rules(0.25)
+    prices = PriceSeries(day_ahead=np.full(24, 40.0),
+                         fcr_availability=np.full(6, 15.0))
+    opts = ModelOptions(variant="restriction", fcr_block_len=16,
+                        da_block_len=4)
+    return params, dispatch_variant(params, grid, budget, 53.3, prices, opts)
+
+
 class TestIndicators:
     def _build(self, variant, fcr=True):
         opts = ModelOptions(variant=variant, fcr_enabled=fcr,
@@ -662,36 +682,96 @@ class TestIndicators:
 
     def test_restriction_rule_for_every_binary(self):
         ir = self._build("restriction")
-        assert set(ir.indicators) == _binaries(ir)
-        assert len(ir.indicators) == 3 * (K4.K - 1)
+        rules = ir.indicators
+        assert set(rules.binary.tolist()) == _binaries(ir)
+        assert [ir.var_names[i] for i in rules.binary] == [
+            f"{u}[{k}]" for k in range(1, K4.K) for u in ("u1", "u2", "u3")]
+        assert rules.binary.size == rules.rows.rhs.size == 3 * (K4.K - 1)
+        assert (rules.rows.sense == GE).all() and (rules.rows.rhs == 0).all()
 
     @pytest.mark.parametrize("variant,fcr", [("relaxation", True),
                                              ("no_sell_lp", True),
                                              ("arbitrage_only", False),
                                              ("exact", True)])
     def test_other_variants_carry_none(self, variant, fcr):
-        assert self._build(variant, fcr).indicators == {}
+        assert self._build(variant, fcr).indicators is None
+
+    @pytest.mark.parametrize("K", [4, 96])
+    def test_rules_are_the_documented_sign_rules(self, K):
+        # u1 = [x0 >= x_dn], u2 = [x0 <= 0] and
+        # u3 = [x_dn - (1 - eta_c eta_d) x0 - eta_d lamu >= 0], checked at
+        # seeded random points that also hold each rule's tie
+        params, ir = _restriction(K)
+        rt, ed = params.eta_c * params.eta_d, params.eta_d
+        k = np.arange(1, K)
+        x0, xdn, lam = ([ir.var(f"{name}[{i}]") for i in k]
+                        for name in ("x0", "x_dn", "lamu"))
+        rng = np.random.default_rng(K)
+        seen = set()
+        for _ in range(20):
+            x = rng.uniform(-60.0, 60.0, ir.n_vars)
+            x[xdn] = np.abs(x[xdn])
+            tie = rng.integers(0, 3, k.size)
+            x[x0] = np.where(tie == 1, x[xdn], np.where(tie == 2, 0.0, x[x0]))
+            # with x0 = 0, also the u3 tie on half of those intervals
+            at_zero = (tie == 2) & (rng.random(k.size) < 0.5)
+            x[np.array(xdn)[at_zero]] = ed * x[np.array(lam)[at_zero]]
+            want = np.column_stack([
+                x[x0] >= x[xdn], x[x0] <= 0.0,
+                x[xdn] - (1.0 - rt) * x[x0] - ed * x[lam] >= 0.0]).ravel()
+            # each rule's value as ``solve`` computes it
+            got = _row_matrix(ir.indicators.rows, ir.n_vars) @ x >= 0.0
+            assert np.array_equal(got, want)
+            # the ties set their binary to 1
+            assert got[0::3][tie == 1].all() and got[1::3][tie == 2].all()
+            assert got[2::3][at_zero].all()
+            seen.update(zip(np.tile([1, 2, 3], k.size).tolist(),
+                            got.tolist()))
+        assert seen == {(u, v) for u in (1, 2, 3) for v in (False, True)}
 
     def test_rule_on_non_binary_rejected(self):
         ir = tiny_lp()
-        with pytest.raises(ModelError):
-            ir.add_indicator(0, [(0, 1.0)])
+        with pytest.raises(ModelError,
+                           match="indicator for non-binary variable 0"):
+            ir.add_indicators([0], [0, 1], [0], [1.0])
+        with pytest.raises(ModelError,
+                           match="indicator for non-binary variable 1"):
+            ir.add_indicators([1], [0, 1], [0], [1.0])
+        assert ir.indicators is None
+
+    def test_rule_on_unknown_column_rejected(self):
+        ir = tiny_lp()
+        u = ir.add_variable("u", kind=BINARY, lower=0.0, upper=1.0)
+        with pytest.raises(ModelError, match="'indicator 1' references "
+                                             "unknown variable 5"):
+            ir.add_indicators([u], [0, 2], [0, 5], [1.0, 1.0])
+        assert ir.indicators is None
+
+    def test_second_rule_for_a_binary_rejected(self):
+        ir = tiny_lp()
+        u, v = (ir.add_variable(name, kind=BINARY, lower=0.0, upper=1.0)
+                for name in ("u", "v"))
+        with pytest.raises(ModelError,
+                           match="second indicator for variable 1"):
+            ir.add_indicators([u, v, u], [0, 1, 2, 3], [0, 0, 0],
+                              [1.0, 1.0, -1.0])
+        assert ir.indicators is None
+        ir.add_indicators([u], [0, 1], [0], [1.0])
+        with pytest.raises(ModelError,
+                           match="second indicator for variable 1"):
+            ir.add_indicators([v, u], [0, 1, 2], [0, 0], [1.0, -1.0])
+        # the first rule stands, unchanged
+        assert ir.indicators.binary.tolist() == [u]
+        assert ir.indicators.rows.val.tolist() == [1.0]
 
     def test_k96_model_files_ignore_rules(self):
-        params = StorageParams(x_min=-50, x_max=50, y_min=10, y_max=90,
-                               eta_c=0.92, eta_d=0.92)
-        grid = TimeGrid(dt_hours=0.25, K=96)
-        budget = UncertaintyBudget.from_eu_rules(0.25)
-        prices = PriceSeries(day_ahead=np.full(24, 40.0),
-                             fcr_availability=np.full(6, 15.0))
-        opts = ModelOptions(variant="restriction", fcr_block_len=16,
-                            da_block_len=4)
-        ir = dispatch_variant(params, grid, budget, 53.3, prices, opts)
-        assert len(ir.indicators) == 3 * 95
+        _, ir = _restriction(96)
+        assert ir.indicators.binary.size == 3 * 95
         mps, lp = emit_model(ir, "MPS"), emit_model(ir, "LP")
-        ir.indicators = {}
-        assert emit_model(ir, "MPS") == mps
-        assert emit_model(ir, "LP") == lp
+        cleared = replace(ir, indicators=None)
+        assert emit_model(cleared, "MPS") == mps
+        assert emit_model(cleared, "LP") == lp
+        assert ir.indicators.binary.size == 3 * 95
 
 
 @pytest.fixture(scope="module")
@@ -732,19 +812,26 @@ class TestWarmStart:
         ir.add_row("link", [(x, 1.0), (u, -1.0)], "<=", 0.0)
         ir.add_row("floor", [(x, 1.0)], ">=", 0.5)
         ir.add_objective_term(x, -1.0)
-        ir.add_indicator(u, [(x, -1.0)])
+        ir.add_indicators([u], [0, 1], [x], [-1.0])
         return ir
 
     def test_infeasible_start_falls_back_to_cold_milp(self):
         ir = self._forced_binary()
         res = solve(ir)
-        cold = self._forced_binary()
-        cold.indicators = {}
-        ref = solve(cold)
+        ref = solve(replace(self._forced_binary(), indicators=None))
         assert res.path == "milp" and np.isnan(res.start_objective)
         assert res.status == ref.status == "optimal"
         assert res.objective == ref.objective == pytest.approx(-1.0)
         assert res.point == ref.point
+
+    def test_rule_of_a_fixed_binary_is_ignored(self):
+        # u1[1] is no longer binary, but every binary left has a rule
+        _, ir = _restriction(4)
+        ir.fix_variable("u1[1]", 1.0)
+        assert ir.indicators.binary.size == 3 * (K4.K - 1)
+        res = solve(ir)
+        assert res.path == "start+milp" and res.status == "optimal"
+        assert res.point["u1[1]"] == 1.0
 
     def test_models_without_rules_take_the_plain_path(self):
         assert solve(tiny_lp()).path == "milp"
