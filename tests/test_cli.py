@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -431,6 +432,39 @@ initial_soc = 0.5
         sched = read_bids_csv(bids, 2)
         np.testing.assert_array_equal(sched.x0, [1.0, 0.5])
         np.testing.assert_array_equal(sched.x_dn, [2.5, 3.5])
+
+
+# SHA-256 of the ``verify`` stdout for seeded reserve-heavy schedules that
+# break both SOC bounds, so the report carries witness lines on both sides
+VERIFY_SHA256 = {
+    24: "54fa98337c8dd48345ff2a2be8ba98f1e6d0cc9ab5f45b76171e56e51180d045",
+    96: "9f29dd84966e1394dae8e58f3d3a4e452085c6a6810caab8f9b56e1b498e0277",
+}
+
+
+@pytest.mark.parametrize("K", sorted(VERIFY_SHA256))
+def test_verify_output_bytes_are_pinned(K, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(HOURLY_CFG if K == 24 else
+                   HOURLY_CFG.replace("dt_hours = 1.0", "dt_hours = 0.25")
+                   .replace("K = 24", "K = 96")
+                   .replace("gamma = 2.0", "gamma = 2.75"))
+    rng = np.random.default_rng(K)
+    x0 = rng.uniform(-20.0, 20.0, K)
+    x_up, x_dn = rng.uniform(0.0, 40.0, (2, K))
+    bids = tmp_path / "bids.csv"
+    bids.write_text("interval,x0_kw,x_up_kw,x_dn_kw\n" + "".join(
+        f"{k},{a!r},{b!r},{c!r}\n" for k, a, b, c in zip(
+            range(1, K + 1), x0.tolist(), x_up.tolist(), x_dn.tolist())))
+    assert main(["verify", "--config", str(cfg), "--bids", str(bids)]) \
+        == EXIT_OK
+    out = capsys.readouterr().out
+    lines = out.splitlines()
+    assert lines[-1] == "verdict: infeasible"
+    for side in ("soc_lower", "soc_upper"):
+        assert any(prev.startswith(side) and line.startswith(
+            "  worst-case signal: ") for prev, line in zip(lines, lines[1:]))
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256[K]
 
 
 class TestSynthCommand:
