@@ -123,6 +123,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.bidding_time not in ("midnight", "8am"):
             raise DomainError("bidding_time must be 'midnight' or '8am'")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise DomainError(f"time_limit={self.time_limit} must be positive")
+        if self.gap_target is not None and not 0 <= self.gap_target < np.inf:
+            raise DomainError(f"gap_target={self.gap_target} must be finite "
+                              "and nonnegative")
         self.budget.validate_for_grid(self.grid)
 
     @property

@@ -5,9 +5,9 @@ computed by dualizing the budget constraint: the dual objective is convex
 piecewise linear in the single multiplier, so the exact optimum is found
 by enumerating its breakpoints, which also fix the worst time inside an
 interval in closed form. One kernel per side (``_max_duals``,
-``_min_duals``) solves this dual for every interval of a day at once; the
-per-interval oracles call it on intervals 1..k and ``check_feasibility``
-on the whole day, with the same bits. Witness signals come from the
+``_min_duals``) solves this dual for every interval of a day at once,
+over one candidate set per day; every oracle calls it on the whole day
+and reads its interval's entry. Witness signals come from the
 primal side: at fixed time weights the inner problem is a fractional
 knapsack over concave piecewise-linear SOC gains, solved by one greedy
 fill for any set of times. Brute-force enumeration oracles are provided
@@ -210,17 +210,6 @@ class WorstCaseResult:
         return RegulationSignal(values=values, sample_period_hours=sample_period_hours)
 
 
-def _prefix_sets(values: np.ndarray, owners: np.ndarray):
-    """``np.unique`` of 0 and the ``values`` whose owner is below k, for
-    every k at once: the distinct values of 0 and ``values``, ascending,
-    and for each the smallest owner that has it (-1 for 0), the owner of
-    its first occurrence, as ``owners`` never decrease. The set of k is
-    ``distinct[first < k]``, the same array bit for bit."""
-    distinct, index = np.unique(np.concatenate([[0.0], values]),
-                                return_index=True)
-    return distinct, np.concatenate([[-1], owners])[index]
-
-
 def _max_duals(x0, x_dn, params: StorageParams, gamma: float, dt: float,
                phi_fn, sigma: float | None = None):
     """Minimize, for every k = 1..len(x0) at once, the convex
@@ -231,52 +220,54 @@ def _max_duals(x0, x_dn, params: StorageParams, gamma: float, dt: float,
     where tail_k is sigma * phi_k (fixed-time mode, sigma hours into
     interval k) or, with sigma None, dt * [phi_k]+ (interval-max mode).
 
-    Each k searches its own candidates only: 0, the breakpoints of
-    intervals 1..k and, in interval-max mode, the root of its hinge,
-    interpolated between two consecutive own candidates. A candidate c
-    gives the line a_c + s * b_c in the elapsed time s of interval k, with
+    Every k searches one candidate set: 0, every non-negative breakpoint
+    of the day and, in interval-max mode, every interval's hinge root,
+    interpolated between two consecutive candidates. A candidate c gives
+    the line a_c + s * b_c in the elapsed time s of interval k, with
     b_c = phi_k(c) and a_c = gamma*c + dt * sum_{l<k} phi_l(c) summed in
-    interval order. So a call on intervals 1..k gives entry k bit for bit.
+    interval order. This is exact: the dual of k is convex piecewise
+    linear in lam with its breakpoints among the candidates, and any other
+    candidate gives no better value, so the optimum and its smallest
+    minimizer are those over k's own. The day's candidates refine each
+    phi_j's breakpoints, so each hinge root is interpolated where phi_j
+    is linear.
 
     Returns the minimum of every k and a function that gives, for the k
     in a list, the smallest minimizer and the offset into interval k of
     the worst time: sigma, or in interval-max mode the earliest offset at
     which the fixed-time maximum min_c (a_c + s * b_c) reaches the
     minimum."""
-    # the breakpoints of phi's pieces: eta_c*x_dn, x_dn/eta_d and, for the
-    # restriction, its case switch point. No cap is needed: past the
-    # largest one every piece of every case of phi_values, phi_lower_values
-    # and phi_upper_values is constant in lam, so the dual rises at slope
-    # gamma >= 0.
+    # phi's breakpoints: eta_c*x_dn, x_dn/eta_d, the restriction's case
+    # switch and the hinge the relaxation keeps without the ratio piece.
+    # Past the largest, every piece of every phi kind is constant in lam,
+    # so the dual rises at slope gamma >= 0 and needs no cap.
     pts = [params.eta_c * x_dn, x_dn / params.eta_d]
     denom = 1.0 - params.eta_c * params.eta_d
     if phi_fn is phi_upper_values and denom > 0:
         pts.append((x_dn - denom * x0) / params.eta_d)
-    pts = np.array(pts).T
-    keep = pts >= 0.0
-    lam, first = _prefix_sets(pts[keep], np.nonzero(keep)[0])
-    own = first[:, None] <= np.arange(len(x0))
+    if phi_fn is phi_lower_values:
+        pts.append(params.eta_c * (x_dn - x0) + x0 / params.eta_d)
+    pts = np.concatenate([[0.0], *pts])
+    lam = np.unique(pts[pts >= 0.0])
     b = phi_fn(x0, x_dn, lam[:, None], params)
     if sigma is None and (b < 0).any():
-        # phi_k is non-increasing in lam, so its own candidates where it is
+        # phi_k is non-increasing in lam, so the candidates where it is
         # positive come first and those where it is negative last. Its
         # hinge root lies between the last positive and the first negative
-        # one, unless an own candidate between them has phi_k = 0.
-        pos, neg = own & (b > 0), own & (b < 0)
+        # one, unless a candidate between them has phi_k = 0.
+        pos, neg = b > 0, b < 0
         k = np.flatnonzero(pos.any(axis=0) & neg.any(axis=0)
-                           & ~(own & (b == 0)).any(axis=0))
+                           & ~(b == 0).any(axis=0))
         if len(k):
             lo = (len(lam) - 1 - np.argmax(pos[::-1], axis=0))[k]
             hi = np.argmax(neg, axis=0)[k]
             fa, fb = b[lo, k], b[hi, k]
             roots = lam[lo] + (lam[hi] - lam[lo]) * fa / (fa - fb)
-            # each root is a candidate of its own k only
-            own = np.vstack([own, np.arange(len(x0)) == k[:, None]])
             lam = np.concatenate([lam, roots])
             b = np.vstack([b, phi_fn(x0, x_dn, roots[:, None], params)])
     a = np.zeros_like(b)
     np.cumsum(b[:, :-1], axis=1, out=a[:, 1:])
-    a = np.where(own, gamma * lam[:, None] + dt * a, np.inf)
+    a = gamma * lam[:, None] + dt * a
     vals = a + (dt * np.maximum(b, 0.0) if sigma is None else sigma * b)
     best = vals.min(axis=0)
 
@@ -303,16 +294,15 @@ def _min_duals(alpha, diffs, gamma: float, dt: float, y0: float):
 
         y0 - gamma*lam - dt * sum_{l<=k} (alpha_l + [diffs_l - lam]+),
 
-    over its own candidates, 0 and the positive surpluses of intervals
-    1..k, with the sum taken in interval order; as in ``_max_duals``, a
-    call on intervals 1..k gives entry k bit for bit. Returns the maximum
-    of every k and a function that gives the smallest maximizer of the k
-    in a list."""
-    pos = np.flatnonzero(diffs > 0)
-    lam, first = (a[:, None] for a in _prefix_sets(diffs[pos], pos))
+    over one candidate set, 0 and every positive surplus of the day, with
+    the sum taken in interval order. As in ``_max_duals``, the breakpoints
+    of k are among the candidates and any other gives no better value, so
+    the maximum and its smallest maximizer are those of k's own. Returns
+    the maximum of every k and a function that gives the smallest
+    maximizer of the k in a list."""
+    lam = np.unique(np.concatenate([[0.0], diffs[diffs > 0]]))[:, None]
     drain = np.cumsum(alpha + np.maximum(diffs - lam, 0.0), axis=1)
-    vals = np.where(first <= np.arange(len(alpha)),
-                    y0 - gamma * lam - dt * drain, -np.inf)
+    vals = y0 - gamma * lam - dt * drain
     best = vals.max(axis=0)
 
     def argmaxs(ks):
@@ -407,8 +397,8 @@ def max_soc_at_time(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
     t = max(t, 0.0)
     k = grid.interval_of(t)
     sig_k = t - (k - 1) * grid.dt_hours  # exact: (k-1)*dt + sig_k is t
-    duals = _max_duals(bids.x0[:k], bids.x_dn[:k], params, gamma,
-                       grid.dt_hours, phi_values, sigma=sig_k)
+    duals = _max_duals(bids.x0, bids.x_dn, params, gamma, grid.dt_hours,
+                       phi_values, sigma=sig_k)
     return _max_results(duals, bids, params, grid, gamma, y0, [k])[k]
 
 
@@ -418,8 +408,8 @@ def max_soc_over_interval(bids: BidSchedule, params: StorageParams,
     """Exact maximum SOC over the k-th trading interval (1-based), which
     may peak strictly inside the interval."""
     _check_query(grid, gamma, y0, k)
-    duals = _max_duals(bids.x0[:k], bids.x_dn[:k], params, gamma,
-                       grid.dt_hours, phi_values)
+    duals = _max_duals(bids.x0, bids.x_dn, params, gamma, grid.dt_hours,
+                       phi_values)
     return _max_results(duals, bids, params, grid, gamma, y0, [k])[k]
 
 
@@ -436,9 +426,9 @@ def max_soc_estimate(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
     if kind not in _PHI_FNS:
         raise DomainError(f"unknown estimate kind {kind!r}")
     _check_query(grid, gamma, y0, k)
-    rise, _ = _max_duals(bids.x0[:k], bids.x_dn[:k], params, gamma,
-                         grid.dt_hours, _PHI_FNS[kind])
-    return y0 + float(rise[-1])
+    rise, _ = _max_duals(bids.x0, bids.x_dn, params, gamma, grid.dt_hours,
+                         _PHI_FNS[kind])
+    return y0 + float(rise[k - 1])
 
 
 def max_soc_gap_bound(params: StorageParams, grid: TimeGrid) -> float:
@@ -467,7 +457,7 @@ def min_soc_at_boundaries(bids: BidSchedule, params: StorageParams,
     _check_query(grid, gamma, y0, k)
     alpha, beta = alpha_beta(bids, params)
     diffs = beta - alpha
-    duals = _min_duals(alpha[:k], diffs[:k], gamma, grid.dt_hours, y0)
+    duals = _min_duals(alpha, diffs, gamma, grid.dt_hours, y0)
     return _min_results(duals, diffs, grid, gamma, [k])[k]
 
 

@@ -117,9 +117,12 @@ class StorageParams:
     eta_d: float  # discharging efficiency in (0, 1]
 
     def __post_init__(self):
-        if self.x_min > ABS_TOL or self.x_max < -ABS_TOL:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise DomainError(f"{name}={value} must be finite")
+        if not (self.x_min <= ABS_TOL and self.x_max >= -ABS_TOL):
             raise DomainError("require x_min <= 0 <= x_max")
-        if self.y_min < -ABS_TOL or self.y_max < self.y_min - ABS_TOL:
+        if not (self.y_min >= -ABS_TOL and self.y_max >= self.y_min - ABS_TOL):
             raise DomainError("require 0 <= y_min <= y_max")
         if not (0 < self.eta_c <= 1) or not (0 < self.eta_d <= 1):
             raise DomainError("efficiencies must lie in (0, 1]")

@@ -67,6 +67,26 @@ def synth(tmp_path_factory):
     return Dataset(str(root))
 
 
+class TestConfigDomain:
+    """A time limit or gap target without meaning is refused, not turned
+    into a different solve path."""
+
+    @pytest.mark.parametrize("time_limit", [np.nan, 0.0, -1.0, -np.inf])
+    def test_bad_time_limit_rejected(self, time_limit):
+        with pytest.raises(DomainError, match="time_limit=.* must be positive"):
+            hourly_config(time_limit=time_limit)
+
+    @pytest.mark.parametrize("gap_target", [np.nan, -0.1, np.inf])
+    def test_bad_gap_target_rejected(self, gap_target):
+        with pytest.raises(DomainError,
+                           match="gap_target=.* finite and nonnegative"):
+            hourly_config(gap_target=gap_target)
+
+    def test_unset_or_unbounded_values_accepted(self):
+        hourly_config(time_limit=None, gap_target=None)
+        hourly_config(time_limit=np.inf, gap_target=0.0)
+
+
 class TestBudgetUsage:
     def test_zero_signal(self):
         sig = RegulationSignal.constant(0.0, HOURLY)

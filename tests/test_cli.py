@@ -293,6 +293,36 @@ class TestSolveDayCommand:
         assert captured.err == "config error: y0 must be finite\n"
         assert "worst-case check" not in captured.out
 
+    @pytest.mark.parametrize("command", ["solve-day", "backtest"])
+    @pytest.mark.parametrize("flag, message", [
+        (["--time-limit", "nan"], "time_limit=nan must be positive"),
+        (["--time-limit", "0"], "time_limit=0.0 must be positive"),
+        (["--time-limit", "-1"], "time_limit=-1.0 must be positive"),
+        (["--gap", "nan"], "gap_target=nan must be finite and nonnegative"),
+    ], ids=["time-limit-nan", "time-limit-zero", "time-limit-negative",
+            "gap-nan"])
+    def test_bad_solve_flag_is_a_config_error(self, cfg_file, data_dir,
+                                              tmp_path, capsys, command,
+                                              flag, message):
+        where = (["--date", "2021-01-01"] if command == "solve-day"
+                 else ["--out", str(tmp_path / "rep")])
+        code = main([command, "--config", cfg_file, "--data-dir", data_dir]
+                    + where + flag)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["time_limit", "gap_target"])
+    def test_nan_solve_key_is_a_config_error(self, data_dir, tmp_path,
+                                             capsys, key):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("".join(
+            f"{key} = nan\n" if line.startswith(f"{key} =") else line
+            for line in HOURLY_CFG.splitlines(keepends=True)))
+        code = main(["solve-day", "--config", str(cfg), "--data-dir",
+                     data_dir, "--date", "2021-01-01"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {key}=nan ")
+
 
 class TestBacktestCommand:
     def test_backtest_reports_and_rerun_identical(self, cfg_file, data_dir,
@@ -353,6 +383,22 @@ initial_soc = 0.5
         assert "infeasible" in text
         assert "soc_upper[2]" in text
         assert "worst-case signal" in text
+
+    @pytest.mark.parametrize("key", ["y_max", "y_min", "eta_c"])
+    def test_nan_battery_limit_is_a_config_error(self, tmp_path, capsys,
+                                                 key):
+        # a NaN y_max was once certified with NaN slacks
+        cfg, bids = self._write(tmp_path, ["1,-1,0,0", "2,-1,0,0"])
+        text = open(cfg).read()
+        cfg_path = tmp_path / "nan.cfg"
+        cfg_path.write_text("".join(
+            f"{key} = nan\n" if line.startswith(f"{key} =") else line
+            for line in text.splitlines(keepends=True)))
+        code = main(["verify", "--config", str(cfg_path), "--bids", bids])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {key}=nan must be finite\n"
+        assert "verdict" not in captured.out
 
     @pytest.mark.parametrize("y0", ["nan", "inf", "-inf"])
     def test_non_finite_start_is_a_config_error(self, tmp_path, capsys, y0):
@@ -438,7 +484,7 @@ initial_soc = 0.5
 # break both SOC bounds, so the report carries witness lines on both sides
 VERIFY_SHA256 = {
     24: "54fa98337c8dd48345ff2a2be8ba98f1e6d0cc9ab5f45b76171e56e51180d045",
-    96: "9f29dd84966e1394dae8e58f3d3a4e452085c6a6810caab8f9b56e1b498e0277",
+    96: "c141e0ba01c800ae9175f28b5e374ac47b225127497c38e932d26edcec7f4a0f",
 }
 
 

@@ -120,6 +120,18 @@ class TestStorageParams:
             StorageParams(x_min=-1, x_max=1, y_min=0, y_max=1,
                           eta_c=1.2, eta_d=0.9)
 
+    @pytest.mark.parametrize("field", ["x_min", "x_max", "y_min", "y_max",
+                                       "eta_c", "eta_d"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        # every comparison with NaN is false, so a NaN y_max once passed
+        # the bound checks and check_feasibility certified NaN slacks
+        kw = dict(x_min=-1.0, x_max=1.0, y_min=0.0, y_max=1.0, eta_c=0.9,
+                  eta_d=0.9)
+        kw[field] = value
+        with pytest.raises(DomainError, match=f"{field}=.* must be finite"):
+            StorageParams(**kw)
+
     def test_default_initial_soc(self):
         # steady-state midpoint for the reference battery
         assert default_initial_soc(reference_battery()) == pytest.approx(53.328, abs=1e-3)

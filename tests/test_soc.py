@@ -340,9 +340,10 @@ class TestMaxSocRandom:
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(deadline=None, max_examples=60)
     def test_dual_equals_per_candidate_loop(self, seed):
-        # the oracles evaluate every candidate multiplier in one broadcast
-        # and sum in interval order; a loop over the candidates, summing
-        # left to right, is the reference, hence bit-identical
+        # the oracles evaluate every candidate multiplier of the day in one
+        # broadcast and sum in interval order; a loop over the same
+        # candidates, summing left to right, is the reference, hence
+        # bit-identical
         rng = np.random.default_rng(seed)
         K = int(rng.integers(1, 25))
         dt = float(rng.choice([0.25, 0.5, 1.0]))
@@ -357,19 +358,19 @@ class TestMaxSocRandom:
         t = float(rng.uniform(1e-9, grid.T))
         k = grid.interval_of(t)
         sig_k = t - (k - 1) * dt
-        x_dn = bids.x_dn[:k]
+        x_dn = bids.x_dn
         vals = []
         for lam in np.unique(np.concatenate([[0.0], p.eta_c * x_dn,
                                              x_dn / p.eta_d])):
-            v = phi_values(x0[:k], x_dn, lam, p)
-            vals.append(gamma * lam + dt * ordered_sum(v[:-1])
-                        + sig_k * v[-1])
+            v = phi_values(x0, x_dn, lam, p)
+            vals.append(gamma * lam + dt * ordered_sum(v[:k - 1])
+                        + sig_k * v[k - 1])
         r = max_soc_at_time(bids, p, grid, gamma, y0, t)
         assert r.value == y0 + min(vals)
-        alpha, beta = (a[:k] for a in alpha_beta(bids, p))
+        alpha, beta = alpha_beta(bids, p)
         diffs = beta - alpha
-        vals = [y0 - gamma * lam
-                - dt * ordered_sum(alpha + np.maximum(diffs - lam, 0.0))
+        vals = [y0 - gamma * lam - dt * ordered_sum(
+                    alpha[:k] + np.maximum(diffs[:k] - lam, 0.0))
                 for lam in np.unique(np.concatenate([[0.0],
                                                      diffs[diffs > 0]]))]
         lo = min_soc_at_boundaries(bids, p, grid, gamma, y0, k)
@@ -396,29 +397,36 @@ class TestMaxSocRandom:
         np.testing.assert_array_equal(r.witness_xi, np.zeros(2))
 
 
-def interval_max_by_loop(x0, x_dn, p, gamma, dt, phi_fn):
-    """The worst-case SOC rise over the last interval k of ``x0``/``x_dn``
-    by a loop over the dual's candidates: 0 and the breakpoints of
-    intervals 1..k, plus the hinge root wherever phi_k turns from positive
-    to negative between two consecutive candidates. Each candidate c is
-    the line a + s*b in the elapsed time s of interval k, with
-    a = gamma*c + dt * (phi_1(c) + ... + phi_{k-1}(c)) summed left to
-    right and b = phi_k(c). Returns the minimum of a + dt*max(b, 0), its
-    smallest minimizer and the earliest offset at which
-    min over lines of (a + s*b) reaches it."""
+def interval_max_by_loop(x0, x_dn, p, gamma, dt, phi_fn, k):
+    """The worst-case SOC rise over interval k of the day ``x0``/``x_dn``
+    by a loop over the dual's candidates: 0, the breakpoints of every
+    interval of the day, and every interval's hinge root wherever its phi
+    turns from positive to negative between two consecutive candidates.
+    Each candidate c is the line a + s*b in the elapsed time s of interval
+    k, with a = gamma*c + dt * (phi_1(c) + ... + phi_{k-1}(c)) summed left
+    to right and b = phi_k(c). Returns the minimum of a + dt*max(b, 0),
+    its smallest minimizer and the earliest offset at which min over lines
+    of (a + s*b) reaches it."""
     ec, ed = p.eta_c, p.eta_d
     pts = [0.0, *(ec * x_dn), *(x_dn / ed)]
     if phi_fn is phi_upper_values and ec * ed < 1.0:
         pts += list((x_dn - (1.0 - ec * ed) * x0) / ed)  # case switch
+    if phi_fn is phi_lower_values:
+        pts += list(ec * (x_dn - x0) + x0 / ed)  # hinge without the ratio
     cands = np.unique([c for c in pts if c >= 0.0])
-
-    def line(lam):
-        v = phi_fn(x0, x_dn, lam, p)
-        return lam, gamma * lam + dt * ordered_sum(v[:-1]), float(v[-1])
-    lines = [line(c) for c in cands]
-    for (lo, _, fa), (hi, _, fb) in zip(lines[:-1], lines[1:]):
-        if fa > 0.0 > fb:
-            lines.append(line(lo + (hi - lo) * fa / (fa - fb)))
+    phis = [phi_fn(x0, x_dn, c, p) for c in cands]
+    roots = []
+    for j in range(len(x0)):
+        for lo, hi, v_lo, v_hi in zip(cands[:-1], cands[1:], phis[:-1],
+                                      phis[1:]):
+            fa, fb = v_lo[j], v_hi[j]
+            if fa > 0.0 > fb:
+                roots.append(lo + (hi - lo) * fa / (fa - fb))
+    lines = []
+    for c in [*cands, *roots]:
+        v = phi_fn(x0, x_dn, c, p)
+        lines.append((c, gamma * c + dt * ordered_sum(v[:k - 1]),
+                      float(v[k - 1])))
     vals = [a + dt * max(b, 0.0) for _, a, b in lines]
     best = min(vals)
     lam_star = min(c for (c, _, _), v in zip(lines, vals) if v <= best + 1e-10)
@@ -429,9 +437,9 @@ def interval_max_by_loop(x0, x_dn, p, gamma, dt, phi_fn):
 class TestIntervalMaxDual:
     """The interval-max dual against a per-candidate loop, exactly: the
     estimates of all three kinds, the interval oracle and the upper
-    slacks of ``check_feasibility``, whose one call over the whole day
-    sees every other interval's breakpoints between a hinge's own
-    candidates."""
+    slacks of ``check_feasibility``. Every interval searches the day's
+    candidates, so the loop's candidates and sums are those of the
+    kernel; the estimates are also checked against the dual itself."""
 
     @given(st.integers(min_value=0, max_value=10 ** 6))
     @settings(deadline=None, max_examples=60)
@@ -453,16 +461,43 @@ class TestIntervalMaxDual:
             for kind, phi_fn in (("exact", phi_values),
                                  ("lower", phi_lower_values),
                                  ("upper", phi_upper_values)):
-                ref = interval_max_by_loop(x0[:k], x_dn[:k], p, gamma, dt,
-                                           phi_fn)
+                ref = interval_max_by_loop(x0, x_dn, p, gamma, dt, phi_fn, k)
                 assert max_soc_estimate(bids, p, grid, gamma, y0, k,
                                         kind) == y0 + ref[0], (k, kind)
-            best, lam_star, s = interval_max_by_loop(x0[:k], x_dn[:k], p,
-                                                     gamma, dt, phi_values)
+            best, lam_star, s = interval_max_by_loop(x0, x_dn, p, gamma, dt,
+                                                     phi_values, k)
             r = max_soc_over_interval(bids, p, grid, gamma, y0, k)
             assert (r.value, r.lambda_star, r.t_star) == (
                 y0 + best, lam_star, (k - 1) * dt + s), k
             assert upper[f"soc_upper[{k}]"] == p.y_max - (y0 + best), k
+
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    @settings(deadline=None, max_examples=40)
+    def test_estimates_never_exceed_the_dual(self, seed):
+        # each estimate minimizes its dual over lam >= 0, so no lam on a
+        # fine grid may give a smaller dual value; this needs every
+        # breakpoint among the candidates, such as the relaxation's hinge
+        # eta_c*(x_dn - x0) + x0/eta_d
+        rng = np.random.default_rng(seed)
+        K = int(rng.integers(1, 7))
+        dt = float(rng.choice([0.25, 0.5, 1.0]))
+        grid = TimeGrid(dt_hours=dt, K=K)
+        eta = rng.uniform(0.7, 1.0, 2)
+        p = StorageParams(x_min=-10.0, x_max=10.0, y_min=10.0, y_max=20.0,
+                          eta_c=eta[0], eta_d=eta[1])
+        x0, x_dn = rng.uniform(-3.0, 3.0, K), rng.uniform(0.0, 3.0, K)
+        bids = BidSchedule(x0=x0, x_up=np.zeros(K), x_dn=x_dn)
+        gamma = float(rng.uniform(0.0, grid.T))
+        lam = np.linspace(0.0, 6.0, 6001)[:, None]
+        for kind, phi_fn in (("exact", phi_values),
+                             ("lower", phi_lower_values),
+                             ("upper", phi_upper_values)):
+            v = phi_fn(x0, x_dn, lam, p)
+            for k in range(1, K + 1):
+                dual = (gamma * lam[:, 0] + dt * v[:, :k - 1].sum(axis=1)
+                        + dt * np.maximum(v[:, k - 1], 0.0))
+                est = max_soc_estimate(bids, p, grid, gamma, 0.0, k, kind)
+                assert est <= dual.min() + 1e-12, (k, kind)
 
 
 class TestBruteForceGuards:
@@ -626,9 +661,9 @@ def sweep_instance(i, rng):
 
 class TestOnePassMatchesPerIntervalOracles:
     """``check_feasibility`` computes all SOC checks in one call of each
-    dual kernel; the per-interval oracles call the same kernels on
-    intervals 1..k, with the same candidates and sums in the same order,
-    so slacks, verdicts and witnesses agree bit for bit."""
+    dual kernel; the per-interval oracles make the same whole-day call
+    and read their interval, so slacks, verdicts and witnesses agree bit
+    for bit."""
 
     def test_seeded_sweep(self):
         rng = np.random.default_rng(2017)
