@@ -16,8 +16,8 @@ for independent cross-validation on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 # unused here: kept so bench/tracing.py can patch and count soc.linprog
@@ -25,11 +25,13 @@ from scipy.optimize import linprog  # noqa: F401
 
 from .types import (
     ABS_TOL,
+    AlignmentError,
     BidSchedule,
     DomainError,
     RegulationSignal,
     StorageParams,
     TimeGrid,
+    is_multiple_of,
     sigma_vector,
 )
 
@@ -197,7 +199,9 @@ class WorstCaseResult:
         fraction of its deviation that elapses before t_star, spread over
         the whole sample. A replay evaluated at sample boundaries can then
         fall short of ``value`` by up to one sample of SOC drift, but
-        never exceed it."""
+        never exceed it. The sample period must divide dt."""
+        if not is_multiple_of(grid.dt_hours, sample_period_hours):
+            raise AlignmentError("sample period does not divide dt")
         per = round(grid.dt_hours / sample_period_hours)
         values = np.repeat(self.signed_xi(), per)
         # scale the boundary sample so the witness integral is exact and
@@ -392,7 +396,7 @@ def max_soc_at_time(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
                     gamma: float, y0: float, t: float) -> WorstCaseResult:
     """Exact maximum SOC at time t over all budget-feasible signals."""
     _check_query(grid, gamma, y0)
-    if t < -ABS_TOL or t > grid.T + ABS_TOL:
+    if not -ABS_TOL <= t <= grid.T + ABS_TOL:
         raise DomainError(f"t={t} outside horizon")
     t = max(t, 0.0)
     k = grid.interval_of(t)
@@ -465,8 +469,7 @@ def min_soc_at_boundaries(bids: BidSchedule, params: StorageParams,
 # Feasibility evaluation for candidate bids.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstraintCheck:
+class ConstraintCheck(NamedTuple):
     name: str
     slack: float
     witness: WorstCaseResult | None = None
@@ -474,20 +477,35 @@ class ConstraintCheck:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    checks: list[ConstraintCheck]
-    tol: ClassVar[float] = 1e-9
+    """Named slacks, negative where a check fails by more than ``tol``,
+    with the witnesses of some checks keyed by check index. The
+    ``ConstraintCheck`` views are built only when read."""
+
+    names: list[str]
+    slack: np.ndarray
+    witnesses: dict[int, WorstCaseResult] = field(default_factory=dict)
+    tol: float = 1e-9
+
+    @property
+    def checks(self) -> list[ConstraintCheck]:
+        return [ConstraintCheck(name, s, self.witnesses.get(i))
+                for i, (name, s) in enumerate(zip(self.names,
+                                                  self.slack.tolist()))]
 
     @property
     def worst(self) -> ConstraintCheck:
-        return min(self.checks, key=lambda c: c.slack)
+        i = int(np.argmin(self.slack))
+        return ConstraintCheck(self.names[i], float(self.slack[i]),
+                               self.witnesses.get(i))
 
     @property
     def worst_violation(self) -> float:
-        return max(0.0, -self.worst.slack)
+        return max(0.0, -float(self.slack.min(initial=np.inf)))
 
     @property
     def feasible(self) -> bool:
-        return self.worst.slack >= -self.tol
+        # a NaN slack fails, as it would as the worst one
+        return bool((self.slack >= -self.tol).all())
 
     def violations(self) -> list[ConstraintCheck]:
         return [c for c in self.checks if c.slack < -self.tol]
@@ -498,43 +516,43 @@ def check_feasibility(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
     """Verify power bounds and worst-case SOC bounds for candidate bids.
 
     Violations are reported as negative slack; they are data, not errors.
-    All 2K SOC bounds come from one call of each dual kernel, so each
-    agrees with its per-interval oracle bit for bit. A violated SOC check
-    carries that oracle's result, the signals of all violated checks on
-    one side from one greedy fill; a satisfied check carries none.
+    The checks are, in order, ``power_upper``/``power_lower`` for each k,
+    ``initial_soc_lower`` and ``initial_soc_upper``, then
+    ``soc_lower``/``soc_upper`` for each k. All 2K SOC bounds come from
+    one call of each dual kernel, so each agrees with its per-interval
+    oracle bit for bit. A violated SOC check carries that oracle's
+    result, the signals of all violated checks on one side from one
+    greedy fill; a satisfied check carries none.
     """
     _check_query(grid, gamma, y0)
     if bids.K != grid.K:
         raise DomainError(f"bid schedule has {bids.K} intervals, "
                           f"the grid has {grid.K}")
-    tol, dt = FeasibilityReport.tol, grid.dt_hours
-    power = zip((params.x_max - (bids.x0 + bids.x_up)).tolist(),
-                ((bids.x0 - bids.x_dn) - params.x_min).tolist())
-    checks = [ConstraintCheck(name=f"power_{side}[{k}]", slack=slack)
-              for k, slacks in enumerate(power, 1)
-              for side, slack in zip(("upper", "lower"), slacks)]
-    checks.append(ConstraintCheck(name="initial_soc_lower",
-                                  slack=float(y0 - params.y_min)))
-    checks.append(ConstraintCheck(name="initial_soc_upper",
-                                  slack=float(params.y_max - y0)))
-
+    K, tol, dt = grid.K, FeasibilityReport.tol, grid.dt_hours
     alpha, beta = alpha_beta(bids, params)
     diffs = beta - alpha
     low_duals = _min_duals(alpha, diffs, gamma, dt, y0)
     high_duals = _max_duals(bids.x0, bids.x_dn, params, gamma, dt, phi_values)
-    low = (low_duals[0] - params.y_min).tolist()
-    high = (params.y_max - (y0 + high_duals[0])).tolist()
+    low = low_duals[0] - params.y_min
+    high = params.y_max - (y0 + high_duals[0])
+    slack = np.concatenate([
+        np.column_stack([params.x_max - (bids.x0 + bids.x_up),
+                         (bids.x0 - bids.x_dn) - params.x_min]).ravel(),
+        [y0 - params.y_min, params.y_max - y0],
+        np.column_stack([low, high]).ravel()])
+    names = [f"power_{side}[{k}]" for k in range(1, K + 1)
+             for side in ("upper", "lower")]
+    names += ["initial_soc_lower", "initial_soc_upper"]
+    names += [f"soc_{side}[{k}]" for k in range(1, K + 1)
+              for side in ("lower", "upper")]
+    # soc_lower[k] is check 2K + 2k, soc_upper[k] the one after it
     low_w = _min_results(low_duals, diffs, grid, gamma,
-                         [k for k, v in enumerate(low, 1) if v < -tol])
+                         (np.flatnonzero(low < -tol) + 1).tolist())
     high_w = _max_results(high_duals, bids, params, grid, gamma, y0,
-                          [k for k, v in enumerate(high, 1) if v < -tol])
-    for k in range(1, grid.K + 1):
-        checks.append(ConstraintCheck(name=f"soc_lower[{k}]",
-                                      slack=low[k - 1], witness=low_w.get(k)))
-        checks.append(ConstraintCheck(name=f"soc_upper[{k}]",
-                                      slack=high[k - 1],
-                                      witness=high_w.get(k)))
-    return FeasibilityReport(checks=checks)
+                          (np.flatnonzero(high < -tol) + 1).tolist())
+    witnesses = {2 * K + 2 * k: w for k, w in low_w.items()}
+    witnesses.update((2 * K + 2 * k + 1, w) for k, w in high_w.items())
+    return FeasibilityReport(names, slack, witnesses)
 
 
 # ---------------------------------------------------------------------------

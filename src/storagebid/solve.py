@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -22,6 +21,7 @@ from scipy.optimize import milp  # noqa: F401
 from scipy.optimize._highspy import _core as _highs
 
 from .ir import GE, LE, ModelError, ModelIR, RowArrays, residual
+from .soc import FeasibilityReport
 
 OPTIMAL = "optimal"
 FEASIBLE_LIMIT = "feasible_limit"
@@ -239,50 +239,26 @@ def solve(ir: ModelIR, time_limit: float | None = None,
                        start_objective=start_objective, path=path)
 
 
-@dataclass(frozen=True)
-class RowResidual:
-    name: str
-    residual: float
-    bilinear: bool
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    residuals: list[RowResidual]
-    tol: ClassVar[float] = 1e-6
-
-    @property
-    def violations(self) -> list[RowResidual]:
-        return [r for r in self.residuals if r.residual < -self.tol]
-
-    @property
-    def bilinear_violations(self) -> int:
-        return sum(1 for r in self.violations if r.bilinear)
-
-    @property
-    def feasible(self) -> bool:
-        return not self.violations
-
-
-def verify_point(ir: ModelIR, point: dict[str, float]) -> VerificationReport:
-    """Residuals of every row, bilinear rows included, and every finite
-    variable bound at a candidate point."""
+def verify_point(ir: ModelIR, point: dict[str, float]) -> FeasibilityReport:
+    """Slacks, with tolerance 1e-6, of every finite variable bound
+    (``bound:<name>``), every row and every bilinear row at a candidate
+    point."""
     x = ir.point_from_map(point)
     lo, hi = ir.bounds_arrays()
-    out = [RowResidual(name=f"bound:{name}", residual=slack, bilinear=False)
-           for name, slack in zip(ir.var_names,
-                                  np.minimum(x - lo, hi - x).tolist())
-           if np.isfinite(slack)]
+    bound = np.minimum(x - lo, hi - x)
+    finite = np.isfinite(bound)
     rows = ir.row_arrays()
     lhs = _row_matrix(rows, ir.n_vars) @ x
     slack = np.where(rows.sense == LE, rows.rhs - lhs,
                      np.where(rows.sense == GE, lhs - rows.rhs,
                               -np.abs(lhs - rows.rhs)))
-    out += [RowResidual(name=name, residual=r, bilinear=False)
-            for name, r in zip(ir.row_names, slack.tolist())]
-    out += [RowResidual(name=row.name, residual=residual(row, x),
-                        bilinear=True) for row in ir.bilinear_rows]
-    return VerificationReport(residuals=out)
+    names = [f"bound:{name}"
+             for name, f in zip(ir.var_names, finite.tolist()) if f]
+    names += ir.row_names
+    names += [row.name for row in ir.bilinear_rows]
+    return FeasibilityReport(names, np.concatenate(
+        [bound[finite], slack, [residual(row, x) for row in ir.bilinear_rows]]),
+        tol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ class TimeGrid:
         Boundary times belong to the interval that ends there; t = 0 maps
         to interval 1.
         """
-        if t < -ABS_TOL or t > self.T + ABS_TOL:
+        if not -ABS_TOL <= t <= self.T + ABS_TOL:
             raise DomainError(f"t={t} outside horizon [0, {self.T}]")
         if t <= 0:
             return 1

@@ -724,7 +724,8 @@ class TestOrderingAndSoundness:
                                               fcr_block_len=4,
                                               da_block_len=1))
         rep = verify_point(exact, res.point)
-        assert rep.bilinear_violations == len(rep.violations) >= 1
+        assert rep.violations()
+        assert all(c.name.startswith("bil[") for c in rep.violations())
 
 
 class TestGapBound:

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from storagebid.types import (
+    AlignmentError,
     BidSchedule,
     DomainError,
     RegulationSignal,
     StorageParams,
     TimeGrid,
     default_initial_soc,
+    sigma,
     sigma_vector,
 )
 from storagebid.soc import (
@@ -188,6 +190,14 @@ class TestTwoIntervalExample:
         traj = simulate_soc(BIDS2, r.to_signal(GRID2), PARAMS2, GRID2, 0.0)
         assert traj.max() == pytest.approx(r.value, abs=1e-6)
         assert r.to_signal(GRID2).abs_integral() <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("period", [0.3, 0.4])
+    def test_witness_refuses_a_period_that_does_not_divide_dt(self, period):
+        # round(1 / period) samples of 1 h would hold 1.06 h or 1.12 h of
+        # deviation, more than the 1 h budget
+        r = max_soc_over_interval(BIDS2, PARAMS2, GRID2, 1.0, 0.0, 2)
+        with pytest.raises(AlignmentError, match="does not divide dt"):
+            r.to_signal(GRID2, period)
 
     def test_brute_force_agreement(self):
         bf = brute_force_max_soc(BIDS2, PARAMS2, GRID2, 1.0, 0.0, 2, m=50)
@@ -614,6 +624,17 @@ class TestBudgetAndStartDomain:
             oracle(0.0, 50.0)
 
 
+@pytest.mark.parametrize("at_time", [
+    lambda t: GRID2.interval_of(t),
+    lambda t: sigma(GRID2, t, 1),
+    lambda t: sigma_vector(GRID2, t),
+    lambda t: max_soc_at_time(BIDS2, PARAMS2, GRID2, 1.0, 0.0, t)],
+    ids=["interval_of", "sigma", "sigma_vector", "max_soc_at_time"])
+def test_nan_time_rejected(at_time):
+    with pytest.raises(DomainError, match="outside"):
+        at_time(np.nan)
+
+
 def per_interval_soc_checks(bids, p, grid, gamma, y0):
     """The SOC checks of ``check_feasibility`` as (name, slack, oracle
     result), one per-interval oracle call each. An upper check's result
@@ -695,6 +716,12 @@ class TestOnePassMatchesPerIntervalOracles:
                     assert c.witness is None, (i, c.name)
             seen["feasible"] += rep.feasible
             seen["power"] += any(c.slack < -tol for c in power)
+            # the array-backed accessors equal their list definitions
+            assert rep.worst == min(rep.checks, key=lambda c: c.slack)
+            assert rep.feasible == (rep.worst.slack >= -tol)
+            assert rep.violations() == [c for c in rep.checks
+                                        if c.slack < -tol]
+            assert rep.worst_violation == max(0.0, -rep.worst.slack)
         # every kind of verdict occurs in the sweep
         assert all(n > 50 for n in seen.values()), seen
 

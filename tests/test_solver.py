@@ -580,17 +580,16 @@ class TestVerifyPoint:
         rng = np.random.default_rng(11)
         for _ in range(20):
             x = rng.uniform(-10.0, 10.0, size=ir.n_vars)
-            ref = [(f"bound:{v.name}", min(xi - v.lower, v.upper - xi),
-                    False) for v, xi in zip(ir.variables, x)]
+            ref = [(f"bound:{v.name}", min(xi - v.lower, v.upper - xi))
+                   for v, xi in zip(ir.variables, x)]
             ref = [r for r in ref if np.isfinite(r[1])]
-            ref += [(row.name, residual(row, x), False) for row in ir.rows]
-            ref += [(row.name, residual(row, x), True)
+            ref += [(row.name, residual(row, x)) for row in ir.rows]
+            ref += [(row.name, residual(row, x))
                     for row in ir.bilinear_rows]
-            got = verify_point(ir, dict(zip(ir.var_names, x))).residuals
-            assert [(r.name, r.bilinear) for r in got] == \
-                [(name, bilinear) for name, _, bilinear in ref]
-            np.testing.assert_allclose([r.residual for r in got],
-                                       [r for _, r, _ in ref],
+            got = verify_point(ir, dict(zip(ir.var_names, x))).checks
+            assert [c.name for c in got] == [name for name, _ in ref]
+            np.testing.assert_allclose([c.slack for c in got],
+                                       [r for _, r in ref],
                                        rtol=0, atol=1e-12)
 
     def test_zero_point_zero_model(self):
@@ -599,7 +598,15 @@ class TestVerifyPoint:
         ir.add_row("r", [(0, 1.0)], "<=", 0.0)
         rep = verify_point(ir, {"x": 0.0})
         assert rep.feasible
-        assert all(r.residual >= 0 for r in rep.residuals)
+        assert all(c.slack >= 0 for c in rep.checks)
+
+    def test_no_bound_and_no_row_is_feasible(self):
+        ir = ModelIR()
+        ir.add_variable("x")
+        rep = verify_point(ir, {"x": 5.0})
+        assert rep.checks == []
+        assert rep.feasible
+        assert rep.worst_violation == 0.0
 
     def test_missing_variable(self):
         ir = ModelIR()
@@ -626,7 +633,7 @@ class TestVerifyPoint:
         assert len(exact.bilinear_rows) == 6
         rep = verify_point(exact, {name: res.point[name]
                                    for name in exact.registry})
-        assert rep.bilinear_violations == 0
+        assert not rep.violations()
         assert rep.feasible
 
     def test_crafted_relaxation_violation_reported(self):
@@ -645,7 +652,8 @@ class TestVerifyPoint:
                                  replace(opts, variant="exact"))
         rep = verify_point(exact, res.point)
         # the exact model adds only bilinear rows, and only they fail
-        assert rep.bilinear_violations == len(rep.violations) >= 1
+        assert rep.violations()
+        assert all(c.name.startswith("bil[") for c in rep.violations())
         assert not rep.feasible
 
 
