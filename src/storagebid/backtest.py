@@ -32,7 +32,7 @@ from .types import (
     TimeGrid,
     UncertaintyBudget,
     default_initial_soc,
-    is_multiple_of,
+    recovery_window,
 )
 
 
@@ -74,12 +74,8 @@ def intraday_adjustments(xr: np.ndarray, signal: RegulationSignal,
     with i0(j) = max{1, j - Gamma'/dt + 1}. The first interval has no
     history, so x^a_1 = 0.
     """
-    if not is_multiple_of(Gamma_prime, grid.dt_hours):
-        raise DomainError("Gamma_prime must be a multiple of dt")
-    if Gamma_prime <= grid.dt_hours:
-        raise DomainError("Gamma_prime must exceed dt")
+    wlen = recovery_window(Gamma_prime, grid)
     ints = signal.interval_integrals(grid)
-    wlen = int(round(Gamma_prime / grid.dt_hours))
     # x^a_{k+1} sums the wlen - 1 intervals ending at k
     drift = _trailing_sums(xr * ints, wlen - 1)[:-1]
     return np.concatenate(([0.0], -drift / (Gamma_prime - grid.dt_hours)))
@@ -90,7 +86,7 @@ def drift_envelope(xr: np.ndarray, signal: RegulationSignal, grid: TimeGrid,
     """Upper bound on |realized SOC - planned SOC| at each interval
     boundary when intraday adjustments are active (lossless guarantee):
     the trailing-window sum of xr_i * int |xi_i|."""
-    wlen = int(round(Gamma_prime / grid.dt_hours))
+    wlen = recovery_window(Gamma_prime, grid)
     return _trailing_sums(xr * _abs_interval_integrals(signal, grid), wlen)
 
 
@@ -98,7 +94,7 @@ def window_budget_usage(signal: RegulationSignal, grid: TimeGrid,
                         gamma_prime: float, Gamma_prime: float) -> float:
     """Worst usage of the rolling deviation budget: max over trailing
     windows of (sum of per-interval |xi| integrals) / gamma'."""
-    wlen = int(round(Gamma_prime / grid.dt_hours))
+    wlen = recovery_window(Gamma_prime, grid)
     sums = _trailing_sums(_abs_interval_integrals(signal, grid), wlen)
     return max(0.0, float(sums.max())) / gamma_prime
 

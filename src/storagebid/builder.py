@@ -31,6 +31,7 @@ from .types import (
     TimeGrid,
     UncertaintyBudget,
     is_multiple_of,
+    recovery_window,
 )
 
 MWH_PER_KWH = 1e-3
@@ -492,14 +493,10 @@ def build_intraday_power_bounds(ir: ModelIR, params: StorageParams,
     dt = grid.dt_hours
     if not is_multiple_of(gamma_prime, dt):
         raise DomainError("gamma_prime must be a multiple of dt")
-    if not is_multiple_of(Gamma_prime, dt):
-        raise DomainError("Gamma_prime must be a multiple of dt")
-    if Gamma_prime <= dt:
-        raise DomainError("Gamma_prime must exceed dt")
+    win = recovery_window(Gamma_prime, grid)
     K = grid.K
     xr, x0, xup, xdn = (_family(ir, name, K)
                         for name in ("xr", "x0", "x_up", "x_dn"))
-    win = round(Gamma_prime / dt)  # window length Gamma'/dt in intervals
     rate = dt / (Gamma_prime - dt)
     scale = gamma_prime / dt
     # for each k < K: idlam[k], then w[k,i] for the n = min(k, win - 1)

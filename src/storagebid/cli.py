@@ -20,7 +20,7 @@ from . import backtest as bt
 from . import data as dat
 from .builder import dispatch_variant
 from .ir import ModelError, ModelOptions
-from .mpsio import EmissionError, emit_model
+from .mpsio import emit_model
 from .soc import check_feasibility, max_soc_at_time, max_soc_over_interval
 from .types import (
     AlignmentError,
@@ -352,7 +352,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelError, DomainError, EmissionError) as e:
+    except (ConfigError, ModelError, DomainError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (dat.DataError, AlignmentError, OSError) as e:

@@ -29,12 +29,13 @@ verifying and writing model files read the arrays.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .types import DomainError
+from .types import DomainError, require_finite
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
@@ -295,9 +296,11 @@ class ModelIR:
                 np.array(self.upper, dtype=np.float64))
 
     def validate(self) -> None:
-        """Raise ModelError for the first variable, in index order, with
-        a NaN bound, an empty bound interval or a binary outside [0, 1],
-        and for the first row whose name an earlier row holds."""
+        """Raise ModelError for the first of: a variable, in index order,
+        with a NaN bound, an empty bound interval or a binary outside
+        [0, 1]; a row whose name an earlier row holds; a NaN or infinite
+        number in the objective (by column), a row (by index) or a
+        bilinear row (in order). Every solve and model file runs it."""
         lo, hi = self.bounds_arrays()
         binary = np.array(self.binary, dtype=bool)
         nan = np.isnan(lo) | np.isnan(hi)
@@ -319,6 +322,26 @@ class ModelIR:
                 if name in seen:
                     raise ModelError(f"duplicate row name {name!r}")
                 seen.add(name)
+        for i, c in sorted(self.objective.items()):
+            if not math.isfinite(c):
+                raise ModelError(
+                    f"column {self.var_names[i]!r}: objective coefficient {c}")
+        a = self.row_arrays()
+        rows = []
+        if not (np.isfinite(a.val).all() and np.isfinite(a.rhs).all()):
+            row_of = np.repeat(np.arange(self.n_rows), np.diff(a.ptr))
+            r = min(row_of[~np.isfinite(a.val)].tolist()
+                    + np.flatnonzero(~np.isfinite(a.rhs)).tolist())
+            rows.append((names[r], a.val[a.ptr[r]:a.ptr[r + 1]], a.rhs[r]))
+        rows += [(row.name, [c for _, c in row.linear]
+                  + [c for _, _, c in row.quad], row.rhs)
+                 for row in self.bilinear_rows]
+        for name, coeffs, rhs in rows:
+            bad = [c for c in coeffs if not math.isfinite(c)]
+            if bad:
+                raise ModelError(f"row {name!r}: coefficient {bad[0]}")
+            if not math.isfinite(rhs):
+                raise ModelError(f"row {name!r}: right-hand side {rhs}")
 
     # -- evaluation ---------------------------------------------------
     def point_from_map(self, values: dict[str, float]) -> np.ndarray:
@@ -374,6 +397,7 @@ class ModelOptions:
                 "lossless_lp", "no_sell_lp")
 
     def __post_init__(self):
+        require_finite(terminal_soc_floor=self.terminal_soc_floor)
         if self.variant not in self.VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}")
         if self.limited_arbitrage and not self.fcr_enabled:

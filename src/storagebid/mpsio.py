@@ -7,16 +7,10 @@ LP). Emission is deterministic: fixed ordering, fixed float format.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy import sparse
 
-from .ir import SENSES, ModelIR
-
-
-class EmissionError(ValueError):
-    """The requested format cannot express the model."""
+from .ir import SENSES, ModelError, ModelIR
 
 
 def _num(x: float) -> str:
@@ -47,31 +41,6 @@ def _pieces(*parts) -> np.ndarray:
     for j, part in enumerate(parts):
         table[:, j] = part
     return table.ravel()
-
-
-def _check_finite(ir: ModelIR) -> None:
-    """Raise EmissionError naming the first objective term or row with a
-    NaN or infinite coefficient or right-hand side, which a model file
-    cannot write. ``ModelIR.validate`` has checked the bounds."""
-    for i, c in sorted(ir.objective.items()):
-        if not math.isfinite(c):
-            raise EmissionError(
-                f"column {ir.var_names[i]!r}: objective coefficient {c}")
-    a = ir.row_arrays()
-    row_of = np.repeat(np.arange(ir.n_rows), np.diff(a.ptr))
-    first = np.union1d(row_of[~np.isfinite(a.val)],
-                       np.flatnonzero(~np.isfinite(a.rhs)))[:1]
-    rows = [(ir.row_names[r], a.val[a.ptr[r]:a.ptr[r + 1]].tolist(),
-             float(a.rhs[r])) for r in first.tolist()]
-    rows += [(row.name, [c for _, c in row.linear] +
-              [c for _, _, c in row.quad], row.rhs)
-             for row in ir.bilinear_rows]
-    for name, coeffs, rhs in rows:
-        bad = [c for c in coeffs if not math.isfinite(c)]
-        if bad:
-            raise EmissionError(f"row {name!r}: coefficient {bad[0]}")
-        if not math.isfinite(rhs):
-            raise EmissionError(f"row {name!r}: right-hand side {rhs}")
 
 
 _SENSE_MPS = _objects([" L ", " G ", " E "])  # by sense code
@@ -232,6 +201,5 @@ def emit_model(ir: ModelIR, fmt: str = "MPS") -> bytes:
     ir.validate()
     write = {"MPS": write_mps, "LP": write_lp}.get(fmt.upper())
     if write is None:
-        raise EmissionError(f"unsupported format {fmt!r}")
-    _check_finite(ir)
+        raise ModelError(f"unsupported format {fmt!r}")
     return write(ir).encode()

@@ -278,6 +278,7 @@ def solve_exact_bilinear(ir: ModelIR, is_feasible,
     ``error``, with the relaxation's bound. Other failures of the
     relaxation solve come back as they are. ``ir`` is not changed.
     """
+    ir.validate()
     res = solve(replace(ir, bilinear_rows=[]), time_limit=time_limit,
                 gap_target=1e-9)
     if not res.ok:

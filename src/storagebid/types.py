@@ -37,6 +37,14 @@ def _to_whole_seconds(hours: float) -> int:
     return int(rounded)
 
 
+def require_finite(**values) -> None:
+    """Raise DomainError for the first value given that is NaN or
+    infinite; None stands for an unset value and passes."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name}={value} must be finite")
+
+
 def is_multiple_of(duration_hours: float, base_hours: float) -> bool:
     """Exact integer-multiple check on second-aligned durations."""
     d = _to_whole_seconds(duration_hours)
@@ -59,7 +67,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.K < 1 or int(self.K) != self.K:
             raise DomainError(f"K must be a positive integer, got {self.K}")
-        if not (self.dt_hours > 0):
+        require_finite(dt_hours=self.dt_hours)
+        if self.dt_hours <= 0:
             raise DomainError(f"dt_hours must be positive, got {self.dt_hours}")
 
     @property
@@ -117,9 +126,7 @@ class StorageParams:
     eta_d: float  # discharging efficiency in (0, 1]
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise DomainError(f"{name}={value} must be finite")
+        require_finite(**vars(self))
         if not (self.x_min <= ABS_TOL and self.x_max >= -ABS_TOL):
             raise DomainError("require x_min <= 0 <= x_max")
         if not (self.y_min >= -ABS_TOL and self.y_max >= self.y_min - ABS_TOL):
@@ -153,6 +160,8 @@ class UncertaintyBudget:
     Gamma_prime: float | None = None
 
     def __post_init__(self):
+        require_finite(gamma=self.gamma, gamma_prime=self.gamma_prime,
+                       Gamma_prime=self.Gamma_prime)
         if self.kind == "total_budget":
             if self.gamma is None or self.gamma <= 0:
                 raise DomainError("total_budget requires gamma > 0")
@@ -188,6 +197,15 @@ class UncertaintyBudget:
         if self.kind == "total_budget":
             return self.gamma
         return effective_budget(self.gamma_prime, self.Gamma_prime, T)
+
+
+def recovery_window(Gamma_prime: float, grid: TimeGrid) -> int:
+    """Gamma_prime in intervals: a multiple of dt, longer than one."""
+    if not is_multiple_of(Gamma_prime, grid.dt_hours):
+        raise DomainError("Gamma_prime must be a multiple of dt")
+    if Gamma_prime <= grid.dt_hours:
+        raise DomainError("Gamma_prime must exceed dt")
+    return round(Gamma_prime / grid.dt_hours)
 
 
 def effective_budget(gamma_prime: float, Gamma_prime: float, T: float) -> float:
@@ -299,9 +317,11 @@ class PriceSeries:
     fcr_block_hours: float = 4.0
 
     def __post_init__(self):
-        object.__setattr__(self, "day_ahead", np.asarray(self.day_ahead, dtype=float))
-        object.__setattr__(self, "fcr_availability",
-                           np.asarray(self.fcr_availability, dtype=float))
+        for name in ("day_ahead", "fcr_availability"):
+            prices = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, prices)
+            if not np.isfinite(prices).all():
+                raise DomainError(f"{name} prices must be finite")
 
     def check_alignment(self, grid: TimeGrid) -> None:
         if not is_multiple_of(self.da_block_hours, grid.dt_hours):

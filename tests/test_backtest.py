@@ -166,6 +166,21 @@ class TestIntradayAdjustments:
         assert window_budget_usage(longer, QUARTER, 0.25, 2.25) == \
             window_budget_usage(day, QUARTER, 0.25, 2.25)
 
+    @pytest.mark.parametrize("Gamma_prime, message", [
+        (2.5, "Gamma_prime must be a multiple of dt"),
+        (1.0, "Gamma_prime must exceed dt")])
+    def test_bad_recovery_window(self, Gamma_prime, message):
+        # 2.5 h is no whole number of hourly intervals: the window sums
+        # once rounded it to 2 intervals without a word
+        sig = RegulationSignal.constant(0.5, HOURLY)
+        xr = np.full(24, 8.0)
+        with pytest.raises(DomainError, match=message):
+            drift_envelope(xr, sig, HOURLY, Gamma_prime)
+        with pytest.raises(DomainError, match=message):
+            window_budget_usage(sig, HOURLY, 0.5, Gamma_prime)
+        with pytest.raises(DomainError, match=message):
+            intraday_adjustments(xr, sig, HOURLY, Gamma_prime)
+
 
 class TestRunDay:
     def test_zero_prices_zero_record(self, synth):

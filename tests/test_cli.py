@@ -311,7 +311,8 @@ class TestSolveDayCommand:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {message}\n"
 
-    @pytest.mark.parametrize("key", ["time_limit", "gap_target"])
+    @pytest.mark.parametrize("key", ["time_limit", "gap_target", "gamma",
+                                     "dt_hours"])
     def test_nan_solve_key_is_a_config_error(self, data_dir, tmp_path,
                                              capsys, key):
         cfg = tmp_path / "nan.cfg"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from storagebid.ir import ModelOptions
 from storagebid.types import (
     AlignmentError,
     BidSchedule,
@@ -135,6 +136,28 @@ class TestStorageParams:
     def test_default_initial_soc(self):
         # steady-state midpoint for the reference battery
         assert default_initial_soc(reference_battery()) == pytest.approx(53.328, abs=1e-3)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda v: UncertaintyBudget(kind="total_budget", gamma=v), "gamma"),
+    (lambda v: UncertaintyBudget(kind="rolling_window", gamma_prime=v,
+                                 Gamma_prime=3.0), "gamma_prime"),
+    (lambda v: UncertaintyBudget(kind="rolling_window", gamma_prime=1.0,
+                                 Gamma_prime=v), "Gamma_prime"),
+    (lambda v: TimeGrid(dt_hours=v, K=24), "dt_hours"),
+    (lambda v: ModelOptions(terminal_soc_floor=v), "terminal_soc_floor"),
+    (lambda v: PriceSeries(day_ahead=[40.0, v], fcr_availability=[]),
+     "day_ahead"),
+    (lambda v: PriceSeries(day_ahead=[40.0], fcr_availability=[v]),
+     "fcr_availability"),
+], ids=["gamma", "gamma_prime", "Gamma_prime", "dt_hours",
+        "terminal_soc_floor", "day_ahead", "fcr_availability"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_a_domain_error(make, name, value):
+    # a NaN budget or dt once raised a raw ValueError or OverflowError
+    # from the duration checks, and a NaN floor or price reached the model
+    with pytest.raises(DomainError, match=f"^{name}.* must be finite$"):
+        make(value)
 
 
 class TestBidSchedule:

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -23,7 +24,7 @@ from storagebid.ir import (
 )
 from storagebid.builder import dispatch_variant, split_arbitrage_lp
 from storagebid.data import Dataset, generate_synthetic_dataset
-from storagebid.mpsio import EmissionError, emit_model
+from storagebid.mpsio import emit_model
 from storagebid.soc import check_feasibility
 from storagebid.solve import (
     _STATUS,
@@ -254,6 +255,52 @@ class TestSolve:
         assert len(objs) == 1
 
 
+def _two_column_lp(cost=1.0, coeff=1.0, rhs=1.0):
+    ir = ModelIR()
+    x = ir.add_variable("x", lower=0.0, upper=10.0)
+    y = ir.add_variable("y", lower=0.0, upper=10.0)
+    ir.add_objective_term(x, 1.0)
+    ir.add_objective_term(y, cost)
+    ir.add_row("r", [(x, 1.0), (y, coeff)], ">=", rhs)
+    return ir
+
+
+class TestModelGate:
+    """A model with a NaN or infinite number stops at ModelIR.validate,
+    before HiGHS sees it: HiGHS returned ``optimal`` for such models (a
+    nan objective, an ignored cost or row, a point that breaks its row)
+    or did not return at all."""
+
+    @pytest.fixture(autouse=True)
+    def no_highs(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("HiGHS ran on a non-finite model")
+        monkeypatch.setattr(importlib.import_module("storagebid.solve"),
+                            "_highs_run", fail)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("cost", np.nan, "column 'y': objective coefficient nan"),
+        ("cost", np.inf, "column 'y': objective coefficient inf"),
+        ("coeff", np.nan, "row 'r': coefficient nan"),
+        ("coeff", np.inf, "row 'r': coefficient inf"),
+        ("rhs", np.nan, "row 'r': right-hand side nan"),
+        ("rhs", np.inf, "row 'r': right-hand side inf"),
+    ])
+    def test_non_finite_number_is_refused(self, field, value, message):
+        ir = _two_column_lp(**{field: value})
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            solve(ir)
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            solve_exact_bilinear(ir, lambda point: True)
+
+    def test_bilinear_row_is_checked_before_it_is_dropped(self):
+        ir = _two_column_lp()
+        ir.add_bilinear("b", quad=[(0, 1, np.nan)], linear=[], sense=">=",
+                        rhs=0.0)
+        with pytest.raises(ModelError, match="^row 'b': coefficient nan$"):
+            solve_exact_bilinear(ir, lambda point: True)
+
+
 class TestConstraintMatrix:
     @pytest.mark.parametrize("variant", ["restriction", "arbitrage_only"])
     def test_matches_a_row_by_row_reference(self, variant):
@@ -281,7 +328,7 @@ class TestEmission:
         assert b"NAME" in data and b"ENDATA" in data
 
     def test_unknown_format(self):
-        with pytest.raises(EmissionError):
+        with pytest.raises(ModelError):
             emit_model(ModelIR(), "SAV")
 
     def test_column_in_no_row_gets_a_zero_cost_line(self):
@@ -301,14 +348,14 @@ class TestEmission:
     def test_nan_rhs_names_the_row(self, fmt):
         ir = tiny_lp()
         ir.add_row("broken", [(0, 1.0)], "<=", float("nan"))
-        with pytest.raises(EmissionError, match="row 'broken'"):
+        with pytest.raises(ModelError, match="row 'broken'"):
             emit_model(ir, fmt)
 
     @pytest.mark.parametrize("fmt", ["MPS", "LP"])
     def test_infinite_coefficient_names_the_row(self, fmt):
         ir = tiny_lp()
         ir.add_row("broken", [(0, float("inf"))], "<=", 1.0)
-        with pytest.raises(EmissionError, match="row 'broken'"):
+        with pytest.raises(ModelError, match="row 'broken'"):
             emit_model(ir, fmt)
 
     @pytest.mark.parametrize("fmt", ["MPS", "LP"])
