@@ -14,12 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .builder import (
-    MWH_PER_KWH,
-    case_cuts,
-    dispatch_variant,
-    split_arbitrage_lp,
-)
+from .builder import MWH_PER_KWH, dispatch_variant, split_arbitrage_lp
 from .data import DataError, Dataset, DayData
 from .ir import ModelOptions
 from .soc import realized_power, soc_path
@@ -33,6 +28,7 @@ from .types import (
     UncertaintyBudget,
     default_initial_soc,
     recovery_window,
+    require_finite,
 )
 
 
@@ -117,6 +113,7 @@ class ExperimentConfig:
     end_date: str | None = None
 
     def __post_init__(self):
+        require_finite(initial_soc=self.initial_soc)
         if self.bidding_time not in ("midnight", "8am"):
             raise DomainError("bidding_time must be 'midnight' or '8am'")
         if self.time_limit is not None and not self.time_limit > 0:
@@ -250,12 +247,8 @@ def run_day(config: ExperimentConfig, day: DayData, y0: float,
                                    config.options, y0_high=y0_hi)
         res = _solve_arbitrage(config, split, build)
     else:
-        ir = build()
-        # a lossy battery's model has case binaries, whose cuts can prove
-        # a relax-and-fix start without branch and bound
-        cuts = None if params.is_lossless else case_cuts(ir, params, grid)
-        res = solve(ir, time_limit=config.time_limit,
-                    gap_target=config.gap_target, cuts=cuts)
+        res = solve(build(), time_limit=config.time_limit,
+                    gap_target=config.gap_target)
     if not res.ok:
         raise SolverError(f"{day.date}: solver returned {res.status}: "
                           f"{res.message}")

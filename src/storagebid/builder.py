@@ -411,8 +411,9 @@ def case_cuts(ir: ModelIR, params: StorageParams,
     They are disjunctive cuts of each interval's ``u2`` disjunction
     (Balas, Discrete Appl. Math. 89, 1998): they cut points of the LP
     relaxation with fractional ``u2`` and no point with integral ``u2``.
-    No builder adds them to a model; ``solve`` adds them to the LP that
-    bounds the model's optimum (its ``cuts`` argument).
+    ``dispatch_variant`` attaches them to a lossy restriction as its
+    ``cuts``, not as model rows; ``solve`` adds them to the LP that
+    bounds the model's optimum.
     """
     ec, ed = params.eta_c, params.eta_d
     K = grid.K
@@ -649,6 +650,7 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
     has_cases = not params.is_lossless
     if variant == "restriction" and has_cases:
         build_restriction_rows(ir, params, grid)
+        ir.cuts = case_cuts(ir, params, grid)
     elif variant == "no_sell_lp" and has_cases:
         # with x0 <= 0 the worst case is always the pure-charge piece
         for k in range(1, grid.K):

@@ -19,7 +19,8 @@ keeps them in arrays and flat lists rather than one object each:
   (``add_row`` a block of one row); ``row_arrays`` joins the blocks into
   one when the rows are read.
 - Relax-and-fix rules (``Indicators``, added in blocks by
-  ``add_indicators``) are rows in the same format, one per binary.
+  ``add_indicators``) are rows in the same format, one per binary, and
+  so are the cuts (``cuts``) that strengthen the LP bound.
 
 ``variables`` and ``rows`` are read-only views that build ``Variable``
 and ``LinearRow`` objects on every call, for tests and tracing; solving,
@@ -118,9 +119,10 @@ class ModelError(ValueError):
 @dataclass(eq=False)
 class ModelIR:
     """``indicators`` (None: no rules) sets binaries in a good solution
-    from the sign of a linear form each. Solvers may use the rules to
-    build a start point; the model rows alone define feasibility, and
-    model files do not carry the rules."""
+    from the sign of a linear form each; ``cuts`` (None: no cuts) are
+    rows valid at every point of the model with integral binaries.
+    Solvers may use both to build a start point and bound it; the model
+    rows alone define feasibility, and model files carry neither."""
 
     var_names: list[str] = field(default_factory=list)
     lower: list[float] = field(default_factory=list)
@@ -131,6 +133,7 @@ class ModelIR:
     bilinear_rows: list[BilinearRow] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
     indicators: Indicators | None = None
+    cuts: RowArrays | None = None
     # row blocks in order
     _blocks: list[RowArrays] = field(default_factory=list)
 

@@ -96,8 +96,7 @@ def simulate_soc(bids: BidSchedule, signal: RegulationSignal,
                  params: StorageParams, grid: TimeGrid, y0: float) -> SocTrajectory:
     """Exact SOC integration: bids and signal are piecewise constant, so
     the trajectory is affine between sample boundaries."""
-    if not np.isfinite(y0):
-        raise DomainError("y0 must be finite")
+    _check_query(bids, grid, y0)
     per = signal.check_alignment(grid)
     n = per * grid.K
     power = realized_power(np.repeat(bids.x0, per), np.repeat(bids.x_up, per),
@@ -382,20 +381,25 @@ def _min_results(duals, diffs, grid: TimeGrid, gamma: float, ks):
             for k, lam, x in zip(ks, argmaxs(ks).tolist(), xi)}
 
 
-def _check_query(grid: TimeGrid, gamma: float, y0: float, k=None) -> None:
-    """Refuse a budget, start SOC or interval k without meaning."""
+def _check_query(bids: BidSchedule, grid: TimeGrid, y0: float,
+                 gamma: float = 0.0, k=None) -> None:
+    """Refuse a budget, start SOC, interval k or bid schedule without
+    meaning."""
     if not 0.0 <= gamma < np.inf:
         raise DomainError(f"gamma={gamma} must be finite and nonnegative")
     if not -np.inf < y0 < np.inf:
         raise DomainError("y0 must be finite")
     if k is not None and not 1 <= k <= grid.K:
         raise DomainError(f"interval k={k} outside 1..{grid.K}")
+    if bids.K != grid.K:
+        raise DomainError(f"bid schedule has {bids.K} intervals, "
+                          f"the grid has {grid.K}")
 
 
 def max_soc_at_time(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
                     gamma: float, y0: float, t: float) -> WorstCaseResult:
     """Exact maximum SOC at time t over all budget-feasible signals."""
-    _check_query(grid, gamma, y0)
+    _check_query(bids, grid, y0, gamma)
     if not -ABS_TOL <= t <= grid.T + ABS_TOL:
         raise DomainError(f"t={t} outside horizon")
     t = max(t, 0.0)
@@ -411,7 +415,7 @@ def max_soc_over_interval(bids: BidSchedule, params: StorageParams,
                           k: int) -> WorstCaseResult:
     """Exact maximum SOC over the k-th trading interval (1-based), which
     may peak strictly inside the interval."""
-    _check_query(grid, gamma, y0, k)
+    _check_query(bids, grid, y0, gamma, k)
     duals = _max_duals(bids.x0, bids.x_dn, params, gamma, grid.dt_hours,
                        phi_values)
     return _max_results(duals, bids, params, grid, gamma, y0, [k])[k]
@@ -429,7 +433,7 @@ def max_soc_estimate(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
     or over-estimate ('upper', as in the restriction)."""
     if kind not in _PHI_FNS:
         raise DomainError(f"unknown estimate kind {kind!r}")
-    _check_query(grid, gamma, y0, k)
+    _check_query(bids, grid, y0, gamma, k)
     rise, _ = _max_duals(bids.x0, bids.x_dn, params, gamma, grid.dt_hours,
                          _PHI_FNS[kind])
     return y0 + float(rise[k - 1])
@@ -458,7 +462,7 @@ def min_soc_at_boundaries(bids: BidSchedule, params: StorageParams,
     """Exact minimum SOC at the boundary time k*dt. Per the dual of the
     budgeted discharge problem, interval minima are attained at interval
     endpoints, so boundary values cover the whole horizon."""
-    _check_query(grid, gamma, y0, k)
+    _check_query(bids, grid, y0, gamma, k)
     alpha, beta = alpha_beta(bids, params)
     diffs = beta - alpha
     duals = _min_duals(alpha, diffs, gamma, grid.dt_hours, y0)
@@ -524,10 +528,7 @@ def check_feasibility(bids: BidSchedule, params: StorageParams, grid: TimeGrid,
     result, the signals of all violated checks on one side from one
     greedy fill; a satisfied check carries none.
     """
-    _check_query(grid, gamma, y0)
-    if bids.K != grid.K:
-        raise DomainError(f"bid schedule has {bids.K} intervals, "
-                          f"the grid has {grid.K}")
+    _check_query(bids, grid, y0, gamma)
     K, tol, dt = grid.K, FeasibilityReport.tol, grid.dt_hours
     alpha, beta = alpha_beta(bids, params)
     diffs = beta - alpha

@@ -3,9 +3,9 @@ scipy, solution verification, and the exact bilinear optimum when the
 model's relaxation attains it.
 
 A MILP whose binaries all have indicator rules starts from a
-relax-and-fix point. Given valid cuts, ``solve`` accepts that point
-from an LP bound alone when it is close enough; otherwise HiGHS's branch
-and bound starts from it.
+relax-and-fix point. ``solve`` accepts that point from the bound of the
+LP relaxation, strengthened by the model's cuts, when it is close
+enough; otherwise HiGHS's branch and bound starts from it.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class SolveResult:
     start_objective: float = np.nan
     # how the point was found: ``milp``; ``start+milp`` when the search
     # began from a relax-and-fix start point; ``start+bound`` for that
-    # start, fixed from the point of the LP plus the caller's cuts,
+    # start, fixed from the point of the LP plus the model's cuts (if any),
     # accepted at that LP's optimum with no branch and bound; or
     # ``split-lp`` for an arbitrage-only optimum proved without branch
     # and bound
@@ -125,16 +125,15 @@ def _optimal_point(highs) -> np.ndarray | None:
     return np.array(highs.getSolution().col_value)
 
 
-def _relax_and_fix(ir: ModelIR, lp, binaries: np.ndarray, options: dict,
-                   cuts: RowArrays | None = None):
-    """Solve the LP relaxation, with the rows ``cuts`` added when given,
-    set every binary from its indicator rule at the LP point (one sparse
+def _relax_and_fix(ir: ModelIR, lp, binaries: np.ndarray, options: dict):
+    """Solve the LP relaxation, with the model's cuts added as rows, set
+    every binary from its indicator rule at the LP point (one sparse
     product) and re-solve warm in the same HiGHS object with the binaries
     fixed. Cuts valid at every point with integral binaries cut no point
     of the fixed LP, so they stay in it. Returns the HiGHS object, the
     first LP's optimal value (nan unless it is optimal) and the fixed
     LP's optimum (None unless both LPs are optimal)."""
-    highs = _highs_run(lp, options, cuts=cuts)
+    highs = _highs_run(lp, options, cuts=ir.cuts)
     x = _optimal_point(highs)
     if x is None:
         return highs, np.nan, None
@@ -156,23 +155,20 @@ _LIMITS = (_highs.HighsModelStatus.kTimeLimit,
 
 
 def solve(ir: ModelIR, time_limit: float | None = None,
-          gap_target: float | None = None,
-          cuts: RowArrays | None = None) -> SolveResult:
+          gap_target: float | None = None) -> SolveResult:
     """Solve a model without bilinear rows (LP or MILP) with scipy's
     bundled HiGHS. A model whose every binary has an indicator rule gets
     a relax-and-fix start point.
 
-    With ``cuts``, rows valid at every point of the model with integral
-    binaries (such as ``builder.case_cuts``), the start comes from the LP
-    relaxation plus those rows: its optimum is a bound, its point sets
-    the binaries, and the fixed LP is solved warm with the rows kept.
-    When that LP is optimal and the start is within ``gap_target`` of
-    its bound (HiGHS's default ``mip_rel_gap`` when unset), the start is
-    returned as ``optimal`` with that bound, path ``start+bound``, and no
-    branch and bound runs. Otherwise, and without ``cuts``, the start is
-    the MILP's first incumbent, and HiGHS improves on it up to
-    ``gap_target`` in the time left of ``time_limit``; the MILP gets no
-    cut rows."""
+    The start comes from the LP relaxation plus the model's cuts, if it
+    has any: its optimum is a bound, its point sets the binaries, and
+    the fixed LP is solved warm with the cuts kept. When that LP is
+    optimal and the start is within ``gap_target`` of its bound (HiGHS's
+    default ``mip_rel_gap`` when unset), the start is returned as
+    ``optimal`` with that bound, path ``start+bound``, and no branch and
+    bound runs. Otherwise the start is the MILP's first incumbent, and
+    HiGHS improves on it up to ``gap_target`` in the time left of
+    ``time_limit``; the MILP gets no cut rows."""
     ir.validate()
     if ir.bilinear_rows:
         raise ModelError("model has bilinear rows; use solve_exact_bilinear")
@@ -195,17 +191,16 @@ def solve(ir: ModelIR, time_limit: float | None = None,
     start, start_objective, path = None, np.nan, "milp"
     rules = ir.indicators
     if is_mip and rules is not None and np.isin(binaries, rules.binary).all():
-        highs, bound, start = _relax_and_fix(ir, lp, binaries, options,
-                                             cuts)
+        highs, bound, start = _relax_and_fix(ir, lp, binaries, options)
         if start is not None:
             start_objective = float(ir.objective_vector() @ start)
             path = "start+milp"
         left = time_left()
-        if start is not None and cuts is not None and left != 0.0:
+        if start is not None and left != 0.0:
             res = SolveResult(
                 status=OPTIMAL, objective=start_objective, bound=bound,
                 point=dict(zip(ir.var_names, start.tolist())),
-                message="start within the gap target of the cut LP bound",
+                message="start within the gap target of the LP bound",
                 start_objective=start_objective, path="start+bound")
             # the MILP's own target: gap_target, or HiGHS's default
             if res.gap <= highs.getOptionValue("mip_rel_gap")[1]:

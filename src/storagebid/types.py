@@ -65,7 +65,8 @@ class TimeGrid:
     K: int
 
     def __post_init__(self):
-        if self.K < 1 or int(self.K) != self.K:
+        if (isinstance(self.K, bool)
+                or not isinstance(self.K, (int, np.integer)) or self.K < 1):
             raise DomainError(f"K must be a positive integer, got {self.K}")
         require_finite(dt_hours=self.dt_hours)
         if self.dt_hours <= 0:
@@ -320,6 +321,8 @@ class PriceSeries:
         for name in ("day_ahead", "fcr_availability"):
             prices = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, prices)
+            if prices.ndim != 1:
+                raise DomainError(f"{name} prices must be 1-d")
             if not np.isfinite(prices).all():
                 raise DomainError(f"{name} prices must be finite")
 

@@ -324,6 +324,18 @@ class TestSolveDayCommand:
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"config error: {key}=nan ")
 
+    @pytest.mark.parametrize("command", ["build", "backtest"])
+    def test_nan_initial_soc_is_named(self, data_dir, tmp_path, capsys,
+                                      command):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(HOURLY_CFG + "initial_soc = nan\n")
+        where = (["--out", str(tmp_path / "model.mps")] if command == "build"
+                 else ["--data-dir", data_dir, "--out", str(tmp_path / "rep")])
+        code = main([command, "--config", str(cfg)] + where)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: initial_soc=nan must be finite\n")
+
 
 class TestBacktestCommand:
     def test_backtest_reports_and_rerun_identical(self, cfg_file, data_dir,

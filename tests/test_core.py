@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from storagebid.backtest import ExperimentConfig
 from storagebid.ir import ModelOptions
+from storagebid.soc import (
+    check_feasibility,
+    max_soc_over_interval,
+    simulate_soc,
+)
 from storagebid.types import (
     AlignmentError,
     BidSchedule,
@@ -158,6 +164,59 @@ def test_non_finite_input_is_a_domain_error(make, name, value):
     # from the duration checks, and a NaN floor or price reached the model
     with pytest.raises(DomainError, match=f"^{name}.* must be finite$"):
         make(value)
+
+
+def _simulate(n):
+    grid = TimeGrid(dt_hours=1.0, K=24)
+    bids = BidSchedule.zero(n)
+    simulate_soc(bids, RegulationSignal.constant(0.5, grid),
+                 reference_battery(), grid, 50.0)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TimeGrid(dt_hours=1.0, K=24.0), "K must be a positive integer, "
+                                              "got 24.0"),
+    (lambda: TimeGrid(dt_hours=1.0, K=np.float64(2.0)),
+     "K must be a positive integer, got 2.0"),
+    (lambda: TimeGrid(dt_hours=1.0, K=True), "K must be a positive integer, "
+                                              "got True"),
+    (lambda: _simulate(23), "bid schedule has 23 intervals, the grid has 24"),
+    (lambda: _simulate(25), "bid schedule has 25 intervals, the grid has 24"),
+    (lambda: check_feasibility(BidSchedule.zero(23), reference_battery(),
+                               TimeGrid(dt_hours=1.0, K=24), 2.0, 50.0),
+     "bid schedule has 23 intervals, the grid has 24"),
+    (lambda: max_soc_over_interval(BidSchedule.zero(25), reference_battery(),
+                                   TimeGrid(dt_hours=1.0, K=24), 2.0, 50.0,
+                                   5),
+     "bid schedule has 25 intervals, the grid has 24"),
+    (lambda: PriceSeries(day_ahead=np.zeros((2, 12)),
+                         fcr_availability=np.zeros(6)),
+     "day_ahead prices must be 1-d"),
+    (lambda: PriceSeries(day_ahead=np.zeros(24),
+                         fcr_availability=np.zeros((6, 1))),
+     "fcr_availability prices must be 1-d"),
+], ids=["K-float", "K-numpy-float", "K-bool", "schedule-23", "schedule-25",
+        "feasibility-23", "oracle-25", "day-ahead-2d", "fcr-2d"])
+def test_malformed_input_is_a_domain_error(make, message):
+    # each once raised a raw TypeError or broadcast ValueError, or was
+    # flattened silently
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        make()
+
+
+def test_numpy_integer_K_is_a_grid_length():
+    assert TimeGrid(dt_hours=1.0, K=np.int64(24)).T == 24.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_initial_soc_is_named(value):
+    with pytest.raises(DomainError, match=f"^initial_soc={value} must be "
+                                          "finite$"):
+        ExperimentConfig(params=reference_battery(),
+                         grid=TimeGrid(dt_hours=1.0, K=24),
+                         budget=UncertaintyBudget(kind="total_budget",
+                                                  gamma=2.0),
+                         initial_soc=value)
 
 
 class TestBidSchedule:

@@ -188,7 +188,7 @@ class TestStartBoundPath:
     def test_start_is_accepted_at_the_bound(self, acceptance_day, limited):
         ir = _day_model(acceptance_day, limited)
         cuts = case_cuts(ir, BATTERY, HOURLY)
-        res = solve(ir, time_limit=120.0, gap_target=0.1, cuts=cuts)
+        res = solve(ir, time_limit=120.0, gap_target=0.1)
         assert (res.status, res.path) == (OPTIMAL, "start+bound")
         assert res.objective == res.start_objective
         assert res.bound <= res.objective
@@ -210,7 +210,7 @@ class TestStartBoundPath:
         for day in acceptance_days:
             ir = _day_model(day)
             cuts = case_cuts(ir, BATTERY, HOURLY)
-            res = solve(ir, time_limit=120.0, gap_target=0.1, cuts=cuts)
+            res = solve(ir, time_limit=120.0, gap_target=0.1)
             assert res.bound == pytest.approx(lp_optimum(ir, cuts),
                                               rel=1e-9), day.date
             plain = lp_optimum(ir, fixed=res.point)
@@ -228,16 +228,14 @@ class TestStartBoundPath:
         # per variant at 85 kWh fell through to branch and bound
         for day in acceptance_days:
             ir = _day_model(day, limited, y0)
-            res = solve(ir, time_limit=120.0, gap_target=0.1,
-                        cuts=case_cuts(ir, BATTERY, HOURLY))
+            res = solve(ir, time_limit=120.0, gap_target=0.1)
             assert res.path == "start+bound", (day.date, res.gap)
 
     def test_unset_gap_target_runs_the_milp(self, acceptance_day):
         # the bound is a few percent below the start, far from HiGHS's
         # default target of 1e-4
         ir = _day_model(acceptance_day)
-        res = solve(ir, time_limit=120.0,
-                    cuts=case_cuts(ir, BATTERY, HOURLY))
+        res = solve(ir, time_limit=120.0)
         assert res.path == "start+milp"
         assert res.ok
         assert res.objective <= res.start_objective + 1e-9

@@ -23,6 +23,7 @@ from storagebid.ir import (
     residual,
 )
 from storagebid.builder import dispatch_variant, split_arbitrage_lp
+from storagebid.builder import case_cuts
 from storagebid.data import Dataset, generate_synthetic_dataset
 from storagebid.mpsio import emit_model
 from storagebid.soc import check_feasibility
@@ -750,6 +751,32 @@ class TestIndicators:
                                              ("exact", True)])
     def test_other_variants_carry_none(self, variant, fcr):
         assert self._build(variant, fcr).indicators is None
+        assert self._build(variant, fcr).cuts is None
+
+    @pytest.mark.parametrize("variant", ModelOptions.VARIANTS)
+    def test_lossless_builds_carry_no_cuts(self, variant):
+        fcr = variant != "arbitrage_only"
+        opts = ModelOptions(variant=variant, fcr_enabled=fcr,
+                            fcr_block_len=4 if fcr else None, da_block_len=1)
+        budget = UncertaintyBudget(kind="total_budget", gamma=1.0)
+        ir = dispatch_variant(LOSSLESS, K4, budget, 4.0, K4_PRICES, opts)
+        assert ir.indicators is None and ir.cuts is None
+
+    @pytest.mark.parametrize("limited,intraday", [
+        (False, False), (True, False), (False, True), (True, True)],
+        ids=["joint", "limited", "intraday", "limited-intraday"])
+    def test_restriction_carries_its_case_cuts(self, limited, intraday):
+        budget = (UncertaintyBudget.from_eu_rules(1.0) if intraday
+                  else UncertaintyBudget(kind="total_budget", gamma=1.0))
+        opts = ModelOptions(variant="restriction", fcr_block_len=4,
+                            da_block_len=1, limited_arbitrage=limited,
+                            intraday=intraday)
+        ir = dispatch_variant(LOSSY, K4, budget, 4.0, K4_PRICES, opts)
+        want = case_cuts(ir, LOSSY, K4)
+        assert len(ir.cuts.rhs) == K4.K * (K4.K - 1)
+        for got, ref in zip(ir.cuts, want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("K", [4, 96])
     def test_rules_are_the_documented_sign_rules(self, K):
@@ -827,6 +854,10 @@ class TestIndicators:
         assert emit_model(cleared, "MPS") == mps
         assert emit_model(cleared, "LP") == lp
         assert ir.indicators.binary.size == 3 * 95
+        assert len(ir.cuts.rhs) == 96 * 95
+        bare = replace(ir, indicators=None, cuts=None)
+        assert emit_model(bare, "MPS") == mps
+        assert emit_model(bare, "LP") == lp
 
 
 @pytest.fixture(scope="module")
@@ -849,7 +880,7 @@ class TestWarmStart:
                               acceptance_day.prices, opts)
         res = solve(ir, time_limit=120.0, gap_target=0.1)
         assert res.status == "optimal"
-        assert res.path == "start+milp"
+        assert res.path == "start+bound"
         assert res.gap <= 0.1
         assert res.objective <= res.start_objective + 1e-9
         x0 = np.array([res.point[f"x0[{k}]"] for k in range(1, 25)])
@@ -885,8 +916,23 @@ class TestWarmStart:
         ir.fix_variable("u1[1]", 1.0)
         assert ir.indicators.binary.size == 3 * (K4.K - 1)
         res = solve(ir)
-        assert res.path == "start+milp" and res.status == "optimal"
+        assert res.path == "start+bound" and res.status == "optimal"
         assert res.point["u1[1]"] == 1.0
+
+    def test_rules_without_cuts_stop_at_the_lp_bound(self):
+        # min -x with x <= u: the plain LP optimum x = u = 1 sets
+        # u = [x >= 0] = 1, and the fixed LP attains the LP bound
+        ir = ModelIR()
+        x = ir.add_variable("x", lower=0.0, upper=1.0)
+        u = ir.add_variable("u", kind=BINARY, lower=0.0, upper=1.0)
+        ir.add_row("link", [(x, 1.0), (u, -1.0)], "<=", 0.0)
+        ir.add_objective_term(x, -1.0)
+        ir.add_indicators([u], [0, 1], [x], [1.0])
+        assert ir.cuts is None
+        res = solve(ir)
+        assert (res.status, res.path) == ("optimal", "start+bound")
+        assert res.objective == res.bound == res.start_objective == -1.0
+        assert res.point == {"x": 1.0, "u": 1.0}
 
     def test_models_without_rules_take_the_plain_path(self):
         assert solve(tiny_lp()).path == "milp"
