@@ -17,12 +17,12 @@ import numpy as np
 from .ir import (
     BINARY,
     CONTINUOUS,
-    GE,
     SENSES,
     ModelError,
     ModelIR,
     ModelOptions,
     RowArrays,
+    _row_arrays,
 )
 from .types import (
     DomainError,
@@ -58,9 +58,9 @@ def build_power_bounds(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     k = np.arange(1, grid.K + 1) if intervals is None else np.array(intervals)
     x0, xup, xdn = (_family(ir, name, grid.K)
                     for name in ("x0", "x_up", "x_dn"))
-    _add_rows(ir, _keys(ir, grid.K, k), [
+    _add_rows(ir, (_keys(ir, grid.K, k), [
         ("pow_hi", [x0[k], xup[k]], [1.0, 1.0], "<=", params.x_max),
-        ("pow_lo", [x0[k], xdn[k]], [1.0, -1.0], ">=", params.x_min)])
+        ("pow_lo", [x0[k], xdn[k]], [1.0, -1.0], ">=", params.x_min)]))
 
 
 def _family(ir: ModelIR, name: str, n: int) -> np.ndarray:
@@ -155,51 +155,53 @@ def _triangle(ir: ModelIR, head: str, K: int) -> np.ndarray:
     return table
 
 
-def _rows(keys: list[str], families):
-    """For each key in turn, the row ``name + key`` of every family, as
-    (names, term counts, columns, coefficients, sense codes, rhs). A
-    family is (name, columns, coefficients, sense, rhs): per term an
-    index array with one entry per key and one coefficient. An index of
-    -1 leaves its term out of that row."""
-    col = np.column_stack([c for _, cols, *_ in families for c in cols])
-    val = np.broadcast_to(np.concatenate([f[2] for f in families]),
-                          col.shape)
-    keep = col >= 0
-    widths = [len(f[2]) for f in families]
-    n_terms = np.add.reduceat(keep.astype(np.intp),
-                              np.cumsum(widths) - widths, axis=1)
-    prefixes = [name for name, *_ in families]
-    names = [name + key for key in keys for name in prefixes]
-    shape = (len(keys), len(families))
-    return (names, n_terms.ravel(), col[keep], val[keep],
+def _rows(*blocks) -> tuple[list[str], RowArrays]:
+    """The rows of blocks (keys, families), in order, as their names and
+    one ``RowArrays``. A block holds, for each key in turn, the row
+    ``name + key`` of every family. A family is (name, columns,
+    coefficients, sense, rhs): per term an index array with one entry
+    per key (or a 2-D array, one column per term) and one coefficient.
+    An index of -1 leaves its term out of that row. Blocks (groups,
+    keys, families) give each key a group number; their rows are
+    ordered by group and, within a group, by block."""
+    names, parts, group = [], [], []
+    for *groups, keys, families in blocks:
+        col = np.column_stack([c for _, cols, *_ in families for c in cols])
+        val = np.broadcast_to(np.concatenate([f[2] for f in families]),
+                              col.shape)
+        keep = col >= 0
+        # terms kept per row and family, counted by a product with the
+        # 0/1 matrix of terms to families: exact in floats, and several
+        # times faster than np.add.reduceat over short runs of terms
+        n_terms = keep @ np.repeat(np.eye(len(families)),
+                                   [len(f[2]) for f in families], axis=0)
+        shape = (len(keys), len(families))
+        prefixes = [name for name, *_ in families]
+        names += [name + key for key in keys for name in prefixes]
+        group += [np.repeat(g, len(families)) for g in groups]
+        parts.append((
+            n_terms.astype(np.intp).ravel(), col[keep], val[keep],
             np.full(shape, [SENSES.index(f[3]) for f in families]).ravel(),
-            np.full(shape, [f[4] for f in families]).ravel())
+            np.full(shape, [f[4] for f in families]).ravel()))
+    n_terms, col, val, sense, rhs = (parts[0] if len(parts) == 1 else
+                                     map(np.concatenate, zip(*parts)))
+    if group:
+        # stable sorts keep the order of rows, and of terms, within a group
+        group = np.concatenate(group)
+        row = np.argsort(group, kind="stable")
+        term = np.argsort(np.repeat(group, n_terms), kind="stable")
+        names = [names[r] for r in row.tolist()]
+        n_terms, sense, rhs = n_terms[row], sense[row], rhs[row]
+        col, val = col[term], val[term]
+    return names, _row_arrays(np.concatenate([[0], np.cumsum(n_terms)]),
+                              col, val, sense, rhs)
 
 
-def _add_rows(ir: ModelIR, keys: list[str], families) -> None:
-    """Append the rows ``_rows(keys, families)``."""
-    if not keys:
-        return
-    names, n_terms, col, val, sense, rhs = _rows(keys, families)
-    ir.add_rows(names, np.concatenate([[0], np.cumsum(n_terms)]), col, val,
-                sense, rhs)
-
-
-def _add_grouped_rows(ir: ModelIR, *blocks) -> None:
-    """Append the rows of blocks (groups, keys, families), each the rows
-    ``_rows(keys, families)`` with a group number per key, ordered by
-    group and, within a group, by block."""
-    parts = [_rows(keys, families) for _, keys, families in blocks]
-    group = np.concatenate([np.repeat(g, len(f)) for g, _, f in blocks])
-    n_terms, col, val, sense, rhs = map(np.concatenate,
-                                        zip(*(p[1:] for p in parts)))
-    names = [name for p in parts for name in p[0]]
-    # stable sorts keep the order of rows, and of terms, within a group
-    row = np.argsort(group, kind="stable")
-    term = np.argsort(np.repeat(group, n_terms), kind="stable")
-    ir.add_rows([names[r] for r in row.tolist()],
-                np.concatenate([[0], np.cumsum(n_terms[row])]), col[term],
-                val[term], sense[row], rhs[row])
+def _add_rows(ir: ModelIR, *blocks) -> None:
+    """Append the rows ``_rows(*blocks)``, if there are any."""
+    if any(keys for *_, keys, _ in blocks):
+        names, rows = _rows(*blocks)
+        ir.add_rows(names, *rows)
 
 
 def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
@@ -219,33 +221,25 @@ def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     laml = Laml[:, 0]
     x0, xup = _family(ir, "x0", K), _family(ir, "x_up", K)
     k = np.arange(1, K + 1)
-    _add_rows(ir, _keys(ir, K, k), [
+    _add_rows(ir, (_keys(ir, K, k), [
         ("alpha_c", [alpha[k], x0[k]], [1.0, -ec], ">=", 0.0),
         ("alpha_d", [alpha[k], x0[k]], [1.0, -1.0 / ed], ">=", 0.0),
         ("beta_c", [beta[k], x0[k], xup[k]], [1.0, -ec, -ec], ">=", 0.0),
         ("beta_d", [beta[k], x0[k], xup[k]], [1.0, -1.0 / ed, -1.0 / ed],
-         ">=", 0.0)])
-    # for each k the row soc_lo[k], then the rows Laml_epi[k,l]: one CSR
-    # block, built here as _add_grouped_rows took 40 % longer at K=96
-    k, l = _pairs(K, first=0)
-    n_terms = np.where(l == 0, 1 + 2 * k, 4)
-    ptr = np.concatenate([[0], np.cumsum(n_terms)])
-    col, val = np.empty(ptr[-1], dtype=np.intp), np.empty(ptr[-1])
-    # soc_lo[k]: -gamma * laml[k], then -dt * (alpha[l] + Laml[k,l]) for
-    # l = 1..k
-    head = ptr[:-1][l == 0]
-    col[head], val[head] = laml[1:], -gamma
-    e = l > 0
-    ke, le = k[e], l[e]
-    body = head[ke - 1] + 2 * le
-    col[body - 1], col[body] = alpha[le], Laml[ke, le]
-    val[body - 1] = val[body] = -dt
-    epi = ptr[:-1][e, None] + np.arange(4)
-    col[epi] = np.column_stack([Laml[ke, le], laml[ke], alpha[le],
-                                beta[le]])
-    val[epi] = (1.0, 1.0, 1.0, -1.0)
-    ir.add_rows(_head_names(ir, K, "soc_lo", "Laml_epi", k, l), ptr, col,
-                val, GE, np.where(l == 0, params.y_min - y0, 0.0))
+         ">=", 0.0)]))
+    # for each k the row soc_lo[k]: -gamma * laml[k], then -dt * (alpha[l]
+    # + Laml[k,l]) for l = 1..k, the -1 entries of Laml leaving out the
+    # terms for l > k; then the rows Laml_epi[k,1..k]
+    L = Laml[k, 1:]
+    body = np.stack([np.where(L < 0, -1, alpha[1:]), L], axis=2)
+    kl, l = _pairs(K)
+    _add_rows(
+        ir, (k, _keys(ir, K, k), [
+            ("soc_lo", [laml[k], body.reshape(K, 2 * K)],
+             [-gamma] + [-dt] * (2 * K), ">=", params.y_min - y0)]),
+        (kl, _keys(ir, K, kl, l), [
+            ("Laml_epi", [Laml[kl, l], laml[kl], alpha[l], beta[l]],
+             [1.0, 1.0, 1.0, -1.0], ">=", 0.0)]))
 
 
 def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
@@ -277,24 +271,24 @@ def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
 
     k = np.arange(1, K + 1)
     diag = Lamu[k, k]
-    _add_rows(ir, _keys(ir, K, k), [
+    _add_rows(ir, (_keys(ir, K, k), [
         # the -1 entries of Lamu leave out Lamu[k,l] for l > k
-        ("soc_hi", [lamu[k], *Lamu[k, 1:].T], [gamma] + [dt] * K, "<=",
+        ("soc_hi", [lamu[k], Lamu[k, 1:]], [gamma] + [dt] * K, "<=",
          params.y_max - y0),
         ("Lamu_diag_b", [diag, x0[k]], [1.0, ec], ">=", 0.0),
         ("Lamu_diag_c", [diag, xdn[k], x0[k], lamu[k]], [1.0, -ec, ec, 1.0],
          ">=", 0.0),
-        ("Lamu_diag_pos", [diag], [1.0], ">=", 0.0)])
+        ("Lamu_diag_pos", [diag], [1.0], ">=", 0.0)]))
 
     # binary case indicators: u1_k = 1 iff x0_k >= x_dn_k, u2_k = 1 iff
     # x0_k <= 0
     if with_cases:
         k = np.arange(1, K)
-        _add_rows(ir, _keys(ir, K, k), [
+        _add_rows(ir, (_keys(ir, K, k), [
             ("u1_hi", [x0[k], xdn[k], u1[k]], [1.0, -1.0, -x_hi], "<=", 0.0),
             ("u1_lo", [x0[k], xdn[k], u1[k]], [1.0, -1.0, x_lo], ">=", x_lo),
             ("u2_hi", [x0[k], u2[k]], [1.0, x_hi], "<=", x_hi),
-            ("u2_lo", [x0[k], u2[k]], [1.0, -x_lo], ">=", 0.0)])
+            ("u2_lo", [x0[k], u2[k]], [1.0, -x_lo], ">=", 0.0)]))
 
     # off-diagonal epigraph rows with the minimal valid big-M offsets
     k, l = _pairs(K, strict=True)
@@ -302,19 +296,19 @@ def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     if not with_cases:
         # zero specific loss: the big-M offsets and the ratio hinge
         # vanish, leaving a convex epigraph
-        _add_rows(ir, _keys(ir, K, k, l), [
+        _add_rows(ir, (_keys(ir, K, k, l), [
             ("Lbd1", [L, xdnl, x0l, lamk], [1.0, -1.0 / ed, 1.0 / ed, 1.0],
              ">=", 0.0),
-            ("Lbd2", [L, x0l], [1.0, 1.0 / ed], ">=", 0.0)])
+            ("Lbd2", [L, x0l], [1.0, 1.0 / ed], ">=", 0.0)]))
         return
-    _add_rows(ir, _keys(ir, K, k, l), [
+    _add_rows(ir, (_keys(ir, K, k, l), [
         ("Lbd1", [L, xdnl, x0l, lamk, u1[l]],
          [1.0, -1.0 / ed, 1.0 / ed, 1.0, d_eta * x_lo], ">=", d_eta * x_lo),
         ("Lbd2", [L, x0l, u2[l]], [1.0, 1.0 / ed, -d_eta * x_lo], ">=", 0.0),
         ("Lbd3", [L, xdnl, x0l, lamk, u1[l]],
          [1.0, -ec, ec, 1.0, d_eta * x_hi], ">=", 0.0),
         ("Lbd4", [L, x0l, u2[l]], [1.0, ec, -d_eta * x_hi], ">=",
-         -d_eta * x_hi)])
+         -d_eta * x_hi)]))
 
 
 def build_soc_upper_exact(ir: ModelIR, params: StorageParams, grid: TimeGrid,
@@ -356,27 +350,27 @@ def build_restriction_rows(ir: ModelIR, params: StorageParams,
     u1, u2 = _family(ir, "u1", K - 1), _family(ir, "u2", K - 1)
     k = np.arange(1, K)
     keys = _keys(ir, K, k)
-    _add_rows(ir, keys, [
+    _add_rows(ir, (keys, [
         ("u3_lo", [xdn[k], x0[k], lamu[k], u3[k]],
          [1.0, -(1.0 - rt), -ed, -m_lo], ">=", -m_lo),
         ("u3_hi", [xdn[k], x0[k], lamu[k], u3[k]],
-         [1.0, -(1.0 - rt), -ed, -m_hi], "<=", 0.0)])
+         [1.0, -(1.0 - rt), -ed, -m_hi], "<=", 0.0)]))
     # sign rules of the case binaries, for a relax-and-fix start
-    _, n_terms, col, val, _, _ = _rows(keys, [
+    _, rules = _rows((keys, [
         ("u1", [x0[k], xdn[k]], [1.0, -1.0], ">=", 0.0),
         ("u2", [x0[k]], [-1.0], ">=", 0.0),
         ("u3", [xdn[k], x0[k], lamu[k]], [1.0, -(1.0 - rt), -ed], ">=",
-         0.0)])
+         0.0)]))
     ir.add_indicators(np.column_stack([u1[k], u2[k], u3[k]]).ravel(),
-                      np.concatenate([[0], np.cumsum(n_terms)]), col, val)
+                      rules.ptr, rules.col, rules.val)
     k, l = _pairs(K, strict=True)
     L = _triangle(ir, "lamu", K)[k, l]
-    _add_rows(ir, _keys(ir, K, k, l), [
+    _add_rows(ir, (_keys(ir, K, k, l), [
         ("res_a", [L, x0[l], u1[l], u3[l]],
          [1.0, ec, d_eta * x_hi, -d_eta * x_hi], ">=", -d_eta * x_hi),
         ("res_b", [L, xdn[l], x0[l], lamu[k], u2[l], u3[l]],
          [1.0, -1.0 / ed, 1.0 / ed, 1.0, -d_eta * x_lo, -d_eta * x_lo],
-         ">=", 0.0)])
+         ">=", 0.0)]))
 
 
 def case_cuts(ir: ModelIR, params: StorageParams,
@@ -420,16 +414,11 @@ def case_cuts(ir: ModelIR, params: StorageParams,
     Lamu = _triangle(ir, "lamu", K)
     alpha, x0 = _family(ir, "alpha", K), _family(ir, "x0", K)
     k, l = _pairs(K, strict=True)
-    n = k.size
-    L = Lamu[k, l]
-    col = np.concatenate([np.column_stack([L, alpha[l]]).ravel(),
-                          np.column_stack([L, Lamu[l, l], x0[l]]).ravel()])
-    val = np.concatenate([np.ones(2 * n),
-                          np.tile([1.0, 1.0 / (ec * ed) - 1.0, 1.0 / ed], n)])
-    ptr = np.concatenate([np.arange(0, 2 * n, 2),
-                          2 * n + np.arange(0, 3 * n + 1, 3)])
-    return RowArrays(ptr.astype(np.int32), col.astype(np.int32), val,
-                     np.full(2 * n, GE, dtype=np.int8), np.zeros(2 * n))
+    keys, L = _keys(ir, K, k, l), Lamu[k, l]
+    return _rows(
+        (keys, [("cut_a", [L, alpha[l]], [1.0, 1.0], ">=", 0.0)]),
+        (keys, [("cut_b", [L, Lamu[l, l], x0[l]],
+                 [1.0, 1.0 / (ec * ed) - 1.0, 1.0 / ed], ">=", 0.0)]))[1]
 
 
 def build_objective(ir: ModelIR, prices: PriceSeries, grid: TimeGrid,
@@ -460,17 +449,17 @@ def add_market_coupling(ir: ModelIR, params: StorageParams, grid: TimeGrid,
         xr = _add_family(ir, "xr", K, 0.0, min(params.x_max, -params.x_min))
         x_up, x_dn = _family(ir, "x_up", K), _family(ir, "x_dn", K)
         k = np.arange(1, K + 1)
-        _add_rows(ir, _keys(ir, K, k), [
+        _add_rows(ir, (_keys(ir, K, k), [
             ("sym_up", [x_up[k], xr[k]], [1.0, -1.0], "==", 0.0),
-            ("sym_dn", [x_dn[k], xr[k]], [1.0, -1.0], "==", 0.0)])
+            ("sym_dn", [x_dn[k], xr[k]], [1.0, -1.0], "==", 0.0)]))
         blocks = [("xr", fcr_block)]
     else:
         blocks = [("x_up", fcr_block), ("x_dn", fcr_block)]
     for name, block in blocks + [("x0", da_block)]:
         bid = _family(ir, name, K)
         k, first = _block_starts(K, block)
-        _add_rows(ir, _keys(ir, K, k), [
-            (f"blk_{name}", [bid[k], bid[first]], [1.0, -1.0], "==", 0.0)])
+        _add_rows(ir, (_keys(ir, K, k), [
+            (f"blk_{name}", [bid[k], bid[first]], [1.0, -1.0], "==", 0.0)]))
 
 
 def add_terminal_condition(ir: ModelIR, grid: TimeGrid, y0: float,
@@ -514,8 +503,8 @@ def build_intraday_power_bounds(ir: ModelIR, params: StorageParams,
     # w[k,i] at (k, i - k + win - 2): each window right-aligned
     w = np.full((K, win - 1), -1)
     w[ke, ie - ke + win - 2] = we
-    tight = [lam[k], *w[k].T]
-    _add_grouped_rows(
+    tight = [lam[k], w[k]]
+    _add_rows(
         ir, (ke, _keys(ir, K, ke, ie), [
             ("w_epi", [we, xr[ie], lam[ke]], [1.0, -rate, 1.0], ">=", 0.0)]),
         (k, _keys(ir, K, k + 1), [
@@ -536,16 +525,16 @@ def limited_arbitrage_rows(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     xr, x0 = _family(ir, "xr", K), _family(ir, "x0", K)
     s = _add_family(ir, "s", K, 0.0, max(params.x_max, -params.x_min))
     k = np.arange(1, K + 1)
-    _add_rows(ir, _keys(ir, K, k), [
+    _add_rows(ir, (_keys(ir, K, k), [
         ("abs_pos", [s[k], x0[k]], [1.0, -1.0], ">=", 0.0),
-        ("abs_neg", [s[k], x0[k]], [1.0, 1.0], ">=", 0.0)])
+        ("abs_neg", [s[k], x0[k]], [1.0, 1.0], ">=", 0.0)]))
     gamma_block = budget.total_gamma(fcr_block * dt)
     b = np.arange(1, K // fcr_block + 1)
     first = (b - 1) * fcr_block + 1
-    _add_rows(ir, _keys(ir, K, b), [
+    _add_rows(ir, (_keys(ir, K, b), [
         ("lim_arb_blk", [*(s[first + i] for i in range(fcr_block)),
                          xr[first]], [dt] * fcr_block + [-gamma_block],
-         "<=", 0.0)])
+         "<=", 0.0)]))
 
 
 def split_arbitrage_lp(params: StorageParams, grid: TimeGrid, y0: float,
@@ -577,13 +566,13 @@ def split_arbitrage_lp(params: StorageParams, grid: TimeGrid, y0: float,
     z = _add_family(ir, "z", K, params.y_min - y0, params.y_max - y0_up)
     k = np.arange(1, K + 1)
     # z[0] is -1: soc[1] has no previous state
-    _add_rows(ir, _keys(ir, K, k), [
+    _add_rows(ir, (_keys(ir, K, k), [
         ("soc", [z[k], c[k], d[k], z[k - 1]], [1.0, -dt * ec, dt / ed, -1.0],
-         "==", 0.0)])
+         "==", 0.0)]))
     k, first = _block_starts(K, da_block)
-    _add_rows(ir, _keys(ir, K, k), [
+    _add_rows(ir, (_keys(ir, K, k), [
         ("blk_x0", [d[k], c[k], d[first], c[first]], [1.0, -1.0, -1.0, 1.0],
-         "==", 0.0)])
+         "==", 0.0)]))
     if options.terminal_soc_floor is not None:
         ir.add_row("terminal_soc", [(z[K], 1.0)], ">=",
                    options.terminal_soc_floor - y0)
@@ -663,8 +652,8 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
         u1, u2 = _family(ir, "u1", grid.K - 1), _family(ir, "u2", grid.K - 1)
         for i in u1[k].tolist():
             ir.binary[i] = False
-        _add_rows(ir, _keys(ir, grid.K, k), [
-            ("u_complement", [u1[k], u2[k]], [1.0, 1.0], "==", 1.0)])
+        _add_rows(ir, (_keys(ir, grid.K, k), [
+            ("u_complement", [u1[k], u2[k]], [1.0, 1.0], "==", 1.0)]))
 
     if options.terminal_soc_floor is not None:
         add_terminal_condition(ir, grid, y0, options.terminal_soc_floor)

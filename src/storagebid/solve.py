@@ -14,11 +14,21 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy
 from scipy import sparse
+
 # Not called: the benchmark's tracer wraps ``storagebid.solve.milp`` by name.
 from scipy.optimize import milp  # noqa: F401
-# milp's own HiGHS binding; it exposes setSolution, which milp does not.
-from scipy.optimize._highspy import _core as _highs
+
+try:
+    # milp's own HiGHS binding; it exposes setSolution, which milp does
+    # not. It is private to scipy, so a scipy release may move it.
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as e:
+    raise ImportError(
+        "storagebid needs scipy's private HiGHS binding "
+        f"scipy.optimize._highspy._core, which scipy {scipy.__version__} "
+        f"failed to import: {e}") from e
 
 from .ir import GE, LE, ModelError, ModelIR, RowArrays, residual
 from .soc import FeasibilityReport
@@ -73,8 +83,9 @@ def _row_bounds(rows: RowArrays):
 
 
 def _constraint_matrix(ir: ModelIR):
-    """Rows as a CSC matrix with row bounds, built as ``milp`` builds it:
-    duplicate entries of a row are summed."""
+    """Rows as a CSC matrix with row bounds. Duplicate entries of a row
+    are summed: HiGHS ``passModel`` returns ``kError`` for a column-wise
+    matrix with a repeated entry."""
     a = _row_matrix(ir.row_arrays(), ir.n_vars)
     a.sum_duplicates()
     return (a.tocsc(), *_row_bounds(ir.row_arrays()))

@@ -30,6 +30,8 @@ class AlignmentError(ValueError):
 
 
 def _to_whole_seconds(hours: float) -> int:
+    if not math.isfinite(hours):
+        raise DomainError(f"duration {hours}h is not finite")
     seconds = hours * _SECONDS_PER_HOUR
     rounded = round(seconds)
     if abs(seconds - rounded) > 1e-6:
@@ -275,6 +277,7 @@ class RegulationSignal:
             raise DomainError("signal values must be finite")
         if np.any(np.abs(values) > 1 + 1e-12):
             raise DomainError("signal values must lie in [-1, 1]")
+        require_finite(sample_period_hours=self.sample_period_hours)
         if self.sample_period_hours <= 0:
             raise DomainError("sample period must be positive")
 
@@ -325,6 +328,11 @@ class PriceSeries:
                 raise DomainError(f"{name} prices must be 1-d")
             if not np.isfinite(prices).all():
                 raise DomainError(f"{name} prices must be finite")
+        for name in ("da_block_hours", "fcr_block_hours"):
+            hours = getattr(self, name)
+            require_finite(**{name: hours})
+            if hours <= 0:
+                raise DomainError(f"{name}={hours} must be positive")
 
     def check_alignment(self, grid: TimeGrid) -> None:
         if not is_multiple_of(self.da_block_hours, grid.dt_hours):

@@ -1,6 +1,7 @@
 """Acceptance suite: exact small-instance reproduction plus property
 checks at the stated tolerances. Each test class covers one criterion."""
 
+import hashlib
 import time
 
 import numpy as np
@@ -475,6 +476,89 @@ class TestCriterion9BacktestSmoke:
         p2 = write_report(joint2, str(tmp_path / "b"))
         for key in p1:
             assert open(p1[key], "rb").read() == open(p2[key], "rb").read()
+
+
+JOINT = ModelOptions(variant="restriction", fcr_block_len=4, da_block_len=1)
+
+# Backtests on the acceptance dataset at gap 0.1: (options, config
+# fields, number of days from the first)
+REPORT_RUNS = {
+    "joint": (JOINT, {}, 30),
+    "limited": (ModelOptions(variant="restriction", fcr_block_len=4,
+                             da_block_len=1, limited_arbitrage=True), {}, 30),
+    "joint-85kwh": (JOINT, {"initial_soc": 85.0}, 30),
+    "8am-coupled": (JOINT, {"bidding_time": "8am", "day_coupling": True}, 4),
+    "relaxation": (ModelOptions(variant="relaxation", fcr_block_len=4,
+                                da_block_len=1), {}, 6),
+    "arbitrage": (ModelOptions(variant="arbitrage_only", fcr_enabled=False,
+                               da_block_len=1), {}, 30),
+}
+
+# SHA-256 of each report file of each run; reports change only on purpose
+REPORT_SHA256 = {
+    "8am-coupled": {
+        "records":
+            "0f8054de4479c81c9a49b73b01022dfb16b2215531fd49a7929d3ac7f4d03c30",
+        "summary":
+            "d82fdd1e8cde3e03308b4a80874d2a3a52cd5ebe6c57fe481dd96c9e6a8abf04",
+        "series":
+            "48aac19e57c1f8a14bbef5c8884544ac734171bc8c456e37a41b9fb813adbc26",
+    },
+    "arbitrage": {
+        "records":
+            "42cc1d5a2c255549e44cbf298621379a8a871d239d07f07f1a554fa0c29fd167",
+        "summary":
+            "48f436a76b7b866d1866dbd7f260c6ca5d0881e9e50108f9d8c701c5184179c5",
+        "series":
+            "2c075b6f4b1df107f4dfc64aedd106807bc250ef4fe7a3f2901f5da8541717f8",
+    },
+    "joint": {
+        "records":
+            "13e2a7df8f2c0660c6b107ff49e68bade8cda1e1b7880dfc7ed546720daeb6c6",
+        "summary":
+            "641aebaa4fc16cd0638a8d39639f2c861d39796155c7f3bb0f5a68beb878ed33",
+        "series":
+            "510d068d0f6961e5eaf821de8ff8700787e8703682c03c33726c370da932d407",
+    },
+    "joint-85kwh": {
+        "records":
+            "a1811cc3265401676964763d83ddef93cbe015e852d8ed390af0e88f1789efe7",
+        "summary":
+            "f8895fb872846c62805e8fbe7666e0113d9f1bfb9c5d874e19e1967a95e5aea6",
+        "series":
+            "0e464b5929ae0f6bb6915abbebe0274a4daf7d72b1577f7055fe26fce4df6d84",
+    },
+    "limited": {
+        "records":
+            "bba221bb00e46800f95ddc8fa3007e58e8c93724b8eecc984a6ec1f2b5686680",
+        "summary":
+            "24a33beae6e51d00f784bb92e1cdec787f3faaf85234b8a73b483987167c6abf",
+        "series":
+            "6ac437afa854365596cb0cb7393f6c234b32e475dd83f35d8ee10541ed8284fe",
+    },
+    "relaxation": {
+        "records":
+            "de24c5d2932e77e85504500425ac8fe8f8d3a31594a6d32876a4d0d595ca90e4",
+        "summary":
+            "624a671c5e7c8d21e00c3c1402a002168f3b8af4a31ad6689f30938a72009f79",
+        "series":
+            "3ff1be0601af7f56ad870277be9d19a0e9c7557d547d72012503dbb6fc11c030",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(REPORT_RUNS))
+def test_report_bytes_are_pinned(dataset, tmp_path, run):
+    options, fields, days = REPORT_RUNS[run]
+    config = ExperimentConfig(
+        params=REFERENCE_BATTERY, grid=TimeGrid(dt_hours=1.0, K=24),
+        budget=UncertaintyBudget(kind="total_budget", gamma=2.0),
+        options=options, time_limit=120.0, gap_target=0.1,
+        end_date=dataset.dates()[days - 1], **fields)
+    paths = write_report(run_backtest(config, dataset), str(tmp_path))
+    got = {key: hashlib.sha256(open(path, "rb").read()).hexdigest()
+           for key, path in paths.items()}
+    assert got == REPORT_SHA256[run]
 
 
 class TestCriterion10SignalMapping:

@@ -20,6 +20,7 @@ from storagebid.types import (
     UncertaintyBudget,
     default_initial_soc,
     effective_budget,
+    is_multiple_of,
     sigma,
     sigma_vector,
 )
@@ -200,6 +201,43 @@ def _simulate(n):
 def test_malformed_input_is_a_domain_error(make, message):
     # each once raised a raw TypeError or broadcast ValueError, or was
     # flattened silently
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        make()
+
+
+def _witness():
+    return max_soc_over_interval(BidSchedule.zero(24), reference_battery(),
+                                 TimeGrid(dt_hours=1.0, K=24), 2.0, 50.0, 5)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: RegulationSignal(np.zeros(3), sample_period_hours=np.nan),
+     "sample_period_hours=nan must be finite"),
+    (lambda: RegulationSignal(np.zeros(3), sample_period_hours=np.inf),
+     "sample_period_hours=inf must be finite"),
+    (lambda: PriceSeries(np.zeros(24), np.zeros(6), da_block_hours=np.nan),
+     "da_block_hours=nan must be finite"),
+    (lambda: PriceSeries(np.zeros(24), np.zeros(6), da_block_hours=np.inf),
+     "da_block_hours=inf must be finite"),
+    (lambda: PriceSeries(np.zeros(24), np.zeros(6), da_block_hours=0.0),
+     "da_block_hours=0.0 must be positive"),
+    (lambda: PriceSeries(np.zeros(24), np.zeros(6), fcr_block_hours=np.nan),
+     "fcr_block_hours=nan must be finite"),
+    (lambda: PriceSeries(np.zeros(24), np.zeros(6), fcr_block_hours=-np.inf),
+     "fcr_block_hours=-inf must be finite"),
+    (lambda: PriceSeries(np.zeros(24), np.zeros(6), fcr_block_hours=-4.0),
+     "fcr_block_hours=-4.0 must be positive"),
+    (lambda: _witness().to_signal(TimeGrid(dt_hours=1.0, K=24), np.nan),
+     "duration nanh is not finite"),
+    (lambda: _witness().to_signal(TimeGrid(dt_hours=1.0, K=24), np.inf),
+     "duration infh is not finite"),
+    (lambda: is_multiple_of(np.nan, 1.0), "duration nanh is not finite"),
+], ids=["signal-nan", "signal-inf", "da-nan", "da-inf", "da-zero", "fcr-nan",
+        "fcr-minus-inf", "fcr-negative", "witness-nan", "witness-inf",
+        "multiple-nan"])
+def test_non_finite_duration_is_a_domain_error(make, message):
+    # each was accepted, or raised a raw ValueError or OverflowError, or
+    # an AlignmentError about coverage, only when first used
     with pytest.raises(DomainError, match=f"^{message}$"):
         make()
 

@@ -1,12 +1,17 @@
 import gc
 import hashlib
 import importlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy
 
+import storagebid
 from storagebid.types import (
     PriceSeries,
     StorageParams,
@@ -306,7 +311,7 @@ class TestConstraintMatrix:
     @pytest.mark.parametrize("variant", ["restriction", "arbitrage_only"])
     def test_matches_a_row_by_row_reference(self, variant):
         ir = _k4_model(variant)
-        # a repeated column within a row is summed, as scipy's milp does
+        # a repeated column within a row is summed, as HiGHS needs
         ir.add_row("repeated", [(0, 1.5), (2, -1.0), (0, 0.25)], "<=", 3.0)
         a, lo, hi = _constraint_matrix(ir)
         dense = np.zeros((len(ir.rows), ir.n_vars))
@@ -321,6 +326,27 @@ class TestConstraintMatrix:
         np.testing.assert_array_equal(a.toarray(), dense)
         np.testing.assert_array_equal(lo, ref_lo)
         np.testing.assert_array_equal(hi, ref_hi)
+
+
+def test_missing_highs_binding_names_module_and_scipy_version():
+    # scipy.optimize._highspy._core is private to scipy: a release may
+    # move it while scipy.optimize itself still imports
+    code = ("import sys\n"
+            "import scipy.optimize._highspy as highspy\n"
+            "del highspy._core\n"
+            "sys.modules['scipy.optimize._highspy._core'] = None\n"
+            "import storagebid.solve\n")
+    src = os.path.dirname(os.path.dirname(storagebid.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 1
+    last = run.stderr.strip().splitlines()[-1]
+    assert last.startswith("ImportError: storagebid needs scipy's private "
+                           "HiGHS binding scipy.optimize._highspy._core, "
+                           f"which scipy {scipy.__version__} failed to "
+                           "import: ")
 
 
 class TestEmission:
@@ -599,6 +625,66 @@ PATH_SHA256 = {
 def test_other_build_paths_are_pinned(build, fmt):
     blob = emit_model(PINNED_BUILDS[build](), fmt)
     assert hashlib.sha256(blob).hexdigest() == PATH_SHA256[build, fmt]
+
+
+def _small_builds():
+    """Every variant at K = 1..12 hourly intervals, for a lossy and a
+    lossless battery (``lossless_lp`` only for the lossless one), at
+    every FCR block length that divides K, as a plain, a limited
+    arbitrage and (K >= 2) an intraday build with a rolling window of
+    1 h in 2 h; ``arbitrage_only`` has no FCR and so one plain build."""
+    plain = UncertaintyBudget(kind="total_budget", gamma=1.0)
+    window = UncertaintyBudget(kind="rolling_window", gamma_prime=1.0,
+                               Gamma_prime=2.0)
+    for K in range(1, 13):
+        grid = TimeGrid(dt_hours=1.0, K=K)
+        k = np.arange(K)
+        prices = PriceSeries(day_ahead=(37.0 * k) % 90 - 10,
+                             fcr_availability=15.0 + 5 * k[:(K + 3) // 4])
+        blocks = [b for b in range(1, K + 1) if K % b == 0]
+        modes = [(plain, {}), (plain, {"limited_arbitrage": True})]
+        if K >= 2:
+            modes.append((window, {"intraday": True}))
+        for params in (LOSSY, LOSSLESS):
+            for variant in ModelOptions.VARIANTS:
+                if variant == "lossless_lp" and not params.is_lossless:
+                    continue
+                if variant == "arbitrage_only":
+                    yield dispatch_variant(params, grid, plain, 4.0, prices,
+                                           ModelOptions(variant=variant,
+                                                        fcr_enabled=False,
+                                                        da_block_len=1))
+                    continue
+                for block in blocks:
+                    for budget, mode in modes:
+                        yield dispatch_variant(
+                            params, grid, budget, 4.0, prices,
+                            ModelOptions(variant=variant, fcr_block_len=block,
+                                         da_block_len=1, **mode))
+
+
+def _row_bytes(rows) -> bytes:
+    if rows is None:
+        return b"none"
+    return b"".join(a.tobytes() for a in rows)
+
+
+# SHA-256 over _small_builds() of each model's MPS and LP bytes, its cuts
+# and its indicator rules, in build order
+SMALL_BUILDS_SHA256 = (
+    "f174455c4c5e3d52438c011121b9dc1ea4011f37e66b5fade3b210c87652d22e")
+
+
+def test_model_bytes_across_K_are_pinned():
+    digest = hashlib.sha256()
+    for ir in _small_builds():
+        rules = ir.indicators
+        for blob in (emit_model(ir, "MPS"), emit_model(ir, "LP"),
+                     _row_bytes(ir.cuts),
+                     b"none" if rules is None else rules.binary.tobytes(),
+                     _row_bytes(None if rules is None else rules.rows)):
+            digest.update(len(blob).to_bytes(8, "little") + blob)
+    assert digest.hexdigest() == SMALL_BUILDS_SHA256
 
 
 def test_quarter_hour_build_leaves_no_object_per_row():
