@@ -121,6 +121,10 @@ class ExperimentConfig:
         if self.gap_target is not None and not 0 <= self.gap_target < np.inf:
             raise DomainError(f"gap_target={self.gap_target} must be finite "
                               "and nonnegative")
+        for key in ("start_date", "end_date"):
+            value = getattr(self, key)
+            if value is not None and not _is_date(value):
+                raise DomainError(f"{key}={value!r} must be a YYYY-MM-DD date")
         self.budget.validate_for_grid(self.grid)
 
     @property
@@ -315,6 +319,14 @@ def run_day(config: ExperimentConfig, day: DayData, y0: float,
 run_day_with_bids = run_day
 
 
+def _is_date(s: str) -> bool:
+    """Whether ``s`` is a date written YYYY-MM-DD (compared as a string)."""
+    try:
+        return datetime.date.fromisoformat(s).isoformat() == s
+    except (TypeError, ValueError):
+        return False
+
+
 def is_dst_transition(date: str) -> bool:
     """Last Sunday of March or October (EU clock-change days)."""
     d = datetime.date.fromisoformat(date)
@@ -360,13 +372,12 @@ class BacktestReport:
 def _eight_am_drift(config: ExperimentConfig,
                     prev_bids: np.ndarray | None) -> float:
     """Uncertainty of the midnight SOC for bids placed at 8am the previous
-    day: the worst regulation drift the previous day's already-committed
-    reserve bids can cause between 8am and midnight."""
+    day: the worst regulation drift between 8am and midnight under the
+    previous day's reserve bids from the interval running at 8:00 on."""
     if prev_bids is None:
         return 0.0
     grid, budget, params = config.grid, config.budget, config.params
-    k8 = int(round(8.0 / grid.dt_hours))
-    tail = prev_bids[k8:]
+    tail = prev_bids[int(8.0 / grid.dt_hours):]
     if tail.size == 0 or np.max(tail) <= 0:
         return 0.0
     gamma_tail = budget.total_gamma(grid.T - 8.0)
@@ -378,8 +389,9 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
                  dates: list[str] | None = None) -> BacktestReport:
     """Sequential daily loop. With day coupling, each day starts from the
     previous day's realized midnight SOC; otherwise every day starts from
-    the configured initial SOC. DST transition days, missing or malformed
-    data and solver failures skip the day with a reason."""
+    the configured initial SOC. Stray names that are no YYYY-MM-DD date,
+    DST transition days, missing or malformed data and solver failures
+    skip the entry with a reason."""
     if dates is None:
         dates = dataset.dates()
     if config.start_date is not None:
@@ -391,6 +403,9 @@ def run_backtest(config: ExperimentConfig, dataset: Dataset,
     y0 = config.y0_default
     prev_xr: np.ndarray | None = None
     for date in dates:
+        if not _is_date(date):
+            report.skipped.append((date, "not a YYYY-MM-DD date"))
+            continue
         if is_dst_transition(date):
             report.skipped.append((date, "dst_transition"))
             continue

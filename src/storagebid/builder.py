@@ -10,7 +10,7 @@ gets bilinear rows.
 
 from __future__ import annotations
 
-import weakref
+import functools
 
 import numpy as np
 
@@ -58,7 +58,7 @@ def build_power_bounds(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     k = np.arange(1, grid.K + 1) if intervals is None else np.array(intervals)
     x0, xup, xdn = (_family(ir, name, grid.K)
                     for name in ("x0", "x_up", "x_dn"))
-    _add_rows(ir, (_keys(ir, grid.K, k), [
+    _add_rows(ir, (_keys(grid.K, k), [
         ("pow_hi", [x0[k], xup[k]], [1.0, 1.0], "<=", params.x_max),
         ("pow_lo", [x0[k], xdn[k]], [1.0, -1.0], ">=", params.x_min)]))
 
@@ -67,15 +67,14 @@ def _family(ir: ModelIR, name: str, n: int) -> np.ndarray:
     """Indices of ``name[1]..name[n]`` at positions 1..n (position 0
     holds -1), resolved once so that the O(K^2) blocks below look up no
     name per coefficient."""
-    return np.array([-1] + [ir.var(f"{name}[{k}]") for k in range(1, n + 1)])
+    return np.array([-1] + [ir.var(name + key) for key in _keys(n)])
 
 
 def _add_family(ir: ModelIR, name: str, n: int, lower=-np.inf,
                 upper=np.inf, kind: str = CONTINUOUS) -> np.ndarray:
     """Add ``name[1]..name[n]``; indices as ``_family``."""
-    names = [f"{name}[{k}]" for k in range(1, n + 1)]
-    return np.concatenate([[-1], ir.add_variables(names, lower, upper,
-                                                  kind)])
+    names = [name + key for key in _keys(n)]
+    return np.concatenate([[-1], ir.add_variables(names, lower, upper, kind)])
 
 
 def _runs(n):
@@ -100,36 +99,30 @@ def _block_starts(K: int, block: int):
     return k[k != first], first[k != first]
 
 
-# pair name suffixes of each model under construction, made at its
-# first ``_keys`` call for pairs and dropped with the model
-_SUFFIXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+@functools.cache
+def _key_table(K: int) -> np.ndarray:
+    """Name suffixes for indices up to K, read-only: ``[k]`` at (k, 0)
+    and ``[k,l]`` at (k, l) for 1 <= l <= k <= K. It depends on K alone,
+    so every build for K shares its strings."""
+    k, l = _pairs(K, first=0)
+    table = np.empty((K + 1, K + 1), dtype=object)
+    table[k, l] = [f"[{a},{b}]" if b else f"[{a}]"
+                   for a, b in zip(k.tolist(), l.tolist())]
+    table.flags.writeable = False
+    return table
 
 
-def _keys(ir: ModelIR, K: int, k, l=None) -> list[str]:
+def _keys(K: int, k=slice(1, None), l=0) -> list[str]:
     """Name suffixes ``[k]``, or ``[k,l]`` of index pairs, for indices up
-    to K. Pair suffixes are picked from an object array, ``[k,l]`` at
-    (k, l) for 0 <= l <= k <= K, made at a model's first pair for K, so
-    that the O(K^2) blocks of one build share their strings."""
-    if l is None:
-        return [f"[{i}]" for i in np.asarray(k).tolist()]
-    tables = _SUFFIXES.setdefault(ir, {})
-    if K not in tables:
-        a, b = _pairs(K, first=0)
-        heads = [f"[{i}," for i in range(K + 1)]
-        tails = [f"{i}]" for i in range(K + 1)]
-        tables[K] = np.empty((K + 1, K + 1), dtype=object)
-        tables[K][a, b] = [heads[i] + tails[j]
-                           for i, j in zip(a.tolist(), b.tolist())]
-    return tables[K][k, l].tolist()
+    to K; ``[1]..[K]`` by default."""
+    return _key_table(K)[k, l].tolist()
 
 
-def _head_names(ir: ModelIR, K: int, head: str, name: str, k,
-                l) -> list[str]:
+def _head_names(K: int, head: str, name: str, k, l) -> list[str]:
     """For index pairs (k, l): ``head[k]`` where l = 0, ``name[k,l]``
     elsewhere."""
-    heads = [head + key for key in _keys(ir, K, np.arange(K + 1))]
-    return [name + key if b else heads[a]
-            for a, b, key in zip(k.tolist(), l.tolist(), _keys(ir, K, k, l))]
+    return [(name if b else head) + key
+            for b, key in zip(l.tolist(), _keys(K, k, l))]
 
 
 def _add_triangle(ir: ModelIR, head: str, name: str, K: int, head_bounds,
@@ -139,7 +132,7 @@ def _add_triangle(ir: ModelIR, head: str, name: str, K: int, head_bounds,
     their indices as a table: ``name[k,l]`` at (k, l), ``head[k]`` at
     (k, 0) and -1 elsewhere."""
     k, l = _pairs(K, first=0)
-    ir.add_variables(_head_names(ir, K, head, name, k, l),
+    ir.add_variables(_head_names(K, head, name, k, l),
                      *(np.where(l == 0, h, b)
                        for h, b in zip(head_bounds, bounds)))
     return _triangle(ir, head, K)
@@ -151,7 +144,7 @@ def _triangle(ir: ModelIR, head: str, K: int) -> np.ndarray:
     one block of variables in pair order."""
     k, l = _pairs(K, first=0)
     table = np.full((K + 1, K + 1), -1)
-    table[k, l] = ir.var(f"{head}[1]") + np.arange(k.size)
+    table[k, l] = _family(ir, head, 1)[1] + np.arange(k.size)
     return table
 
 
@@ -161,9 +154,10 @@ def _rows(*blocks) -> tuple[list[str], RowArrays]:
     ``name + key`` of every family. A family is (name, columns,
     coefficients, sense, rhs): per term an index array with one entry
     per key (or a 2-D array, one column per term) and one coefficient.
-    An index of -1 leaves its term out of that row. Blocks (groups,
-    keys, families) give each key a group number; their rows are
-    ordered by group and, within a group, by block."""
+    An index of -1 leaves its term out of that row. Keys None name no
+    rows: the columns give their number. Blocks (groups, keys, families)
+    give each key a group number; their rows are ordered by group and,
+    within a group, by block."""
     names, parts, group = [], [], []
     for *groups, keys, families in blocks:
         col = np.column_stack([c for _, cols, *_ in families for c in cols])
@@ -175,9 +169,10 @@ def _rows(*blocks) -> tuple[list[str], RowArrays]:
         # times faster than np.add.reduceat over short runs of terms
         n_terms = keep @ np.repeat(np.eye(len(families)),
                                    [len(f[2]) for f in families], axis=0)
-        shape = (len(keys), len(families))
-        prefixes = [name for name, *_ in families]
-        names += [name + key for key in keys for name in prefixes]
+        shape = (len(col), len(families))
+        if keys is not None:
+            prefixes = [name for name, *_ in families]
+            names += [name + key for key in keys for name in prefixes]
         group += [np.repeat(g, len(families)) for g in groups]
         parts.append((
             n_terms.astype(np.intp).ravel(), col[keep], val[keep],
@@ -221,7 +216,7 @@ def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     laml = Laml[:, 0]
     x0, xup = _family(ir, "x0", K), _family(ir, "x_up", K)
     k = np.arange(1, K + 1)
-    _add_rows(ir, (_keys(ir, K, k), [
+    _add_rows(ir, (_keys(K, k), [
         ("alpha_c", [alpha[k], x0[k]], [1.0, -ec], ">=", 0.0),
         ("alpha_d", [alpha[k], x0[k]], [1.0, -1.0 / ed], ">=", 0.0),
         ("beta_c", [beta[k], x0[k], xup[k]], [1.0, -ec, -ec], ">=", 0.0),
@@ -234,10 +229,10 @@ def build_soc_lower(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     body = np.stack([np.where(L < 0, -1, alpha[1:]), L], axis=2)
     kl, l = _pairs(K)
     _add_rows(
-        ir, (k, _keys(ir, K, k), [
+        ir, (k, _keys(K, k), [
             ("soc_lo", [laml[k], body.reshape(K, 2 * K)],
              [-gamma] + [-dt] * (2 * K), ">=", params.y_min - y0)]),
-        (kl, _keys(ir, K, kl, l), [
+        (kl, _keys(K, kl, l), [
             ("Laml_epi", [Laml[kl, l], laml[kl], alpha[l], beta[l]],
              [1.0, 1.0, 1.0, -1.0], ">=", 0.0)]))
 
@@ -263,15 +258,14 @@ def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     with_cases = not params.is_lossless
     u1, u2 = np.full((2, K), -1)
     if with_cases:
-        names = [u + key for key in _keys(ir, K, np.arange(1, K))
-                 for u in ("u1", "u2")]
+        names = [u + key for key in _keys(K - 1) for u in ("u1", "u2")]
         u1[1:], u2[1:] = ir.add_variables(names, 0.0, 1.0,
                                           BINARY).reshape(-1, 2).T
     x0, xdn = _family(ir, "x0", K), _family(ir, "x_dn", K)
 
     k = np.arange(1, K + 1)
     diag = Lamu[k, k]
-    _add_rows(ir, (_keys(ir, K, k), [
+    _add_rows(ir, (_keys(K, k), [
         # the -1 entries of Lamu leave out Lamu[k,l] for l > k
         ("soc_hi", [lamu[k], Lamu[k, 1:]], [gamma] + [dt] * K, "<=",
          params.y_max - y0),
@@ -284,7 +278,7 @@ def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     # x0_k <= 0
     if with_cases:
         k = np.arange(1, K)
-        _add_rows(ir, (_keys(ir, K, k), [
+        _add_rows(ir, (_keys(K, k), [
             ("u1_hi", [x0[k], xdn[k], u1[k]], [1.0, -1.0, -x_hi], "<=", 0.0),
             ("u1_lo", [x0[k], xdn[k], u1[k]], [1.0, -1.0, x_lo], ">=", x_lo),
             ("u2_hi", [x0[k], u2[k]], [1.0, x_hi], "<=", x_hi),
@@ -296,12 +290,12 @@ def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     if not with_cases:
         # zero specific loss: the big-M offsets and the ratio hinge
         # vanish, leaving a convex epigraph
-        _add_rows(ir, (_keys(ir, K, k, l), [
+        _add_rows(ir, (_keys(K, k, l), [
             ("Lbd1", [L, xdnl, x0l, lamk], [1.0, -1.0 / ed, 1.0 / ed, 1.0],
              ">=", 0.0),
             ("Lbd2", [L, x0l], [1.0, 1.0 / ed], ">=", 0.0)]))
         return
-    _add_rows(ir, (_keys(ir, K, k, l), [
+    _add_rows(ir, (_keys(K, k, l), [
         ("Lbd1", [L, xdnl, x0l, lamk, u1[l]],
          [1.0, -1.0 / ed, 1.0 / ed, 1.0, d_eta * x_lo], ">=", d_eta * x_lo),
         ("Lbd2", [L, x0l, u2[l]], [1.0, 1.0 / ed, -d_eta * x_lo], ">=", 0.0),
@@ -323,14 +317,14 @@ def build_soc_upper_exact(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     x0, xdn = _family(ir, "x0", K), _family(ir, "x_dn", K)
     Lamu = _triangle(ir, "lamu", K)
     u1, u2 = _family(ir, "u1", K - 1), _family(ir, "u2", K - 1)
-    for k in range(2, K + 1):
-        for l in range(1, k):
-            ir.add_bilinear(
-                f"bil[{k},{l}]",
-                quad=[(Lamu[k, l], xdn[l], 1.0), (Lamu[k, 0], x0[l], 1.0)],
-                linear=[(u2[l], -x_lo * (x_hi - x_lo) / ed),
-                        (u1[l], x_hi ** 2 / (4 * ed))],
-                sense=">=", rhs=0.0)
+    k, l = _pairs(K, strict=True)
+    for a, b, key in zip(k.tolist(), l.tolist(), _keys(K, k, l)):
+        ir.add_bilinear(
+            "bil" + key,
+            quad=[(Lamu[a, b], xdn[b], 1.0), (Lamu[a, 0], x0[b], 1.0)],
+            linear=[(u2[b], -x_lo * (x_hi - x_lo) / ed),
+                    (u1[b], x_hi ** 2 / (4 * ed))],
+            sense=">=", rhs=0.0)
 
 
 def build_restriction_rows(ir: ModelIR, params: StorageParams,
@@ -349,14 +343,13 @@ def build_restriction_rows(ir: ModelIR, params: StorageParams,
     lamu = _family(ir, "lamu", K)
     u1, u2 = _family(ir, "u1", K - 1), _family(ir, "u2", K - 1)
     k = np.arange(1, K)
-    keys = _keys(ir, K, k)
-    _add_rows(ir, (keys, [
+    _add_rows(ir, (_keys(K, k), [
         ("u3_lo", [xdn[k], x0[k], lamu[k], u3[k]],
          [1.0, -(1.0 - rt), -ed, -m_lo], ">=", -m_lo),
         ("u3_hi", [xdn[k], x0[k], lamu[k], u3[k]],
          [1.0, -(1.0 - rt), -ed, -m_hi], "<=", 0.0)]))
     # sign rules of the case binaries, for a relax-and-fix start
-    _, rules = _rows((keys, [
+    _, rules = _rows((None, [
         ("u1", [x0[k], xdn[k]], [1.0, -1.0], ">=", 0.0),
         ("u2", [x0[k]], [-1.0], ">=", 0.0),
         ("u3", [xdn[k], x0[k], lamu[k]], [1.0, -(1.0 - rt), -ed], ">=",
@@ -365,7 +358,7 @@ def build_restriction_rows(ir: ModelIR, params: StorageParams,
                       rules.ptr, rules.col, rules.val)
     k, l = _pairs(K, strict=True)
     L = _triangle(ir, "lamu", K)[k, l]
-    _add_rows(ir, (_keys(ir, K, k, l), [
+    _add_rows(ir, (_keys(K, k, l), [
         ("res_a", [L, x0[l], u1[l], u3[l]],
          [1.0, ec, d_eta * x_hi, -d_eta * x_hi], ">=", -d_eta * x_hi),
         ("res_b", [L, xdn[l], x0[l], lamu[k], u2[l], u3[l]],
@@ -414,10 +407,10 @@ def case_cuts(ir: ModelIR, params: StorageParams,
     Lamu = _triangle(ir, "lamu", K)
     alpha, x0 = _family(ir, "alpha", K), _family(ir, "x0", K)
     k, l = _pairs(K, strict=True)
-    keys, L = _keys(ir, K, k, l), Lamu[k, l]
+    L = Lamu[k, l]
     return _rows(
-        (keys, [("cut_a", [L, alpha[l]], [1.0, 1.0], ">=", 0.0)]),
-        (keys, [("cut_b", [L, Lamu[l, l], x0[l]],
+        (None, [("cut_a", [L, alpha[l]], [1.0, 1.0], ">=", 0.0)]),
+        (None, [("cut_b", [L, Lamu[l, l], x0[l]],
                  [1.0, 1.0 / (ec * ed) - 1.0, 1.0 / ed], ">=", 0.0)]))[1]
 
 
@@ -449,7 +442,7 @@ def add_market_coupling(ir: ModelIR, params: StorageParams, grid: TimeGrid,
         xr = _add_family(ir, "xr", K, 0.0, min(params.x_max, -params.x_min))
         x_up, x_dn = _family(ir, "x_up", K), _family(ir, "x_dn", K)
         k = np.arange(1, K + 1)
-        _add_rows(ir, (_keys(ir, K, k), [
+        _add_rows(ir, (_keys(K, k), [
             ("sym_up", [x_up[k], xr[k]], [1.0, -1.0], "==", 0.0),
             ("sym_dn", [x_dn[k], xr[k]], [1.0, -1.0], "==", 0.0)]))
         blocks = [("xr", fcr_block)]
@@ -458,15 +451,15 @@ def add_market_coupling(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     for name, block in blocks + [("x0", da_block)]:
         bid = _family(ir, name, K)
         k, first = _block_starts(K, block)
-        _add_rows(ir, (_keys(ir, K, k), [
+        _add_rows(ir, (_keys(K, k), [
             (f"blk_{name}", [bid[k], bid[first]], [1.0, -1.0], "==", 0.0)]))
 
 
 def add_terminal_condition(ir: ModelIR, grid: TimeGrid, y0: float,
                            y_star: float) -> None:
     """Guaranteed terminal SOC: y0 - dt * sum_k alpha_k >= y_star."""
-    coeffs = [(ir.var(f"alpha[{k}]"), -grid.dt_hours)
-              for k in range(1, grid.K + 1)]
+    coeffs = [(i, -grid.dt_hours)
+              for i in _family(ir, "alpha", grid.K)[1:].tolist()]
     ir.add_row("terminal_soc", coeffs, ">=", y_star - y0)
 
 
@@ -496,7 +489,7 @@ def build_intraday_power_bounds(ir: ModelIR, params: StorageParams,
     run, j = _runs(n + 1)
     e = j > 0
     kk, i = run + 1, np.where(e, run + 1 - n[run] + j, 0)
-    idx = ir.add_variables(_head_names(ir, K, "idlam", "w", kk, i),
+    idx = ir.add_variables(_head_names(K, "idlam", "w", kk, i),
                            lower=0.0)
     lam = np.concatenate([[-1], idx[~e]])
     ke, ie, we = kk[e], i[e], idx[e]
@@ -505,9 +498,9 @@ def build_intraday_power_bounds(ir: ModelIR, params: StorageParams,
     w[ke, ie - ke + win - 2] = we
     tight = [lam[k], w[k]]
     _add_rows(
-        ir, (ke, _keys(ir, K, ke, ie), [
+        ir, (ke, _keys(K, ke, ie), [
             ("w_epi", [we, xr[ie], lam[ke]], [1.0, -rate, 1.0], ">=", 0.0)]),
-        (k, _keys(ir, K, k + 1), [
+        (k, _keys(K, k + 1), [
             ("pow_hi", [x0[k + 1], xup[k + 1], *tight],
              [1.0, 1.0, scale] + [1.0] * (win - 1), "<=", params.x_max),
             ("pow_lo", [x0[k + 1], xdn[k + 1], *tight],
@@ -525,13 +518,13 @@ def limited_arbitrage_rows(ir: ModelIR, params: StorageParams, grid: TimeGrid,
     xr, x0 = _family(ir, "xr", K), _family(ir, "x0", K)
     s = _add_family(ir, "s", K, 0.0, max(params.x_max, -params.x_min))
     k = np.arange(1, K + 1)
-    _add_rows(ir, (_keys(ir, K, k), [
+    _add_rows(ir, (_keys(K, k), [
         ("abs_pos", [s[k], x0[k]], [1.0, -1.0], ">=", 0.0),
         ("abs_neg", [s[k], x0[k]], [1.0, 1.0], ">=", 0.0)]))
     gamma_block = budget.total_gamma(fcr_block * dt)
     b = np.arange(1, K // fcr_block + 1)
     first = (b - 1) * fcr_block + 1
-    _add_rows(ir, (_keys(ir, K, b), [
+    _add_rows(ir, (_keys(K, b), [
         ("lim_arb_blk", [*(s[first + i] for i in range(fcr_block)),
                          xr[first]], [dt] * fcr_block + [-gamma_block],
          "<=", 0.0)]))
@@ -566,11 +559,11 @@ def split_arbitrage_lp(params: StorageParams, grid: TimeGrid, y0: float,
     z = _add_family(ir, "z", K, params.y_min - y0, params.y_max - y0_up)
     k = np.arange(1, K + 1)
     # z[0] is -1: soc[1] has no previous state
-    _add_rows(ir, (_keys(ir, K, k), [
+    _add_rows(ir, (_keys(K, k), [
         ("soc", [z[k], c[k], d[k], z[k - 1]], [1.0, -dt * ec, dt / ed, -1.0],
          "==", 0.0)]))
     k, first = _block_starts(K, da_block)
-    _add_rows(ir, (_keys(ir, K, k), [
+    _add_rows(ir, (_keys(K, k), [
         ("blk_x0", [d[k], c[k], d[first], c[first]], [1.0, -1.0, -1.0, 1.0],
          "==", 0.0)]))
     if options.terminal_soc_floor is not None:
@@ -611,9 +604,9 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
     sell = options.variant != "no_sell_lp"
     add_bid_variables(ir, params, grid, sell_allowed=sell)
     if options.variant == "arbitrage_only":
-        for k in range(1, grid.K + 1):
-            ir.fix_variable(f"x_up[{k}]", 0.0)
-            ir.fix_variable(f"x_dn[{k}]", 0.0)
+        for key in _keys(grid.K):
+            ir.fix_variable("x_up" + key, 0.0)
+            ir.fix_variable("x_dn" + key, 0.0)
 
     fcr_block = options.fcr_block_len or grid.K
     da_block = options.da_block_len or 1
@@ -642,9 +635,9 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
         ir.cuts = case_cuts(ir, params, grid)
     elif variant == "no_sell_lp" and has_cases:
         # with x0 <= 0 the worst case is always the pure-charge piece
-        for k in range(1, grid.K):
-            ir.fix_variable(f"u1[{k}]", 0.0)
-            ir.fix_variable(f"u2[{k}]", 1.0)
+        for key in _keys(grid.K - 1):
+            ir.fix_variable("u1" + key, 0.0)
+            ir.fix_variable("u2" + key, 1.0)
     elif variant == "arbitrage_only" and has_cases:
         # with x_dn = 0 the case regions merge: u1 = 1 - u2 suffices,
         # leaving K-1 effective charge/discharge binaries
@@ -652,7 +645,7 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
         u1, u2 = _family(ir, "u1", grid.K - 1), _family(ir, "u2", grid.K - 1)
         for i in u1[k].tolist():
             ir.binary[i] = False
-        _add_rows(ir, (_keys(ir, grid.K, k), [
+        _add_rows(ir, (_keys(grid.K, k), [
             ("u_complement", [u1[k], u2[k]], [1.0, 1.0], "==", 1.0)]))
 
     if options.terminal_soc_floor is not None:

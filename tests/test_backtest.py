@@ -312,6 +312,21 @@ class TestRunBacktest:
         assert a.profit_total == b.profit_total
         assert a.soc_midnight == b.soc_midnight
 
+    def test_stray_file_is_skipped_with_a_reason(self, tmp_path):
+        root = tmp_path / "stray"
+        generate_synthetic_dataset(str(root), seed=2, days=2, gamma=2.0)
+        day = root / "dayahead" / "2021-01-01.csv"
+        (root / "dayahead" / "2021-01-01 copy.csv").write_bytes(
+            day.read_bytes())
+        cfg = hourly_config(options=ARBITRAGE, gap_target=None)
+        rep = run_backtest(cfg, Dataset(str(root)))
+        assert [r.date for r in rep.records] == ["2021-01-01", "2021-01-02"]
+        assert rep.skipped == [("2021-01-01 copy", "not a YYYY-MM-DD date")]
+        records = write_report(rep, str(tmp_path / "out"))["records"]
+        lines = Path(records).read_text().splitlines()
+        assert json.loads(lines[-1]) == {"date": "2021-01-01 copy",
+                                         "skipped": "not a YYYY-MM-DD date"}
+
     def test_day_coupling_seeds_next_day(self, synth):
         rep = run_backtest(hourly_config(day_coupling=True), synth)
         for prev, nxt in zip(rep.records, rep.records[1:]):
@@ -451,6 +466,23 @@ class TestRunBacktest:
         # not from the low end of the interval the bids are certified for
         for prev, rec in zip(am.records, am.records[1:]):
             assert rec.y0 == prev.soc_midnight
+
+
+class TestEightAmDrift:
+    @pytest.mark.parametrize("dt, K, start", [(3.0, 8, 6.0), (0.75, 32, 7.5)])
+    def test_interval_running_at_8am_counts(self, dt, K, start):
+        # reserve only in the interval [start, start + dt) that holds 8:00
+        # is committed at 8am, so the next day's start SOC is uncertain
+        cfg = hourly_config(grid=TimeGrid(dt_hours=dt, K=K),
+                            budget=UncertaintyBudget(kind="total_budget",
+                                                     gamma=3.0))
+        t = np.arange(K) * dt
+        xr = np.where(t == start, 10.0, 0.0)
+        assert backtest._eight_am_drift(cfg, xr) == pytest.approx(
+            3.0 * 10.0 / REFERENCE_BATTERY.eta_d)
+        # reserve that ends by 8:00 is done before the bids are placed
+        assert backtest._eight_am_drift(cfg, np.where(t < start, 10.0,
+                                                      0.0)) == 0.0
 
 
 class TestDstDetection:

@@ -350,6 +350,22 @@ class TestBacktestCommand:
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b
 
+    @pytest.mark.parametrize("key", ["start_date", "end_date"])
+    @pytest.mark.parametrize("value", ["2021-1-1", "2021-02-30", "20210101"])
+    def test_malformed_date_is_a_config_error(self, data_dir, tmp_path,
+                                              capsys, key, value):
+        # dates bound the days as strings, so only YYYY-MM-DD compares
+        # as a date
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(HOURLY_CFG + f"{key} = {value}\n")
+        out = tmp_path / "out"
+        code = main(["backtest", "--config", str(cfg), "--data-dir",
+                     data_dir, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {key}={value!r} must be a YYYY-MM-DD date\n")
+        assert not out.exists()
+
     def test_output_path_that_is_a_file_is_a_data_error(
             self, cfg_file, data_dir, tmp_path, capsys):
         out = tmp_path / "taken"
