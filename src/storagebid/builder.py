@@ -643,8 +643,7 @@ def dispatch_variant(params: StorageParams, grid: TimeGrid,
         # leaving K-1 effective charge/discharge binaries
         k = np.arange(1, grid.K)
         u1, u2 = _family(ir, "u1", grid.K - 1), _family(ir, "u2", grid.K - 1)
-        for i in u1[k].tolist():
-            ir.binary[i] = False
+        ir.binary[u1[k]] = False
         _add_rows(ir, (_keys(grid.K, k), [
             ("u_complement", [u1[k], u2[k]], [1.0, 1.0], "==", 1.0)]))
 

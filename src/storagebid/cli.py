@@ -143,7 +143,7 @@ def cmd_build(args) -> int:
         prices = _zero_prices(config)
     ir = dispatch_variant(config.params, config.grid, config.budget,
                           config.y0_default, prices, config.options)
-    fmt = "lp" if args.out.endswith(".lp") else "mps"
+    fmt = "lp" if args.out.lower().endswith(".lp") else "mps"
     blob = emit_model(ir, fmt)
     with open(args.out, "wb") as f:
         f.write(blob)

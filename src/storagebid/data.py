@@ -107,16 +107,14 @@ def _read_csv(path: str, columns: int) -> np.ndarray:
 
 def load_dayahead(path: str) -> np.ndarray:
     rows = _read_csv(path, 2)
-    if len(rows) != 24 or not np.array_equal(np.trunc(rows[:, 0]),
-                                             np.arange(24)):
+    if len(rows) != 24 or not np.array_equal(rows[:, 0], np.arange(24)):
         raise DataError(f"{path}: expected 24 hourly rows")
     return rows[:, 1]
 
 
 def load_fcr(path: str) -> np.ndarray:
     rows = _read_csv(path, 2)
-    if len(rows) != 6 or not np.array_equal(np.trunc(rows[:, 0]),
-                                            np.arange(0, 24, 4)):
+    if len(rows) != 6 or not np.array_equal(rows[:, 0], np.arange(0, 24, 4)):
         raise DataError(f"{path}: expected 6 four-hour blocks")
     return rows[:, 1]
 

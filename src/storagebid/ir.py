@@ -10,7 +10,8 @@ A quarter-hour model has tens of thousands of variables and rows, so it
 keeps them in arrays and flat lists rather than one object each:
 
 - Variable ``i`` is ``var_names[i]`` with bounds ``lower[i]`` and
-  ``upper[i]``; ``binary[i]`` marks a binary.
+  ``upper[i]`` (float64 arrays); ``binary[i]`` (a bool array) marks a
+  binary. ``add_variables`` appends to the three arrays.
 - Linear rows are compressed sparse rows (``RowArrays``): row ``r`` has
   the coefficients ``val[ptr[r]:ptr[r+1]]`` on the columns
   ``col[ptr[r]:ptr[r+1]]`` in insertion order, repeated columns kept,
@@ -22,9 +23,9 @@ keeps them in arrays and flat lists rather than one object each:
   ``add_indicators``) are rows in the same format, one per binary, and
   so are the cuts (``cuts``) that strengthen the LP bound.
 
-``variables`` and ``rows`` are read-only views that build ``Variable``
-and ``LinearRow`` objects on every call, for tests and tracing; solving,
-verifying and writing model files read the arrays.
+``rows`` is the one object view: it builds ``LinearRow`` objects on
+every call, for tests and the benchmark tracer. Solving, verifying and
+writing model files read the arrays.
 """
 
 from __future__ import annotations
@@ -44,14 +45,6 @@ BINARY = "binary"
 SENSES = ("<=", ">=", "==")
 LE, GE, EQ = range(3)
 _SENSE_CODE = {sense: code for code, sense in enumerate(SENSES)}
-
-@dataclass(slots=True)
-class Variable:
-    name: str
-    kind: str = CONTINUOUS
-    lower: float = -np.inf
-    upper: float = np.inf
-
 
 @dataclass(slots=True)
 class LinearRow:
@@ -125,9 +118,9 @@ class ModelIR:
     rows alone define feasibility, and model files carry neither."""
 
     var_names: list[str] = field(default_factory=list)
-    lower: list[float] = field(default_factory=list)
-    upper: list[float] = field(default_factory=list)
-    binary: list[bool] = field(default_factory=list)
+    lower: np.ndarray = field(default_factory=list)   # float64
+    upper: np.ndarray = field(default_factory=list)   # float64
+    binary: np.ndarray = field(default_factory=list)  # bool
     registry: dict[str, int] = field(default_factory=dict)
     row_names: list[str] = field(default_factory=list)
     bilinear_rows: list[BilinearRow] = field(default_factory=list)
@@ -140,9 +133,13 @@ class ModelIR:
     def __post_init__(self):
         # dataclasses.replace passes this model the containers of the one
         # it copies: take copies, so that neither model appends to the
-        # other's (row blocks are read-only arrays, shared safely)
+        # other's (row blocks are read-only arrays, shared safely); the
+        # columns become arrays
         for f in fields(self):
             setattr(self, f.name, copy.copy(getattr(self, f.name)))
+        self.lower = np.asarray(self.lower, np.float64)
+        self.upper = np.asarray(self.upper, np.float64)
+        self.binary = np.asarray(self.binary, bool)
 
     # -- construction -------------------------------------------------
     def add_variable(self, name: str, kind: str = CONTINUOUS,
@@ -163,9 +160,9 @@ class ModelIR:
             raise ModelError(f"unknown variable kind {kind!r}")
         self.registry.update(new)
         self.var_names += names
-        self.lower += np.full(n, lower, dtype=float).tolist()
-        self.upper += np.full(n, upper, dtype=float).tolist()
-        self.binary += [kind == BINARY] * n
+        self.lower = np.append(self.lower, np.full(n, lower, np.float64))
+        self.upper = np.append(self.upper, np.full(n, upper, np.float64))
+        self.binary = np.append(self.binary, np.full(n, kind == BINARY))
         return np.arange(start, start + n)
 
     def var(self, name: str) -> int:
@@ -196,9 +193,11 @@ class ModelIR:
         """Record that binary ``binaries[i]`` is 1 where row i, given as
         in ``add_rows``, has a form >= 0. A binary takes one rule."""
         binaries = np.array(binaries, np.int32)
-        for i in binaries.tolist():
-            if not (0 <= i < self.n_vars and self.binary[i]):
-                raise ModelError(f"indicator for non-binary variable {i}")
+        ok = (0 <= binaries) & (binaries < self.n_vars)
+        ok[ok] = self.binary[binaries[ok]]
+        if not ok.all():
+            raise ModelError(
+                f"indicator for non-binary variable {binaries[~ok][0]}")
         self._check_cols(ptr, col, lambda r: f"indicator {binaries[r]}")
         n, old = binaries.size, self.indicators
         rules = Indicators(binaries, _row_arrays(ptr, col, val,
@@ -261,7 +260,7 @@ class ModelIR:
 
     @property
     def n_binaries(self) -> int:
-        return sum(self.binary)
+        return int(np.count_nonzero(self.binary))
 
     def row_arrays(self) -> RowArrays:
         """Every linear row, as one set of read-only arrays."""
@@ -269,13 +268,6 @@ class ModelIR:
             return _row_arrays([0], [], [], [], [])
         self._blocks = [_join(self._blocks)]
         return self._blocks[0]
-
-    @property
-    def variables(self) -> list[Variable]:
-        """The variables as objects, built on every call."""
-        return [Variable(name, BINARY if b else CONTINUOUS, lo, hi)
-                for name, b, lo, hi in zip(self.var_names, self.binary,
-                                           self.lower, self.upper)]
 
     @property
     def rows(self) -> list[LinearRow]:
@@ -294,21 +286,16 @@ class ModelIR:
             c[i] = coeff
         return c
 
-    def bounds_arrays(self):
-        return (np.array(self.lower, dtype=np.float64),
-                np.array(self.upper, dtype=np.float64))
-
     def validate(self) -> None:
         """Raise ModelError for the first of: a variable, in index order,
         with a NaN bound, an empty bound interval or a binary outside
         [0, 1]; a row whose name an earlier row holds; a NaN or infinite
         number in the objective (by column), a row (by index) or a
         bilinear row (in order). Every solve and model file runs it."""
-        lo, hi = self.bounds_arrays()
-        binary = np.array(self.binary, dtype=bool)
+        lo, hi = self.lower, self.upper
         nan = np.isnan(lo) | np.isnan(hi)
         empty = (lo > hi + 1e-12) | (lo == np.inf) | (hi == -np.inf)
-        off = binary & ((lo < -1e-12) | (hi > 1 + 1e-12))
+        off = self.binary & ((lo < -1e-12) | (hi > 1 + 1e-12))
         bad = np.flatnonzero(nan | empty | off)
         if bad.size:
             i = bad[0]

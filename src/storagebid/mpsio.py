@@ -53,7 +53,6 @@ def write_mps(ir: ModelIR) -> str:
     sense = np.concatenate([rows.sense, np.array(
         [SENSES.index(row.sense) for row in bil], dtype=np.int8)])
     rhs = np.concatenate([rows.rhs, [row.rhs for row in bil]])
-    binary = np.array(ir.binary, dtype=bool)
     out = ["NAME STORAGEBID\nROWS\n N OBJ\n"]
     out += _pieces(_SENSE_MPS[sense], row_names, "\n").tolist()
 
@@ -83,14 +82,14 @@ def write_mps(ir: ModelIR) -> str:
     # integer markers open before the first line of a column whose kind
     # differs from the previous column's
     first = np.concatenate([[0], np.cumsum(lines)])
-    switch = np.flatnonzero(np.diff(binary, prepend=False))
+    switch = np.flatnonzero(np.diff(ir.binary, prepend=False))
     for m, c in enumerate(switch.tolist()):
-        kind = "INTORG" if binary[c] else "INTEND"
+        kind = "INTORG" if ir.binary[c] else "INTEND"
         heads[first[c]] = f" MARKER{m} 'MARKER' '{kind}'\n" + heads[first[c]]
     out.append("COLUMNS\n")
     out += _pieces(heads, labels[label],
                    _texts(val[order], lambda x: f" {_num(x)}\n")).tolist()
-    if binary.size and binary[-1]:
+    if ir.binary.size and ir.binary[-1]:
         out.append(f" MARKER{switch.size} 'MARKER' 'INTEND'\n")
 
     nz = np.flatnonzero(rhs != 0.0)
@@ -98,8 +97,8 @@ def write_mps(ir: ModelIR) -> str:
     out += _pieces(" RHS ", row_names[nz], " ", _texts(rhs[nz]),
                    "\n").tolist()
 
-    lo, hi = ir.bounds_arrays()
-    bv = binary & (lo == 0.0) & (hi == 1.0)
+    lo, hi = ir.lower, ir.upper
+    bv = ir.binary & (lo == 0.0) & (hi == 1.0)
     fx = ~bv & (lo == hi)
     fr = ~bv & ~fx & np.isinf(lo) & np.isinf(hi)
     rest = ~(bv | fx | fr)
@@ -181,7 +180,7 @@ def write_lp(ir: ModelIR) -> str:
                    f"{''.join(lin.tolist())}"
                    f"{_SENSE_LP[row.sense]}{_num(row.rhs)}\n")
 
-    lo, hi = ir.bounds_arrays()
+    lo, hi = ir.lower, ir.upper
     lo_text = np.full(ir.n_vars, "-inf", dtype=object)
     hi_text = np.full(ir.n_vars, "+inf", dtype=object)
     lo_text[~np.isinf(lo)] = _texts(lo[~np.isinf(lo)])
@@ -189,7 +188,7 @@ def write_lp(ir: ModelIR) -> str:
     out.append("Bounds\n")
     out += _pieces(" ", lo_text, " <= ", names, " <= ", hi_text,
                    "\n").tolist()
-    bins = names[np.array(ir.binary, dtype=bool)].tolist()
+    bins = names[ir.binary].tolist()
     if bins:
         out.append("Binaries\n " + " ".join(bins) + "\n")
     out.append("End\n")

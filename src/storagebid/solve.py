@@ -105,8 +105,8 @@ def _highs_lp(ir: ModelIR):
     lp.a_matrix_.index_ = memoryview(a.indices)
     lp.a_matrix_.value_ = memoryview(a.data)
     lp.col_cost_ = memoryview(ir.objective_vector())
-    lp.col_lower_ = ir.lower
-    lp.col_upper_ = ir.upper
+    lp.col_lower_ = memoryview(ir.lower)
+    lp.col_upper_ = memoryview(ir.upper)
     lp.row_lower_ = memoryview(row_lo)
     lp.row_upper_ = memoryview(row_hi)
     return lp
@@ -183,8 +183,7 @@ def solve(ir: ModelIR, time_limit: float | None = None,
     ir.validate()
     if ir.bilinear_rows:
         raise ModelError("model has bilinear rows; use solve_exact_bilinear")
-    integrality = np.array(ir.binary, dtype=np.uint8)
-    binaries = np.flatnonzero(integrality).astype(np.int32)
+    binaries = np.flatnonzero(ir.binary).astype(np.int32)
     is_mip = binaries.size > 0
     options = {"log_to_console": False}
     if time_limit is not None:
@@ -218,7 +217,7 @@ def solve(ir: ModelIR, time_limit: float | None = None,
                 return replace(res, solve_time=time.perf_counter() - t0)
         if left is not None:
             options["time_limit"] = left
-    lp.integrality_ = [_highs.HighsVarType(i) for i in integrality]
+    lp.integrality_ = [_highs.HighsVarType(b) for b in ir.binary.tolist()]
     highs = _highs_run(lp, options, start)
     elapsed = time.perf_counter() - t0
 
@@ -250,8 +249,7 @@ def verify_point(ir: ModelIR, point: dict[str, float]) -> FeasibilityReport:
     (``bound:<name>``), every row and every bilinear row at a candidate
     point."""
     x = ir.point_from_map(point)
-    lo, hi = ir.bounds_arrays()
-    bound = np.minimum(x - lo, hi - x)
+    bound = np.minimum(x - ir.lower, ir.upper - x)
     finite = np.isfinite(bound)
     rows = ir.row_arrays()
     lhs = _row_matrix(rows, ir.n_vars) @ x

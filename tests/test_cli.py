@@ -168,6 +168,21 @@ class TestBuildCommand:
         assert manifest["n_bilinear_rows"] == 6  # K(K-1)/2
         assert manifest["format"] == "lp"
 
+    @pytest.mark.parametrize("name, fmt", [("model.LP", "lp"),
+                                           ("model.Lp", "lp"),
+                                           ("model.MPS", "mps")])
+    def test_suffix_case_is_ignored(self, tmp_path, name, fmt):
+        p = tmp_path / "exp.cfg"
+        p.write_text(HOURLY_CFG.replace("K = 24", "K = 4")
+                     .replace("gamma = 2.0", "gamma = 1.0"))
+        outs = [str(tmp_path / name), str(tmp_path / f"ref.{fmt}")]
+        for out in outs:
+            assert main(["build", "--config", str(p), "--out", out]) \
+                == EXIT_OK
+        manifest = json.load(open(outs[0] + ".manifest.json"))
+        assert manifest["format"] == fmt
+        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
     def test_build_without_data_on_partial_blocks(self, tmp_path):
         # 5 hours end inside the second 4-hour FCR block; the zero prices
         # must still cover the horizon

@@ -253,8 +253,10 @@ class TestReaderMatchesCsvModule:
     @pytest.mark.parametrize("loader, sub, edit", [
         (load_dayahead, "dayahead", "drop"),
         (load_dayahead, "dayahead", "gap"),
+        (load_dayahead, "dayahead", "half"),
         (load_fcr, "fcr", "drop"),
         (load_fcr, "fcr", "gap"),
+        (load_fcr, "fcr", "half"),
         (load_frequency, "frequency", "drop"),
         (load_frequency, "frequency", "gap")])
     def test_missing_or_gapped_rows_rejected(self, tmp_path, loader, sub,
@@ -268,9 +270,13 @@ class TestReaderMatchesCsvModule:
             np.array(reference_read_csv(str(p), 2))[:, 1])
         if edit == "drop":
             del lines[3]
-        else:
+        elif edit == "gap":
             first, rest = lines[3].split(",")
             lines[3] = f"{float(first) + 1.5},{rest}"
+        else:
+            # 0.5, 1.5, ... truncate to the expected labels but are none
+            lines[1:] = [f"{float(first) + 0.5},{rest}" for first, rest
+                         in (line.split(",") for line in lines[1:])]
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError,
                            match="expected|gap in 10 s") as e:

@@ -202,6 +202,47 @@ class TestRowStore:
         assert (ir.lower[0], copy.lower[0]) == (0.5, 0.0)
 
 
+class TestColumnStore:
+    """Every variant holds its columns as arrays of one length each:
+    float64 bounds and a bool binary mask. A copy made with
+    dataclasses.replace, also from lists, owns its arrays."""
+
+    COLUMNS = (("lower", np.float64), ("upper", np.float64),
+               ("binary", np.bool_))
+
+    @pytest.mark.parametrize("variant", ModelOptions.VARIANTS)
+    def test_columns_are_typed_arrays(self, variant):
+        ir = TestOnlyExactHasBilinearRows._build(variant, 4)
+        for name, dtype in self.COLUMNS:
+            column = getattr(ir, name)
+            assert isinstance(column, np.ndarray), name
+            assert (column.dtype, column.shape) == (dtype, (ir.n_vars,))
+
+    def test_replaced_copy_from_lists_owns_its_arrays(self):
+        ir = TestModelIRChecks.two_vars()
+        copy = replace(ir, lower=[-1, 0], upper=[1, 1],
+                       binary=[False] * ir.n_vars)
+        for name, dtype in self.COLUMNS:
+            assert getattr(copy, name).dtype == dtype
+            assert not np.shares_memory(getattr(ir, name),
+                                        getattr(copy, name))
+        again = replace(copy)
+        again.fix_variable("y", 1.0)
+        again.add_variable("z", lower=2.0)
+        assert copy.lower.tolist() == [-1.0, 0.0]
+        assert copy.binary.tolist() == [False, False]
+        assert ir.binary.tolist() == [False, True]
+        assert again.lower.tolist() == [-1.0, 1.0, 2.0]
+
+    def test_indicator_names_the_first_bad_column(self):
+        ir = TestModelIRChecks.two_vars()
+        with pytest.raises(ModelError,
+                           match="indicator for non-binary variable -1"):
+            ir.add_indicators([1, -1, 0], [0, 1, 2, 3], [0, 0, 0],
+                              [1.0, 1.0, 1.0])
+        assert ir.indicators is None
+
+
 class TestBlockAppends:
     """Builders append variables and rows in blocks: a full build calls
     ``ModelIR.add_variable`` never and ``ModelIR.add_row`` only for the
@@ -508,7 +549,7 @@ class TestVariants:
         assert ir.n_binaries == 0
         assert len(ir.bilinear_rows) == 0
         for k in range(1, 5):
-            assert ir.variables[ir.var(f"x0[{k}]")].upper == 0.0
+            assert ir.upper[ir.var(f"x0[{k}]")] == 0.0
 
     def test_lossless_is_lp(self):
         params = StorageParams(x_min=-50, x_max=50, y_min=10, y_max=90,
@@ -587,7 +628,7 @@ class TestLossyOneIntervalBuilds:
                               ModelOptions(variant=variant, fcr_enabled=fcr,
                                            da_block_len=1))
         assert ir.n_binaries == 0 and ir.bilinear_rows == []
-        assert (len(ir.variables), len(ir.rows)) == (n_vars, n_rows)
+        assert (ir.n_vars, len(ir.rows)) == (n_vars, n_rows)
         assert not [name for name in ir.registry
                     if name.startswith(("u1[", "u2[", "u3["))]
 
@@ -639,7 +680,10 @@ class TestOnlyExactHasBilinearRows:
             return
         relax = self._build("relaxation", K)
         assert relax.bilinear_rows == []
-        assert ir.variables == relax.variables
+        assert ir.var_names == relax.var_names
+        for column in ("lower", "upper", "binary"):
+            np.testing.assert_array_equal(getattr(ir, column),
+                                          getattr(relax, column))
         assert ir.registry == relax.registry
         assert ir.rows == relax.rows
         assert ir.objective == relax.objective

@@ -714,8 +714,9 @@ class TestVerifyPoint:
         rng = np.random.default_rng(11)
         for _ in range(20):
             x = rng.uniform(-10.0, 10.0, size=ir.n_vars)
-            ref = [(f"bound:{v.name}", min(xi - v.lower, v.upper - xi))
-                   for v, xi in zip(ir.variables, x)]
+            ref = [(f"bound:{name}", min(xi - lo, hi - xi))
+                   for name, lo, hi, xi in zip(ir.var_names, ir.lower,
+                                               ir.upper, x)]
             ref = [r for r in ref if np.isfinite(r[1])]
             ref += [(row.name, residual(row, x)) for row in ir.rows]
             ref += [(row.name, residual(row, x))
@@ -792,7 +793,7 @@ class TestVerifyPoint:
 
 
 def _binaries(ir):
-    return {i for i, v in enumerate(ir.variables) if v.kind == BINARY}
+    return set(np.flatnonzero(ir.binary).tolist())
 
 
 def _restriction(K):
