@@ -284,25 +284,23 @@ def build_soc_upper(ir: ModelIR, params: StorageParams, grid: TimeGrid,
             ("u2_hi", [x0[k], u2[k]], [1.0, x_hi], "<=", x_hi),
             ("u2_lo", [x0[k], u2[k]], [1.0, -x_lo], ">=", 0.0)]))
 
-    # off-diagonal epigraph rows with the minimal valid big-M offsets
+    # off-diagonal epigraph rows with the minimal valid big-M offsets;
+    # at zero specific loss the offsets vanish (the -1 entries of u1 and
+    # u2 leave out their terms), Lbd3/Lbd4 would repeat Lbd1/Lbd2, and
+    # the epigraph is convex
     k, l = _pairs(K, strict=True)
     L, lamk, x0l, xdnl = Lamu[k, l], lamu[k], x0[l], xdn[l]
-    if not with_cases:
-        # zero specific loss: the big-M offsets and the ratio hinge
-        # vanish, leaving a convex epigraph
-        _add_rows(ir, (_keys(K, k, l), [
-            ("Lbd1", [L, xdnl, x0l, lamk], [1.0, -1.0 / ed, 1.0 / ed, 1.0],
-             ">=", 0.0),
-            ("Lbd2", [L, x0l], [1.0, 1.0 / ed], ">=", 0.0)]))
-        return
-    _add_rows(ir, (_keys(K, k, l), [
+    families = [
         ("Lbd1", [L, xdnl, x0l, lamk, u1[l]],
          [1.0, -1.0 / ed, 1.0 / ed, 1.0, d_eta * x_lo], ">=", d_eta * x_lo),
-        ("Lbd2", [L, x0l, u2[l]], [1.0, 1.0 / ed, -d_eta * x_lo], ">=", 0.0),
-        ("Lbd3", [L, xdnl, x0l, lamk, u1[l]],
-         [1.0, -ec, ec, 1.0, d_eta * x_hi], ">=", 0.0),
-        ("Lbd4", [L, x0l, u2[l]], [1.0, ec, -d_eta * x_hi], ">=",
-         -d_eta * x_hi)]))
+        ("Lbd2", [L, x0l, u2[l]], [1.0, 1.0 / ed, -d_eta * x_lo], ">=", 0.0)]
+    if with_cases:
+        families += [
+            ("Lbd3", [L, xdnl, x0l, lamk, u1[l]],
+             [1.0, -ec, ec, 1.0, d_eta * x_hi], ">=", 0.0),
+            ("Lbd4", [L, x0l, u2[l]], [1.0, ec, -d_eta * x_hi], ">=",
+             -d_eta * x_hi)]
+    _add_rows(ir, (_keys(K, k, l), families))
 
 
 def build_soc_upper_exact(ir: ModelIR, params: StorageParams, grid: TimeGrid,
@@ -421,13 +419,10 @@ def build_objective(ir: ModelIR, prices: PriceSeries, grid: TimeGrid,
     # resolve every index first, so a missing variable leaves ir unchanged
     x0 = _family(ir, "x0", grid.K)
     xr = _family(ir, "xr", grid.K) if fcr_enabled else None
-    da = prices.da_per_interval(grid)
-    for k in range(1, grid.K + 1):
-        ir.add_objective_term(x0[k], -da[k - 1] * MWH_PER_KWH * grid.dt_hours)
+    ir.cost[x0[1:]] = (-prices.da_per_interval(grid) * MWH_PER_KWH
+                       * grid.dt_hours)
     if fcr_enabled:
-        fcr = prices.fcr_per_interval(grid)
-        for k in range(1, grid.K + 1):
-            ir.add_objective_term(xr[k], -fcr[k - 1] * MWH_PER_KWH)
+        ir.cost[xr[1:]] = -prices.fcr_per_interval(grid) * MWH_PER_KWH
 
 
 def add_market_coupling(ir: ModelIR, params: StorageParams, grid: TimeGrid,
@@ -569,11 +564,8 @@ def split_arbitrage_lp(params: StorageParams, grid: TimeGrid, y0: float,
     if options.terminal_soc_floor is not None:
         ir.add_row("terminal_soc", [(z[K], 1.0)], ">=",
                    options.terminal_soc_floor - y0)
-    da = prices.da_per_interval(grid)
-    for k in range(1, K + 1):
-        coeff = -da[k - 1] * MWH_PER_KWH * dt
-        ir.add_objective_term(d[k], coeff)
-        ir.add_objective_term(c[k], -coeff)
+    ir.cost[d[1:]] = -prices.da_per_interval(grid) * MWH_PER_KWH * dt
+    ir.cost[c[1:]] = -ir.cost[d[1:]]
     return ir
 
 

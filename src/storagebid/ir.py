@@ -9,9 +9,9 @@ agree on the layout.
 A quarter-hour model has tens of thousands of variables and rows, so it
 keeps them in arrays and flat lists rather than one object each:
 
-- Variable ``i`` is ``var_names[i]`` with bounds ``lower[i]`` and
-  ``upper[i]`` (float64 arrays); ``binary[i]`` (a bool array) marks a
-  binary. ``add_variables`` appends to the three arrays.
+- Variable ``i`` is ``var_names[i]``, with bounds ``lower[i]`` and
+  ``upper[i]`` and cost ``cost[i]`` (float64 arrays, 0 until priced) and
+  binary flag ``binary[i]`` (bool); ``add_variables`` appends to all four.
 - Linear rows are compressed sparse rows (``RowArrays``): row ``r`` has
   the coefficients ``val[ptr[r]:ptr[r+1]]`` on the columns
   ``col[ptr[r]:ptr[r+1]]`` in insertion order, repeated columns kept,
@@ -121,10 +121,10 @@ class ModelIR:
     lower: np.ndarray = field(default_factory=list)   # float64
     upper: np.ndarray = field(default_factory=list)   # float64
     binary: np.ndarray = field(default_factory=list)  # bool
+    cost: np.ndarray = field(default_factory=list)    # float64
     registry: dict[str, int] = field(default_factory=dict)
     row_names: list[str] = field(default_factory=list)
     bilinear_rows: list[BilinearRow] = field(default_factory=list)
-    objective: dict[int, float] = field(default_factory=dict)
     indicators: Indicators | None = None
     cuts: RowArrays | None = None
     # row blocks in order
@@ -140,6 +140,7 @@ class ModelIR:
         self.lower = np.asarray(self.lower, np.float64)
         self.upper = np.asarray(self.upper, np.float64)
         self.binary = np.asarray(self.binary, bool)
+        self.cost = np.asarray(self.cost, np.float64)
 
     # -- construction -------------------------------------------------
     def add_variable(self, name: str, kind: str = CONTINUOUS,
@@ -163,6 +164,7 @@ class ModelIR:
         self.lower = np.append(self.lower, np.full(n, lower, np.float64))
         self.upper = np.append(self.upper, np.full(n, upper, np.float64))
         self.binary = np.append(self.binary, np.full(n, kind == BINARY))
+        self.cost = np.append(self.cost, np.zeros(n))
         return np.arange(start, start + n)
 
     def var(self, name: str) -> int:
@@ -172,22 +174,20 @@ class ModelIR:
             raise ModelError(f"unknown variable {name!r}") from None
 
     def add_row(self, name: str, coeffs, sense: str, rhs: float) -> None:
-        if sense not in _SENSE_CODE:
-            raise ModelError(f"row {name!r}: unknown sense {sense!r}")
         coeffs = tuple(coeffs)
         self.add_rows([name], [0, len(coeffs)], [i for i, _ in coeffs],
-                      [c for _, c in coeffs], _SENSE_CODE[sense], rhs)
+                      [c for _, c in coeffs], _SENSE_CODE.get(sense, sense),
+                      rhs)
 
     def add_rows(self, names: list[str], ptr, col, val, sense, rhs) -> None:
         """Append a block of rows: row i has the coefficients
         ``val[ptr[i]:ptr[i+1]]`` on the columns ``col[ptr[i]:ptr[i+1]]``.
         ``sense`` (a code, an index into SENSES) and ``rhs`` are each
         one value or one per row."""
-        n = len(names)
-        self._check_cols(ptr, col, names.__getitem__)
+        block = self._block(len(names), ptr, col, val, sense, rhs,
+                            names.__getitem__)
         self.row_names += names
-        self._blocks.append(_row_arrays(ptr, col, val, np.full(n, sense),
-                                        np.full(n, rhs)))
+        self._blocks.append(block)
 
     def add_indicators(self, binaries, ptr, col, val) -> None:
         """Record that binary ``binaries[i]`` is 1 where row i, given as
@@ -198,10 +198,10 @@ class ModelIR:
         if not ok.all():
             raise ModelError(
                 f"indicator for non-binary variable {binaries[~ok][0]}")
-        self._check_cols(ptr, col, lambda r: f"indicator {binaries[r]}")
-        n, old = binaries.size, self.indicators
-        rules = Indicators(binaries, _row_arrays(ptr, col, val,
-                                                 np.full(n, GE), np.zeros(n)))
+        rules = Indicators(binaries, self._block(
+            binaries.size, ptr, col, val, GE, 0.0,
+            lambda r: f"indicator {binaries[r]}"))
+        old = self.indicators
         if old is not None:
             rules = Indicators(np.concatenate([old.binary, binaries]),
                                _join([old.rows, rules.rows]))
@@ -222,18 +222,30 @@ class ModelIR:
         self.bilinear_rows.append(BilinearRow(name, quad, linear, sense,
                                               float(rhs)))
 
-    def add_objective_term(self, idx: int, coeff: float) -> None:
-        if not (0 <= idx < self.n_vars):
-            raise ModelError(f"objective references unknown variable {idx}")
-        idx = int(idx)
-        self.objective[idx] = self.objective.get(idx, 0.0) + float(coeff)
-
     def fix_variable(self, name: str, value: float) -> None:
         """Collapse a variable's bounds to a constant (keeps indices
         stable across model variants)."""
         i = self.var(name)
         self.lower[i] = self.upper[i] = float(value)
         self.binary[i] = False
+
+    def _block(self, n, ptr, col, val, sense, rhs, name_of) -> RowArrays:
+        """n rows given as in ``add_rows``, row r named ``name_of(r)``,
+        as read-only arrays; raise unless they are well formed."""
+        ptr, sense = np.asarray(ptr), np.full(n, sense)
+        if ptr.shape != (n + 1,):
+            raise ModelError(f"{ptr.size} row pointers for {n} rows")
+        if ptr[0] != 0 or (np.diff(ptr) < 0).any():
+            raise ModelError("row pointers do not rise from 0")
+        if not ptr[-1] == len(col) == len(val):
+            raise ModelError(f"row pointers end at {ptr[-1]}, with "
+                             f"{len(col)} columns and {len(val)} values")
+        bad = np.flatnonzero(~np.isin(sense, range(len(SENSES))))
+        if bad.size:
+            raise ModelError(f"row {name_of(bad[0])!r}: unknown sense "
+                             f"{sense[bad[0]].item()!r}")
+        self._check_cols(ptr, col, name_of)
+        return _row_arrays(ptr, col, val, sense, np.full(n, rhs))
 
     def _check_cols(self, ptr, col, name_of) -> None:
         """Raise for the first column that is no variable; row r is named
@@ -280,12 +292,6 @@ class ModelIR:
                 for r, (name, s, rhs) in enumerate(zip(
                     self.row_names, a.sense.tolist(), a.rhs.tolist()))]
 
-    def objective_vector(self) -> np.ndarray:
-        c = np.zeros(self.n_vars)
-        for i, coeff in self.objective.items():
-            c[i] = coeff
-        return c
-
     def validate(self) -> None:
         """Raise ModelError for the first of: a variable, in index order,
         with a NaN bound, an empty bound interval or a binary outside
@@ -312,10 +318,10 @@ class ModelIR:
                 if name in seen:
                     raise ModelError(f"duplicate row name {name!r}")
                 seen.add(name)
-        for i, c in sorted(self.objective.items()):
-            if not math.isfinite(c):
-                raise ModelError(
-                    f"column {self.var_names[i]!r}: objective coefficient {c}")
+        bad = np.flatnonzero(~np.isfinite(self.cost))
+        if bad.size:
+            raise ModelError(f"column {self.var_names[bad[0]]!r}: objective "
+                             f"coefficient {self.cost[bad[0]]}")
         a = self.row_arrays()
         rows = []
         if not (np.isfinite(a.val).all() and np.isfinite(a.rhs).all()):

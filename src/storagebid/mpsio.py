@@ -61,14 +61,14 @@ def write_mps(ir: ModelIR) -> str:
     # transpose of those rows, with each nonzero's index as its value,
     # gives that order and each nonzero's row label; a column with none
     # of them gets a zero cost.
-    n_obj = len(ir.objective)
+    obj = np.flatnonzero(ir.cost)
     linear = [term for row in bil for term in row.linear]
-    ptr = np.concatenate([[0], n_obj + rows.ptr, n_obj + rows.ptr[-1]
+    ptr = np.concatenate([[0], obj.size + rows.ptr, obj.size + rows.ptr[-1]
                           + np.cumsum([len(row.linear) for row in bil],
                                       dtype=np.int32)], dtype=np.int32)
-    col = np.concatenate([list(ir.objective), rows.col,
+    col = np.concatenate([obj, rows.col,
                           [i for i, _ in linear]]).astype(np.int32)
-    val = np.concatenate([list(ir.objective.values()), rows.val,
+    val = np.concatenate([ir.cost[obj], rows.val,
                           [c for _, c in linear], [0.0]])
     csc = sparse.csr_array((np.arange(col.size), col, ptr),
                            shape=(ptr.size - 1, ir.n_vars)).tocsc()
@@ -151,10 +151,10 @@ def _lp_terms(col, val, names) -> np.ndarray:
 
 def write_lp(ir: ModelIR) -> str:
     names = _lp_names(ir.var_names)
-    obj = sorted(ir.objective.items())
-    terms = _lp_terms([i for i, _ in obj], [c for _, c in obj], names)
+    obj = np.flatnonzero(ir.cost)
+    terms = _lp_terms(obj, ir.cost[obj], names)
     out = ["\\ STORAGEBID\nMinimize\n obj:",
-           "".join(terms.tolist()) if obj else " 0", "\nSubject To\n"]
+           "".join(terms.tolist()) if obj.size else " 0", "\nSubject To\n"]
 
     # each row: its name, its terms or " 0" when it has none, its sense
     # and rhs, inserted around the terms at the row's start and end

@@ -104,7 +104,7 @@ def _highs_lp(ir: ModelIR):
     lp.a_matrix_.start_ = memoryview(a.indptr)
     lp.a_matrix_.index_ = memoryview(a.indices)
     lp.a_matrix_.value_ = memoryview(a.data)
-    lp.col_cost_ = memoryview(ir.objective_vector())
+    lp.col_cost_ = memoryview(ir.cost)
     lp.col_lower_ = memoryview(ir.lower)
     lp.col_upper_ = memoryview(ir.upper)
     lp.row_lower_ = memoryview(row_lo)
@@ -163,6 +163,7 @@ _STATUS = {_highs.HighsModelStatus.kOptimal: OPTIMAL,
            _highs.HighsModelStatus.kUnbounded: UNBOUNDED}
 _LIMITS = (_highs.HighsModelStatus.kTimeLimit,
            _highs.HighsModelStatus.kIterationLimit)
+_KINDS = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
 
 
 def solve(ir: ModelIR, time_limit: float | None = None,
@@ -203,7 +204,7 @@ def solve(ir: ModelIR, time_limit: float | None = None,
     if is_mip and rules is not None and np.isin(binaries, rules.binary).all():
         highs, bound, start = _relax_and_fix(ir, lp, binaries, options)
         if start is not None:
-            start_objective = float(ir.objective_vector() @ start)
+            start_objective = float(ir.cost @ start)
             path = "start+milp"
         left = time_left()
         if start is not None and left != 0.0:
@@ -217,7 +218,7 @@ def solve(ir: ModelIR, time_limit: float | None = None,
                 return replace(res, solve_time=time.perf_counter() - t0)
         if left is not None:
             options["time_limit"] = left
-    lp.integrality_ = [_highs.HighsVarType(b) for b in ir.binary.tolist()]
+    lp.integrality_ = [_KINDS[b] for b in ir.binary.tolist()]
     highs = _highs_run(lp, options, start)
     elapsed = time.perf_counter() - t0
 

@@ -107,6 +107,47 @@ class TestModelIRChecks:
         with pytest.raises(ModelError, match="row 'b': unknown sense '=>'"):
             ir.add_bilinear("b", [(0, 1, 1.0)], [], "=>", 0.0)
 
+    @pytest.mark.parametrize("names, ptr, col, val, sense, msg", [
+        (["a"], [0, 1], [0], [1.0], 7, "row 'a': unknown sense 7"),
+        (["a"], [0, 1], [0], [1.0], -1, "row 'a': unknown sense -1"),
+        (["a", "b"], [0, 1, 1], [0], [1.0], [0, 3],
+         "row 'b': unknown sense 3"),
+        (["a"], [0, 1, 2], [0, 1], [1.0, 1.0], 0,
+         "3 row pointers for 1 rows"),
+        (["a", "b"], [0, 1], [0], [1.0], 0, "2 row pointers for 2 rows"),
+        (["a"], [1, 2], [0, 1], [1.0, 1.0], 0, "do not rise from 0"),
+        (["a", "b"], [0, 2, 1], [0, 1], [1.0, 1.0], 0, "do not rise from 0"),
+        (["a"], [0, 3], [0, 1], [1.0, 1.0], 0,
+         "end at 3, with 2 columns and 2 values"),
+        (["a"], [0, 1], [0, 1], [1.0, 1.0], 0,
+         "end at 1, with 2 columns and 2 values"),
+        (["a"], [0, 2], [0, 1], [1.0], 0,
+         "end at 2, with 2 columns and 1 values"),
+    ], ids=["sense-7", "sense-minus-1", "sense-of-second-row",
+            "ptr-too-long", "ptr-too-short", "ptr-from-1", "ptr-decreases",
+            "ptr-past-col", "ptr-short-of-col", "val-short"])
+    def test_malformed_row_block(self, names, ptr, col, val, sense, msg):
+        ir = self.two_vars()
+        with pytest.raises(ModelError, match=re.escape(msg)):
+            ir.add_rows(names, ptr, col, val, sense, 1.0)
+        assert (ir.n_rows, ir.rows) == (0, [])
+        assert ir.row_arrays().ptr.tolist() == [0]
+
+    @pytest.mark.parametrize("ptr, col, val, msg", [
+        ([0, 1, 2], [0, 0], [1.0, 1.0], "3 row pointers for 1 rows"),
+        ([0], [], [], "1 row pointers for 1 rows"),
+        ([1, 2], [0], [1.0], "do not rise from 0"),
+        ([0, -1], [], [], "do not rise from 0"),
+        ([0, 2], [0], [1.0], "end at 2, with 1 columns and 1 values"),
+        ([0, 1], [0], [1.0, 2.0], "end at 1, with 1 columns and 2 values"),
+    ], ids=["ptr-too-long", "ptr-too-short", "ptr-from-1", "ptr-decreases",
+            "ptr-past-col", "val-long"])
+    def test_malformed_indicator_block(self, ptr, col, val, msg):
+        ir = self.two_vars()
+        with pytest.raises(ModelError, match=re.escape(msg)):
+            ir.add_indicators([1], ptr, col, val)
+        assert ir.indicators is None
+
     def test_rows_keep_their_coefficients(self):
         ir = self.two_vars()
         ir.add_row("r", iter([(1, 2.0), (0, -1.0), (1, 0.5)]), "==", 3)
@@ -204,11 +245,11 @@ class TestRowStore:
 
 class TestColumnStore:
     """Every variant holds its columns as arrays of one length each:
-    float64 bounds and a bool binary mask. A copy made with
+    float64 bounds and costs and a bool binary mask. A copy made with
     dataclasses.replace, also from lists, owns its arrays."""
 
     COLUMNS = (("lower", np.float64), ("upper", np.float64),
-               ("binary", np.bool_))
+               ("binary", np.bool_), ("cost", np.float64))
 
     @pytest.mark.parametrize("variant", ModelOptions.VARIANTS)
     def test_columns_are_typed_arrays(self, variant):
@@ -359,7 +400,7 @@ class TestObjective:
         add_bid_variables(ir, reference_battery(), grid)
         add_market_coupling(ir, reference_battery(), grid, 4, 1)
         build_objective(ir, flat_prices(grid, da=0.0, fcr=0.0), grid, True)
-        assert not any(ir.objective.values())
+        assert not ir.cost.any()
 
     def test_constant_da_price(self):
         # 1 kW for 24 h at 100 EUR/MWh earns 2.4 EUR (objective -2.4)
@@ -370,7 +411,7 @@ class TestObjective:
         point = np.zeros(ir.n_vars)
         for k in range(1, 25):
             point[ir.var(f"x0[{k}]")] = 1.0
-        assert ir.objective_vector() @ point == pytest.approx(-2.4)
+        assert ir.cost @ point == pytest.approx(-2.4)
 
     def test_fcr_block_payment(self):
         # 50 kW symmetric reserve all day at 12 EUR/MW/4h over 6 blocks
@@ -382,7 +423,7 @@ class TestObjective:
         point = np.zeros(ir.n_vars)
         for k in range(1, 97):
             point[ir.var(f"xr[{k}]")] = 50.0
-        assert ir.objective_vector() @ point == pytest.approx(-6 * 12 * 50e-3)
+        assert ir.cost @ point == pytest.approx(-6 * 12 * 50e-3)
 
 
 class TestCoupling:
@@ -454,7 +495,7 @@ class TestIntraday:
             ir.fix_variable(f"xr[{k}]", xr_fix)
             ir.fix_variable(f"x_up[{k}]", xr_fix)
             ir.fix_variable(f"x_dn[{k}]", xr_fix)
-        ir.add_objective_term(ir.var("x0[16]"), -1.0)  # maximize x0_16
+        ir.cost[ir.var("x0[16]")] = -1.0  # maximize x0_16
         res = solve(ir)
         assert res.status == "optimal"
         assert res.point["x0[16]"] == pytest.approx(50 - xr_fix - xr_fix / 8,
@@ -472,7 +513,7 @@ class TestIntraday:
             ir.fix_variable(f"xr[{k}]", 0.0)
             ir.fix_variable(f"x_up[{k}]", 0.0)
             ir.fix_variable(f"x_dn[{k}]", 0.0)
-        ir.add_objective_term(ir.var("x0[16]"), -1.0)
+        ir.cost[ir.var("x0[16]")] = -1.0
         res = solve(ir)
         assert res.point["x0[16]"] == pytest.approx(50.0, abs=1e-6)
 
@@ -526,7 +567,7 @@ class TestMissingFamilies:
                            match=re.escape(f"unknown variable {name!r}")):
             add(ir, params, grid)
         assert (ir.n_vars, len(ir.rows)) == counts
-        assert ir.objective == {}
+        assert not ir.cost.any()
 
 
 class TestVariants:
@@ -681,12 +722,11 @@ class TestOnlyExactHasBilinearRows:
         relax = self._build("relaxation", K)
         assert relax.bilinear_rows == []
         assert ir.var_names == relax.var_names
-        for column in ("lower", "upper", "binary"):
+        for column in ("lower", "upper", "binary", "cost"):
             np.testing.assert_array_equal(getattr(ir, column),
                                           getattr(relax, column))
         assert ir.registry == relax.registry
         assert ir.rows == relax.rows
-        assert ir.objective == relax.objective
         assert [r.name for r in ir.bilinear_rows] == [
             f"bil[{k},{l}]" for k in range(2, K + 1) for l in range(1, k)]
 

@@ -52,7 +52,9 @@ def tiny_lp():
 
 def _unbounded_lp():
     ir = ModelIR()
-    ir.add_objective_term(ir.add_variable("x", lower=0.0), -1.0)
+    # add_variable replaces ir.cost: bind the index before assigning
+    x = ir.add_variable("x", lower=0.0)
+    ir.cost[x] = -1.0
     return ir
 
 
@@ -77,9 +79,9 @@ def _edge_case_ir():
     o = ir.add_variable("o", lower=-5.0)
     b1 = ir.add_variable("b1", kind=BINARY, lower=0.0, upper=1.0)
     b2 = ir.add_variable("b2", kind=BINARY, lower=0.0, upper=1.0)
-    ir.add_objective_term(o, 2.5e15)
-    ir.add_objective_term(x, 2.0)
-    ir.add_objective_term(b0, -1.0)
+    ir.cost[o] = 2.5e15
+    ir.cost[x] = 2.0
+    ir.cost[b0] = -1.0
     ir.add_row("r1", [(x, 1.0), (y, -0.0), (x, 3.0)], "<=", 1e15)
     ir.add_rows(["r2", "r3"], [0, 2, 4], [y, b0, x, b1],
                 [2.5, -1.0, 1e16, 1.0], [GE, LE], [0.0, -7.25])
@@ -265,8 +267,8 @@ def _two_column_lp(cost=1.0, coeff=1.0, rhs=1.0):
     ir = ModelIR()
     x = ir.add_variable("x", lower=0.0, upper=10.0)
     y = ir.add_variable("y", lower=0.0, upper=10.0)
-    ir.add_objective_term(x, 1.0)
-    ir.add_objective_term(y, cost)
+    ir.cost[x] = 1.0
+    ir.cost[y] = cost
     ir.add_row("r", [(x, 1.0), (y, coeff)], ">=", rhs)
     return ir
 
@@ -366,6 +368,26 @@ class TestEmission:
         columns = lines[lines.index("COLUMNS") + 1:lines.index("RHS")]
         assert columns == [" x r 2.5", " y OBJ 0"]
 
+    def test_zero_cost_is_not_written(self, tmp_path):
+        # a day-ahead price of 0 prices x0[1] at 0: neither file names it
+        # in the objective, and HiGHS reads the model's costs all the same
+        prices = PriceSeries(day_ahead=np.array([0.0, 90.0, 10.0, 80.0]),
+                             fcr_availability=np.array([20.0]))
+        ir = dispatch_variant(
+            LOSSY, K4, UncertaintyBudget(kind="total_budget", gamma=1.0),
+            4.0, prices, ModelOptions(variant="relaxation", fcr_block_len=4,
+                                      da_block_len=1))
+        assert ir.cost[ir.var("x0[1]")] == 0.0
+        assert ir.cost[ir.var("x0[2]")] < 0.0
+        mps = emit_model(ir, "MPS")
+        assert not any(line.startswith(" x0[1] OBJ")
+                       for line in mps.decode().splitlines())
+        lp = emit_model(ir, "LP").decode().splitlines()
+        objective = lp[lp.index("Minimize") + 1].split()
+        assert "x0(1)" not in objective and "x0(2)" in objective
+        np.testing.assert_array_equal(_highs_read(tmp_path, mps, "MPS").cost,
+                                      ir.cost)
+
     @pytest.mark.parametrize("fmt", ["MPS", "LP"])
     def test_edge_cases_are_pinned(self, fmt):
         text = emit_model(_edge_case_ir(), fmt).decode()
@@ -419,14 +441,12 @@ class TestEmission:
         exact, ir = _k4_model("exact"), _k4_model("relaxation")
         assert (ir.n_vars, len(ir.rows), ir.n_binaries) == \
             (exact.n_vars, len(exact.rows), exact.n_binaries)
-        np.testing.assert_array_equal(ir.objective_vector(),
-                                      exact.objective_vector())
+        np.testing.assert_array_equal(ir.cost, exact.cost)
         read = _highs_read(tmp_path, emit_model(ir, "MPS"), "MPS")
         assert read.n_cols == ir.n_vars
         assert read.n_rows == len(ir.rows)
         assert read.n_integer == ir.n_binaries
-        np.testing.assert_allclose(read.cost, ir.objective_vector(),
-                                   atol=1e-12)
+        np.testing.assert_allclose(read.cost, ir.cost, atol=1e-12)
 
     def test_roundtrip_k1_lp(self, tmp_path):
         params = StorageParams(x_min=-3, x_max=3, y_min=0, y_max=8,
@@ -672,7 +692,7 @@ def _row_bytes(rows) -> bytes:
 # SHA-256 over _small_builds() of each model's MPS and LP bytes, its cuts
 # and its indicator rules, in build order
 SMALL_BUILDS_SHA256 = (
-    "f174455c4c5e3d52438c011121b9dc1ea4011f37e66b5fade3b210c87652d22e")
+    "f98e5854ac7980fc08fa8f6514661b75a830e7a93f8861944090356f9c06f942")
 
 
 def test_model_bytes_across_K_are_pinned():
@@ -984,7 +1004,7 @@ class TestWarmStart:
         u = ir.add_variable("u", kind=BINARY, lower=0.0, upper=1.0)
         ir.add_row("link", [(x, 1.0), (u, -1.0)], "<=", 0.0)
         ir.add_row("floor", [(x, 1.0)], ">=", 0.5)
-        ir.add_objective_term(x, -1.0)
+        ir.cost[x] = -1.0
         ir.add_indicators([u], [0, 1], [x], [-1.0])
         return ir
 
@@ -1013,7 +1033,7 @@ class TestWarmStart:
         x = ir.add_variable("x", lower=0.0, upper=1.0)
         u = ir.add_variable("u", kind=BINARY, lower=0.0, upper=1.0)
         ir.add_row("link", [(x, 1.0), (u, -1.0)], "<=", 0.0)
-        ir.add_objective_term(x, -1.0)
+        ir.cost[x] = -1.0
         ir.add_indicators([u], [0, 1], [x], [1.0])
         assert ir.cuts is None
         res = solve(ir)
@@ -1032,8 +1052,8 @@ class TestExactBilinearContract:
         ir = ModelIR()
         x = ir.add_variable("x", lower=0.0, upper=1.0)
         y = ir.add_variable("y", lower=0.0, upper=1.0)
-        ir.add_objective_term(x, -1.0)
-        ir.add_objective_term(y, -1.0)
+        ir.cost[x] = -1.0
+        ir.cost[y] = -1.0
         ir.add_bilinear("prod", quad=[(x, y, -1.0)], linear=[],
                         sense=">=", rhs=-0.25)
         return ir
@@ -1074,8 +1094,8 @@ class TestExactBilinearContract:
         ir = ModelIR()
         x = ir.add_variable("x", lower=0.0, upper=1.0)
         y = ir.add_variable("y", lower=0.0, upper=1.0)
-        ir.add_objective_term(x, -1.0)
-        ir.add_objective_term(y, -1.0)
+        ir.cost[x] = -1.0
+        ir.cost[y] = -1.0
         ir.add_row("sum", [(x, 1.0), (y, 1.0)], "<=", 1.5)
         ir.add_bilinear("prod", quad=[(x, y, 1.0)], linear=[],
                         sense="<=", rhs=0.3)
