@@ -8,13 +8,13 @@ Directory layout (one file per day, UTF-8 CSV with a header row):
 
 The generator writes each file as the header row followed by one
 ``int,value`` row per entry, the value with six decimals, every line
-ending in CRLF. The readers accept LF or CRLF line ends.
+ending in CRLF. A reader reads a file once, as UTF-8 bytes, and parses
+its lines, ended by LF, CRLF or lone CR, with one ``np.loadtxt`` call.
 """
 
 from __future__ import annotations
 
 import datetime
-import io
 import os
 from dataclasses import dataclass
 
@@ -70,12 +70,23 @@ def _row_error(path: str, lines: list[str], columns: int) -> DataError:
     return DataError(f"{path}: unreadable numeric value")
 
 
+def _split_lines(text: str) -> list[str]:
+    """``text`` split at each LF, CRLF or lone CR, as a text-mode read
+    splits it. A file whose only line end is CRLF takes one split."""
+    if "\r" not in text:
+        return text.split("\n")
+    lines = text.split("\r\n")
+    if text.count("\r") == text.count("\n") == len(lines) - 1:
+        return lines
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _read_csv(path: str, columns: int) -> np.ndarray:
     """The rows after the header line, as an (n, columns) array of the
     first ``columns`` fields of each row, parsed in one pass."""
     try:
-        with open(path) as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            text = f.read().decode()
     except FileNotFoundError:
         raise DataError(f"missing data file {path}") from None
     except OSError as e:
@@ -84,22 +95,23 @@ def _read_csv(path: str, columns: int) -> np.ndarray:
         raise DataError(f"{path}: {e}") from None
     if not text:
         raise DataError(f"{path}: empty file")
-    body = text.partition("\n")[2]
+    body = _split_lines(text)[1:]
+    if body and not body[-1]:
+        body.pop()  # the last line's end
     if not body:
         return np.empty((0, columns))
-    n_rows = body.count("\n") + (not body.endswith("\n"))
     rows = None
     # loadtxt skips blank lines (and warns when there is nothing else),
     # but they are short rows
-    if body.strip("\n"):
+    if any(body):
         try:
-            rows = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2,
+            rows = np.loadtxt(body, delimiter=",", ndmin=2,
                               usecols=range(columns), comments=None,
                               quotechar='"')
         except ValueError:
             pass
-    if rows is None or len(rows) != n_rows:
-        raise _row_error(path, body.split("\n")[:n_rows], columns)
+    if rows is None or len(rows) != len(body):
+        raise _row_error(path, body, columns)
     if not np.all(np.isfinite(rows)):
         raise DataError(f"{path}: non-finite value")
     return rows

@@ -91,35 +91,21 @@ def _constraint_matrix(ir: ModelIR):
     return (a.tocsc(), *_row_bounds(ir.row_arrays()))
 
 
-def _highs_lp(ir: ModelIR):
-    """The model as a HiGHS LP, without integrality."""
-    a, row_lo, row_hi = _constraint_matrix(ir)
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = ir.n_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = ir.n_rows
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    # the binding copies a sequence item by item; a memoryview hands out
-    # plain Python numbers, which convert several times faster than the
-    # numpy scalars an array hands out
-    lp.a_matrix_.start_ = memoryview(a.indptr)
-    lp.a_matrix_.index_ = memoryview(a.indices)
-    lp.a_matrix_.value_ = memoryview(a.data)
-    lp.col_cost_ = memoryview(ir.cost)
-    lp.col_lower_ = memoryview(ir.lower)
-    lp.col_upper_ = memoryview(ir.upper)
-    lp.row_lower_ = memoryview(row_lo)
-    lp.row_upper_ = memoryview(row_hi)
-    return lp
-
-
-def _highs_run(lp, options: dict, start: np.ndarray | None = None,
-               cuts: RowArrays | None = None):
-    """Load ``lp`` into a fresh HiGHS object, add the rows ``cuts``, offer
-    ``start`` as a MIP incumbent and run."""
+def _highs_run(ir: ModelIR, matrix, options: dict,
+               start: np.ndarray | None = None,
+               cuts: RowArrays | None = None, integral: bool = False):
+    """Load ``ir``, with ``matrix = _constraint_matrix(ir)``, into a fresh
+    HiGHS object in one array call, integral binaries if ``integral``
+    (else an LP: HiGHS refuses an empty integrality, so it gets zeros),
+    add the rows ``cuts``, offer ``start`` as a MIP incumbent and run."""
+    a, row_lo, row_hi = matrix
     highs = _highs._Highs()
     for key, value in options.items():
         highs.setOptionValue(key, value)
-    highs.passModel(lp)
+    highs.passModel(ir.n_vars, ir.n_rows, a.nnz, _highs.MatrixFormat.kColwise,
+                    _highs.ObjSense.kMinimize, 0.0, ir.cost, ir.lower,
+                    ir.upper, row_lo, row_hi, a.indptr[:-1], a.indices,
+                    a.data, (ir.binary & integral).astype(np.int32))
     if cuts is not None:
         highs.addRows(len(cuts.rhs), *_row_bounds(cuts), len(cuts.val),
                       cuts.ptr[:-1], cuts.col, cuts.val)
@@ -136,7 +122,7 @@ def _optimal_point(highs) -> np.ndarray | None:
     return np.array(highs.getSolution().col_value)
 
 
-def _relax_and_fix(ir: ModelIR, lp, binaries: np.ndarray, options: dict):
+def _relax_and_fix(ir: ModelIR, matrix, binaries: np.ndarray, options: dict):
     """Solve the LP relaxation, with the model's cuts added as rows, set
     every binary from its indicator rule at the LP point (one sparse
     product) and re-solve warm in the same HiGHS object with the binaries
@@ -144,7 +130,7 @@ def _relax_and_fix(ir: ModelIR, lp, binaries: np.ndarray, options: dict):
     of the fixed LP, so they stay in it. Returns the HiGHS object, the
     first LP's optimal value (nan unless it is optimal) and the fixed
     LP's optimum (None unless both LPs are optimal)."""
-    highs = _highs_run(lp, options, cuts=ir.cuts)
+    highs = _highs_run(ir, matrix, options, cuts=ir.cuts)
     x = _optimal_point(highs)
     if x is None:
         return highs, np.nan, None
@@ -163,7 +149,6 @@ _STATUS = {_highs.HighsModelStatus.kOptimal: OPTIMAL,
            _highs.HighsModelStatus.kUnbounded: UNBOUNDED}
 _LIMITS = (_highs.HighsModelStatus.kTimeLimit,
            _highs.HighsModelStatus.kIterationLimit)
-_KINDS = (_highs.HighsVarType.kContinuous, _highs.HighsVarType.kInteger)
 
 
 def solve(ir: ModelIR, time_limit: float | None = None,
@@ -191,7 +176,7 @@ def solve(ir: ModelIR, time_limit: float | None = None,
         options["time_limit"] = float(time_limit)
     if gap_target is not None:
         options["mip_rel_gap"] = float(gap_target)
-    lp = _highs_lp(ir)
+    matrix = _constraint_matrix(ir)
     t0 = time.perf_counter()
 
     def time_left():
@@ -202,7 +187,7 @@ def solve(ir: ModelIR, time_limit: float | None = None,
     start, start_objective, path = None, np.nan, "milp"
     rules = ir.indicators
     if is_mip and rules is not None and np.isin(binaries, rules.binary).all():
-        highs, bound, start = _relax_and_fix(ir, lp, binaries, options)
+        highs, bound, start = _relax_and_fix(ir, matrix, binaries, options)
         if start is not None:
             start_objective = float(ir.cost @ start)
             path = "start+milp"
@@ -218,8 +203,7 @@ def solve(ir: ModelIR, time_limit: float | None = None,
                 return replace(res, solve_time=time.perf_counter() - t0)
         if left is not None:
             options["time_limit"] = left
-    lp.integrality_ = [_KINDS[b] for b in ir.binary.tolist()]
-    highs = _highs_run(lp, options, start)
+    highs = _highs_run(ir, matrix, options, start, integral=True)
     elapsed = time.perf_counter() - t0
 
     model_status = highs.getModelStatus()

@@ -156,18 +156,21 @@ extra_field = st.text(alphabet=string.ascii_letters + string.digits + " .",
                       max_size=5)
 
 
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
 @st.composite
 def day_file(draw):
     """A well-formed two-column day file: header, rows of finite values in
-    one of several number formats, optional extra columns, either line
-    ending, with or without a final newline."""
+    one of several number formats, optional extra columns, LF, CRLF or
+    lone CR line ends, with or without a final line end."""
     fmt = draw(st.sampled_from(FORMATS))
     values = draw(st.lists(st.tuples(finite, finite), max_size=30))
     rows = []
     for a, b in values:
         extra = draw(st.lists(extra_field, max_size=2))
         rows.append(",".join([fmt(a), fmt(b)] + extra))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(LINE_ENDS))
     text = eol.join(["offset,value"] + rows)
     if draw(st.booleans()):
         text += eol
@@ -181,7 +184,7 @@ BAD_TOKENS = ("", "abc", "1e", "--1", "0x10", "1 2", "1.2.3", "nan", "inf",
 @st.composite
 def malformed_file(draw):
     """A day file broken in one way: a short or blank row, a non-numeric
-    or non-finite value, or no content at all."""
+    or non-finite value, or no content at all; any line end."""
     text, values = draw(day_file())
     lines = text.splitlines()
     kind = draw(st.sampled_from(["short", "blank", "token", "empty"]))
@@ -194,7 +197,8 @@ def malformed_file(draw):
         lines.insert(at, "")
     else:
         lines.insert(at, "1," + draw(st.sampled_from(BAD_TOKENS)))
-    return "\n".join(lines) + "\n"
+    eol = draw(st.sampled_from(LINE_ENDS))
+    return eol.join(lines) + eol
 
 
 @pytest.mark.filterwarnings("error::UserWarning")
@@ -242,6 +246,16 @@ class TestReaderMatchesCsvModule:
             f"{h},10.0\n" + ("\n" if h == 5 else "") for h in range(24)))
         with pytest.raises(DataError, match=r"short row \[\]"):
             load_dayahead(str(p))
+
+    @pytest.mark.parametrize("ends", [("\r\n", "\n"), ("\r\n", "\r"),
+                                      ("\n", "\r"), ("\r", "\r\n", "\n")])
+    def test_mixed_line_ends_parse_as_the_reference(self, tmp_path, ends):
+        p = tmp_path / "day.csv"
+        lines = ["hour,price"] + [f"{h},{10.5 + h}" for h in range(24)]
+        p.write_bytes("".join(line + ends[i % len(ends)]
+                              for i, line in enumerate(lines)).encode())
+        assert load_dayahead(str(p)).tolist() == \
+            [row[1] for row in reference_read_csv(str(p), 2)]
 
     def test_undecodable_file_is_a_data_error(self, tmp_path):
         p = tmp_path / "day.csv"

@@ -36,6 +36,8 @@ from storagebid.solve import (
     _STATUS,
     _constraint_matrix,
     _highs,
+    _highs_run,
+    _row_bounds,
     _row_matrix,
     solve,
     solve_exact_bilinear,
@@ -136,17 +138,19 @@ def _infeasible_lp():
     return ir
 
 
-def _k24_day(variant):
-    params = StorageParams(x_min=-50.0, x_max=50.0, y_min=10.0, y_max=90.0,
-                           eta_c=0.92, eta_d=0.92)
-    grid = TimeGrid(dt_hours=1.0, K=24)
-    budget = UncertaintyBudget(kind="total_budget", gamma=2.0)
-    prices = PriceSeries(day_ahead=np.linspace(10.0, 90.0, 24),
+K24_PARAMS = StorageParams(x_min=-50.0, x_max=50.0, y_min=10.0, y_max=90.0,
+                          eta_c=0.92, eta_d=0.92)
+K24 = TimeGrid(dt_hours=1.0, K=24)
+K24_PRICES = PriceSeries(day_ahead=np.linspace(10.0, 90.0, 24),
                          fcr_availability=np.full(6, 20.0))
+
+
+def _k24_day(variant, params=K24_PARAMS):
+    budget = UncertaintyBudget(kind="total_budget", gamma=2.0)
     fcr = variant != "arbitrage_only"
     opts = ModelOptions(variant=variant, fcr_enabled=fcr,
                         fcr_block_len=4 if fcr else None, da_block_len=1)
-    return dispatch_variant(params, grid, budget, 50.0, prices, opts)
+    return dispatch_variant(params, K24, budget, 50.0, K24_PRICES, opts)
 
 
 LOSSY = StorageParams(x_min=-3, x_max=3, y_min=0, y_max=8, eta_c=0.9,
@@ -307,6 +311,49 @@ class TestModelGate:
                         rhs=0.0)
         with pytest.raises(ModelError, match="^row 'b': coefficient nan$"):
             solve_exact_bilinear(ir, lambda point: True)
+
+
+def _k24_build(variant):
+    """A K=24 day of ``variant`` as ``solve`` gets it: lossless where the
+    variant needs it, without bilinear rows."""
+    if variant == "split-lp":
+        return split_arbitrage_lp(
+            K24_PARAMS, K24, 50.0, K24_PRICES,
+            ModelOptions(variant="arbitrage_only", fcr_enabled=False))
+    params = K24_PARAMS
+    if variant == "lossless_lp":
+        params = replace(params, eta_c=1.0, eta_d=1.0)
+    return replace(_k24_day(variant, params), bilinear_rows=[])
+
+
+class TestHighsHandoff:
+    """``_highs_run`` loads a model with one array call: the LP that
+    HiGHS then holds is the model's, cut rows and integrality included."""
+
+    @pytest.mark.parametrize("integral", [False, True], ids=["lp", "mip"])
+    @pytest.mark.parametrize("variant", ModelOptions.VARIANTS + ("split-lp",))
+    def test_highs_holds_the_model(self, variant, integral):
+        ir = _k24_build(variant)
+        highs = _highs_run(ir, _constraint_matrix(ir),
+                           {"log_to_console": False, "time_limit": 0.0},
+                           cuts=ir.cuts, integral=integral)
+        blocks = [ir.row_arrays()] + [ir.cuts] * (ir.cuts is not None)
+        want = scipy.sparse.vstack(
+            [_row_matrix(rows, ir.n_vars) for rows in blocks]).tocsc()
+        want.sum_duplicates()
+        row_lo, row_hi = map(np.concatenate,
+                             zip(*(_row_bounds(rows) for rows in blocks)))
+        lp = highs.getLp()
+        a = lp.a_matrix_
+        assert a.format_ == _highs.MatrixFormat.kColwise
+        assert (lp.num_row_, lp.num_col_) == want.shape
+        for got, expected in [
+                (lp.col_cost_, ir.cost), (lp.col_lower_, ir.lower),
+                (lp.col_upper_, ir.upper), (lp.row_lower_, row_lo),
+                (lp.row_upper_, row_hi), (a.start_, want.indptr),
+                (a.index_, want.indices), (a.value_, want.data),
+                (list(map(int, lp.integrality_)), ir.binary & integral)]:
+            np.testing.assert_array_equal(np.asarray(got), expected)
 
 
 class TestConstraintMatrix:
