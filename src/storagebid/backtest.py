@@ -46,11 +46,9 @@ def budget_usage(signal: RegulationSignal, gamma: float) -> float:
 
 def _trailing_sums(v: np.ndarray, window_len: int) -> np.ndarray:
     """Sum of v over the trailing window of window_len entries ending at
-    each index, added left to right, one array add per lag, oldest first."""
-    sums = np.zeros(len(v))
-    for lag in range(min(window_len, len(v)) - 1, -1, -1):
-        sums[lag:] += v[:len(v) - lag]
-    return sums
+    each index, added left to right."""
+    return np.array([sum(v[max(0, j - window_len + 1):j + 1])
+                     for j in range(len(v))], dtype=float)
 
 
 def _abs_interval_integrals(signal: RegulationSignal,

@@ -8,8 +8,9 @@ Directory layout (one file per day, UTF-8 CSV with a header row):
 
 The generator writes each file as the header row followed by one
 ``int,value`` row per entry, the value with six decimals, every line
-ending in CRLF. A reader reads a file once, as UTF-8 bytes, and parses
-its lines, ended by LF, CRLF or lone CR, with one ``np.loadtxt`` call.
+ending in CRLF. A reader reads a file once in text mode, which turns LF,
+CRLF and lone CR line ends into LF, and hands its lines to one
+``np.loadtxt`` call.
 """
 
 from __future__ import annotations
@@ -70,23 +71,12 @@ def _row_error(path: str, lines: list[str], columns: int) -> DataError:
     return DataError(f"{path}: unreadable numeric value")
 
 
-def _split_lines(text: str) -> list[str]:
-    """``text`` split at each LF, CRLF or lone CR, as a text-mode read
-    splits it. A file whose only line end is CRLF takes one split."""
-    if "\r" not in text:
-        return text.split("\n")
-    lines = text.split("\r\n")
-    if text.count("\r") == text.count("\n") == len(lines) - 1:
-        return lines
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
 def _read_csv(path: str, columns: int) -> np.ndarray:
     """The rows after the header line, as an (n, columns) array of the
     first ``columns`` fields of each row, parsed in one pass."""
     try:
-        with open(path, "rb") as f:
-            text = f.read().decode()
+        with open(path) as f:
+            text = f.read()
     except FileNotFoundError:
         raise DataError(f"missing data file {path}") from None
     except OSError as e:
@@ -95,7 +85,7 @@ def _read_csv(path: str, columns: int) -> np.ndarray:
         raise DataError(f"{path}: {e}") from None
     if not text:
         raise DataError(f"{path}: empty file")
-    body = _split_lines(text)[1:]
+    body = text.split("\n")[1:]
     if body and not body[-1]:
         body.pop()  # the last line's end
     if not body:

@@ -166,20 +166,6 @@ class TestIntradayAdjustments:
         assert window_budget_usage(longer, QUARTER, 0.25, 2.25) == \
             window_budget_usage(day, QUARTER, 0.25, 2.25)
 
-    def test_trailing_sums_match_the_sum_formula(self):
-        # one array add per window offset, oldest term first, adds each
-        # window's terms in the order Python's sum() adds them
-        rng = np.random.default_rng(35)
-        for _ in range(500):
-            n = int(rng.integers(0, 100))
-            window = int(rng.integers(-1, 110))
-            v = rng.normal(0.0, 10.0, n) * rng.choice([1e-8, 1.0, 1e8], n)
-            want = np.array([sum(v[max(0, j - window + 1):j + 1])
-                             for j in range(n)], dtype=float)
-            got = backtest._trailing_sums(v, window)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes(), (n, window)
-
     @pytest.mark.parametrize("Gamma_prime, message", [
         (2.5, "Gamma_prime must be a multiple of dt"),
         (1.0, "Gamma_prime must exceed dt")])
