@@ -9,8 +9,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
-import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from .builder import MWH_PER_KWH, dispatch_variant, split_arbitrage_lp
 from .data import DataError, Dataset, DayData
 from .ir import ModelOptions
 from .soc import realized_power, soc_path
-from .solve import INFEASIBLE, OPTIMAL, SolveResult, solve
+from .solve import solve
 from .types import (
     AlignmentError,
     DomainError,
@@ -168,54 +167,21 @@ class BacktestRecord:
         return d
 
 
+def _family(point: dict[str, float], name: str, K: int) -> np.ndarray:
+    return np.array([point[f"{name}[{k}]"] for k in range(1, K + 1)])
+
+
 def _extract_bids(point: dict[str, float], K: int, options: ModelOptions):
-    x0 = np.array([point[f"x0[{k}]"] for k in range(1, K + 1)])
+    x0 = _family(point, "x0", K)
     if options.fcr_enabled:
-        xr = np.array([point[f"xr[{k}]"] for k in range(1, K + 1)])
+        xr = _family(point, "xr", K)
         return x0, xr, xr
     return x0, np.zeros(K), np.zeros(K)
 
 
-# a split LP point counts as complementary when no interval charges and
+# a lossy arbitrage bid is rejected where an interval charges and
 # discharges at once by more than this many kW
 COMPLEMENTARY_TOL = 1e-9
-
-
-def _solve_arbitrage(config: ExperimentConfig, split,
-                     build) -> SolveResult:
-    """Solve an arbitrage-only day whose model ``build()`` has
-    charge/discharge binaries, building that model only where the split
-    LP ``split`` does not settle the day.
-
-    The split LP bounds the model from below. With x_up = x_dn = 0 the
-    worst-case SOC path is the nominal path of x0. At a complementary
-    point of the split LP (no interval with both c[k] and d[k] above
-    ``COMPLEMENTARY_TOL``) its state z is that nominal path for
-    x0 = d - c, and z's bounds and rows are the model's SOC limits: the
-    lower limit from ``y0_lo``, the upper from ``y0_hi`` and the terminal
-    floor. So x0 is a feasible bid at the bound, hence optimal: it is
-    returned as ``optimal`` with gap 0, path ``split-lp`` and a point
-    holding x0 only.
-
-    An infeasible split LP proves the model infeasible, and its result
-    is returned as it is. Otherwise the split LP charges and discharges
-    in one interval, which only negative prices pay for, and the MILP
-    runs on ``build()``. Both solves share ``config.time_limit``."""
-    t0 = time.perf_counter()
-    lower = solve(split, time_limit=config.time_limit)
-    if lower.status == INFEASIBLE:
-        return lower
-    if lower.status == OPTIMAL:
-        K = config.grid.K
-        c = np.array([lower.point[f"c[{k}]"] for k in range(1, K + 1)])
-        d = np.array([lower.point[f"d[{k}]"] for k in range(1, K + 1)])
-        if np.all(np.minimum(c, d) <= COMPLEMENTARY_TOL):
-            return replace(lower, path="split-lp", point={
-                f"x0[{k}]": float(v) for k, v in enumerate(d - c, 1)})
-    time_left = None
-    if config.time_limit is not None:
-        time_left = max(0.0, config.time_limit - (time.perf_counter() - t0))
-    return solve(build(), time_limit=time_left, gap_target=config.gap_target)
 
 
 def run_day(config: ExperimentConfig, day: DayData, y0: float,
@@ -224,8 +190,12 @@ def run_day(config: ExperimentConfig, day: DayData, y0: float,
     the record and the accepted bids, ``(record, x0, x_up, x_dn)``.
 
     The model plans for every start SOC in ``y0 +/- drift``, clamped to
-    the SOC range; the replay starts at ``y0``, clamped, and reads the
-    signal up to the trading horizon.
+    the SOC range, with ``drift >= 0``; the replay starts at ``y0``,
+    clamped, and reads the signal up to the trading horizon.
+
+    An arbitrage-only day is bid as x0 = d - c from one solve of
+    ``split_arbitrage_lp`` to optimality (path ``split-lp``); a lossy
+    point that charges and discharges at once raises ``SolverError``.
 
     Cash flows: FCR availability revenue at the block prices, day-ahead
     revenue for x0, intraday trades valued at the concurrent day-ahead
@@ -234,31 +204,37 @@ def run_day(config: ExperimentConfig, day: DayData, y0: float,
     """
     if not np.isfinite(y0):
         raise DomainError("y0 must be finite")
+    if not drift >= 0:
+        raise DomainError(f"drift={drift} must be nonnegative")
     params, grid, budget = config.params, config.grid, config.budget
     prices, signal = day.prices, day.signal
     per = signal.check_alignment(grid)
+    K = grid.K
 
     lo, hi = params.y_min, params.y_max
     y0c, y0_lo, y0_hi = np.clip([y0, y0 - drift, y0 + drift], lo, hi).tolist()
 
-    def build():
-        return dispatch_variant(params, grid, budget, y0_lo, prices,
-                                config.options, y0_high=y0_hi)
-
-    # a lossy battery's arbitrage model has charge/discharge binaries
-    if config.options.variant == "arbitrage_only" and not params.is_lossless:
-        split = split_arbitrage_lp(params, grid, y0_lo, prices,
-                                   config.options, y0_high=y0_hi)
-        res = _solve_arbitrage(config, split, build)
+    arbitrage = config.options.variant == "arbitrage_only"
+    if arbitrage:
+        ir = split_arbitrage_lp(params, grid, y0_lo, prices, config.options,
+                                y0_high=y0_hi)
     else:
-        res = solve(build(), time_limit=config.time_limit,
-                    gap_target=config.gap_target)
+        ir = dispatch_variant(params, grid, budget, y0_lo, prices,
+                              config.options, y0_high=y0_hi)
+    res = solve(ir, time_limit=config.time_limit,
+                gap_target=0.0 if arbitrage else config.gap_target)
     if not res.ok:
         raise SolverError(f"{day.date}: solver returned {res.status}: "
                           f"{res.message}")
-
-    K = grid.K
-    x0, x_up, x_dn = _extract_bids(res.point, K, config.options)
+    if arbitrage:
+        c, d = (_family(res.point, name, K) for name in ("c", "d"))
+        both = np.flatnonzero(np.minimum(c, d) > COMPLEMENTARY_TOL)
+        if both.size and not params.is_lossless:
+            raise SolverError(f"{day.date}: the arbitrage bid charges and "
+                              f"discharges at once in interval {both[0] + 1}")
+        x0, x_up, x_dn = d - c, np.zeros(K), np.zeros(K)
+    else:
+        x0, x_up, x_dn = _extract_bids(res.point, K, config.options)
     da = prices.da_per_interval(grid)
     fcr = prices.fcr_per_interval(grid)
     dt = grid.dt_hours
@@ -311,7 +287,8 @@ def run_day(config: ExperimentConfig, day: DayData, y0: float,
         soc_max=float(soc.max()), soc_midnight=float(soc[-1]),
         power_min=float(power.min()), power_max=float(power.max()),
         budget_usage=float(usage), y0=y0c, solve_time=res.solve_time,
-        gap=res.gap, violations=tuple(violations), solve_path=res.path)
+        gap=res.gap, violations=tuple(violations),
+        solve_path="split-lp" if arbitrage else res.path)
     return record, x0, x_up, x_dn
 
 

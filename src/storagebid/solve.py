@@ -53,9 +53,8 @@ class SolveResult:
     # how the point was found: ``milp``; ``start+milp`` when the search
     # began from a relax-and-fix start point; ``start+bound`` for that
     # start, fixed from the point of the LP plus the model's cuts (if any),
-    # accepted at that LP's optimum with no branch and bound; or
-    # ``split-lp`` for an arbitrage-only optimum proved without branch
-    # and bound
+    # accepted at that LP's optimum with no branch and bound. A backtest
+    # record names the one solve of an arbitrage-only day ``split-lp``.
     path: str = "milp"
 
     @property

@@ -8,6 +8,7 @@ import os
 import re
 import runpy
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -215,6 +216,30 @@ class TestRunDay:
         config = hourly_config(**({"options": options} if options else {}))
         with pytest.raises(DomainError, match="y0 must be finite"):
             run_day(config, synth.load_day("2021-01-01"), y0)
+
+    @pytest.mark.parametrize("drift", [-20.0, np.nan])
+    @pytest.mark.parametrize("options", [
+        None,
+        ModelOptions(variant="arbitrage_only", fcr_enabled=False,
+                     da_block_len=1)])
+    def test_negative_drift_rejected_before_building(self, tmp_path,
+                                                     monkeypatch, options,
+                                                     drift):
+        # y0 +/- drift would be an inverted start interval: on this day
+        # from 85 kWh, drift -20 gave "optimal" joint bids that break
+        # soc_upper[11] by 20 kWh
+        generate_synthetic_dataset(str(tmp_path), seed=21, days=1,
+                                   gamma=2.0)
+        day = Dataset(str(tmp_path)).load_day("2021-01-01")
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a model")
+
+        monkeypatch.setattr(backtest, "dispatch_variant", no_build)
+        monkeypatch.setattr(backtest, "split_arbitrage_lp", no_build)
+        config = hourly_config(**({"options": options} if options else {}))
+        with pytest.raises(DomainError, match="drift=.* must be nonnegative"):
+            run_day(config, day, 85.0, drift=drift)
 
     def test_accounting_identity(self, synth):
         rec = run_day(hourly_config(), synth.load_day("2021-01-01"),
@@ -568,18 +593,20 @@ def arbitrage_day(da, dt_hours=1.0):
 
 
 class TestArbitrageSplitPath:
-    """Arbitrage-only days with charge/discharge binaries are bid from the
-    split LP alone when its point is complementary, else by the MILP."""
+    """Every arbitrage-only day is bid from one model in one solve: the
+    split LP, plus for a lossy battery one binary per day-ahead block
+    with a price <= 0."""
 
     def _capture(self, monkeypatch):
+        """The (model, result) of each solve that run_day makes."""
         results = []
-        real = backtest._solve_arbitrage
+        real = backtest.solve
 
-        def capture(*args):
-            results.append(real(*args))
-            return results[-1]
+        def capture(ir, **kw):
+            results.append((ir, real(ir, **kw)))
+            return results[-1][1]
 
-        monkeypatch.setattr(backtest, "_solve_arbitrage", capture)
+        monkeypatch.setattr(backtest, "solve", capture)
         return results
 
     def _instance(self, rng, K):
@@ -599,8 +626,8 @@ class TestArbitrageSplitPath:
         options = ModelOptions(variant="arbitrage_only", fcr_enabled=False,
                                da_block_len=da_block,
                                terminal_soc_floor=floor)
-        # both paths and the reference MILP stop at a 1e-9 gap, so their
-        # optima agree to 1e-7
+        # the reference MILP stops at a 1e-9 gap and run_day solves to
+        # optimality, so their optima agree to 1e-7
         config = ExperimentConfig(
             params=params, grid=TimeGrid(dt_hours=1.0, K=K),
             budget=UncertaintyBudget(kind="total_budget", gamma=1.0),
@@ -610,7 +637,7 @@ class TestArbitrageSplitPath:
     def test_parity_with_the_milp(self, monkeypatch):
         results = self._capture(monkeypatch)
         rng = np.random.default_rng(2016)
-        paths = []
+        n_binaries = []
         for i in range(200):
             # a K = 24 reference MILP takes seconds, so one instance in
             # 100 is a full day
@@ -623,24 +650,23 @@ class TestArbitrageSplitPath:
                     config.options)
             milp = solve(dispatch_variant(*args, y0_high=y0_hi),
                          gap_target=config.gap_target)
-            bound = solve(split_arbitrage_lp(
-                params, grid, y0_lo, day.prices, config.options,
-                y0_high=y0_hi))
-            if milp.ok:
-                assert bound.ok
-                assert bound.objective <= milp.objective + 1e-7
+            n_solves = len(results)
             try:
                 rec, x0, _, _ = run_day(config, day, y0, drift)
             except backtest.SolverError:
                 assert not milp.ok
                 continue
-            res = results[-1]
-            paths.append(res.path)
+            assert len(results) == n_solves + 1
+            ir, res = results[-1]
+            # one binary per block with a price <= 0, none if lossless
+            blocks = day.prices.day_ahead.reshape(
+                -1, config.options.da_block_len)
+            assert ir.n_binaries == (0 if params.is_lossless else
+                                     np.any(blocks <= 0, axis=1).sum())
+            n_binaries.append(ir.n_binaries)
+            assert rec.solve_path == "split-lp"
             assert res.objective == pytest.approx(milp.objective, abs=1e-7)
             assert rec.objective == res.objective
-            if res.path != "split-lp":
-                continue
-            assert res.bound == bound.objective
             # the bid completes to an optimum of the robust model
             ir = dispatch_variant(*args, y0_high=y0_hi)
             for k in range(1, grid.K + 1):
@@ -656,9 +682,9 @@ class TestArbitrageSplitPath:
             for start in (y0_lo, y0_hi):
                 assert check_feasibility(bids, params, grid, 1.0,
                                          start).feasible
-        # both paths are exercised
-        assert paths.count("split-lp") >= 100
-        assert paths.count("milp") >= 10
+        # both kinds of model are exercised
+        assert sum(n == 0 for n in n_binaries) >= 100
+        assert sum(n > 0 for n in n_binaries) >= 10
 
     def _full_at_negative_price(self):
         """A day that a full battery starts at a negative price: the split
@@ -672,21 +698,25 @@ class TestArbitrageSplitPath:
             options=ARBITRAGE)
         return config, arbitrage_day([-60.0, 10.0, 80.0, 30.0])
 
-    def test_simultaneous_charge_and_discharge_falls_back(self,
+    def test_negative_price_gets_a_binary_not_a_split_bid(self,
                                                           monkeypatch):
         config, day = self._full_at_negative_price()
         params = config.params
-        split = solve(split_arbitrage_lp(params, config.grid, 8.0,
-                                         day.prices, ARBITRAGE))
-        assert split.point["c[1]"] > 1e-6 and split.point["d[1]"] > 1e-6
+        split = split_arbitrage_lp(params, config.grid, 8.0, day.prices,
+                                   ARBITRAGE)
+        relaxed = solve(replace(split, binary=np.zeros(split.n_vars, bool)))
+        assert relaxed.point["c[1]"] > 1e-6 and relaxed.point["d[1]"] > 1e-6
         results = self._capture(monkeypatch)
         rec = run_day(config, day, 8.0)[0]
         milp = solve(dispatch_variant(params, config.grid, config.budget,
                                       8.0, day.prices, ARBITRAGE))
-        assert results[-1].path != "split-lp"
-        assert rec.solve_path == results[-1].path
-        assert rec.objective == milp.objective
-        assert milp.objective > split.objective + 1e-3
+        (ir, res), = results
+        assert ir.var_names[ir.binary.nonzero()[0][0]] == "v[1]"
+        assert ir.n_binaries == 1
+        assert rec.solve_path == "split-lp"
+        assert min(res.point["c[1]"], res.point["d[1]"]) == 0.0
+        assert rec.objective == pytest.approx(milp.objective, abs=1e-9)
+        assert milp.objective > relaxed.objective + 1e-3
 
     def _count_calls(self, monkeypatch):
         calls = {"dispatch_variant": 0, "solve": 0}
@@ -708,18 +738,20 @@ class TestArbitrageSplitPath:
             hourly_config(options=ARBITRAGE, gap_target=None),
             arbitrage_day(da), 50.0)
         assert calls == {"dispatch_variant": 0, "solve": 1}
-        res = results[-1]
-        assert res.path == rec.solve_path == "split-lp"
+        (ir, res), = results
+        assert ir.n_binaries == 0
+        assert rec.solve_path == "split-lp"
         assert res.status == "optimal" and res.gap == 0.0
         assert rec.solve_time == res.solve_time > 0.0
-        assert set(res.point) == {f"x0[{k}]" for k in range(1, 25)}
+        np.testing.assert_array_equal(
+            x0, [res.point[f"d[{k}]"] - res.point[f"c[{k}]"]
+                 for k in range(1, 25)])
         assert np.any(x0 > 0) and np.any(x0 < 0)
 
-    def test_negative_price_day_builds_the_robust_model(self, monkeypatch):
+    def test_negative_price_day_makes_one_solve(self, monkeypatch):
         calls = self._count_calls(monkeypatch)
-        # the split LP, then the MILP on one build of the robust model
         run_day(*self._full_at_negative_price(), 8.0)
-        assert calls == {"dispatch_variant": 1, "solve": 2}
+        assert calls == {"dispatch_variant": 0, "solve": 1}
 
     def test_infeasible_split_lp_ends_the_day(self, monkeypatch):
         # a terminal floor above y_max: the split LP relaxes the robust
@@ -734,20 +766,88 @@ class TestArbitrageSplitPath:
                     arbitrage_day(da), 50.0)
         assert calls == {"dispatch_variant": 0, "solve": 1}
 
-    def test_lossless_arbitrage_keeps_the_lp_path(self, monkeypatch):
+    def test_lossless_arbitrage_is_one_lp(self, monkeypatch):
+        # a lossless battery gets no binary, also at prices <= 0
         lossless = StorageParams(x_min=-50, x_max=50, y_min=10, y_max=90,
                                  eta_c=1.0, eta_d=1.0)
-        calls = []
-        real = backtest.solve
-        monkeypatch.setattr(backtest, "solve",
-                            lambda ir, **kw: calls.append(ir) or real(ir, **kw))
-        da = 40 + 30 * np.sin(np.arange(24) / 24 * 4 * np.pi)
+        results = self._capture(monkeypatch)
+        calls = self._count_calls(monkeypatch)
+        da = 40 + 60 * np.sin(np.arange(24) / 24 * 4 * np.pi)
+        assert np.any(da < 0)
         rec = run_day(hourly_config(params=lossless, options=ARBITRAGE,
                                     gap_target=None),
                       arbitrage_day(da), 50.0)[0]
-        assert [ir.n_binaries for ir in calls] == [0]
-        assert "x0[1]" in calls[0].registry
-        assert rec.solve_path == "milp"
+        assert calls == {"dispatch_variant": 0, "solve": 1}
+        (ir, res), = results
+        assert ir.n_binaries == 0 and "c[1]" in ir.registry
+        assert rec.solve_path == "split-lp"
+        robust = solve(dispatch_variant(
+            lossless, HOURLY, UncertaintyBudget(kind="total_budget",
+                                                gamma=2.0),
+            50.0, arbitrage_day(da).prices, ARBITRAGE))
+        assert rec.objective == pytest.approx(robust.objective, abs=1e-9)
+
+    @pytest.mark.parametrize("spread", [60.0, 120.0])
+    def test_negative_price_days_from_the_generator(self, tmp_path,
+                                                    monkeypatch, spread):
+        # spread 60 gives 3-5 hours priced <= 0 a day, spread 120 gives
+        # 6-7 (seed 21)
+        generate_synthetic_dataset(str(tmp_path), seed=21, days=30,
+                                   gamma=2.0, spread=spread)
+        dataset = Dataset(str(tmp_path))
+        results = self._capture(monkeypatch)
+        calls = self._count_calls(monkeypatch)
+        config = hourly_config(options=ARBITRAGE, gap_target=None)
+        y0 = config.y0_default
+        for i, date in enumerate(dataset.dates(), 1):
+            day = dataset.load_day(date)
+            rec, x0, x_up, x_dn = run_day(config, day, y0)
+            assert calls == {"dispatch_variant": 0, "solve": i}
+            ir, res = results[-1]
+            nonpositive = np.sum(day.prices.day_ahead <= 0)
+            assert ir.n_binaries == nonpositive >= 3
+            # the split model with a binary on every interval is exact
+            # by construction
+            every = split_arbitrage_lp(
+                REFERENCE_BATTERY, HOURLY, y0,
+                PriceSeries(day_ahead=-np.ones(24), fcr_availability=[]),
+                ARBITRAGE)
+            every.cost[:3 * 24] = ir.cost[:3 * 24]
+            assert every.n_binaries == 24
+            reference = solve(every, gap_target=0.0)
+            assert rec.objective == pytest.approx(reference.objective,
+                                                  abs=1e-7)
+            bids = BidSchedule(x0=x0, x_up=x_up, x_dn=x_dn)
+            assert check_feasibility(bids, REFERENCE_BATTERY, HOURLY, 2.0,
+                                     y0).feasible
+
+    def test_guard_rejects_a_split_point(self, synth, monkeypatch):
+        # a lossy point that charges and discharges at once is no bid:
+        # run_day raises, and the backtest skips that day and goes on
+        real = backtest.solve
+
+        def split_first_day(ir, **kw):
+            res = real(ir, **kw)
+            if split_first_day.calls == 0:
+                point = dict(res.point)
+                point["c[3]"] += 1.0
+                point["d[3]"] += 1.0
+                res = replace(res, point=point)
+            split_first_day.calls += 1
+            return res
+
+        split_first_day.calls = 0
+        monkeypatch.setattr(backtest, "solve", split_first_day)
+        config = hourly_config(options=ARBITRAGE)
+        message = "charges and discharges at once in interval 3"
+        with pytest.raises(backtest.SolverError, match=message):
+            run_day(config, synth.load_day("2021-01-01"), 50.0)
+        split_first_day.calls = 0
+        report = run_backtest(config, synth)
+        first, *rest = synth.dates()
+        assert report.skipped == [
+            (first, f"{first}: the arbitrage bid {message}")]
+        assert [r.date for r in report.records] == rest
 
 
 class TestIntradayMode:

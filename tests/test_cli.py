@@ -392,6 +392,35 @@ class TestBacktestCommand:
         assert err.startswith("data error: ") and str(out) in err
         assert len(err.splitlines()) == 1
 
+    def test_arbitrage_on_negative_prices(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        assert main(["synth", "--out", data, "--spread", "120",
+                     "--days", "3"]) == EXIT_OK
+        dates = ["2021-01-01", "2021-01-02", "2021-01-03"]
+        for date in dates:
+            da = np.loadtxt(os.path.join(data, "dayahead", f"{date}.csv"),
+                            delimiter=",", skiprows=1)[:, 1]
+            assert np.any(da < 0)
+        cfg = tmp_path / "arb.cfg"
+        cfg.write_text(HOURLY_CFG.replace("fcr_block_len = 4\n",
+                                          "fcr_enabled = false\n"))
+        out = tmp_path / "report"
+        assert main(["backtest", "--config", str(cfg), "--data-dir", data,
+                     "--variant", "arbitrage_only", "--out",
+                     str(out)]) == EXIT_OK
+        records = [json.loads(line)
+                   for line in open(out / "records.jsonl")]
+        assert [r["date"] for r in records] == dates
+        assert all(r["violations"] == [] for r in records)
+        capsys.readouterr()
+        assert main(["solve-day", "--config", str(cfg), "--data-dir", data,
+                     "--variant", "arbitrage_only",
+                     "--date", dates[1]]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert "solve path       split-lp" in lines
+        assert any(line.startswith("worst-case check feasible ")
+                   for line in lines)
+
 
 class TestVerifyCommand:
     EX1_CFG = """\
